@@ -29,6 +29,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <thread>
 
 #include "bench_util.h"
@@ -99,12 +100,13 @@ planAtScale(benchmark::State &state, const WorkloadCase &wl)
     // *name* (kPlannerPhaseNames) so the artifact stays
     // self-describing if phases are ever added or reordered; the
     // benchmark counter stays numeric (counters are doubles).
-    const double phases[4] = {best.phaseSeconds.estimation,
-                              best.phaseSeconds.allocation,
-                              best.phaseSeconds.scheduling,
-                              best.phaseSeconds.placement};
+    const double phases[] = {best.phaseSeconds.estimation,
+                             best.phaseSeconds.allocation,
+                             best.phaseSeconds.scheduling,
+                             best.phaseSeconds.placement,
+                             best.phaseSeconds.finalize};
     std::uint32_t tail = 0;
-    for (std::uint32_t i = 1; i < 4; ++i)
+    for (std::uint32_t i = 1; i < std::size(phases); ++i)
         if (phases[i] > phases[tail])
             tail = i;
 
@@ -115,6 +117,7 @@ planAtScale(benchmark::State &state, const WorkloadCase &wl)
     state.counters["allocation_seconds"] = best.phaseSeconds.allocation;
     state.counters["scheduling_seconds"] = best.phaseSeconds.scheduling;
     state.counters["placement_seconds"] = best.phaseSeconds.placement;
+    state.counters["finalize_seconds"] = best.phaseSeconds.finalize;
     state.counters["serial_tail_phase"] = tail;
 
     // Serial records keep their historical names (budget
@@ -135,6 +138,7 @@ planAtScale(benchmark::State &state, const WorkloadCase &wl)
          {"allocation_seconds", best.phaseSeconds.allocation},
          {"scheduling_seconds", best.phaseSeconds.scheduling},
          {"placement_seconds", best.phaseSeconds.placement},
+         {"finalize_seconds", best.phaseSeconds.finalize},
          {"serial_tail_phase", plannerPhaseName(tail)},
          {"waves", static_cast<double>(best.plan.waves.size())}});
 }

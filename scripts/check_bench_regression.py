@@ -18,11 +18,9 @@ bench/baseline_planner.json:
     (estimation / allocation / scheduling / placement seconds), so a
     regression confined to one phase cannot hide inside a healthy
     total at the largest scale;
-  * a baseline serial_tail_phase — the phase the record names as its
-    wall-clock tail — may be either a numeric index (legacy) or a
-    phase name like "placement" (current emitter); both forms are
-    normalized before the informational comparison against the
-    current run.
+  * serial_tail_phase — the phase a record names as its wall-clock
+    tail — must be a planner phase name (PHASE_NAMES); a moved tail
+    is reported, not gated.
 
 planner-threads — gate the parallel planner's speedup at the largest
 scale. For every baseline record carrying "min_speedup" (the
@@ -142,21 +140,9 @@ PHASE_FIELDS = (
 )
 
 # PlannerPhaseSeconds member order (kPlannerPhaseNames in
-# src/planner/planner.h). serial_tail_phase was historically the
-# numeric index into this tuple; the bench now emits the name.
+# src/planner/planner.h).
 PHASE_NAMES = ("estimation", "allocation", "scheduling", "placement",
-               "diff")
-
-
-def phase_name(value):
-    """Normalize a serial_tail_phase value: accepts the legacy
-    numeric index or the current phase-name string."""
-    if isinstance(value, str):
-        return value
-    index = int(value)
-    return PHASE_NAMES[index] if 0 <= index < len(PHASE_NAMES) else (
-        f"unknown({index})"
-    )
+               "finalize", "diff")
 
 
 def load_records(path):
@@ -203,8 +189,14 @@ def check_planner(current, baseline, factor):
         # scale. A moved tail is news (the next scaling push attacks
         # a different phase), not a regression.
         if "serial_tail_phase" in base and "serial_tail_phase" in cur:
-            base_tail = phase_name(base["serial_tail_phase"])
-            cur_tail = phase_name(cur["serial_tail_phase"])
+            base_tail = base["serial_tail_phase"]
+            cur_tail = cur["serial_tail_phase"]
+            for tail in (base_tail, cur_tail):
+                if tail not in PHASE_NAMES:
+                    failures.append(
+                        f"{name}: serial_tail_phase {tail!r} is not a "
+                        f"planner phase"
+                    )
             if base_tail != cur_tail:
                 print(
                     f"info  {name:<24} serial tail moved: "

@@ -40,6 +40,9 @@ class SpindleSystem : public System
 
     ExecutionPlan buildPlan(const MetaGraph &graph) const override;
 
+    /** The planner's regime: plans are run as they were placed. */
+    MemoryParams memoryParams() const override { return options_.memory; }
+
     const PlannerOptions &plannerOptions() const { return options_; }
 
   private:

@@ -24,7 +24,7 @@ System::runIteration(const MetaGraph &graph) const
     const auto t1 = std::chrono::steady_clock::now();
     plan.validate(graph);
 
-    Engine engine(hw_, MemoryParams{}, engine_options_);
+    Engine engine(hw_, memoryParams(), engine_options_);
     IterationResult iter = engine.run(graph, plan);
 
     SystemResult result;

@@ -63,6 +63,14 @@ class System
     virtual ExecutionPlan buildPlan(const MetaGraph &graph) const = 0;
 
     /**
+     * Memory accounting regime (ZeRO flags) the engine charges the
+     * plan under in runIteration(). Systems whose planner shards
+     * state return the regime they planned with, so a plan is run
+     * under the same accounting it was placed under.
+     */
+    virtual MemoryParams memoryParams() const { return {}; }
+
+    /**
      * Template method: build the plan, annotate its readiness
      * edges, validate it, execute one iteration on the simulator,
      * and package the measurements.

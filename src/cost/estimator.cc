@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <random>
 
 #include "common/logging.h"
 #include "common/math_util.h"
-#include "common/thread_pool.h"
 
 namespace spindle {
 
@@ -100,26 +98,12 @@ ScalabilityEstimator::estimate(const MetaOp &m,
 
 std::vector<ScalingCurve>
 ScalabilityEstimator::estimateAll(const MetaGraph &graph,
-                                  std::uint32_t max_devices,
-                                  ThreadPool *pool) const
+                                  std::uint32_t max_devices) const
 {
-    const std::vector<MetaOp> &ops = graph.metaOps();
-    const std::size_t count = ops.size();
-
-    // Each MetaOp's curve is a pure function of (oracle, options,
-    // MetaOp, max_devices) — including the noisy variant, whose
-    // noise stream is seeded per (MetaOp, n) — so curves can be
-    // estimated on any lane and land at their own index.
-    std::vector<std::optional<ScalingCurve>> slots(count);
-    maybeParallelFor(pool, /*parallel=*/true, 0, count, 1,
-                     [&](std::size_t i) {
-                         slots[i].emplace(estimate(ops[i], max_devices));
-                     });
-
     std::vector<ScalingCurve> curves;
-    curves.reserve(count);
-    for (std::optional<ScalingCurve> &slot : slots)
-        curves.push_back(std::move(*slot));
+    curves.reserve(graph.numMetaOps());
+    for (const MetaOp &m : graph.metaOps())
+        curves.push_back(estimate(m, max_devices));
     return curves;
 }
 

@@ -20,10 +20,6 @@
 #include "hardware/hardware_model.h"
 
 namespace spindle {
-class ThreadPool;
-}
-
-namespace spindle {
 
 /** Estimator configuration. */
 struct EstimatorOptions
@@ -65,15 +61,9 @@ class ScalabilityEstimator
      */
     ScalingCurve estimate(const MetaOp &m, std::uint32_t max_devices) const;
 
-    /**
-     * Curves for every MetaOp of @p graph, indexed by MetaOpId.
-     * When @p pool is non-null, MetaOps are profiled and fitted in
-     * parallel (curves are mutually independent; each lands at its
-     * own index, so the result is identical at any thread count).
-     */
+    /** Curves for every MetaOp of @p graph, indexed by MetaOpId. */
     std::vector<ScalingCurve> estimateAll(const MetaGraph &graph,
-                                          std::uint32_t max_devices,
-                                          ThreadPool *pool = nullptr) const;
+                                          std::uint32_t max_devices) const;
 
     /**
      * The device counts that estimate() would profile for @p m:
@@ -97,7 +87,7 @@ class ScalabilityEstimator
     const HardwareModel &hw_;
     EstimatorOptions options_;
 
-    /** Atomic: parallel estimateAll() probes from several lanes. */
+    /** Atomic: the planner estimates MetaOps from several lanes. */
     mutable std::atomic<std::uint64_t> num_probes_{0};
 };
 

@@ -604,44 +604,4 @@ CollectiveModel::flowTime(double bytes, const DeviceSet &src,
     return bytes / streams / best.bandwidth + best.latency;
 }
 
-double
-CollectiveModel::pairedFlowTime(double bytes, const DeviceSet &src,
-                                const DeviceSet &dst) const
-{
-    panicIf(src.empty() || dst.empty(),
-            "pairedFlowTime: empty device set");
-    if (bytes <= 0)
-        return 0.0;
-    if (src == dst)
-        return 0.0; // data already resident where it is consumed
-
-    // The legacy best-pair bound, surcharged by the attributed
-    // inter-island share: destinations whose island holds no source
-    // device receive their shard over the inter-island fabric, so
-    // the flow is charged its own cost once more for that fraction
-    // of its shards — the identical shard-by-shard attribution
-    // PlacementResult.interIslandCommSeconds applies. Miss-free
-    // flows price exactly like flowTime, so enabling the pairing-
-    // aware oracle only separates windows the attribution metric
-    // itself distinguishes.
-    const double t = flowTime(bytes, src, dst);
-    if (t <= 0)
-        return t;
-    std::size_t miss = 0;
-    for (DeviceId d : dst) {
-        const std::uint32_t island = topo_.islandOf(d);
-        bool covered = false;
-        for (DeviceId s : src) {
-            if (topo_.islandOf(s) == island) {
-                covered = true;
-                break;
-            }
-        }
-        if (!covered)
-            ++miss;
-    }
-    return t * (1.0 + static_cast<double>(miss) /
-                          static_cast<double>(dst.size()));
-}
-
 } // namespace spindle

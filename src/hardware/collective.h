@@ -259,24 +259,6 @@ class CollectiveModel
     double flowTime(double bytes, const DeviceSet &src,
                     const DeviceSet &dst) const;
 
-    /**
-     * Pairing-aware flow pricing: flowTime() surcharged by the
-     * attributed inter-island share. Destinations whose island holds
-     * no source device must receive their shard over the
-     * inter-island fabric, so the flow is charged its own cost once
-     * more for that fraction of its shards — the identical
-     * shard-by-shard attribution
-     * PlacementResult.interIslandCommSeconds uses. Miss-free flows
-     * price exactly like flowTime (the surcharge is the only
-     * difference), which is what lets the placement score gradient
-     * separate island-aligned windows from ones that merely touch
-     * the source's island without disturbing how comm trades against
-     * the other score terms. Drop-in replacement in placement
-     * scoring (PlacementOptions::pairingAwareFlowPricing).
-     */
-    double pairedFlowTime(double bytes, const DeviceSet &src,
-                          const DeviceSet &dst) const;
-
     /** Stateless ring all-reduce over an explicit link class. */
     static double ringAllReduce(double bytes, std::uint32_t group_size,
                                 const LinkParams &link);

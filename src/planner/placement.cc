@@ -108,8 +108,6 @@ struct BandState
      * monotone, so the difference never borrows across them.
      */
     std::vector<std::uint64_t> inflowPref;
-    /** Island-miss counts, inflows x (B+1); paired pricing only. */
-    std::vector<std::uint32_t> missPref;
     std::vector<std::ptrdiff_t> eqWindow; ///< per inflow, -1 = none
 };
 
@@ -552,11 +550,7 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
     // classes (uniformLinks() false), where three classes cannot
     // describe the fabric at all — drop to scoring every window with
     // the flow oracle directly, keeping the bit-identical contract
-    // unconditional. The same class machinery serves the
-    // pairing-aware oracle: the window's best class still sets the
-    // base flow bound, and pairedFlowTime is that bound surcharged
-    // by the window's island-miss fraction, which the per-position
-    // island ids below count exactly.
+    // unconditional.
     const LinkParams link_class[kNumLinkClasses] = {
         {topo_.device().copyBandwidth, 0.0}, // overlapping device
         topo_.config().intraIsland,          // same island
@@ -576,17 +570,6 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
         link_class[0].bandwidth == link_class[2].bandwidth ||
         link_class[1].bandwidth == link_class[2].bandwidth;
     const bool exact_comm = tied_class_bandwidths || !topo_.uniformLinks();
-
-    // Window flow oracle: the legacy best-pair bound, or the
-    // pairing-aware per-destination-shard price behind the
-    // PlacementOptions flag (see placement.h). Both the exact paths
-    // and the class-level fast path below dispatch on this.
-    const bool paired = options_.pairingAwareFlowPricing;
-    auto flow_price = [&](double bytes, const DeviceSet &src,
-                          const DeviceSet &dst) {
-        return paired ? coll.pairedFlowTime(bytes, src, dst)
-                      : coll.flowTime(bytes, src, dst);
-    };
 
     std::uint32_t seq_cursor = 0; // Sequential strategy cursor
 
@@ -818,7 +801,7 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                 }
                 double comm = 0;
                 for (const auto &[bytes, src] : inflows)
-                    comm += flow_price(bytes, *src, win);
+                    comm += coll.flowTime(bytes, *src, win);
                 double non_resident_bytes = 0;
                 for (const SliceParam &sp : sig) {
                     if (sp.bytes <= 0)
@@ -865,10 +848,7 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                         InflowCtx &ctx = inflow_ctx[k];
 
                         // The whole flow over the best pair, sharded
-                        // across min(|src|, n) streams — both
-                        // pricing modes: the pairing-aware oracle is
-                        // this bound scaled by its window's
-                        // island-miss fraction (see pairedFlowTime).
+                        // across min(|src|, n) streams.
                         const double streams =
                             static_cast<double>(std::min<std::size_t>(
                                 src.size(), n));
@@ -1065,12 +1045,6 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                             inflows.size() * (B + 1);
                         if (bs.inflowPref.size() < need)
                             bs.inflowPref.resize(need);
-                        if (paired) {
-                            const std::size_t mneed =
-                                inflows.size() * (B + 1);
-                            if (bs.missPref.size() < mneed)
-                                bs.missPref.resize(mneed);
-                        }
                         bs.eqWindow.assign(inflows.size(), -1);
                     }
                 }
@@ -1153,21 +1127,6 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                                     (std::uint64_t{1}
                                      << (kClsFieldBits *
                                          ctx.cls[band[i]]));
-                        }
-                        if (paired) {
-                            // Island-miss prefix: positions whose
-                            // island holds no source device (the
-                            // pairing-aware surcharge counts them).
-                            std::uint32_t *mpref =
-                                bs.missPref.data() + k * stride;
-                            mpref[0] = 0;
-                            for (std::size_t i = 0; i < B; ++i)
-                                mpref[i + 1] =
-                                    mpref[i] +
-                                    (ctx.srcCountByIsland
-                                             [pos_island[at(i)]] == 0
-                                         ? 1u
-                                         : 0u);
                         }
 
                         const DeviceSet &src = *inflows[k].second;
@@ -1476,7 +1435,7 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                                         free[band[w + j]];
                                 for (const auto &[bytes, src] :
                                      inflows)
-                                    comm += flow_price(
+                                    comm += coll.flowTime(
                                         bytes, *src, win_scratch);
                             } else {
                                 for (std::size_t k = 0;
@@ -1509,30 +1468,8 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                                             break;
                                         }
                                     }
-                                    const double t =
+                                    comm +=
                                         inflow_ctx[k].flowByClass[cls];
-                                    if (paired) {
-                                        // Pairing-aware surcharge:
-                                        // the flow pays its cost
-                                        // again for the fraction of
-                                        // window members in islands
-                                        // holding no source (see
-                                        // pairedFlowTime).
-                                        const std::uint32_t *mpref =
-                                            bs.missPref.data() +
-                                            k * stride;
-                                        const std::uint32_t miss =
-                                            mpref[w + n] - mpref[w];
-                                        comm +=
-                                            t *
-                                            (1.0 +
-                                             static_cast<double>(
-                                                 miss) /
-                                                 static_cast<double>(
-                                                     n));
-                                        continue;
-                                    }
-                                    comm += t;
                                 }
                             }
 
@@ -1611,8 +1548,8 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                         for (std::uint32_t j = 0; j < n; ++j)
                             win_scratch[j] = free[win_pos[j]];
                         for (const auto &[bytes, src] : inflows)
-                            comm += flow_price(bytes, *src,
-                                               win_scratch);
+                            comm += coll.flowTime(bytes, *src,
+                                                  win_scratch);
                     } else {
                         for (std::size_t k = 0; k < inflows.size();
                              ++k) {
@@ -1641,24 +1578,8 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                                 if (best_rank == 0)
                                     break;
                             }
-                            const double t =
+                            comm +=
                                 ctx.flowByClass[class_by_bw[best_rank]];
-                            if (paired) {
-                                // Pairing-aware surcharge over the
-                                // window's island-miss fraction (see
-                                // pairedFlowTime).
-                                std::uint32_t miss = 0;
-                                for (std::uint32_t p : win_pos)
-                                    if (ctx.srcCountByIsland
-                                            [pos_island[p]] == 0)
-                                        ++miss;
-                                comm +=
-                                    t * (1.0 +
-                                         static_cast<double>(miss) /
-                                             static_cast<double>(n));
-                                continue;
-                            }
-                            comm += t;
                         }
                     }
 
@@ -1857,11 +1778,7 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
 
             // Attribute the committed flows to intra- vs
             // inter-island fabric, shard by shard (see
-            // interIslandShardFraction). Deliberately priced with
-            // the legacy flowTime even under pairing-aware scoring,
-            // so interIslandCommSeconds stays one metric comparable
-            // across pricing modes (the acceptance comparison in
-            // planner_equivalence_test depends on this).
+            // interIslandShardFraction), priced with flowTime.
             double entry_inter = 0;
             for (std::size_t k = 0; k < inflows.size(); ++k) {
                 const auto &[bytes, src] = inflows[k];

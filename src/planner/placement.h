@@ -147,21 +147,6 @@ struct PlacementOptions
     double paramAffinityWeight = 1.0;
 
     /**
-     * Price candidate windows with
-     * CollectiveModel::pairedFlowTime (per-destination shards, the
-     * flow finishing with its slowest destination — the same
-     * attribution PlacementResult.interIslandCommSeconds reports)
-     * instead of flowTime's best-pair bound. The paired oracle can
-     * punish a window for merely touching a congested source island,
-     * which the best-pair bound cannot, so IslandAware windows
-     * dominate even on homogeneous clusters. Default off: the legacy
-     * scoring stays byte-identical to the frozen equivalence
-     * reference. Plan-affecting (folded into the planner's options
-     * fingerprint).
-     */
-    bool pairingAwareFlowPricing = false;
-
-    /**
      * Admissible pruning of the candidate sweep (see the file
      * comment): skip a chunk of band windows when an exact lower
      * bound on every window's primary score is strictly above an

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <optional>
 
 #include "common/logging.h"
 #include "runtime/memory_model.h"
@@ -59,8 +60,6 @@ optionsFingerprint(const PlannerOptions &o)
     h = mix(h, o.placement.memorySlack);
     h = mix(h, o.placement.memoryWeight);
     h = mix(h, o.placement.paramAffinityWeight);
-    h = mix(h,
-            static_cast<std::uint64_t>(o.placement.pairingAwareFlowPricing));
     h = mix(h, o.memory.optimizerFactor);
     h = mix(h, static_cast<std::uint64_t>(o.memory.zeroShardOptimizer));
     h = mix(h, static_cast<std::uint64_t>(o.memory.zeroShardParams));
@@ -76,6 +75,64 @@ curveKeyOf(const MetaOp &m, std::uint32_t max_devices)
             m.paramBytesPerOp, m.activationBytes, max_devices};
 }
 
+/**
+ * One memoized pipeline stage over @p count independent items. Each
+ * item's result is served from @p memo (@p find), copied from an
+ * earlier item of this graph with an equal key, or computed
+ * (@p compute — in parallel when pooled; each result lands at its
+ * own index) and then stored. Keys are probed serially before
+ * anything is computed, so @p hits equals that of a serial pass at
+ * any thread count. Without a memo every item is computed and no
+ * key is built.
+ */
+template <typename Value, typename Key, typename KeyOf, typename Compute>
+std::vector<Value>
+memoizedStage(ThreadPool *pool, PlanCache *memo, std::uint64_t ctx,
+              std::size_t count, KeyOf key_of,
+              std::optional<Value> (PlanCache::*find)(std::uint64_t,
+                                                      const Key &) const,
+              void (PlanCache::*store)(std::uint64_t, const Key &,
+                                       const Value &),
+              Compute compute, std::uint64_t &hits)
+{
+    std::vector<std::optional<Value>> slots(count);
+    std::vector<Key> keys;
+    std::vector<std::size_t> todo;
+    std::vector<std::pair<std::size_t, std::size_t>> copies;
+    for (std::size_t i = 0; i < count; ++i) {
+        if (memo != nullptr) {
+            keys.push_back(key_of(i));
+            if ((slots[i] = (memo->*find)(ctx, keys[i])).has_value())
+                continue;
+            auto same = std::find_if(todo.begin(), todo.end(),
+                                     [&](std::size_t j) {
+                                         return keys[j] == keys[i];
+                                     });
+            if (same != todo.end()) {
+                copies.emplace_back(i, *same);
+                continue;
+            }
+        }
+        todo.push_back(i);
+    }
+    maybeParallelFor(pool, /*parallel=*/true, 0, todo.size(), 1,
+                     [&](std::size_t t) {
+                         slots[todo[t]].emplace(compute(todo[t]));
+                     });
+    if (memo != nullptr)
+        for (std::size_t i : todo)
+            (memo->*store)(ctx, keys[i], *slots[i]);
+    for (auto [i, from] : copies)
+        slots[i] = slots[from];
+    hits = count - todo.size();
+
+    std::vector<Value> out;
+    out.reserve(count);
+    for (std::optional<Value> &slot : slots)
+        out.push_back(std::move(*slot));
+    return out;
+}
+
 } // namespace
 
 ExecutionPlanner::ExecutionPlanner(const HardwareModel &hw,
@@ -87,65 +144,6 @@ ExecutionPlanner::ExecutionPlanner(const HardwareModel &hw,
         pool_ = std::make_unique<ThreadPool>(threads_);
     cache_context_ =
         mix(hw.topology().fingerprint(), optionsFingerprint(options_));
-}
-
-PlannerOutput
-ExecutionPlanner::plan(const MetaGraph &graph) const
-{
-    auto seconds = secondsBetween;
-
-    const auto t0 = clock_type::now();
-    const std::uint32_t n = hw_.topology().numDevices();
-
-    PlannerOutput out;
-
-    // §3.2: profile the oracle and fit per-MetaOp scaling curves
-    // (one independent curve per MetaOp — parallel when pooled).
-    ScalabilityEstimator estimator(hw_, options_.estimator);
-    out.curves = estimator.estimateAll(graph, n, pool_.get());
-    const auto t_estimated = clock_type::now();
-    out.phaseSeconds.estimation = seconds(t0, t_estimated);
-
-    // §3.3: per-MetaLevel MPSP allocation + bi-point discretization
-    // (levels are data-independent — parallel when pooled).
-    ResourceAllocator allocator(graph, out.curves, n, options_.allocator);
-    std::vector<LevelAllocation> allocations =
-        allocator.allocateAll(pool_.get());
-    const auto t_allocated = clock_type::now();
-    out.phaseSeconds.allocation = seconds(t_estimated, t_allocated);
-
-    // §3.4: craft waves level by level, then merge.
-    WavefrontScheduler scheduler(graph, out.curves, n,
-                                 options_.scheduler);
-    out.plan.waves = scheduler.scheduleAll(allocations);
-    out.plan.numDevices = n;
-    out.plan.allocations = std::move(allocations);
-    out.plan.theoreticalOptimum = 0;
-    for (const LevelAllocation &a : out.plan.allocations)
-        out.plan.theoreticalOptimum += a.continuous.cStar;
-    out.plan.estimatedSpan = out.plan.waves.empty()
-        ? 0.0
-        : out.plan.waves.back().start + out.plan.waves.back().duration;
-    const auto t_scheduled = clock_type::now();
-    out.phaseSeconds.scheduling = seconds(t_allocated, t_scheduled);
-
-    // §3.5: map wave entries onto devices (the scoring sweep runs as
-    // a deterministic parallel reduction when pooled).
-    MemoryModel mem(options_.memory);
-    DevicePlacement placement(hw_.topology(), hw_, mem,
-                              options_.placement, pool_.get());
-    out.placement = placement.place(graph, out.plan);
-    const auto t_placed = clock_type::now();
-    out.phaseSeconds.placement = seconds(t_scheduled, t_placed);
-
-    // Re-annotate now that entries are placed: readiness gains the
-    // per device-group predecessor edges event dispatch relies on.
-    out.plan.annotateReadiness(graph);
-
-    out.plan.validate(graph);
-
-    out.planningSeconds = seconds(t0, clock_type::now());
-    return out;
 }
 
 PlanCache &
@@ -202,200 +200,226 @@ ExecutionPlanner::remapCachedPlan(const PlanCache::CachedPlan &hit,
 }
 
 PlannerOutput
+ExecutionPlanner::plan(const MetaGraph &graph) const
+{
+    return pipeline(graph, nullptr);
+}
+
+PlannerOutput
 ExecutionPlanner::replan(const MetaGraph &graph) const
 {
     // Value transparency has two preconditions: estimation must be
     // noise-free (noise draws are seeded per MetaOp id, invisible to
     // positional signatures) and the placement configuration must be
     // fingerprintable (a custom generator is an opaque pointer).
-    if (options_.estimator.noiseStdFrac > 0 ||
-        options_.placement.generator != nullptr)
-        return plan(graph);
+    const bool opaque = options_.estimator.noiseStdFrac > 0 ||
+                        options_.placement.generator != nullptr;
+    return pipeline(graph, opaque ? nullptr : &planCache());
+}
 
-    auto seconds = secondsBetween;
+PlannerOutput
+ExecutionPlanner::pipeline(const MetaGraph &graph, PlanCache *memo) const
+{
     const auto t0 = clock_type::now();
+    auto last = t0;
+    // Charge the wall-clock since the previous lap to @p phase.
+    auto lap = [&last](double &phase) {
+        const auto now = clock_type::now();
+        phase += secondsBetween(last, now);
+        last = now;
+    };
+
     const std::uint32_t n = hw_.topology().numDevices();
-    PlanCache &cache = planCache();
     const std::uint64_t ctx = cache_context_;
-
     PlannerOutput out;
-    out.replan.attempted = true;
-    out.replan.totalLevels =
-        static_cast<std::uint32_t>(graph.numLevels());
+    ReplanStats &stats = out.replan;
 
-    GraphSignature sig = signatureOf(graph);
-
-    // ---- Full hit: this exact workload value was planned before in
-    // this context. Remap the cached plan's ids positionally; no
-    // pipeline stage runs.
-    if (const PlanCache::PlanPtr hit = cache.findPlan(ctx, sig)) {
-        out.replan.fullHit = true;
-        out.replan.reusedLevels = out.replan.totalLevels;
-        out.replan.prefixWaves =
-            static_cast<std::uint32_t>(hit->plan.waves.size());
-        cache.addStats({.fullHits = 1,
-                        .reusedLevels = graph.numLevels()});
-        out.phaseSeconds.diff = seconds(t0, clock_type::now());
-        remapCachedPlan(*hit, graph, out);
-        // Cheap insurance on the remap: re-derive readiness on the
-        // *new* graph and re-validate, keeping the byte-identity
-        // claim falsifiable on every hit.
-        out.plan.annotateReadiness(graph);
-        out.plan.validate(graph);
-        out.planningSeconds = seconds(t0, clock_type::now());
-        return out;
-    }
-    cache.addStats({.misses = 1});
-    const auto t_diffed = clock_type::now();
-    out.phaseSeconds.diff = seconds(t0, t_diffed);
-
-    // ---- Miss: run the pipeline, reusing memoized per-stage
-    // results. Estimation (§3.2) through the curve memo — curves
-    // depend only on the member workload shape and the cluster.
-    ScalabilityEstimator estimator(hw_, options_.estimator);
-    std::vector<ScalingCurve> curves;
-    curves.reserve(graph.numMetaOps());
-    for (const MetaOp &m : graph.metaOps()) {
-        const PlanCache::CurveKey key = curveKeyOf(m, n);
-        if (std::optional<ScalingCurve> hit = cache.findCurve(ctx, key)) {
-            curves.push_back(std::move(*hit));
-            ++out.replan.curveHits;
+    // ---- Diff (memo only): a workload value planned before in this
+    // context is served from the cache with its ids remapped
+    // positionally, and no stage below runs.
+    GraphSignature sig;
+    PlanCache::PlanPtr cached;
+    if (memo != nullptr) {
+        stats.attempted = true;
+        stats.totalLevels = static_cast<std::uint32_t>(graph.numLevels());
+        sig = signatureOf(graph);
+        cached = memo->findPlan(ctx, sig);
+        if (cached != nullptr) {
+            stats.fullHit = true;
+            stats.reusedLevels = stats.totalLevels;
+            stats.prefixWaves =
+                static_cast<std::uint32_t>(cached->plan.waves.size());
+            memo->addStats({.fullHits = 1,
+                            .reusedLevels = graph.numLevels()});
+            remapCachedPlan(*cached, graph, out);
         } else {
-            curves.push_back(estimator.estimate(m, n));
-            cache.storeCurve(ctx, key, curves.back());
-            ++out.replan.curveMisses;
+            memo->addStats({.misses = 1});
         }
+        lap(out.phaseSeconds.diff);
     }
-    out.curves = std::move(curves);
-    cache.addStats({.curveHits = out.replan.curveHits,
-                    .curveMisses = out.replan.curveMisses});
-    const auto t_estimated = clock_type::now();
-    out.phaseSeconds.estimation = seconds(t_diffed, t_estimated);
 
-    // Allocation (§3.3) through the per-level memo; hits are stored
-    // positionally and remapped onto this graph's ids.
-    ResourceAllocator allocator(graph, out.curves, n, options_.allocator);
-    std::vector<LevelAllocation> allocations(graph.numLevels());
-    for (std::size_t k = 0; k < graph.numLevels(); ++k) {
-        const std::vector<MetaOpId> &ids = graph.level(k);
-        PlanCache::LevelKey key;
-        key.ops.reserve(ids.size());
-        for (MetaOpId id : ids) {
-            const MetaOp &m = graph.metaOp(id);
-            key.ops.emplace_back(curveKeyOf(m, n), m.numOps());
-        }
-        if (std::optional<LevelAllocation> hit =
-                cache.findLevelAlloc(ctx, key)) {
-            allocations[k] = std::move(*hit);
-            allocations[k].metaOps = ids;
-            panicIf(allocations[k].plans.size() != ids.size(),
-                    "replan: cached allocation shape mismatch");
-            for (std::size_t i = 0; i < ids.size(); ++i)
-                allocations[k].plans[i].metaOp = ids[i];
-            ++out.replan.allocHits;
-        } else {
-            allocations[k] = allocator.allocateLevel(ids);
-            cache.storeLevelAlloc(ctx, key, allocations[k]);
-            ++out.replan.allocMisses;
-        }
-    }
-    cache.addStats({.allocHits = out.replan.allocHits,
-                     .allocMisses = out.replan.allocMisses});
-    const auto t_allocated = clock_type::now();
-    out.phaseSeconds.allocation = seconds(t_estimated, t_allocated);
-
-    // Scheduling (§3.4) is recomputed — it is cheap and globally
-    // coupled (wave merging reads every level).
-    WavefrontScheduler scheduler(graph, out.curves, n,
-                                 options_.scheduler);
-    out.plan.waves = scheduler.scheduleAll(allocations);
-    out.plan.numDevices = n;
-    out.plan.allocations = std::move(allocations);
-    out.plan.theoreticalOptimum = 0;
-    for (const LevelAllocation &a : out.plan.allocations)
-        out.plan.theoreticalOptimum += a.continuous.cStar;
-    out.plan.estimatedSpan = out.plan.waves.empty()
-        ? 0.0
-        : out.plan.waves.back().start + out.plan.waves.back().duration;
-    const auto t_scheduled = clock_type::now();
-    out.phaseSeconds.scheduling = seconds(t_allocated, t_scheduled);
-
-    // Placement (§3.5): replay the committed prefix of the cached
-    // plan sharing the longest level prefix with this workload, and
-    // score only the waves of perturbed levels. Prefix reuse relies
-    // on the Spindle strategy's state being wave-local; Sequential
-    // threads a device cursor through every wave, so it re-places
-    // from scratch (full hits above still apply).
-    MemoryModel mem(options_.memory);
-    DevicePlacement placement(hw_.topology(), hw_, mem,
-                              options_.placement, pool_.get());
     std::vector<PlacementCommit> commit_log;
-    std::size_t donor_levels = 0;
-    const PlanCache::PlanPtr donor =
-        options_.placement.strategy == PlacementStrategy::Spindle
-            ? cache.bestPrefixDonor(ctx, sig, &donor_levels)
-            : nullptr;
-    std::size_t resume_wave = 0;
-    if (donor != nullptr && donor_levels > 0) {
-        while (resume_wave < out.plan.waves.size() &&
-               out.plan.waves[resume_wave].level <
-                   static_cast<std::int32_t>(donor_levels))
-            ++resume_wave;
-        panicIf(resume_wave > donor->plan.waves.size(),
-                "replan: donor prefix shorter than matched levels");
-        for (std::size_t w = 0; w < resume_wave; ++w) {
-            Wave &dst = out.plan.waves[w];
-            const Wave &src = donor->plan.waves[w];
-            // The matched levels are value-identical, so the waves
-            // the (deterministic) scheduler crafted for them must
-            // agree shape for shape.
-            panicIf(src.level != dst.level ||
-                        src.entries.size() != dst.entries.size(),
-                    "replan: donor prefix wave shape mismatch");
-            for (std::size_t i = 0; i < dst.entries.size(); ++i) {
-                const WaveEntry &from = src.entries[i];
-                WaveEntry &to = dst.entries[i];
-                panicIf(from.n != to.n || from.opBegin != to.opBegin ||
-                            from.numOps != to.numOps,
-                        "replan: donor prefix entry mismatch");
-                to.devices = from.devices;
+    if (cached == nullptr) {
+        // §3.2: profile the oracle and fit one independent curve per
+        // MetaOp. A curve is a pure function of the MetaOp's workload
+        // shape and the cluster (the noisy variant seeds its stream
+        // per (MetaOp, n)), so curves may be estimated on any lane
+        // and are served from the curve memo by that shape.
+        ScalabilityEstimator estimator(hw_, options_.estimator);
+        const std::vector<MetaOp> &ops = graph.metaOps();
+        out.curves = memoizedStage<ScalingCurve, PlanCache::CurveKey>(
+            pool_.get(), memo, ctx, ops.size(),
+            [&](std::size_t i) { return curveKeyOf(ops[i], n); },
+            &PlanCache::findCurve, &PlanCache::storeCurve,
+            [&](std::size_t i) { return estimator.estimate(ops[i], n); },
+            stats.curveHits);
+        lap(out.phaseSeconds.estimation);
+
+        // §3.3: per-MetaLevel MPSP allocation + bi-point
+        // discretization. Levels are data-independent (each bisects
+        // its own MPSP over the shared read-only curves) and are
+        // served from the level memo by their shapes; a served level
+        // is stored positionally and rebound to this graph's ids.
+        ResourceAllocator allocator(graph, out.curves, n,
+                                    options_.allocator);
+        std::vector<LevelAllocation> allocations =
+            memoizedStage<LevelAllocation, PlanCache::LevelKey>(
+                pool_.get(), memo, ctx, graph.numLevels(),
+                [&](std::size_t k) {
+                    PlanCache::LevelKey key;
+                    for (MetaOpId id : graph.level(k)) {
+                        const MetaOp &m = graph.metaOp(id);
+                        key.ops.emplace_back(curveKeyOf(m, n), m.numOps());
+                    }
+                    return key;
+                },
+                &PlanCache::findLevelAlloc, &PlanCache::storeLevelAlloc,
+                [&](std::size_t k) {
+                    return allocator.allocateLevel(graph.level(k));
+                },
+                stats.allocHits);
+        if (memo != nullptr) {
+            for (std::size_t k = 0; k < allocations.size(); ++k) {
+                const std::vector<MetaOpId> &ids = graph.level(k);
+                LevelAllocation &a = allocations[k];
+                panicIf(a.plans.size() != ids.size(),
+                        "replan: cached allocation shape mismatch");
+                a.metaOps = ids;
+                for (std::size_t i = 0; i < ids.size(); ++i)
+                    a.plans[i].metaOp = ids[i];
             }
+            stats.curveMisses = ops.size() - stats.curveHits;
+            stats.allocMisses = graph.numLevels() - stats.allocHits;
+            memo->addStats({.curveHits = stats.curveHits,
+                            .curveMisses = stats.curveMisses,
+                            .allocHits = stats.allocHits,
+                            .allocMisses = stats.allocMisses});
+        }
+        lap(out.phaseSeconds.allocation);
+
+        // §3.4: craft waves level by level, then merge. Always
+        // recomputed — it is cheap and globally coupled (wave merging
+        // reads every level).
+        WavefrontScheduler scheduler(graph, out.curves, n,
+                                     options_.scheduler);
+        out.plan.waves = scheduler.scheduleAll(allocations);
+        out.plan.numDevices = n;
+        out.plan.allocations = std::move(allocations);
+        out.plan.theoreticalOptimum = 0;
+        for (const LevelAllocation &a : out.plan.allocations)
+            out.plan.theoreticalOptimum += a.continuous.cStar;
+        out.plan.estimatedSpan = out.plan.waves.empty()
+            ? 0.0
+            : out.plan.waves.back().start + out.plan.waves.back().duration;
+        lap(out.phaseSeconds.scheduling);
+
+        // §3.5: map wave entries onto devices (the scoring sweep runs
+        // as a deterministic parallel reduction when pooled). With a
+        // memo, the committed prefix of the cached plan sharing the
+        // longest level prefix with this workload is replayed, so
+        // only the waves of perturbed levels are scored. Prefix reuse
+        // relies on the Spindle strategy's state being wave-local;
+        // Sequential threads a device cursor through every wave, so
+        // it re-places from scratch.
+        MemoryModel mem(options_.memory);
+        DevicePlacement placement(hw_.topology(), hw_, mem,
+                                  options_.placement, pool_.get());
+        std::size_t resume_wave = 0;
+        std::vector<PlacementCommit> prefix;
+        std::size_t donor_levels = 0;
+        PlanCache::PlanPtr donor;
+        if (memo != nullptr &&
+            options_.placement.strategy == PlacementStrategy::Spindle)
+            donor = memo->bestPrefixDonor(ctx, sig, &donor_levels);
+        if (donor != nullptr && donor_levels > 0) {
+            while (resume_wave < out.plan.waves.size() &&
+                   out.plan.waves[resume_wave].level <
+                       static_cast<std::int32_t>(donor_levels))
+                ++resume_wave;
+            panicIf(resume_wave > donor->plan.waves.size(),
+                    "replan: donor prefix shorter than matched levels");
+            for (std::size_t w = 0; w < resume_wave; ++w) {
+                Wave &dst = out.plan.waves[w];
+                const Wave &src = donor->plan.waves[w];
+                // The matched levels are value-identical, so the waves
+                // the (deterministic) scheduler crafted for them must
+                // agree shape for shape.
+                panicIf(src.level != dst.level ||
+                            src.entries.size() != dst.entries.size(),
+                        "replan: donor prefix wave shape mismatch");
+                for (std::size_t i = 0; i < dst.entries.size(); ++i) {
+                    const WaveEntry &from = src.entries[i];
+                    WaveEntry &to = dst.entries[i];
+                    panicIf(from.n != to.n || from.opBegin != to.opBegin ||
+                                from.numOps != to.numOps,
+                            "replan: donor prefix entry mismatch");
+                    to.devices = from.devices;
+                }
+            }
+            for (const PlacementCommit &rec : donor->commitLog)
+                if (rec.wave < resume_wave)
+                    prefix.push_back(rec);
+        }
+        out.placement = placement.placeWithPrefix(
+            graph, out.plan, resume_wave, prefix,
+            memo != nullptr ? &commit_log : nullptr);
+        lap(out.phaseSeconds.placement);
+
+        if (resume_wave > 0) {
+            stats.reusedLevels = static_cast<std::uint32_t>(donor_levels);
+            stats.prefixWaves = static_cast<std::uint32_t>(resume_wave);
+            memo->addStats({.reusedLevels = donor_levels});
         }
     }
-    if (resume_wave > 0) {
-        std::vector<PlacementCommit> prefix;
-        for (const PlacementCommit &rec : donor->commitLog)
-            if (rec.wave < resume_wave)
-                prefix.push_back(rec);
-        out.placement = placement.placeWithPrefix(
-            graph, out.plan, resume_wave, prefix, &commit_log);
-        out.replan.reusedLevels = static_cast<std::uint32_t>(donor_levels);
-        out.replan.prefixWaves = static_cast<std::uint32_t>(resume_wave);
-        cache.addStats({.reusedLevels = donor_levels});
-    } else {
-        out.placement = placement.place(graph, out.plan, &commit_log);
-    }
-    const auto t_placed = clock_type::now();
-    out.phaseSeconds.placement = seconds(t_scheduled, t_placed);
 
+    // Finalize: (re-)derive readiness now that entries are placed —
+    // it gains the per device-group predecessor edges event dispatch
+    // relies on — and validate against the paper's structural
+    // invariants. On a full hit this re-checks the remap on the new
+    // graph, keeping the byte-identity claim falsifiable every time.
     out.plan.annotateReadiness(graph);
     out.plan.validate(graph);
+    lap(out.phaseSeconds.finalize);
 
-    // Cache the result for future arrivals. commit_log is empty by
-    // construction when the memory-first fallback ran, which is what
-    // disqualifies fallback plans as future prefix donors.
-    PlanCache::CachedPlan entry;
-    entry.sig = std::move(sig);
-    entry.plan = out.plan;
-    entry.curves = out.curves;
-    entry.placement = out.placement;
-    entry.levelIds.resize(graph.numLevels());
-    for (std::size_t k = 0; k < graph.numLevels(); ++k)
-        entry.levelIds[k] = graph.level(k);
-    entry.commitLog = std::move(commit_log);
-    cache.storePlan(ctx, std::move(entry));
+    // Cache a freshly planned result for future arrivals. commit_log
+    // is empty by construction when the memory-first fallback ran,
+    // which is what disqualifies fallback plans as future prefix
+    // donors.
+    if (memo != nullptr && cached == nullptr) {
+        PlanCache::CachedPlan entry;
+        entry.sig = std::move(sig);
+        entry.plan = out.plan;
+        entry.curves = out.curves;
+        entry.placement = out.placement;
+        entry.levelIds.resize(graph.numLevels());
+        for (std::size_t k = 0; k < graph.numLevels(); ++k)
+            entry.levelIds[k] = graph.level(k);
+        entry.commitLog = std::move(commit_log);
+        memo->storePlan(ctx, std::move(entry));
+        lap(out.phaseSeconds.diff);
+    }
 
-    out.planningSeconds = seconds(t0, clock_type::now());
+    out.planningSeconds = secondsBetween(t0, clock_type::now());
     return out;
 }
 

@@ -6,18 +6,23 @@
  * placement (§3.5), producing the execution plan the runtime engine
  * consumes.
  *
- * Two entry points:
- *  - plan() always runs the full pipeline from scratch — it is the
- *    byte-identity reference and never reads or writes the cache;
- *  - replan() serves dynamic arrivals/departures (Fig. 13) through a
- *    PlanCache: a workload whose value signature was planned before
- *    in the same (topology, options) context is returned from the
- *    cache with its MetaOp ids remapped, and on a miss the pipeline
- *    reuses cached scaling curves, level allocations, and the
- *    committed placement prefix of the best cached neighbor — so
- *    replan cost scales with the perturbation, not the cluster.
- *    replan() output is byte-identical to plan() on the same graph
- *    (pinned by planner_equivalence_test).
+ * One staged pipeline runs those stages once each, then finalizes
+ * the plan (readiness annotation + validation). It takes an optional
+ * memo — a PlanCache — and that pointer is the only difference
+ * between the two entry points:
+ *  - plan() runs the pipeline without a memo: every stage computes
+ *    from scratch, and no signature, memo key or commit log is
+ *    built. It is the byte-identity reference.
+ *  - replan() serves dynamic arrivals/departures (Fig. 13) by
+ *    running the pipeline with the planner's PlanCache. A workload
+ *    whose value signature was planned before in the same
+ *    (topology, options) context skips the stages and is returned
+ *    with its MetaOp ids remapped; on a miss the stages reuse cached
+ *    scaling curves, level allocations, and the committed placement
+ *    prefix of the best cached neighbor — so replan cost scales with
+ *    the perturbation, not the cluster. replan() output is
+ *    byte-identical to plan() on the same graph (pinned by
+ *    planner_equivalence_test).
  */
 
 #ifndef SPINDLE_PLANNER_PLANNER_H
@@ -78,7 +83,10 @@ struct PlannerPhaseSeconds
     double allocation = 0; ///< §3.3 MPSP + discretization
     double scheduling = 0; ///< §3.4 wavefront crafting
     double placement = 0;  ///< §3.5 device mapping
-    double diff = 0;       ///< replan(): signature build + cache probe
+    double finalize = 0;   ///< readiness annotation + validation
+    /** replan(): signature build, cache probe, full-hit id remap and
+     *  the store of a freshly planned result. */
+    double diff = 0;
 };
 
 /**
@@ -89,7 +97,8 @@ struct PlannerPhaseSeconds
  * added or reordered.
  */
 inline constexpr const char *kPlannerPhaseNames[] = {
-    "estimation", "allocation", "scheduling", "placement", "diff",
+    "estimation", "allocation", "scheduling", "placement", "finalize",
+    "diff",
 };
 
 inline constexpr std::size_t kNumPlannerPhases =
@@ -122,6 +131,10 @@ struct ReplanStats
     /** Placement waves covered by the replayed prefix. */
     std::uint32_t prefixWaves = 0;
 
+    /** Memo lookups of the estimation and allocation stages, counted
+     *  as a serial pass would at any thread count: a MetaOp (level)
+     *  sharing its key with an earlier one of the same graph is a
+     *  hit. */
     std::uint64_t curveHits = 0;
     std::uint64_t curveMisses = 0;
     std::uint64_t allocHits = 0;
@@ -190,6 +203,12 @@ class ExecutionPlanner
     PlanCache &planCache() const;
 
   private:
+    /**
+     * The staged pipeline behind plan() (@p memo null) and replan()
+     * (@p memo = planCache()); see the file comment.
+     */
+    PlannerOutput pipeline(const MetaGraph &graph, PlanCache *memo) const;
+
     void remapCachedPlan(const PlanCache::CachedPlan &hit,
                          const MetaGraph &graph, PlannerOutput &out) const;
 

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "common/math_util.h"
-#include "common/thread_pool.h"
 
 namespace spindle {
 
@@ -155,14 +154,12 @@ ResourceAllocator::allocateLevel(const std::vector<MetaOpId> &level) const
 }
 
 std::vector<LevelAllocation>
-ResourceAllocator::allocateAll(ThreadPool *pool) const
+ResourceAllocator::allocateAll() const
 {
-    const std::size_t levels = graph_.numLevels();
-    std::vector<LevelAllocation> out(levels);
-    maybeParallelFor(pool, /*parallel=*/true, 0, levels, 1,
-                     [&](std::size_t k) {
-                         out[k] = allocateLevel(graph_.level(k));
-                     });
+    std::vector<LevelAllocation> out;
+    out.reserve(graph_.numLevels());
+    for (std::size_t k = 0; k < graph_.numLevels(); ++k)
+        out.push_back(allocateLevel(graph_.level(k)));
     return out;
 }
 

@@ -22,8 +22,6 @@
 
 namespace spindle {
 
-class ThreadPool;
-
 /** Allocator tunables. */
 struct AllocatorOptions
 {
@@ -67,15 +65,8 @@ class ResourceAllocator
      */
     LevelAllocation allocateLevel(const std::vector<MetaOpId> &level) const;
 
-    /**
-     * Allocate every MetaLevel of the graph, in level order. Levels
-     * are data-independent (each bisects its own MPSP over the
-     * shared read-only curves), so a non-null @p pool solves them in
-     * parallel; each level lands at its own index, making the output
-     * identical at any thread count.
-     */
-    std::vector<LevelAllocation>
-    allocateAll(ThreadPool *pool = nullptr) const;
+    /** Allocate every MetaLevel of the graph, in level order. */
+    std::vector<LevelAllocation> allocateAll() const;
 
     /**
      * Theoretical lower bound on the iteration's execution span:

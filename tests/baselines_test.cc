@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "test_util.h"
 
 namespace spindle {
@@ -200,6 +202,28 @@ TEST_F(BaselineFixture, TheoreticalOptimumOnlyFromSpindle)
     SequentialSystem ds(hw, SequentialMode::DeepSpeed);
     EXPECT_GT(spindle.runIteration(meta).theoreticalOptimum, 0);
     EXPECT_DOUBLE_EQ(ds.runIteration(meta).theoreticalOptimum, 0);
+}
+
+TEST(SpindleSystemMemory, EngineChargesThePlannersMemoryRegime)
+{
+    // Tab. 2: QWen-VAL 70B only fits 80 GB devices with ZeRO-3
+    // parameter sharding. The plan is placed under that regime, so
+    // the engine must charge it under the same one.
+    ComputationGraph graph =
+        buildQwenVal({.size = QwenValConfig::Size::B70, .batch = 128});
+    MetaGraph meta = contractGraph(graph);
+    ClusterTopology topo = smallCluster(32); // 256 GPUs
+    HardwareModel hw(topo);
+    PlannerOptions options;
+    options.memory.zeroShardParams = true;
+    SpindleSystem spindle(hw, options);
+    EXPECT_TRUE(spindle.memoryParams().zeroShardParams);
+
+    const SystemResult r = spindle.runIteration(meta);
+    ASSERT_EQ(r.peakMemoryBytes.size(), topo.numDevices());
+    EXPECT_LE(*std::max_element(r.peakMemoryBytes.begin(),
+                                r.peakMemoryBytes.end()),
+              topo.device().memoryBytes);
 }
 
 } // namespace

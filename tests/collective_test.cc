@@ -451,41 +451,6 @@ TEST(Collective, ShardedScheduleShape)
                                  CollectiveKind::ShardedHierarchical));
 }
 
-TEST(Collective, PairedFlowTimePunishesTouchingTheSlowIsland)
-{
-    // src = island 0; a destination window entirely inside island 0
-    // prices intra-only, while a window that merely touches island 1
-    // pays the slow class for its cross-island shard — which the
-    // best-pair flowTime cannot see.
-    ClusterTopology topo = twoIslandTopo();
-    CollectiveModel coll(topo);
-    const DeviceSet src = {0, 1, 2, 3};
-    const DeviceSet aligned = {1, 2};
-    const DeviceSet touching = {1, 6};
-
-    const double bytes = 800;
-    // Both windows overlap src, so flowTime prices the on-device
-    // copy class for either — it cannot tell them apart.
-    EXPECT_EQ(coll.flowTime(bytes, src, aligned),
-              coll.flowTime(bytes, src, touching));
-
-    // pairedFlowTime: the aligned window has no island miss, so it
-    // prices exactly like flowTime; the touching window pays the
-    // attributed surcharge — device 6's island holds no source, so
-    // half its shards cross islands and the flow is charged 1.5x.
-    EXPECT_EQ(coll.pairedFlowTime(bytes, src, aligned),
-              coll.flowTime(bytes, src, aligned));
-    EXPECT_LT(coll.pairedFlowTime(bytes, src, aligned),
-              coll.pairedFlowTime(bytes, src, touching));
-    EXPECT_DOUBLE_EQ(coll.pairedFlowTime(bytes, src, touching),
-                     coll.flowTime(bytes, src, touching) * 1.5);
-
-    // Degenerate cases match flowTime: identical sets are free, and
-    // zero bytes are free.
-    EXPECT_EQ(coll.pairedFlowTime(bytes, src, src), 0.0);
-    EXPECT_EQ(coll.pairedFlowTime(0.0, src, touching), 0.0);
-}
-
 TEST(Collective, TpPricingIsAlgorithmInvariant)
 {
     // The Megatron-TP charge the estimator/planner consume is the

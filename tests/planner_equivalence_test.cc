@@ -883,60 +883,6 @@ TEST(PlannerEquivalence, IslandAwareLowersInterIslandComm)
     }
 }
 
-TEST(PlannerEquivalence, PairingAwarePricingNeverRaisesInterIslandComm)
-{
-    // Acceptance: pricing placement windows with pairedFlowTime (the
-    // per-shard attribution interIslandCommSeconds itself uses)
-    // instead of flowTime's best-pair bound must never *raise* the
-    // attributed inter-island comm of the chosen plan — on every
-    // seed workload x island topology pair. Both runs are scored by
-    // the same attribution oracle, so the comparison is apples to
-    // apples; only the placement decisions differ.
-    struct Case
-    {
-        const char *name;
-        ComputationGraph graph;
-        ClusterConfig cluster;
-    };
-    const Case cases[] = {
-        {"fig3/hetero{6,10}", fig3Workload(), heteroCluster({6, 10})},
-        {"CLIP-4T/striped2x8", buildMultitaskClip({.numTasks = 4}),
-         stripedCluster(2, 8)},
-        {"CLIP-7T/hetero{6,10}", buildMultitaskClip({.numTasks = 7}),
-         heteroCluster({6, 10})},
-        {"CLIP-10T/hetero{12,4,12,4}",
-         buildMultitaskClip({.numTasks = 10}),
-         heteroCluster({12, 4, 12, 4})},
-        {"OFASys-4T/hetero{6,10}", buildOfasys({.numTasks = 4}),
-         heteroCluster({6, 10})},
-        {"OFASys-7T/striped4x8", buildOfasys({.numTasks = 7}),
-         stripedCluster(4, 8)},
-        {"QwenVal-9B/hetero{6,10}", buildQwenVal({}),
-         heteroCluster({6, 10})},
-    };
-    for (const Case &c : cases) {
-        SCOPED_TRACE(c.name);
-        ClusterTopology topo(c.cluster);
-        HardwareModel hw(topo);
-        MetaGraph meta_legacy = contractGraph(c.graph);
-        MetaGraph meta_paired = contractGraph(c.graph);
-
-        PlannerOptions legacy_opt;
-        legacy_opt.placement.windows = WindowPolicy::IslandAware;
-        PlannerOptions paired_opt = legacy_opt;
-        paired_opt.placement.pairingAwareFlowPricing = true;
-
-        PlannerOutput legacy =
-            ExecutionPlanner(hw, legacy_opt).plan(meta_legacy);
-        PlannerOutput paired =
-            ExecutionPlanner(hw, paired_opt).plan(meta_paired);
-        paired.plan.validate(meta_paired);
-
-        EXPECT_LE(paired.placement.interIslandCommSeconds,
-                  legacy.placement.interIslandCommSeconds);
-    }
-}
-
 TEST(PlannerEquivalence, IslandAwareFirstWaveStaysIntraIsland)
 {
     // With every island able to host every first-wave entry, the

@@ -313,6 +313,96 @@ TEST(Planner, PlanCacheSharedAcrossPlanners)
     expectSameBytes(second.plan(meta), hit);
 }
 
+TEST(Planner, AllocationMemoServesEvictedPlan)
+{
+    // The curve and allocation memos outlive the bounded plan tier:
+    // once A's plan is evicted, replanning A misses the plan tier but
+    // still serves every curve and every level allocation from the
+    // memos — and the result is byte-identical to plan(A).
+    ComputationGraph ga = fig3Workload();
+    ComputationGraph gb = fig3Workload(/*batch=*/64);
+    MetaGraph a = contractGraph(ga);
+    MetaGraph b = contractGraph(gb);
+    ClusterTopology topo = smallCluster(2);
+    HardwareModel hw(topo);
+
+    PlanCache cache(/*max_plans_per_context=*/1);
+    PlannerOptions options;
+    options.cache = &cache;
+    ExecutionPlanner planner(hw, options);
+
+    EXPECT_FALSE(planner.replan(a).replan.fullHit);
+    EXPECT_FALSE(planner.replan(b).replan.fullHit); // evicts A
+    EXPECT_EQ(cache.stats().evictions, 1u);
+
+    const PlannerOutput again = planner.replan(a);
+    EXPECT_TRUE(again.replan.attempted);
+    EXPECT_FALSE(again.replan.fullHit);
+    EXPECT_EQ(again.replan.allocHits, a.numLevels());
+    EXPECT_EQ(again.replan.allocMisses, 0u);
+    EXPECT_EQ(again.replan.curveHits, a.numMetaOps());
+    EXPECT_EQ(again.replan.curveMisses, 0u);
+    expectSameBytes(planner.plan(a), again);
+}
+
+TEST(Planner, MemoCountersDoNotDependOnThreadCount)
+{
+    // Multitask-CLIP tasks share encoder shapes, so a cold replan
+    // meets curve keys an earlier MetaOp of the same graph missed
+    // on. Those count as hits at every thread count, exactly as a
+    // serial pass counts them.
+    ComputationGraph g = buildMultitaskClip({.numTasks = 6});
+    MetaGraph meta = contractGraph(g);
+    ClusterTopology topo = smallCluster(2);
+    HardwareModel hw(topo);
+
+    std::vector<ReplanStats> cold;
+    for (std::uint32_t threads : {1u, 2u, 8u}) {
+        PlanCache cache;
+        PlannerOptions options;
+        options.threads = threads;
+        options.cache = &cache;
+        ExecutionPlanner planner(hw, options);
+        const PlannerOutput out = planner.replan(meta);
+        expectSameBytes(planner.plan(meta), out);
+        cold.push_back(out.replan);
+    }
+    EXPECT_GT(cold[0].curveHits, 0u);
+    for (const ReplanStats &s : cold) {
+        EXPECT_EQ(s.curveHits, cold[0].curveHits);
+        EXPECT_EQ(s.curveMisses, cold[0].curveMisses);
+        EXPECT_EQ(s.allocHits, cold[0].allocHits);
+        EXPECT_EQ(s.allocMisses, cold[0].allocMisses);
+    }
+}
+
+TEST(Planner, PhaseSecondsIncludeFinalizeAndStayWithinTotal)
+{
+    // The pipeline times every stage in one place: finalize
+    // (readiness + validation) is charged on every path, full hits
+    // included, and the phases never add up to more than the total.
+    ComputationGraph g = fig3Workload();
+    MetaGraph meta = contractGraph(g);
+    ClusterTopology topo = smallCluster(2);
+    HardwareModel hw(topo);
+    ExecutionPlanner planner(hw);
+
+    const PlannerOutput cold = planner.replan(meta);
+    const PlannerOutput warm = planner.replan(meta);
+    const PlannerOutput fresh = planner.plan(meta);
+    ASSERT_TRUE(warm.replan.fullHit);
+    for (const PlannerOutput *out : {&cold, &warm, &fresh}) {
+        const PlannerPhaseSeconds &p = out->phaseSeconds;
+        EXPECT_GT(p.finalize, 0);
+        EXPECT_LE(p.estimation + p.allocation + p.scheduling +
+                      p.placement + p.finalize + p.diff,
+                  out->planningSeconds);
+    }
+    EXPECT_GT(cold.phaseSeconds.diff, 0);
+    EXPECT_EQ(fresh.phaseSeconds.diff, 0);
+    EXPECT_STREQ(plannerPhaseName(4), "finalize");
+}
+
 // ===================================================================
 // Plan cache under degraded (post-failure) topologies
 // ===================================================================
