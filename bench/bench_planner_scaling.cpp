@@ -7,7 +7,9 @@
  * plus sampled 1024/2048/4096-GPU CLIP-10 points probing the scale
  * envelope and a 512-GPU memory-fallback stress lane (the
  * Placement.MemoryFallback512GpuStress scenario as a gated
- * wall-clock record).
+ * wall-clock record). The 4096-GPU point also simulates its plan and
+ * records engine_seconds, the fastest Engine::run of the iteration,
+ * so the engine is budgeted at the scale where it costs the most.
  *
  * The paper claims planning completes "within 3 seconds" at 64 GPUs;
  * the incremental placement scoring and memoized cost model keep the
@@ -28,6 +30,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <iterator>
 #include <thread>
@@ -45,6 +48,12 @@ jsonLog()
     static BenchJsonWriter writer;
     return writer;
 }
+
+/** GPU count of the sampled point that also budgets the engine. */
+constexpr std::uint32_t kEngineGpus = 4096;
+
+/** Engine::run repetitions at that point; the fastest is recorded. */
+constexpr int kEngineRuns = 3;
 
 struct WorkloadCase
 {
@@ -93,6 +102,22 @@ planAtScale(benchmark::State &state, const WorkloadCase &wl)
 
     const std::uint32_t gpus = nodes * 8;
 
+    // At the largest sampled scale, simulating the planned iteration
+    // is budgeted too (fastest of a few runs, like plan_seconds).
+    double engine_seconds = -1;
+    if (gpus == kEngineGpus) {
+        Engine engine(hw, options.memory);
+        for (int rep = 0; rep < kEngineRuns; ++rep) {
+            const auto start = std::chrono::steady_clock::now();
+            IterationResult result = engine.run(meta, best.plan);
+            const double seconds = std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - start).count();
+            benchmark::DoNotOptimize(result.iterationSeconds);
+            if (engine_seconds < 0 || seconds < engine_seconds)
+                engine_seconds = seconds;
+        }
+    }
+
     // Which planning phase is the serial tail at this scale — the
     // argmax of the per-phase breakdown (first wins on ties). At the
     // 1024-GPU-and-up samples this is what decides where the next
@@ -119,6 +144,8 @@ planAtScale(benchmark::State &state, const WorkloadCase &wl)
     state.counters["placement_seconds"] = best.phaseSeconds.placement;
     state.counters["finalize_seconds"] = best.phaseSeconds.finalize;
     state.counters["serial_tail_phase"] = tail;
+    if (engine_seconds >= 0)
+        state.counters["engine_seconds"] = engine_seconds;
 
     // Serial records keep their historical names (budget
     // continuity); threaded records append the threads dimension.
@@ -128,19 +155,21 @@ planAtScale(benchmark::State &state, const WorkloadCase &wl)
             : strCat(wl.name, "/gpus=", gpus, "/threads=", threads);
     const auto hw_threads = static_cast<double>(
         std::thread::hardware_concurrency());
-    jsonLog().record(
-        rec_name,
-        {{"gpus", static_cast<double>(gpus)},
-         {"threads", static_cast<double>(threads)},
-         {"hw_threads", hw_threads},
-         {"plan_seconds", best.planningSeconds},
-         {"estimation_seconds", best.phaseSeconds.estimation},
-         {"allocation_seconds", best.phaseSeconds.allocation},
-         {"scheduling_seconds", best.phaseSeconds.scheduling},
-         {"placement_seconds", best.phaseSeconds.placement},
-         {"finalize_seconds", best.phaseSeconds.finalize},
-         {"serial_tail_phase", plannerPhaseName(tail)},
-         {"waves", static_cast<double>(best.plan.waves.size())}});
+    std::vector<std::pair<std::string, BenchField>> fields = {
+        {"gpus", static_cast<double>(gpus)},
+        {"threads", static_cast<double>(threads)},
+        {"hw_threads", hw_threads},
+        {"plan_seconds", best.planningSeconds},
+        {"estimation_seconds", best.phaseSeconds.estimation},
+        {"allocation_seconds", best.phaseSeconds.allocation},
+        {"scheduling_seconds", best.phaseSeconds.scheduling},
+        {"placement_seconds", best.phaseSeconds.placement},
+        {"finalize_seconds", best.phaseSeconds.finalize},
+        {"serial_tail_phase", plannerPhaseName(tail)},
+        {"waves", static_cast<double>(best.plan.waves.size())}};
+    if (engine_seconds >= 0)
+        fields.push_back({"engine_seconds", engine_seconds});
+    jsonLog().record(rec_name, std::move(fields));
 }
 
 /**

@@ -18,6 +18,9 @@ bench/baseline_planner.json:
     (estimation / allocation / scheduling / placement seconds), so a
     regression confined to one phase cannot hide inside a healthy
     total at the largest scale;
+  * every record budgeting engine_seconds (the 4096-GPU point: the
+    fastest Engine::run of its planned iteration) must stay within
+    the same factor of that budget;
   * serial_tail_phase — the phase a record names as its wall-clock
     tail — must be a planner phase name (PHASE_NAMES); a moved tail
     is reported, not gated.
@@ -203,6 +206,9 @@ def check_planner(current, baseline, factor):
                     f"{base_tail} -> {cur_tail}"
                 )
 
+        if "engine_seconds" in base:
+            failures += check_engine_budget(name, cur, base, factor)
+
         if not phase_gate:
             continue
         for field in PHASE_FIELDS:
@@ -232,6 +238,27 @@ def check_planner(current, baseline, factor):
                     f"{factor:.1f}x budget {phase_budget:.6f}s"
                 )
     return failures
+
+
+def check_engine_budget(name, cur, base, factor):
+    """Gate a record's simulated-iteration wall clock (engine_seconds)
+    with the plan_seconds rule: at most factor x its budget."""
+    budget = base["engine_seconds"]
+    actual = cur.get("engine_seconds")
+    if actual is None:
+        return [f"{name}: engine_seconds missing"]
+    ratio = actual / budget if budget > 0 else float("inf")
+    status = "OK" if ratio <= factor else "FAIL"
+    print(
+        f"{status:>4}  {name:<24} engine={actual * 1e3:8.3f} ms"
+        f"  budget={budget * 1e3:8.3f} ms  ratio={ratio:5.2f}x  [gate]"
+    )
+    if ratio > factor:
+        return [
+            f"{name} engine: {actual:.6f}s > {factor:.1f}x budget "
+            f"{budget:.6f}s"
+        ]
+    return []
 
 
 MIN_HW_THREADS_FOR_SPEEDUP = 4

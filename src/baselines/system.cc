@@ -47,8 +47,8 @@ System::largestValid(const MetaOp &m, std::uint32_t cap) const
     const std::vector<std::uint32_t> valid =
         hw_.validAllocations(m, cap);
     fatalIf(valid.empty(),
-            strCat("largestValid: MetaOp '", m.name,
-                   "' has no valid allocation within ", cap));
+            "largestValid: MetaOp '", m.name,
+            "' has no valid allocation within ", cap);
     return valid.back();
 }
 

@@ -110,22 +110,33 @@ strCat(const Args &...args)
 /**
  * Check a caller-supplied condition; fatal() on failure.
  *
- * @param cond condition expected to hold
- * @param msg message describing the user error when it does not
+ * The message is passed as its stream-insertable pieces, not as a
+ * built string: `fatalIf(cond, "bad device ", d)`. They are joined
+ * with strCat() only when @p cond holds, so a check that passes costs
+ * the test and nothing else — no ostringstream, no allocation. The
+ * pieces themselves are still evaluated as ordinary arguments, so
+ * keep them cheap (ids, sizes, references); never pass a strCat()
+ * result, which would format the message on every call.
+ *
+ * @param cond condition that signals the user error
+ * @param msg pieces of the message describing the error
  */
+template <typename... Args>
 inline void
-fatalIf(bool cond, const std::string &msg)
+fatalIf(bool cond, const Args &...msg)
 {
-    if (cond)
-        fatal(msg);
+    if (cond) [[unlikely]]
+        fatal(strCat(msg...));
 }
 
-/** Check an internal invariant; panic() on failure. */
+/** Check an internal invariant; panic() on failure. Same lazy
+ *  message contract as fatalIf(). */
+template <typename... Args>
 inline void
-panicIf(bool cond, const std::string &msg)
+panicIf(bool cond, const Args &...msg)
 {
-    if (cond)
-        panic(msg);
+    if (cond) [[unlikely]]
+        panic(strCat(msg...));
 }
 
 } // namespace spindle

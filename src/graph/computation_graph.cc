@@ -22,9 +22,9 @@ ComputationGraph::addEdge(OpId src, OpId dst)
 {
     checkFinalized(false);
     fatalIf(src < 0 || static_cast<std::size_t>(src) >= ops_.size(),
-            strCat("addEdge: bad src ", src));
+            "addEdge: bad src ", src);
     fatalIf(dst < 0 || static_cast<std::size_t>(dst) >= ops_.size(),
-            strCat("addEdge: bad dst ", dst));
+            "addEdge: bad dst ", dst);
     fatalIf(src == dst, "addEdge: self-loop is not a DAG edge");
     edges_.push_back({src, dst});
 }
@@ -68,10 +68,8 @@ ComputationGraph::finalize()
 const OperatorDesc &
 ComputationGraph::op(OpId id) const
 {
-    // Guard-then-panic: keep the strCat off the happy path (this is
-    // a planner hot-path accessor).
-    if (id < 0 || static_cast<std::size_t>(id) >= ops_.size())
-        panic(strCat("op: bad id ", id));
+    panicIf(id < 0 || static_cast<std::size_t>(id) >= ops_.size(),
+            "op: bad id ", id);
     return ops_[id];
 }
 
@@ -80,7 +78,7 @@ ComputationGraph::successors(OpId id) const
 {
     checkFinalized(true);
     panicIf(id < 0 || static_cast<std::size_t>(id) >= succ_.size(),
-            strCat("successors: bad id ", id));
+            "successors: bad id ", id);
     return succ_[id];
 }
 
@@ -89,7 +87,7 @@ ComputationGraph::predecessors(OpId id) const
 {
     checkFinalized(true);
     panicIf(id < 0 || static_cast<std::size_t>(id) >= pred_.size(),
-            strCat("predecessors: bad id ", id));
+            "predecessors: bad id ", id);
     return pred_[id];
 }
 

@@ -24,7 +24,7 @@ MetaGraph::MetaGraph(const ComputationGraph *base, std::vector<MetaOp> nodes,
             op_to_meta_[op] = m.id;
     for (std::size_t i = 0; i < op_to_meta_.size(); ++i)
         panicIf(op_to_meta_[i] < 0,
-                strCat("MetaGraph: base op ", i, " not covered"));
+                "MetaGraph: base op ", i, " not covered");
 
     // Dependency depth: level(m) = 1 + max level over predecessors.
     // MetaOps sharing a level are therefore guaranteed independent
@@ -74,10 +74,8 @@ memberDesc(const MetaOp &m)
 const MetaOp &
 MetaGraph::metaOp(MetaOpId id) const
 {
-    // Guard-then-panic: keep the strCat off the happy path (this is
-    // a planner hot-path accessor).
-    if (id < 0 || static_cast<std::size_t>(id) >= nodes_.size())
-        panic(strCat("metaOp: bad id ", id));
+    panicIf(id < 0 || static_cast<std::size_t>(id) >= nodes_.size(),
+            "metaOp: bad id ", id);
     return nodes_[id];
 }
 
@@ -85,7 +83,7 @@ MetaOpId
 MetaGraph::metaOf(OpId op) const
 {
     panicIf(op < 0 || static_cast<std::size_t>(op) >= op_to_meta_.size(),
-            strCat("metaOf: bad op id ", op));
+            "metaOf: bad op id ", op);
     return op_to_meta_[op];
 }
 
@@ -93,7 +91,7 @@ const std::vector<MetaOpId> &
 MetaGraph::successors(MetaOpId id) const
 {
     panicIf(id < 0 || static_cast<std::size_t>(id) >= succ_.size(),
-            strCat("successors: bad id ", id));
+            "successors: bad id ", id);
     return succ_[id];
 }
 
@@ -101,14 +99,14 @@ const std::vector<MetaOpId> &
 MetaGraph::predecessors(MetaOpId id) const
 {
     panicIf(id < 0 || static_cast<std::size_t>(id) >= pred_.size(),
-            strCat("predecessors: bad id ", id));
+            "predecessors: bad id ", id);
     return pred_[id];
 }
 
 const std::vector<MetaOpId> &
 MetaGraph::level(std::size_t k) const
 {
-    panicIf(k >= levels_.size(), strCat("level: bad index ", k));
+    panicIf(k >= levels_.size(), "level: bad index ", k);
     return levels_[k];
 }
 

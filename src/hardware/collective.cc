@@ -573,6 +573,23 @@ CollectiveModel::p2pTime(double bytes, DeviceId src, DeviceId dst) const
     return bytes / link.bandwidth + link.latency;
 }
 
+namespace {
+
+/** True iff some device belongs to both sets (either may be unsorted). */
+bool
+shareDevice(const DeviceSet &a, const DeviceSet &b)
+{
+    if (std::is_sorted(a.begin(), a.end()) &&
+        std::is_sorted(b.begin(), b.end()))
+        return intersects(a, b);
+    DeviceSet sa = a, sb = b;
+    std::sort(sa.begin(), sa.end());
+    std::sort(sb.begin(), sb.end());
+    return intersects(sa, sb);
+}
+
+} // namespace
+
 double
 CollectiveModel::flowTime(double bytes, const DeviceSet &src,
                           const DeviceSet &dst) const
@@ -583,21 +600,60 @@ CollectiveModel::flowTime(double bytes, const DeviceSet &src,
     if (src == dst)
         return 0.0; // data already resident where it is consumed
 
-    // Best pairwise link class available between the two sets:
-    // highest bandwidth, ties broken toward the lower latency so the
-    // winner is independent of pair iteration order (a pure function
-    // of the *set* of spanned link classes, pinned by property_test's
-    // stripe-relabel invariance case).
+    // Best link class some (src, dst) pair can use: highest
+    // bandwidth, ties broken toward the lower latency. The winner is
+    // a pure function of the *set* of spanned link classes (pinned by
+    // property_test's stripe-relabel invariance case), so it is found
+    // from the islands each set touches, not by pricing every pair.
     LinkParams best{0.0, 0.0};
-    for (DeviceId s : src) {
-        for (DeviceId d : dst) {
-            LinkParams l = topo_.linkBetween(s, d);
-            if (l.bandwidth > best.bandwidth ||
-                (l.bandwidth == best.bandwidth &&
-                 l.latency < best.latency))
-                best = l;
+    auto consider = [&best](const LinkParams &l) {
+        if (l.bandwidth > best.bandwidth ||
+            (l.bandwidth == best.bandwidth && l.latency < best.latency))
+            best = l;
+    };
+
+    // One pass per set: per island it touches, the first member seen
+    // and whether a second, distinct member exists.
+    constexpr DeviceId kNone = ~DeviceId{0};
+    struct Slice
+    {
+        DeviceId first = kNone;
+        bool many = false;
+    };
+    auto touch = [this](const DeviceSet &set, std::vector<Slice> &at,
+                        std::vector<std::uint32_t> &islands) {
+        at.assign(topo_.numIslands(), Slice{});
+        for (DeviceId d : set) {
+            const std::uint32_t i = topo_.islandOf(d);
+            if (at[i].first == kNone) {
+                at[i].first = d;
+                islands.push_back(i);
+            } else if (at[i].first != d) {
+                at[i].many = true;
+            }
         }
+    };
+    std::vector<Slice> src_at, dst_at;
+    std::vector<std::uint32_t> src_islands, dst_islands;
+    touch(src, src_at, src_islands);
+    touch(dst, dst_at, dst_islands);
+
+    // On-device copy (linkBetween(d, d), any d): a shared device.
+    if (shareDevice(src, dst))
+        consider(topo_.linkBetween(src.front(), src.front()));
+    // Island i's intra class: i holds a pair of distinct devices.
+    for (std::uint32_t i : src_islands) {
+        const Slice &s = src_at[i];
+        const Slice &d = dst_at[i];
+        if (d.first != kNone && (s.many || d.many || s.first != d.first))
+            consider(topo_.intraLink(i));
     }
+    // Point-to-point class of every touched pair of distinct islands.
+    for (std::uint32_t a : src_islands)
+        for (std::uint32_t b : dst_islands)
+            if (a != b)
+                consider(topo_.interLink(a, b));
+
     // Sharded across parallel streams: each stream moves a slice.
     const double streams =
         static_cast<double>(std::min(src.size(), dst.size()));

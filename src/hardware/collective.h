@@ -250,11 +250,20 @@ class CollectiveModel
 
     /**
      * Transfer @p bytes from source device set to destination set,
-     * as the runtime's batched P2P does at wave boundaries. Picks
-     * the cheapest pairing class available: free when the sets are
-     * identical singletons, on-device copy when any device overlaps,
-     * otherwise the best pairwise link. Data is assumed sharded
-     * across min(|src|,|dst|) parallel streams.
+     * as the runtime's batched P2P does at wave boundaries. Free when
+     * the sets are equal; otherwise priced over the best link class
+     * any (src, dst) pair spans — highest bandwidth, ties broken
+     * toward the lower latency — with the data sharded across
+     * min(|src|,|dst|) parallel streams. The candidate classes are:
+     * the on-device copy when the sets share a device, island i's
+     * intra class when i holds a pair of distinct devices, and the
+     * point-to-point class of every touched pair of distinct
+     * islands. Since the winner depends only on which classes are
+     * present, it is found from one pass over each set recording the
+     * islands it touches in a per-island table: O(|src| + |dst| +
+     * numIslands + islands(src) * islands(dst)), bit-identical to
+     * scanning all |src| * |dst| pairs with linkBetween
+     * (collective_test pins this). Sets may be unsorted.
      */
     double flowTime(double bytes, const DeviceSet &src,
                     const DeviceSet &dst) const;

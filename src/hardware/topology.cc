@@ -15,14 +15,13 @@ void
 checkLink(const LinkParams &link, const char *what)
 {
     fatalIf(link.bandwidth <= 0,
-            strCat("ClusterTopology: ", what,
-                   " bandwidth must be positive (got ", link.bandwidth,
-                   ")"));
+            "ClusterTopology: ", what, " bandwidth must be positive (got ",
+            link.bandwidth, ")");
     fatalIf(link.latency < 0,
-            strCat("ClusterTopology: ", what, " latency must be >= 0"));
+            "ClusterTopology: ", what, " latency must be >= 0");
     fatalIf(link.rails == 0,
-            strCat("ClusterTopology: ", what,
-                   " rails must be >= 1 (got 0; default-construct for 1)"));
+            "ClusterTopology: ", what,
+            " rails must be >= 1 (got 0; default-construct for 1)");
 }
 
 /**
@@ -39,13 +38,13 @@ resolveLink(const LinkParams &link, const LinkParams &fallback,
             const char *what)
 {
     fatalIf(link.bandwidth < 0,
-            strCat("ClusterTopology: ", what,
-                   " bandwidth must be >= 0 (0 inherits the default)"));
+            "ClusterTopology: ", what,
+            " bandwidth must be >= 0 (0 inherits the default)");
     fatalIf(link.latency < 0,
-            strCat("ClusterTopology: ", what, " latency must be >= 0"));
+            "ClusterTopology: ", what, " latency must be >= 0");
     fatalIf(link.rails == 0,
-            strCat("ClusterTopology: ", what,
-                   " rails must be >= 1 (got 0; default-construct for 1)"));
+            "ClusterTopology: ", what,
+            " rails must be >= 1 (got 0; default-construct for 1)");
     if (link.bandwidth == 0 && link.latency == 0)
         return {fallback.bandwidth, fallback.latency,
                 link.rails == 1 ? fallback.rails : link.rails};
@@ -109,14 +108,14 @@ ClusterTopology::validateAndBuild()
         std::size_t total = 0;
         for (const IslandSpec &spec : config_.islands) {
             fatalIf(spec.devices.empty(),
-                    strCat("ClusterTopology: island ", islands_.size(),
-                           " has no devices"));
+                    "ClusterTopology: island ", islands_.size(),
+                    " has no devices");
             total += spec.devices.size();
             DeviceSet members = spec.devices;
             canonicalize(members);
             fatalIf(members.size() != spec.devices.size(),
-                    strCat("ClusterTopology: island ", islands_.size(),
-                           " lists a device id twice"));
+                    "ClusterTopology: island ", islands_.size(),
+                    " lists a device id twice");
             islands_.push_back(std::move(members));
         }
         num_devices_ = static_cast<std::uint32_t>(total);
@@ -128,13 +127,13 @@ ClusterTopology::validateAndBuild()
     for (std::size_t k = 0; k < islands_.size(); ++k) {
         for (DeviceId d : islands_[k]) {
             fatalIf(d >= num_devices_,
-                    strCat("ClusterTopology: device id ", d,
-                           " out of range [0, ", num_devices_,
-                           ") — ids must be dense"));
+                    "ClusterTopology: device id ", d,
+                    " out of range [0, ", num_devices_,
+                    ") — ids must be dense");
             fatalIf(island_of_[d] != num_devices_,
-                    strCat("ClusterTopology: device id ", d,
-                           " belongs to islands ", island_of_[d],
-                           " and ", k));
+                    "ClusterTopology: device id ", d,
+                    " belongs to islands ", island_of_[d],
+                    " and ", k);
             island_of_[d] = static_cast<std::uint32_t>(k);
         }
     }
@@ -164,13 +163,13 @@ ClusterTopology::validateAndBuild()
     // Resolve island-pair overrides.
     for (const IslandLinkSpec &spec : config_.islandLinks) {
         fatalIf(spec.a >= numIslands() || spec.b >= numIslands(),
-                strCat("ClusterTopology: islandLinks names island ",
-                       std::max(spec.a, spec.b), " but there are only ",
-                       numIslands()));
+                "ClusterTopology: islandLinks names island ",
+                std::max(spec.a, spec.b), " but there are only ",
+                numIslands());
         fatalIf(spec.a == spec.b,
-                strCat("ClusterTopology: islandLinks pair (", spec.a,
-                       ", ", spec.b,
-                       ") is not a pair; use IslandSpec::intra"));
+                "ClusterTopology: islandLinks pair (", spec.a,
+                ", ", spec.b,
+                ") is not a pair; use IslandSpec::intra");
         PairLinks pair;
         const std::uint64_t lo = std::min(spec.a, spec.b);
         const std::uint64_t hi = std::max(spec.a, spec.b);
@@ -182,9 +181,9 @@ ClusterTopology::validateAndBuild()
                                       "islandLinks collective");
         for (const PairLinks &existing : pair_links_)
             fatalIf(existing.key == pair.key,
-                    strCat("ClusterTopology: duplicate islandLinks "
-                           "entry for pair (",
-                           lo, ", ", hi, ")"));
+                    "ClusterTopology: duplicate islandLinks "
+                    "entry for pair (",
+                    lo, ", ", hi, ")");
         pair_links_.push_back(pair);
         uniform_links_ = false;
     }
@@ -224,12 +223,6 @@ ClusterTopology::validateAndBuild()
     fingerprint_ = h;
 }
 
-void
-ClusterTopology::badDevice(DeviceId dev) const
-{
-    panic(strCat("islandOf: bad device ", dev));
-}
-
 bool
 ClusterTopology::sameIsland(DeviceId a, DeviceId b) const
 {
@@ -250,14 +243,14 @@ ClusterTopology::withinOneIsland(const DeviceSet &devices) const
 const DeviceSet &
 ClusterTopology::islandDevices(std::uint32_t island) const
 {
-    panicIf(island >= numIslands(), strCat("islandDevices: bad ", island));
+    panicIf(island >= numIslands(), "islandDevices: bad ", island);
     return islands_[island];
 }
 
 std::uint32_t
 ClusterTopology::islandSizeOf(std::uint32_t island) const
 {
-    panicIf(island >= numIslands(), strCat("islandSizeOf: bad ", island));
+    panicIf(island >= numIslands(), "islandSizeOf: bad ", island);
     return static_cast<std::uint32_t>(islands_[island].size());
 }
 
@@ -272,7 +265,7 @@ ClusterTopology::allDevices() const
 const LinkParams &
 ClusterTopology::intraLink(std::uint32_t island) const
 {
-    panicIf(island >= numIslands(), strCat("intraLink: bad ", island));
+    panicIf(island >= numIslands(), "intraLink: bad ", island);
     return intra_links_[island];
 }
 
@@ -296,7 +289,7 @@ const LinkParams &
 ClusterTopology::interLink(std::uint32_t a, std::uint32_t b) const
 {
     panicIf(a >= numIslands() || b >= numIslands() || a == b,
-            strCat("interLink: bad island pair (", a, ", ", b, ")"));
+            "interLink: bad island pair (", a, ", ", b, ")");
     if (const PairLinks *pair = findPair(a, b))
         return pair->p2p;
     return config_.interIsland;
@@ -306,7 +299,7 @@ const LinkParams &
 ClusterTopology::collectiveLink(std::uint32_t a, std::uint32_t b) const
 {
     panicIf(a >= numIslands() || b >= numIslands() || a == b,
-            strCat("collectiveLink: bad island pair (", a, ", ", b, ")"));
+            "collectiveLink: bad island pair (", a, ", ", b, ")");
     if (const PairLinks *pair = findPair(a, b))
         return pair->collective;
     return config_.interIslandCollective;
@@ -335,18 +328,18 @@ ClusterTopology::withoutDevices(const DeviceSet &dead) const
     std::vector<bool> is_dead(num_devices_, false);
     for (DeviceId d : dead) {
         fatalIf(d >= num_devices_,
-                strCat("withoutDevices: dead device id ", d,
-                       " out of range [0, ", num_devices_,
-                       ") — ids are in the original numbering"));
+                "withoutDevices: dead device id ", d,
+                " out of range [0, ", num_devices_,
+                ") — ids are in the original numbering");
         fatalIf(is_dead[d],
-                strCat("withoutDevices: device ", d,
-                       " listed dead twice"));
+                "withoutDevices: device ", d,
+                " listed dead twice");
         is_dead[d] = true;
     }
     fatalIf(dead.size() == num_devices_,
-            strCat("withoutDevices: all ", num_devices_,
-                   " devices are dead — no surviving topology to "
-                   "replan on; report total cluster loss instead"));
+            "withoutDevices: all ", num_devices_,
+            " devices are dead — no surviving topology to "
+            "replan on; report total cluster loss instead");
 
     DegradedTopology out;
     out.oldToNew.assign(num_devices_, DegradedTopology::kDead);

@@ -29,6 +29,7 @@
 #ifndef SPINDLE_HARDWARE_TOPOLOGY_H
 #define SPINDLE_HARDWARE_TOPOLOGY_H
 
+#include "common/logging.h"
 #include "hardware/device.h"
 
 namespace spindle {
@@ -170,14 +171,15 @@ class ClusterTopology
     const DeviceSpec &device() const { return config_.device; }
     const ClusterConfig &config() const { return config_; }
 
-    /** Island index owning device @p dev. */
+    /**
+     * Island index owning device @p dev. Inline: placement scoring
+     * and flow pricing call it tens of millions of times, so the
+     * hot path is one bounds test and one table load (panicIf builds
+     * its message only when the test fails).
+     */
     std::uint32_t islandOf(DeviceId dev) const
     {
-        // Guard-then-panic: this accessor runs tens of millions of
-        // times inside placement scoring, so the message must not be
-        // built on the happy path.
-        if (dev >= num_devices_)
-            badDevice(dev);
+        panicIf(dev >= num_devices_, "islandOf: bad device ", dev);
         return island_of_[dev];
     }
 
@@ -270,8 +272,6 @@ class ClusterTopology
     DegradedTopology withoutDevices(const DeviceSet &dead) const;
 
   private:
-    [[noreturn]] void badDevice(DeviceId dev) const;
-
     void validateAndBuild();
 
     ClusterConfig config_;

@@ -55,8 +55,8 @@ ComputationGraph
 buildMultitaskClip(const MultitaskClipConfig &config)
 {
     fatalIf(config.numTasks < 1 || config.numTasks > kTasks.size(),
-            strCat("buildMultitaskClip: numTasks must be 1..",
-                   kTasks.size()));
+            "buildMultitaskClip: numTasks must be 1..",
+            kTasks.size());
 
     WorkloadBuilder builder;
 

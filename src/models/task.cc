@@ -87,12 +87,12 @@ WorkloadBuilder::addModule(std::int32_t task, const ModuleSpec &spec,
 {
     fatalIf(built_, "addModule: builder already built");
     fatalIf(task < 0 || task >= numTasks(),
-            strCat("addModule: unknown task ", task));
+            "addModule: unknown task ", task);
     fatalIf(spec.layers == 0, "addModule: zero layers");
     fatalIf(shared != nullptr && shared->keys().size() != spec.layers,
-            strCat("addModule: shared module has ",
-                   shared ? shared->keys().size() : 0,
-                   " keys but spec declares ", spec.layers, " layers"));
+            "addModule: shared module has ",
+            shared ? shared->keys().size() : 0,
+            " keys but spec declares ", spec.layers, " layers");
 
     NodeRange range;
     OpId prev = -1;

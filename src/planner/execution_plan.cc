@@ -31,12 +31,10 @@ dataProducerWaves(const MetaGraph &graph, const std::vector<Wave> &waves)
 {
     std::map<std::pair<MetaOpId, std::int64_t>, std::int32_t> producer;
     std::vector<std::vector<std::int32_t>> preds(waves.size());
-    // Guard-then-panic below: this runs per entry on every planned
-    // plan, and panicIf's by-value message strings are not free.
     for (std::size_t i = 0; i < waves.size(); ++i) {
         const Wave &w = waves[i];
-        if (w.index != static_cast<std::int32_t>(i))
-            panic("readiness: wave index does not match its position");
+        panicIf(w.index != static_cast<std::int32_t>(i),
+                "readiness: wave index does not match its position");
         for (const WaveEntry &e : w.entries) {
             if (e.opBegin == 0) {
                 for (const MetaEdge &edge : graph.edges()) {
@@ -44,15 +42,15 @@ dataProducerWaves(const MetaGraph &graph, const std::vector<Wave> &waves)
                         continue;
                     auto it = producer.find(
                         {edge.src, graph.metaOp(edge.src).numOps()});
-                    if (it == producer.end())
-                        panic("readiness: predecessor output missing "
-                              "(invalid plan)");
+                    panicIf(it == producer.end(),
+                            "readiness: predecessor output missing "
+                            "(invalid plan)");
                     preds[i].push_back(it->second);
                 }
             } else {
                 auto it = producer.find({e.metaOp, e.opBegin});
-                if (it == producer.end())
-                    panic("readiness: missing previous slice");
+                panicIf(it == producer.end(),
+                        "readiness: missing previous slice");
                 preds[i].push_back(it->second);
             }
         }
@@ -145,28 +143,22 @@ ExecutionPlan::validate(const MetaGraph &graph) const
 {
     std::map<MetaOpId, std::int64_t> ops_done;
 
-    // Checks below are guard-then-panic: validate runs on every
-    // planned plan (256+ GPUs, thousands of entry/device probes),
-    // and panicIf's eagerly built message strings dominated the
-    // planner's serial tail.
     std::vector<char> used; // dense in-wave device occupancy
     for (const Wave &wave : waves) {
         panicIf(wave.entries.empty(), "validate: empty wave");
-        if (wave.devicesAllocated() > numDevices)
-            panic(strCat("validate: wave ", wave.index, " allocates ",
-                         wave.devicesAllocated(), " > N=", numDevices));
+        panicIf(wave.devicesAllocated() > numDevices,
+                "validate: wave ", wave.index, " allocates ",
+                wave.devicesAllocated(), " > N=", numDevices);
 
         std::vector<MetaOpId> seen;
         used.assign(numDevices, 0);
         std::map<MetaOpId, std::int64_t> wave_ops;
         for (const WaveEntry &e : wave.entries) {
-            if (e.numOps <= 0)
-                panic("validate: empty wave entry");
-            if (e.n == 0)
-                panic("validate: zero-device entry");
-            if (std::count(seen.begin(), seen.end(), e.metaOp) > 0)
-                panic(strCat("validate: MetaOp ", e.metaOp,
-                             " appears twice in wave ", wave.index));
+            panicIf(e.numOps <= 0, "validate: empty wave entry");
+            panicIf(e.n == 0, "validate: zero-device entry");
+            panicIf(std::count(seen.begin(), seen.end(), e.metaOp) > 0,
+                    "validate: MetaOp ", e.metaOp,
+                    " appears twice in wave ", wave.index);
             seen.push_back(e.metaOp);
 
             const MetaOp &m = graph.metaOp(e.metaOp);
@@ -175,34 +167,31 @@ ExecutionPlan::validate(const MetaGraph &graph) const
                 // earlier wave (ops_done holds the pre-wave state)
                 // before the first slice of this MetaOp runs.
                 for (MetaOpId p : graph.predecessors(e.metaOp)) {
-                    if (ops_done[p] != graph.metaOp(p).numOps())
-                        panic(strCat("validate: MetaOp ", e.metaOp,
-                                     " starts before predecessor ", p,
-                                     " finished"));
+                    panicIf(ops_done[p] != graph.metaOp(p).numOps(),
+                            "validate: MetaOp ", e.metaOp,
+                            " starts before predecessor ", p,
+                            " finished");
                 }
             }
-            if (e.opBegin != ops_done[e.metaOp])
-                panic(strCat("validate: MetaOp ", e.metaOp,
-                             " slices are not contiguous"));
+            panicIf(e.opBegin != ops_done[e.metaOp],
+                    "validate: MetaOp ", e.metaOp,
+                    " slices are not contiguous");
             wave_ops[e.metaOp] = e.numOps;
-            if (e.opBegin + e.numOps > m.numOps())
-                panic(strCat("validate: MetaOp ", e.metaOp,
-                             " over-executes"));
+            panicIf(e.opBegin + e.numOps > m.numOps(),
+                    "validate: MetaOp ", e.metaOp, " over-executes");
 
             if (!e.devices.empty()) {
-                if (e.devices.size() != e.n)
-                    panic(strCat("validate: entry device set size ",
-                                 e.devices.size(), " != n=", e.n));
-                if (!isCanonicalDeviceSet(e.devices))
-                    panic("validate: device set not canonical");
+                panicIf(e.devices.size() != e.n,
+                        "validate: entry device set size ",
+                        e.devices.size(), " != n=", e.n);
+                panicIf(!isCanonicalDeviceSet(e.devices),
+                        "validate: device set not canonical");
                 for (DeviceId d : e.devices) {
-                    if (d >= used.size())
-                        panic(strCat("validate: device id ", d,
-                                     " out of range in wave ",
-                                     wave.index));
-                    if (used[d])
-                        panic(strCat("validate: overlapping device "
-                                     "sets in wave ", wave.index));
+                    panicIf(d >= used.size(), "validate: device id ", d,
+                            " out of range in wave ", wave.index);
+                    panicIf(used[d],
+                            "validate: overlapping device sets in wave ",
+                            wave.index);
                     used[d] = 1;
                 }
             }
@@ -213,8 +202,8 @@ ExecutionPlan::validate(const MetaGraph &graph) const
 
     for (const MetaOp &m : graph.metaOps()) {
         panicIf(ops_done[m.id] != m.numOps(),
-                strCat("validate: MetaOp ", m.id, " executed ",
-                       ops_done[m.id], " of ", m.numOps(), " ops"));
+                "validate: MetaOp ", m.id, " executed ",
+                ops_done[m.id], " of ", m.numOps(), " ops");
     }
 
     // Readiness edges (when annotated): well-formed and covering
@@ -223,16 +212,16 @@ ExecutionPlan::validate(const MetaGraph &graph) const
     if (hasWaveReadiness(waves)) {
         for (std::size_t i = 0; i < waves.size(); ++i) {
             const auto &preds = waves[i].predecessors;
-            if (!std::is_sorted(preds.begin(), preds.end()) ||
-                std::adjacent_find(preds.begin(), preds.end()) !=
-                    preds.end())
-                panic(strCat("validate: readiness edges of wave ", i,
-                             " are not sorted and unique"));
+            panicIf(!std::is_sorted(preds.begin(), preds.end()) ||
+                        std::adjacent_find(preds.begin(), preds.end()) !=
+                            preds.end(),
+                    "validate: readiness edges of wave ", i,
+                    " are not sorted and unique");
             for (std::int32_t p : preds)
-                if (p < 0 || p >= static_cast<std::int32_t>(i))
-                    panic(strCat("validate: wave ", i,
-                                 " has readiness predecessor ", p,
-                                 " that is not strictly earlier"));
+                panicIf(p < 0 || p >= static_cast<std::int32_t>(i),
+                        "validate: wave ", i,
+                        " has readiness predecessor ", p,
+                        " that is not strictly earlier");
         }
         const std::vector<std::vector<std::int32_t>> data =
             dataProducerWaves(graph, waves);
@@ -240,12 +229,12 @@ ExecutionPlan::validate(const MetaGraph &graph) const
             for (std::int32_t p : data[i]) {
                 if (p == waves[i].index)
                     continue; // same-wave production needs no edge
-                if (!std::binary_search(waves[i].predecessors.begin(),
-                                        waves[i].predecessors.end(),
-                                        p))
-                    panic(strCat("validate: wave ", i,
-                                 " misses readiness edge to data "
-                                 "producer wave ", p));
+                panicIf(!std::binary_search(waves[i].predecessors.begin(),
+                                            waves[i].predecessors.end(),
+                                            p),
+                        "validate: wave ", i,
+                        " misses readiness edge to data producer wave ",
+                        p);
             }
         }
     }

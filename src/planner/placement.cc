@@ -1789,8 +1789,8 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                     // fabrics: zero for empty flows and src == dst
                     // (flowTime's own early-outs), otherwise the
                     // flow time of the fastest class present in the
-                    // window. O(n) instead of the oracle's
-                    // O(|src| * n) pair scan.
+                    // window. O(|window|): no island-presence pass
+                    // over the source set as the oracle makes.
                     if (bytes <= 0 || *src == best_win) {
                         t = 0;
                     } else {

@@ -5,6 +5,7 @@
 #include <memory>
 #include <numeric>
 #include <unordered_map>
+#include <utility>
 
 #include "common/logging.h"
 #include "runtime/sync_executor.h"
@@ -322,7 +323,8 @@ Engine::runWithFaults(const MetaGraph &graph, const ExecutionPlan &plan,
                     " (", result.peakMemoryBytes[worst] / GiB,
                     " GiB peak vs ", hbm / GiB, " GiB HBM)"));
 
-    result.timeline = sim.timeline();
+    // sim is local and done: hand its timeline over without a copy.
+    result.timeline = std::move(sim.timeline());
     return out;
 }
 

@@ -90,9 +90,9 @@ PlanJob::result() const
 {
     std::lock_guard<std::mutex> lk(mu_);
     panicIf(state_ != PlanJobState::Done,
-            strCat("PlanJob::result: job ", id_, " is ",
-                   toString(state_),
-                   ", not Done; wait() first and check status()"));
+            "PlanJob::result: job ", id_, " is ",
+            toString(state_),
+            ", not Done; wait() first and check status()");
     return output_;
 }
 
@@ -101,9 +101,9 @@ PlanJob::error() const
 {
     std::lock_guard<std::mutex> lk(mu_);
     panicIf(state_ != PlanJobState::Failed,
-            strCat("PlanJob::error: job ", id_, " is ",
-                   toString(state_),
-                   ", not Failed; wait() first and check status()"));
+            "PlanJob::error: job ", id_, " is ",
+            toString(state_),
+            ", not Failed; wait() first and check status()");
     return error_;
 }
 
@@ -219,9 +219,9 @@ PlanService::submitBatch(const std::vector<const MetaGraph *> &graphs)
         std::unique_lock<std::mutex> lk(mu_);
         panicIf(shutdown_, "PlanService: submit after destruction began");
         fatalIf(jobs.size() > options_.queueCapacity,
-                strCat("PlanService::submitBatch: batch of ", jobs.size(),
-                       " exceeds queueCapacity ", options_.queueCapacity,
-                       "; split the batch or raise the capacity"));
+                "PlanService::submitBatch: batch of ", jobs.size(),
+                " exceeds queueCapacity ", options_.queueCapacity,
+                "; split the batch or raise the capacity");
         cv_space_.wait(lk, [&] {
             return queue_.size() + jobs.size() <= options_.queueCapacity;
         });
@@ -284,9 +284,9 @@ PlanService::execute(PlanJob &job)
         }
 
         fatalIf(job.graph_->numLevels() == 0,
-                strCat("PlanService: request ", job.id_,
-                       " contracted to an empty MetaGraph (no levels); "
-                       "nothing to plan"));
+                "PlanService: request ", job.id_,
+                " contracted to an empty MetaGraph (no levels); "
+                "nothing to plan");
 
         // Per-request planner: construction is cheap at threads == 1
         // (no pool spawned), and replan() against the shared cache is

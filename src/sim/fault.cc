@@ -39,13 +39,13 @@ FaultInjector::FaultInjector(Simulator &sim,
         fatalIf(f.devices.empty(),
                 "FaultInjector: fault batch with no devices");
         fatalIf(f.time < 0,
-                strCat("FaultInjector: fault at negative time ",
-                       f.time));
+                "FaultInjector: fault at negative time ",
+                f.time);
         for (DeviceId d : f.devices)
             fatalIf(d >= sim.numDevices(),
-                    strCat("FaultInjector: device ", d,
-                           " out of range (cluster has ",
-                           sim.numDevices(), " devices)"));
+                    "FaultInjector: device ", d,
+                    " out of range (cluster has ",
+                    sim.numDevices(), " devices)");
     }
 }
 

@@ -4,13 +4,16 @@
  * FlatRing vs Hierarchical pricing, topology-driven island
  * decomposition of arbitrary device groups (leader election,
  * partial and permuted membership), per-island-pair override links,
- * Auto's per-call selection, and the phase schedules the runtime
- * executes.
+ * Auto's per-call selection, the phase schedules the runtime
+ * executes, and point-to-point flow pricing against a pairwise
+ * brute-force reference.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <random>
 
 #include "test_util.h"
 
@@ -467,6 +470,137 @@ TEST(Collective, TpPricingIsAlgorithmInvariant)
         EXPECT_EQ(coll.allReduceTime(3e7, tp_group, kind),
                   coll.allReduceTime(3e7, tp_group,
                                      CollectiveKind::FlatRing));
+    }
+}
+
+/**
+ * Reference flow pricing: visit every (src, dst) pair, keep the
+ * highest-bandwidth linkBetween class, ties toward lower latency.
+ * CollectiveModel::flowTime must match it bit for bit.
+ */
+double
+pairwiseFlowTime(const ClusterTopology &topo, double bytes,
+                 const DeviceSet &src, const DeviceSet &dst)
+{
+    if (bytes <= 0 || src == dst)
+        return 0.0;
+    LinkParams best{0.0, 0.0};
+    for (DeviceId s : src) {
+        for (DeviceId d : dst) {
+            const LinkParams l = topo.linkBetween(s, d);
+            if (l.bandwidth > best.bandwidth ||
+                (l.bandwidth == best.bandwidth && l.latency < best.latency))
+                best = l;
+        }
+    }
+    const double streams =
+        static_cast<double>(std::min(src.size(), dst.size()));
+    return bytes / streams / best.bandwidth + best.latency;
+}
+
+/** Mixed 12/4-GPU islands over shuffled ids, with link overrides. */
+ClusterConfig
+mixedIslandConfig(std::mt19937_64 &rng)
+{
+    const std::uint32_t sizes[] = {12, 4, 12, 4, 4};
+    DeviceSet ids(36);
+    std::iota(ids.begin(), ids.end(), 0u);
+    std::shuffle(ids.begin(), ids.end(), rng);
+    ClusterConfig cfg;
+    auto next = ids.begin();
+    for (std::uint32_t size : sizes) {
+        IslandSpec island;
+        island.devices.assign(next, next + size);
+        std::sort(island.devices.begin(), island.devices.end());
+        next += size;
+        cfg.islands.push_back(island);
+    }
+    cfg.islands[1].intra = {100 * kGiga, 2 * kMicro};
+    cfg.islands[2].intra = {0, 7 * kMicro}; // latency-only override
+    cfg.islandLinks.push_back({0, 2, {80 * kGiga, 4 * kMicro}, {0, 0}});
+    cfg.islandLinks.push_back({3, 1, {0, 1 * kMicro}, {0, 0}});
+    cfg.islandLinks.push_back({4, 0, {250 * kGiga, 9 * kMicro}, {0, 0}});
+    return cfg;
+}
+
+/** A random device set: distinct ids, sorted or left permuted. */
+DeviceSet
+randomDeviceSet(std::mt19937_64 &rng, std::uint32_t num_devices)
+{
+    DeviceSet all(num_devices);
+    std::iota(all.begin(), all.end(), 0u);
+    std::shuffle(all.begin(), all.end(), rng);
+    const std::uint32_t size = std::uniform_int_distribution<std::uint32_t>(
+        1, num_devices)(rng);
+    DeviceSet out(all.begin(), all.begin() + size);
+    if (rng() % 2)
+        std::sort(out.begin(), out.end());
+    return out;
+}
+
+TEST(Collective, FlowTimeMatchesPairwiseBruteForce)
+{
+    std::mt19937_64 rng(20240613);
+
+    ClusterConfig homogeneous;
+    homogeneous.numNodes = 4;
+    homogeneous.gpusPerNode = 8;
+
+    ClusterConfig mixed = mixedIslandConfig(rng);
+
+    // Inverted classes: the inter-island fabric outruns NVLink and
+    // the on-device copy is the slowest class of all.
+    ClusterConfig inverted = mixedIslandConfig(rng);
+    inverted.islandLinks.clear();
+    inverted.islands[1].intra = {};
+    inverted.islands[2].intra = {};
+    inverted.intraIsland = {50 * kGiga, 1 * kMicro};
+    inverted.interIsland = {300 * kGiga, 20 * kMicro};
+    inverted.device.copyBandwidth = 10 * kGiga;
+
+    // Tied bandwidths: copy, intra and inter share one bandwidth, so
+    // latency alone decides (copy's zero latency wins when present).
+    ClusterConfig tied = homogeneous;
+    tied.intraIsland = {200 * kGiga, 3 * kMicro};
+    tied.interIsland = {200 * kGiga, 2 * kMicro};
+    tied.device.copyBandwidth = 200 * kGiga;
+
+    for (const ClusterConfig *cfg : {&homogeneous, &mixed, &inverted, &tied}) {
+        ClusterTopology topo(*cfg);
+        CollectiveModel coll(topo);
+        const std::uint32_t n = topo.numDevices();
+        auto check = [&](const DeviceSet &src, const DeviceSet &dst) {
+            const double bytes =
+                std::uniform_real_distribution<double>(1.0, 4e9)(rng);
+            EXPECT_EQ(coll.flowTime(bytes, src, dst),
+                      pairwiseFlowTime(topo, bytes, src, dst))
+                << deviceSetStr(src) << " -> " << deviceSetStr(dst);
+        };
+        for (int trial = 0; trial < 200; ++trial) {
+            const DeviceSet src = randomDeviceSet(rng, n);
+            // Independent sets, usually overlapping on large draws.
+            check(src, randomDeviceSet(rng, n));
+            // Same devices in another order: every pair class at once.
+            DeviceSet permuted = src;
+            std::shuffle(permuted.begin(), permuted.end(), rng);
+            check(src, permuted);
+            // Sets sharing exactly one device.
+            DeviceSet other = randomDeviceSet(rng, n);
+            other.erase(std::remove_if(other.begin(), other.end(),
+                                       [&](DeviceId d) {
+                                           return std::find(src.begin(),
+                                                            src.end(),
+                                                            d) != src.end();
+                                       }),
+                        other.end());
+            other.push_back(src.front());
+            check(src, other);
+        }
+        for (DeviceId d = 0; d < n; ++d) {
+            check({d}, {d});              // identical singletons: free
+            check({d}, {(d + 1) % n});    // one pair, either class
+            check({d, (d + 5) % n}, {d}); // overlap plus one pair
+        }
     }
 }
 

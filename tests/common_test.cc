@@ -43,6 +43,62 @@ TEST(Logging, FatalIfOnlyFiresWhenTrue)
                 "fires");
 }
 
+/** Streams as "piece" and counts how often it was formatted. */
+struct CountingPiece
+{
+    int *formats;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const CountingPiece &piece)
+{
+    ++*piece.formats;
+    return os << "piece";
+}
+
+TEST(Logging, PassingChecksNeverFormatTheirMessage)
+{
+    int formats = 0;
+    const CountingPiece piece{&formats};
+    for (int i = 0; i < 100; ++i) {
+        fatalIf(false, "fatal ", piece, " #", i);
+        panicIf(false, "panic ", piece, " #", i);
+    }
+    EXPECT_EQ(formats, 0);
+}
+
+TEST(Logging, FailingCheckMessageIsExactlyStrCat)
+{
+    int formats = 0;
+    const CountingPiece piece{&formats};
+    const std::string expected =
+        strCat("device ", 7u, " holds ", piece, " at t=", 2.5, " (", -3,
+               ")");
+    ASSERT_EQ(formats, 1);
+
+    RecoverableScope scope;
+    try {
+        fatalIf(true, "device ", 7u, " holds ", piece, " at t=", 2.5, " (",
+                -3, ")");
+        FAIL() << "fatalIf(true, ...) must throw inside a RecoverableScope";
+    } catch (const RecoverableError &err) {
+        EXPECT_EQ(std::string(err.what()), expected);
+    }
+    EXPECT_EQ(formats, 2) << "a failing check formats its message once";
+
+    // panic() writes "panic: <message>\n" and nothing else.
+    std::string pattern = "^panic: ";
+    for (char c : expected) {
+        if (std::string("\\^$.|?*+()[]{}").find(c) != std::string::npos)
+            pattern += '\\';
+        pattern += c;
+    }
+    pattern += "\n$";
+    EXPECT_DEATH(panicIf(true, "device ", 7u, " holds ", piece, " at t=",
+                         2.5, " (", -3, ")"),
+                 pattern);
+}
+
 TEST(Logging, PanicAborts)
 {
     EXPECT_DEATH(panic("invariant"), "invariant");
