@@ -564,28 +564,52 @@ CollectiveModel::tpAllReduceTime(double bytes, std::uint32_t tp) const
     return ringAllReduce(bytes, tp, topo_.config().intraIsland);
 }
 
-double
-CollectiveModel::p2pTime(double bytes, DeviceId src, DeviceId dst) const
+FlowSource::FlowSource(const ClusterTopology &topo, const DeviceSet &src)
+    : topo_(&topo), size_(static_cast<std::uint32_t>(src.size())),
+      count_(topo.numIslands(), 0)
 {
-    if (bytes <= 0)
-        return 0.0;
-    LinkParams link = topo_.linkBetween(src, dst);
-    return bytes / link.bandwidth + link.latency;
+    // Without island-pair overrides every pair of distinct islands
+    // uses the default point-to-point class (ClusterTopology::
+    // interLink), so one class stands for the per-island scan.
+    if (topo.config().islandLinks.empty())
+        default_inter_ = &topo.config().interIsland;
+    for (DeviceId d : src)
+        ++count_[topo.islandOf(d)];
+}
+
+const LinkParams &
+FlowSource::bestInter(std::uint32_t island)
+{
+    if (inter_.empty()) {
+        inter_.assign(topo_->numIslands(), nullptr);
+        for (std::uint32_t i = 0; i < count_.size(); ++i)
+            if (count_[i] > 0)
+                islands_.push_back(i);
+    }
+    const LinkParams *&best = inter_[island];
+    if (best == nullptr) {
+        for (std::uint32_t j : islands_) {
+            if (j == island)
+                continue;
+            const LinkParams &l = topo_->interLink(j, island);
+            if (best == nullptr || better(l, *best))
+                best = &l;
+        }
+    }
+    return *best;
 }
 
 namespace {
 
-/** True iff some device belongs to both sets (either may be unsorted). */
-bool
-shareDevice(const DeviceSet &a, const DeviceSet &b)
+/** @p set itself when ascending, else a sorted copy in @p scratch. */
+const DeviceSet &
+sortedView(const DeviceSet &set, DeviceSet &scratch)
 {
-    if (std::is_sorted(a.begin(), a.end()) &&
-        std::is_sorted(b.begin(), b.end()))
-        return intersects(a, b);
-    DeviceSet sa = a, sb = b;
-    std::sort(sa.begin(), sa.end());
-    std::sort(sb.begin(), sb.end());
-    return intersects(sa, sb);
+    if (std::is_sorted(set.begin(), set.end()))
+        return set;
+    scratch = set;
+    std::sort(scratch.begin(), scratch.end());
+    return scratch;
 }
 
 } // namespace
@@ -600,64 +624,23 @@ CollectiveModel::flowTime(double bytes, const DeviceSet &src,
     if (src == dst)
         return 0.0; // data already resident where it is consumed
 
-    // Best link class some (src, dst) pair can use: highest
-    // bandwidth, ties broken toward the lower latency. The winner is
-    // a pure function of the *set* of spanned link classes (pinned by
-    // property_test's stripe-relabel invariance case), so it is found
-    // from the islands each set touches, not by pricing every pair.
+    // Walk both sets in ascending order to tell which destination
+    // devices are source devices themselves.
+    DeviceSet src_scratch, dst_scratch;
+    const DeviceSet &s = sortedView(src, src_scratch);
+    const DeviceSet &d = sortedView(dst, dst_scratch);
+    FlowSource source(topo_, src);
     LinkParams best{0.0, 0.0};
-    auto consider = [&best](const LinkParams &l) {
-        if (l.bandwidth > best.bandwidth ||
-            (l.bandwidth == best.bandwidth && l.latency < best.latency))
+    auto it = s.begin();
+    for (DeviceId x : d) {
+        while (it != s.end() && *it < x)
+            ++it;
+        const LinkParams l =
+            source.link(topo_.islandOf(x), it != s.end() && *it == x);
+        if (FlowSource::better(l, best))
             best = l;
-    };
-
-    // One pass per set: per island it touches, the first member seen
-    // and whether a second, distinct member exists.
-    constexpr DeviceId kNone = ~DeviceId{0};
-    struct Slice
-    {
-        DeviceId first = kNone;
-        bool many = false;
-    };
-    auto touch = [this](const DeviceSet &set, std::vector<Slice> &at,
-                        std::vector<std::uint32_t> &islands) {
-        at.assign(topo_.numIslands(), Slice{});
-        for (DeviceId d : set) {
-            const std::uint32_t i = topo_.islandOf(d);
-            if (at[i].first == kNone) {
-                at[i].first = d;
-                islands.push_back(i);
-            } else if (at[i].first != d) {
-                at[i].many = true;
-            }
-        }
-    };
-    std::vector<Slice> src_at, dst_at;
-    std::vector<std::uint32_t> src_islands, dst_islands;
-    touch(src, src_at, src_islands);
-    touch(dst, dst_at, dst_islands);
-
-    // On-device copy (linkBetween(d, d), any d): a shared device.
-    if (shareDevice(src, dst))
-        consider(topo_.linkBetween(src.front(), src.front()));
-    // Island i's intra class: i holds a pair of distinct devices.
-    for (std::uint32_t i : src_islands) {
-        const Slice &s = src_at[i];
-        const Slice &d = dst_at[i];
-        if (d.first != kNone && (s.many || d.many || s.first != d.first))
-            consider(topo_.intraLink(i));
     }
-    // Point-to-point class of every touched pair of distinct islands.
-    for (std::uint32_t a : src_islands)
-        for (std::uint32_t b : dst_islands)
-            if (a != b)
-                consider(topo_.interLink(a, b));
-
-    // Sharded across parallel streams: each stream moves a slice.
-    const double streams =
-        static_cast<double>(std::min(src.size(), dst.size()));
-    return bytes / streams / best.bandwidth + best.latency;
+    return source.seconds(bytes, dst.size(), best);
 }
 
 } // namespace spindle

@@ -41,6 +41,7 @@
 #ifndef SPINDLE_HARDWARE_COLLECTIVE_H
 #define SPINDLE_HARDWARE_COLLECTIVE_H
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -171,6 +172,83 @@ class CollectiveAlgorithm
 };
 
 /**
+ * Per-source flow resolver: the one place a point-to-point flow's
+ * link is chosen, for the runtime (CollectiveModel::flowTime) and for
+ * placement scoring alike. It records the source set's devices per
+ * island; a destination device then resolves, from its (island,
+ * in-source) pair alone, to the best (better()) of: the on-device
+ * copy if it is a source device, its island's intra class if another
+ * source device shares the island, and the point-to-point class from
+ * every other island the source touches. link() memoizes per island
+ * on fabrics with pair overrides: one resolver, one thread.
+ */
+class FlowSource
+{
+  public:
+    /** @p src: distinct device ids, in any order. */
+    FlowSource(const ClusterTopology &topo, const DeviceSet &src);
+
+    /** Number of source devices in island @p island. */
+    std::uint32_t countIn(std::uint32_t i) const { return count_[i]; }
+
+    /**
+     * Best link into a destination device of island @p island that
+     * is (@p in_source) or is not a source device itself. A source
+     * device must lie in @p island when @p in_source is set.
+     */
+    LinkParams link(std::uint32_t island, bool in_source)
+    {
+        LinkParams best{0.0, 0.0};
+        auto consider = [&best](const LinkParams &l) {
+            if (better(l, best))
+                best = l;
+        };
+        if (in_source)
+            consider({topo_->device().copyBandwidth, 0.0});
+        if (count_[island] > (in_source ? 1u : 0u))
+            consider(topo_->intraLink(island));
+        if (count_[island] < size_)
+            consider(default_inter_ != nullptr ? *default_inter_
+                                               : bestInter(island));
+        return best;
+    }
+
+    /** Seconds to move @p bytes over @p link into @p dst_size
+     *  devices, sharded across min(|src|, dst_size) streams. */
+    double seconds(double bytes, std::size_t dst_size,
+                   const LinkParams &link) const
+    {
+        const double streams =
+            static_cast<double>(std::min<std::size_t>(size_, dst_size));
+        return bytes / streams / link.bandwidth + link.latency;
+    }
+
+    /** The selection order: @p a beats @p b on higher bandwidth, or
+     *  on equal bandwidth and lower latency. */
+    static bool better(const LinkParams &a, const LinkParams &b)
+    {
+        return a.bandwidth > b.bandwidth ||
+               (a.bandwidth == b.bandwidth && a.latency < b.latency);
+    }
+
+  private:
+    /** Best point-to-point class from another source island into
+     *  @p island, on fabrics with island-pair overrides. */
+    const LinkParams &bestInter(std::uint32_t island);
+
+    const ClusterTopology *topo_;
+    /** The one point-to-point class every island pair uses when no
+     *  pair override is configured; nullptr otherwise. */
+    const LinkParams *default_inter_ = nullptr;
+    std::uint32_t size_ = 0;
+    std::vector<std::uint32_t> count_; ///< source devices per island
+    /** bestInter() memo: islands the source touches, and per island
+     *  the best class into it (nullptr = not yet resolved). */
+    std::vector<std::uint32_t> islands_;
+    std::vector<const LinkParams *> inter_;
+};
+
+/**
  * Collective/communication cost oracle over a concrete topology,
  * dispatching to the selected CollectiveAlgorithm. The kind-less
  * overloads keep the historical flat-ring behaviour bit for bit.
@@ -245,22 +323,13 @@ class CollectiveModel
      */
     double tpAllReduceTime(double bytes, std::uint32_t tp) const;
 
-    /** Point-to-point transfer of @p bytes from @p src to @p dst. */
-    double p2pTime(double bytes, DeviceId src, DeviceId dst) const;
-
     /**
      * Transfer @p bytes from source device set to destination set,
      * as the runtime's batched P2P does at wave boundaries. Free when
-     * the sets are equal; otherwise priced over the best link class
-     * any (src, dst) pair spans — highest bandwidth, ties broken
-     * toward the lower latency — with the data sharded across
-     * min(|src|,|dst|) parallel streams. The candidate classes are:
-     * the on-device copy when the sets share a device, island i's
-     * intra class when i holds a pair of distinct devices, and the
-     * point-to-point class of every touched pair of distinct
-     * islands. Since the winner depends only on which classes are
-     * present, it is found from one pass over each set recording the
-     * islands it touches in a per-island table: O(|src| + |dst| +
+     * the bytes are not positive or the sets are equal; otherwise the
+     * best over @p dst of each device's FlowSource link — the best
+     * link class any (src, dst) pair spans — with the data sharded
+     * across min(|src|,|dst|) parallel streams. O(|src| + |dst| +
      * numIslands + islands(src) * islands(dst)), bit-identical to
      * scanning all |src| * |dst| pairs with linkBetween
      * (collective_test pins this). Sets may be unsorted.

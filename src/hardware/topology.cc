@@ -197,8 +197,8 @@ ClusterTopology::validateAndBuild()
     // cluster must hash equal, and 0-bandwidth inherit markers must
     // not leak through. Every ingredient a planner query can read is
     // covered: device spec, memberships, resolved links, and the
-    // three config defaults (placement's class tables and the
-    // uniform-fabric fast path read those directly).
+    // three config defaults (placement's penalty terms and the
+    // uniform-fabric shortcuts of the oracles read those directly).
     std::uint64_t h = 0xcbf29ce484222325ull;
     h = mix(h, static_cast<std::uint64_t>(num_devices_));
     h = mix(h, config_.device.peakFlops);
@@ -355,7 +355,7 @@ ClusterTopology::withoutDevices(const DeviceSet &dead) const
     // mapped into the renumbered space. The resolved intra class is
     // re-emitted as an explicit override only where the original
     // config overrode it, so a uniform fabric stays uniform (the
-    // placement fast path keys on uniformLinks()).
+    // collectives' bottleneck shortcut keys on uniformLinks()).
     out.config.device = config_.device;
     out.config.intraIsland = config_.intraIsland;
     out.config.interIsland = config_.interIsland;

@@ -217,9 +217,9 @@ class ClusterTopology
     /**
      * True iff every island uses the default intra class and no
      * island-pair override is configured — i.e. the three default
-     * link classes describe the whole fabric. Placement's
-     * class-indexed fast path requires this; non-uniform fabrics
-     * drop to exact per-pair scoring.
+     * link classes describe the whole fabric. The hierarchical
+     * collectives read it to skip the per-pair bottleneck scan;
+     * point-to-point flow pricing (FlowSource) needs no such flag.
      */
     bool uniformLinks() const { return uniform_links_; }
 
@@ -233,9 +233,9 @@ class ClusterTopology
     /**
      * 64-bit structural fingerprint of the *resolved* topology:
      * device spec, per-island device memberships, resolved intra
-     * classes, the three default link classes (placement reads them
-     * directly; bandwidth, latency and rail count alike), and the
-     * resolved island-pair overrides. Two
+     * classes, the three default link classes (placement's penalty
+     * terms read them directly; bandwidth, latency and rail count
+     * alike), and the resolved island-pair overrides. Two
      * topologies with equal fingerprints answer every planner query
      * identically, so the fingerprint keys cached planning results
      * (planner/plan_cache.h). Shorthand and explicit-island configs

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <unordered_map>
 #include <utility>
 
@@ -38,16 +40,6 @@ struct SliceParam
     double bytes = 0; ///< raw parameter bytes (affinity scoring)
 };
 
-/** Number of link classes a (src set, device) pair can fall into. */
-constexpr int kNumLinkClasses = 3;
-
-/** Packed per-class prefix counters (BandState::inflowPref): each
- *  class owns a disjoint 21-bit field of one 64-bit word. */
-constexpr unsigned kClsFieldBits = 21;
-constexpr std::uint64_t kClsFieldMask = (std::uint64_t{1} << kClsFieldBits) - 1;
-static_assert(kNumLinkClasses * kClsFieldBits <= 64,
-              "packed class counters must fit one word");
-
 /** Below this much estimated per-phase work (rough element-visit
  *  count) a parallel dispatch costs more than it saves; purely a
  *  performance threshold — both paths compute identical bytes. */
@@ -57,24 +49,159 @@ constexpr std::size_t kMinParallelWork = 1 << 12;
 constexpr std::size_t kMinSweepChunk = 128;
 
 /**
- * Entry-wide per-inflow scoring context (uniform-fabric fast path):
- * the per-class flow times and, per free position, the fastest link
- * class the device has any pair with the source set in.
+ * Entry-wide per-inflow scoring context. A device's link under the
+ * flow's FlowSource depends only on its (island, in-source) pair; the
+ * distinct links are ranked in the resolver's selection order, and a
+ * window's flow costs the seconds of its lowest-ranked device.
+ *
+ * Bands count ranks in prefix rows (BandState::rankPref): every rank
+ * but the last owns a 2^lgBits-bit field, in rank order from the low
+ * bits of 64-bit words. A field can count every free position, so
+ * fields never carry into each other: a window's lowest present rank
+ * is the lowest non-zero field of its row difference, else the last.
  */
 struct InflowCtx
 {
-    double flowByClass[kNumLinkClasses] = {0, 0, 0};
-    std::uint32_t srcSize = 0;
-    std::vector<std::uint8_t> cls;               ///< per free pos
-    std::vector<std::uint32_t> srcCountByIsland; ///< per island
-    /** Per free pos: device is in the source set. Marked from the
-     *  (small) source set, so the position pass needs no per-device
-     *  binary search. */
-    std::vector<char> inSrc;
-    /** Class a device of this island resolves to, in / not in the
-     *  source set. A device's class depends only on (island, inSrc),
-     *  so the per-position work collapses to one table lookup. */
-    std::vector<std::uint8_t> clsIn, clsOut;
+    /** What a device of one distinct link adds to a rank row: word
+     *  and addend (0 for the last rank). */
+    struct Bump
+    {
+        std::uint32_t word = 0;
+        std::uint64_t add = 0;
+    };
+    std::vector<Bump> byId;
+    std::vector<std::uint32_t> idOf; ///< per pair, at 2·island + in-src
+    std::vector<double> seconds;     ///< per rank, into n devices
+    std::vector<char> inSrc;         ///< per free pos
+    std::size_t firstWord = 0;       ///< this inflow's words in a row
+    std::size_t words = 0;
+    unsigned lgBits = 0;
+    std::vector<LinkParams> links; ///< rankLinks() scratch
+    std::vector<std::uint32_t> order;
+
+    /** Rank the links of @p source over @p num_islands islands, price
+     *  @p bytes into @p n devices per rank, and lay the counters out
+     *  from row word @p first_word. */
+    void
+    rankLinks(FlowSource &source, double bytes, std::uint32_t n,
+              std::uint32_t num_islands, std::size_t first_word,
+              unsigned lg_bits)
+    {
+        // Neighbouring islands mostly resolve alike: try the last
+        // link before searching.
+        links.clear();
+        idOf.assign(2 * static_cast<std::size_t>(num_islands), 0);
+        std::uint32_t id = 0;
+        for (std::uint32_t isl = 0; isl < num_islands; ++isl) {
+            for (std::uint32_t in = 0; in < 2; ++in) {
+                if (in && source.countIn(isl) == 0)
+                    continue; // no source device there
+                const LinkParams l = source.link(isl, in != 0);
+                auto same = [&l](const LinkParams &o) {
+                    return o.bandwidth == l.bandwidth &&
+                           o.latency == l.latency;
+                };
+                if (links.empty() || !same(links[id]))
+                    id = static_cast<std::uint32_t>(
+                        std::find_if(links.begin(), links.end(), same) -
+                        links.begin());
+                if (id == links.size())
+                    links.push_back(l);
+                idOf[2 * isl + in] = id;
+            }
+        }
+        order.resize(links.size());
+        std::iota(order.begin(), order.end(), 0u);
+        std::sort(order.begin(), order.end(),
+                  [&](std::uint32_t a, std::uint32_t b) {
+                      return FlowSource::better(links[a], links[b]);
+                  });
+        const std::uint32_t last =
+            static_cast<std::uint32_t>(links.size() - 1);
+        firstWord = first_word;
+        words = (last + (64 >> lg_bits) - 1) >> (6 - lg_bits);
+        lgBits = lg_bits;
+        seconds.resize(links.size());
+        byId.assign(links.size(), Bump{});
+        for (std::uint32_t r = 0; r < last; ++r)
+            byId[order[r]] = {
+                static_cast<std::uint32_t>(firstWord + (r >> (6 - lg_bits))),
+                std::uint64_t{1} << ((r << lg_bits) & 63)};
+        for (std::uint32_t r = 0; r < order.size(); ++r)
+            seconds[r] = source.seconds(bytes, n, links[order[r]]);
+    }
+
+    /** What the device at free position @p pos, in island
+     *  @p island, adds to a rank row. */
+    const Bump &
+    bumpAt(std::size_t pos, std::uint32_t island) const
+    {
+        return byId[idOf[2 * static_cast<std::size_t>(island) +
+                         inSrc[pos]]];
+    }
+
+    /** Cheapest seconds of any rank between prefix rows @p lo and
+     *  @p hi, @p positions apart (a slower link can cost less through
+     *  its latency: the minimum over values, not the first rank). */
+    double
+    cheapest(const std::uint64_t *hi, const std::uint64_t *lo,
+             std::size_t positions) const
+    {
+        const std::size_t last = seconds.size() - 1;
+        const std::uint64_t mask = (std::uint64_t{1} << (1u << lgBits)) - 1;
+        std::size_t counted = 0;
+        double t = std::numeric_limits<double>::infinity();
+        for (std::size_t r = 0; r < last; ++r) {
+            const std::size_t w = firstWord + (r >> (6 - lgBits));
+            const std::uint64_t c =
+                ((hi[w] - lo[w]) >> ((r << lgBits) & 63)) & mask;
+            counted += c;
+            if (c > 0)
+                t = std::min(t, seconds[r]);
+        }
+        return counted < positions ? std::min(t, seconds[last]) : t;
+    }
+
+    /** Rank of the lowest non-zero field of word @p j, if any. */
+    std::size_t
+    lowestRank(std::size_t j, std::uint64_t fields) const
+    {
+        return fields == 0
+                   ? seconds.size() - 1
+                   : (j << (6 - lgBits)) +
+                         static_cast<std::size_t>(
+                             std::countr_zero(fields) >> lgBits);
+    }
+
+    /** Seconds over the lowest rank with devices between prefix rows
+     *  @p lo and @p hi. */
+    double
+    rowSeconds(const std::uint64_t *hi, const std::uint64_t *lo) const
+    {
+        std::size_t j = 0;
+        while (j + 1 < words && hi[firstWord + j] == lo[firstWord + j])
+            ++j;
+        return seconds[lowestRank(
+            j, words == 0 ? 0 : hi[firstWord + j] - lo[firstWord + j])];
+    }
+
+    /** Seconds into the window at free positions @p window, whose
+     *  devices add @p bumps (row_words words per position): those of
+     *  its lowest rank, the lowest field any of them sets. */
+    double
+    windowSeconds(const std::vector<std::uint32_t> &window,
+                  const std::uint64_t *bumps, std::size_t row_words) const
+    {
+        std::uint64_t any = 0;
+        std::size_t j = 0;
+        for (; j < words; ++j) {
+            for (std::uint32_t p : window)
+                any |= bumps[p * row_words + firstWord + j];
+            if (any != 0)
+                break;
+        }
+        return seconds[lowestRank(j, any)];
+    }
 };
 
 /**
@@ -99,15 +226,9 @@ struct BandState
      * chunk's whole range in one probe per row.
      */
     std::vector<std::vector<std::uint32_t>> resIdx;
-    /**
-     * Link-class counts, inflows x (B+1), the kNumLinkClasses
-     * per-class counters packed into disjoint 21-bit fields of one
-     * word (a band never exceeds 2^21 positions). One add per
-     * position instead of kNumLinkClasses, and a window's class
-     * presence is one subtraction — fields are individually
-     * monotone, so the difference never borrows across them.
-     */
-    std::vector<std::uint64_t> inflowPref;
+    /** Link-rank counts (see InflowCtx): B+1 prefix rows of the
+     *  entry's counter words. */
+    std::vector<std::uint64_t> rankPref;
     std::vector<std::ptrdiff_t> eqWindow; ///< per inflow, -1 = none
 };
 
@@ -166,15 +287,11 @@ struct SweepTask
  */
 double
 interIslandShardFraction(const ClusterTopology &topo,
-                         const DeviceSet &src, const DeviceSet &dst,
-                         std::vector<char> &island_scratch)
+                         const FlowSource &src, const DeviceSet &dst)
 {
-    island_scratch.assign(topo.numIslands(), 0);
-    for (DeviceId s : src)
-        island_scratch[topo.islandOf(s)] = 1;
     std::size_t miss = 0;
     for (DeviceId d : dst)
-        if (!island_scratch[topo.islandOf(d)])
+        if (src.countIn(topo.islandOf(d)) == 0)
             ++miss;
     return static_cast<double>(miss) / static_cast<double>(dst.size());
 }
@@ -535,42 +652,6 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
         }
     }
 
-    // The three *default* link classes a (src set, candidate device)
-    // pair can use. CollectiveModel::flowTime maximizes bandwidth
-    // over all (src, dst) pairs, so the sweep must (a) track, per
-    // candidate device, *every* class it has a pair in — a device
-    // sharing an island with one source device still has
-    // inter-island pairs to the others — and (b) probe classes in
-    // bandwidth order, not class-index order (a config may rank its
-    // fabrics differently from the defaults). Two classes configured
-    // to the exact same bandwidth but different latency are resolved
-    // by flowTime's lower-latency tiebreak, which class-level
-    // bandwidth bookkeeping cannot reproduce; such (pathological)
-    // configs — and any topology whose islands override the default
-    // classes (uniformLinks() false), where three classes cannot
-    // describe the fabric at all — drop to scoring every window with
-    // the flow oracle directly, keeping the bit-identical contract
-    // unconditional.
-    const LinkParams link_class[kNumLinkClasses] = {
-        {topo_.device().copyBandwidth, 0.0}, // overlapping device
-        topo_.config().intraIsland,          // same island
-        topo_.config().interIsland,          // cross island
-    };
-    int class_by_bw[kNumLinkClasses] = {0, 1, 2};
-    std::stable_sort(class_by_bw, class_by_bw + kNumLinkClasses,
-                     [&](int a, int b) {
-                         return link_class[a].bandwidth >
-                                link_class[b].bandwidth;
-                     });
-    int rank_of_class[kNumLinkClasses];
-    for (int r = 0; r < kNumLinkClasses; ++r)
-        rank_of_class[class_by_bw[r]] = r;
-    const bool tied_class_bandwidths =
-        link_class[0].bandwidth == link_class[1].bandwidth ||
-        link_class[0].bandwidth == link_class[2].bandwidth ||
-        link_class[1].bandwidth == link_class[2].bandwidth;
-    const bool exact_comm = tied_class_bandwidths || !topo_.uniformLinks();
-
     std::uint32_t seq_cursor = 0; // Sequential strategy cursor
 
     // Scratch buffers reused across entries. All are only-grow: the
@@ -578,6 +659,9 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
     // stale capacity never leaks into scores.
     std::vector<double> cand_total;        // per free pos: total if placed
     std::vector<std::uint32_t> pos_island; // per free pos: island index
+    /** Per free pos: what its device adds to each rank-counter word
+     *  (see InflowCtx), row_words words per position. */
+    std::vector<std::uint64_t> pos_bump;
     std::vector<SliceParam> sig;           // slice param signature
     std::vector<std::int64_t> uniq_keys;   // distinct sig keys, sorted
     std::vector<double> uniq_vals;         // per uniq key: max sig share
@@ -594,18 +678,18 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
     std::unordered_map<std::int64_t, std::int32_t> row_of;
     /** Per row: ascending free-list positions holding the key. */
     std::vector<std::vector<std::uint32_t>> row_pos;
-    std::vector<InflowCtx> inflow_ctx;     // per-inflow fast-path state
+    std::vector<std::uint32_t> pos_row_off, row_at; // row_pos transposed
+    std::vector<FlowSource> sources;       // per inflow
+    std::vector<InflowCtx> inflow_ctx;     // per-inflow link ranks
     std::vector<BandState> band_states;    // per-band prefix state
     CandidateWindows cand_windows;         // generator output
     std::vector<SweepTask> sweep_tasks;
-    DeviceSet win_buf; // serial-sweep window scratch (exact-comm path)
     /** Free-list positions of the winning window (empty on the
-     *  Sequential path), kept for the attribution fast path below. */
+     *  Sequential path), kept for the attribution below. */
     std::vector<std::uint32_t> win_positions;
     std::vector<std::size_t> deque_scratch; // serial-sweep deque
     std::vector<std::size_t> rowptr_scratch; // serial residency ptrs
     std::vector<char> rownonres_scratch;     // serial residency flags
-    std::vector<char> island_scratch; // inter-island attribution
 
     // Affected-device epoch stamps: device d holds at least one of
     // the current entry's keys iff affected_epoch[d] == entry_epoch.
@@ -750,6 +834,9 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                     inflows.emplace_back(m.activationBytes,
                                          &it->second);
             }
+            sources.clear();
+            for (const auto &[bytes, src] : inflows)
+                sources.emplace_back(topo_, *src);
 
             // Intra-island preference: a TP group spanning islands
             // pays the real collective slowdown. Window-independent,
@@ -768,6 +855,7 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
             }
 
             double best_comm = 0;
+            std::size_t row_words = 0; // rank-counter words (InflowCtx)
             DeviceSet best_win;
 
             if (options_.strategy == PlacementStrategy::Sequential) {
@@ -838,79 +926,33 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
 
                 window_gen.generate({topo_, free, n}, cand_windows);
 
-                // ---- Phase A setup: entry-wide per-inflow context
-                // (uniform-fabric fast path) and residency rows.
-                inflow_ctx.resize(inflows.size());
-                if (!exact_comm) {
-                    for (std::size_t k = 0; k < inflows.size(); ++k) {
-                        const auto &[bytes, src_ptr] = inflows[k];
-                        const DeviceSet &src = *src_ptr;
-                        InflowCtx &ctx = inflow_ctx[k];
-
-                        // The whole flow over the best pair, sharded
-                        // across min(|src|, n) streams.
-                        const double streams =
-                            static_cast<double>(std::min<std::size_t>(
-                                src.size(), n));
-                        for (int c = 0; c < kNumLinkClasses; ++c)
-                            ctx.flowByClass[c] =
-                                bytes / streams /
-                                    link_class[c].bandwidth +
-                                link_class[c].latency;
-                        ctx.srcSize =
-                            static_cast<std::uint32_t>(src.size());
-                        ctx.srcCountByIsland.assign(topo_.numIslands(),
-                                                    0);
-                        for (DeviceId s : src)
-                            ++ctx.srcCountByIsland[topo_.islandOf(s)];
-                        if (ctx.cls.size() < F)
-                            ctx.cls.resize(F);
-
-                        // A device's class is the fastest one it has
-                        // any pair in: copy needs the device itself
-                        // in src, intra another src device in its
-                        // island, inter a src device in a different
-                        // island. That depends only on (island,
-                        // in-src), so resolve it here per island —
-                        // probing classes in bandwidth order, as the
-                        // per-position loop used to — and mark the
-                        // in-src positions from the source set.
-                        const std::size_t num_isl = topo_.numIslands();
-                        ctx.clsIn.resize(num_isl);
-                        ctx.clsOut.resize(num_isl);
-                        for (std::size_t isl = 0; isl < num_isl;
-                             ++isl) {
-                            const std::uint32_t cnt =
-                                ctx.srcCountByIsland[isl];
-                            const bool avail_in[kNumLinkClasses] = {
-                                true, cnt > 1, ctx.srcSize > cnt};
-                            const bool avail_out[kNumLinkClasses] = {
-                                false, cnt > 0, ctx.srcSize > cnt};
-                            auto pick = [&](const bool *avail) {
-                                int cls =
-                                    class_by_bw[kNumLinkClasses - 1];
-                                for (int r = 0; r < kNumLinkClasses;
-                                     ++r) {
-                                    if (avail[class_by_bw[r]]) {
-                                        cls = class_by_bw[r];
-                                        break;
-                                    }
-                                }
-                                return static_cast<std::uint8_t>(cls);
-                            };
-                            ctx.clsIn[isl] = pick(avail_in);
-                            ctx.clsOut[isl] = pick(avail_out);
-                        }
-                        ctx.inSrc.assign(F, 0);
-                        for (DeviceId s : src) {
-                            const auto fit = std::lower_bound(
-                                free.begin(), free.end(), s);
-                            if (fit != free.end() && *fit == s)
-                                ctx.inSrc[static_cast<std::size_t>(
-                                    fit - free.begin())] = 1;
-                        }
+                // ---- Phase A setup: entry-wide per-inflow link
+                // ranks, and residency rows.
+                const std::uint32_t num_isl = topo_.numIslands();
+                if (inflow_ctx.size() < inflows.size())
+                    inflow_ctx.resize(inflows.size());
+                // Rank counters are 2^lg_bits bits wide, enough to
+                // count F (the longest band) positions.
+                const unsigned lg_bits = F < (1u << 8)    ? 3
+                                         : F < (1u << 16) ? 4
+                                                          : 5;
+                for (std::size_t k = 0; k < inflows.size(); ++k) {
+                    const DeviceSet &src = *inflows[k].second;
+                    InflowCtx &ctx = inflow_ctx[k];
+                    ctx.rankLinks(sources[k], inflows[k].first, n,
+                                  num_isl, row_words, lg_bits);
+                    row_words += ctx.words;
+                    ctx.inSrc.assign(F, 0);
+                    for (DeviceId s : src) {
+                        const auto fit = std::lower_bound(
+                            free.begin(), free.end(), s);
+                        if (fit != free.end() && *fit == s)
+                            ctx.inSrc[static_cast<std::size_t>(
+                                fit - free.begin())] = 1;
                     }
                 }
+                if (pos_bump.size() < F * row_words)
+                    pos_bump.resize(F * row_words);
 
                 // Residency rows: one per distinct parameter key
                 // carried by the slice (affinity scoring).
@@ -955,7 +997,7 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                 }
 
                 // ---- Phase A: per free position, the device's
-                // would-be total, island, and link class per inflow.
+                // would-be total, island, and rank-counter addends.
                 // Positions are independent (each lane touches its
                 // own device's lazy total), so this is the entry's
                 // first parallel region.
@@ -980,17 +1022,21 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                     cand_total[pos] = state.deviceTotal(d) + add;
                     const std::uint32_t isl = topo_.islandOf(d);
                     pos_island[pos] = isl;
-
-                    if (!exact_comm) {
-                        // Class tables are precomputed per island
-                        // (see the inflow setup above): one lookup
-                        // per inflow.
-                        for (std::size_t k = 0; k < inflows.size();
-                             ++k) {
-                            InflowCtx &ctx = inflow_ctx[k];
-                            ctx.cls[pos] = ctx.inSrc[pos]
-                                               ? ctx.clsIn[isl]
-                                               : ctx.clsOut[isl];
+                    // One counter word is the common case: sum in a
+                    // register.
+                    if (row_words == 1) {
+                        std::uint64_t bump = 0;
+                        for (std::size_t k = 0; k < inflows.size(); ++k)
+                            bump += inflow_ctx[k].bumpAt(pos, isl).add;
+                        pos_bump[pos] = bump;
+                    } else if (row_words > 1) {
+                        std::uint64_t *bump =
+                            pos_bump.data() + pos * row_words;
+                        std::fill_n(bump, row_words, 0);
+                        for (std::size_t k = 0; k < inflows.size(); ++k) {
+                            const InflowCtx::Bump &b =
+                                inflow_ctx[k].bumpAt(pos, isl);
+                            bump[b.word] += b.add;
                         }
                     }
                 };
@@ -1017,6 +1063,22 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                             row_pos[r].push_back(pos_of[d]);
                     std::sort(row_pos[r].begin(), row_pos[r].end());
                 }
+                // The same transposed, for explicit windows: the rows
+                // free position p holds are row_at[pos_row_off[p] ..
+                // pos_row_off[p + 1]).
+                if (!cand_windows.extras.empty()) {
+                    pos_row_off.assign(F + 2, 0);
+                    for (std::size_t r = 0; r < rows; ++r)
+                        for (std::uint32_t p : row_pos[r])
+                            ++pos_row_off[p + 2];
+                    for (std::size_t i = 2; i < F + 2; ++i)
+                        pos_row_off[i] += pos_row_off[i - 1];
+                    row_at.resize(pos_row_off[F + 1]);
+                    for (std::size_t r = 0; r < rows; ++r)
+                        for (std::uint32_t p : row_pos[r])
+                            row_at[pos_row_off[p + 1]++] =
+                                static_cast<std::uint32_t>(r);
+                }
 
                 // ---- Phase B: per-band prefix state. Sizing and
                 // ordinal bases are serial (cheap, and resizes must
@@ -1040,21 +1102,24 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                         bs.chgPref.resize(B);
                     if (bs.resIdx.size() < rows)
                         bs.resIdx.resize(rows);
-                    if (!exact_comm) {
-                        const std::size_t need =
-                            inflows.size() * (B + 1);
-                        if (bs.inflowPref.size() < need)
-                            bs.inflowPref.resize(need);
-                        bs.eqWindow.assign(inflows.size(), -1);
-                    }
+                    const std::size_t need = row_words * (B + 1);
+                    if (bs.rankPref.size() < need)
+                        bs.rankPref.resize(need);
+                    bs.eqWindow.assign(inflows.size(), -1);
                 }
                 const std::size_t extras_base = ordinal;
                 const std::size_t total_candidates =
                     ordinal + cand_windows.extras.size();
 
+                // True iff source device @p d sits at free position
+                // @p p.
+                const auto is_at = [&](DeviceId d, std::uint32_t p) {
+                    return free[p] == d;
+                };
+
                 // Shared per-band state: island-change prefix,
-                // link-class prefixes, and the band window equal to
-                // a source set (zero-cost transfer).
+                // link-rank prefixes, and the band window equal to a
+                // source set (zero-cost transfer).
                 auto build_band_shared = [&](std::size_t b) {
                     BandState &bs = band_states[b];
                     if (bs.numWindows == 0)
@@ -1106,29 +1171,20 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                     }
                     bs.minTotal = mn;
 
-                    if (exact_comm)
-                        return;
-                    const std::size_t stride = B + 1;
-                    for (std::size_t k = 0; k < inflows.size(); ++k) {
-                        std::uint64_t *pref =
-                            bs.inflowPref.data() + k * stride;
-                        const InflowCtx &ctx = inflow_ctx[k];
-                        pref[0] = 0;
-                        if (ident) {
-                            for (std::size_t i = 0; i < B; ++i)
-                                pref[i + 1] =
-                                    pref[i] +
-                                    (std::uint64_t{1}
-                                     << (kClsFieldBits * ctx.cls[i]));
-                        } else {
-                            for (std::size_t i = 0; i < B; ++i)
-                                pref[i + 1] =
-                                    pref[i] +
-                                    (std::uint64_t{1}
-                                     << (kClsFieldBits *
-                                         ctx.cls[band[i]]));
-                        }
+                    std::uint64_t *pref = bs.rankPref.data();
+                    std::fill_n(pref, row_words, 0);
+                    if (row_words == 1) {
+                        for (std::size_t i = 0; i < B; ++i)
+                            pref[i + 1] = pref[i] + pos_bump[at(i)];
+                    } else {
+                        for (std::size_t i = 0; i < B; ++i)
+                            for (std::size_t j = 0; j < row_words; ++j)
+                                pref[(i + 1) * row_words + j] =
+                                    pref[i * row_words + j] +
+                                    pos_bump[at(i) * row_words + j];
+                    }
 
+                    for (std::size_t k = 0; k < inflows.size(); ++k) {
                         const DeviceSet &src = *inflows[k].second;
                         if (src.size() == n) {
                             // Devices ascend along a band, so
@@ -1142,18 +1198,11 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                                 else
                                     hi = mid;
                             }
-                            if (lo + n <= B) {
-                                bool equal = true;
-                                for (std::uint32_t i = 0; i < n; ++i) {
-                                    if (free[band[lo + i]] != src[i]) {
-                                        equal = false;
-                                        break;
-                                    }
-                                }
-                                if (equal)
-                                    bs.eqWindow[k] = static_cast<
-                                        std::ptrdiff_t>(lo);
-                            }
+                            if (lo + n <= B &&
+                                std::equal(src.begin(), src.end(),
+                                           band.begin() + lo, is_at))
+                                bs.eqWindow[k] =
+                                    static_cast<std::ptrdiff_t>(lo);
                         }
                     }
                 };
@@ -1189,8 +1238,7 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                         build_band_row(b, sub - 1);
                 };
                 const std::size_t band_work =
-                    band_positions *
-                    (2 + kNumLinkClasses * inflows.size());
+                    band_positions * (2 + row_words);
                 maybeParallelFor(pool_,
                                  band_work >= kMinParallelWork, 0,
                                  num_units, 1, build_unit);
@@ -1264,14 +1312,14 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                 auto score_band_range =
                     [&](std::size_t b, std::size_t w_lo,
                         std::size_t w_hi, Candidate &best,
-                        DeviceSet &win_scratch,
                         std::vector<std::size_t> &dq,
                         std::vector<std::size_t> &row_ptr,
                         std::vector<char> &row_nonres) {
                         const auto &band = cand_windows.bands[b];
                         const BandState &bs = band_states[b];
-                        const std::size_t B = band.size();
-                        const std::size_t stride = B + 1;
+                        auto row = [&](std::size_t i) {
+                            return bs.rankPref.data() + i * row_words;
+                        };
 
                         if (prune && bs.minTotal > capacity)
                             return; // every window fails capacity
@@ -1285,53 +1333,24 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                                 lb = bs.minTotal /
                                      topo_.device().memoryBytes;
                             } else {
-                                if (!exact_comm) {
-                                    for (std::size_t k = 0;
-                                         k < inflows.size(); ++k) {
-                                        if (inflows[k].first <= 0)
-                                            continue;
-                                        const std::ptrdiff_t eq =
-                                            bs.eqWindow[k];
-                                        if (eq >= static_cast<
-                                                      std::ptrdiff_t>(
-                                                      w_lo) &&
-                                            eq < static_cast<
-                                                     std::ptrdiff_t>(
-                                                     w_hi))
-                                            continue; // one pays 0
-                                        // Cheapest class present
-                                        // anywhere in the range: a
-                                        // window's class is present
-                                        // in it, hence in the range,
-                                        // hence covered by this min
-                                        // (classes can invert the
-                                        // bandwidth order via
-                                        // latency, so min over
-                                        // values, not first by
-                                        // rank).
-                                        const std::uint64_t *pref =
-                                            bs.inflowPref.data() +
-                                            k * stride;
-                                        const std::uint64_t diff =
-                                            pref[r_end] - pref[w_lo];
-                                        double t = std::numeric_limits<
-                                            double>::infinity();
-                                        for (int c = 0;
-                                             c < kNumLinkClasses;
-                                             ++c) {
-                                            if ((diff >>
-                                                 (kClsFieldBits *
-                                                  static_cast<
-                                                      unsigned>(c))) &
-                                                kClsFieldMask)
-                                                t = std::min(
-                                                    t,
-                                                    inflow_ctx[k]
-                                                        .flowByClass
-                                                            [c]);
-                                        }
-                                        lb += t;
-                                    }
+                                for (std::size_t k = 0;
+                                     k < inflows.size(); ++k) {
+                                    if (inflows[k].first <= 0)
+                                        continue;
+                                    const std::ptrdiff_t eq =
+                                        bs.eqWindow[k];
+                                    if (eq >= static_cast<
+                                                  std::ptrdiff_t>(
+                                                  w_lo) &&
+                                        eq < static_cast<
+                                                 std::ptrdiff_t>(
+                                                 w_hi))
+                                        continue; // one pays 0
+                                    // A window's link is present in
+                                    // it, hence in the chunk's range.
+                                    lb += inflow_ctx[k].cheapest(
+                                        row(r_end), row(w_lo),
+                                        r_end - w_lo);
                                 }
                                 // Rows with no resident position in
                                 // the whole range are non-resident
@@ -1426,51 +1445,15 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                             // Inter-wave communication, accumulated
                             // in the same source order as always.
                             double comm = 0;
-                            if (exact_comm && !inflows.empty()) {
-                                // Exact fallback (see link_class
-                                // comment).
-                                win_scratch.resize(n);
-                                for (std::uint32_t j = 0; j < n; ++j)
-                                    win_scratch[j] =
-                                        free[band[w + j]];
-                                for (const auto &[bytes, src] :
-                                     inflows)
-                                    comm += coll.flowTime(
-                                        bytes, *src, win_scratch);
-                            } else {
-                                for (std::size_t k = 0;
-                                     k < inflows.size(); ++k) {
-                                    if (static_cast<std::ptrdiff_t>(
-                                            w) == bs.eqWindow[k])
-                                        continue; // data resident
-                                    if (inflows[k].first <= 0)
-                                        continue;
-                                    const std::uint64_t *pref =
-                                        bs.inflowPref.data() +
-                                        k * stride;
-                                    const std::uint64_t diff =
-                                        pref[w + n] - pref[w];
-                                    // Fastest link class present in
-                                    // the window (classes partition
-                                    // the devices, so the probe
-                                    // always finds one).
-                                    int cls = class_by_bw
-                                        [kNumLinkClasses - 1];
-                                    for (int r = 0;
-                                         r < kNumLinkClasses; ++r) {
-                                        const int c = class_by_bw[r];
-                                        if ((diff >>
-                                             (kClsFieldBits *
-                                              static_cast<unsigned>(
-                                                  c))) &
-                                            kClsFieldMask) {
-                                            cls = c;
-                                            break;
-                                        }
-                                    }
-                                    comm +=
-                                        inflow_ctx[k].flowByClass[cls];
-                                }
+                            for (std::size_t k = 0; k < inflows.size();
+                                 ++k) {
+                                if (static_cast<std::ptrdiff_t>(w) ==
+                                    bs.eqWindow[k])
+                                    continue; // data resident
+                                if (inflows[k].first <= 0)
+                                    continue;
+                                comm += inflow_ctx[k].rowSeconds(
+                                    row(w + n), row(w));
                             }
 
                             // Parameter affinity (§3.5): reward
@@ -1529,7 +1512,6 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                 // Score one explicit window (cross-island unions
                 // etc.).
                 auto score_extra = [&](std::size_t ei, Candidate &best,
-                                       DeviceSet &win_scratch,
                                        std::vector<char> &row_nonres) {
                     const auto &win_pos = cand_windows.extras[ei];
                     panicIf(win_pos.size() != n,
@@ -1543,61 +1525,24 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                         return;
 
                     double comm = 0;
-                    if (exact_comm && !inflows.empty()) {
-                        win_scratch.resize(n);
-                        for (std::uint32_t j = 0; j < n; ++j)
-                            win_scratch[j] = free[win_pos[j]];
-                        for (const auto &[bytes, src] : inflows)
-                            comm += coll.flowTime(bytes, *src,
-                                                  win_scratch);
-                    } else {
-                        for (std::size_t k = 0; k < inflows.size();
-                             ++k) {
-                            const InflowCtx &ctx = inflow_ctx[k];
-                            const DeviceSet &src = *inflows[k].second;
-                            if (src.size() == n) {
-                                bool equal = true;
-                                for (std::uint32_t j = 0; j < n;
-                                     ++j) {
-                                    if (free[win_pos[j]] != src[j]) {
-                                        equal = false;
-                                        break;
-                                    }
-                                }
-                                if (equal)
-                                    continue; // data already resident
-                            }
-                            if (inflows[k].first <= 0)
-                                continue;
-                            int best_rank = kNumLinkClasses - 1;
-                            for (std::uint32_t p : win_pos) {
-                                const int r =
-                                    rank_of_class[ctx.cls[p]];
-                                if (r < best_rank)
-                                    best_rank = r;
-                                if (best_rank == 0)
-                                    break;
-                            }
-                            comm +=
-                                ctx.flowByClass[class_by_bw[best_rank]];
-                        }
+                    for (std::size_t k = 0; k < inflows.size(); ++k) {
+                        const DeviceSet &src = *inflows[k].second;
+                        if (inflows[k].first <= 0 ||
+                            (src.size() == n &&
+                             std::equal(src.begin(), src.end(),
+                                        win_pos.begin(), is_at)))
+                            continue; // no bytes, or already resident
+                        comm += inflow_ctx[k].windowSeconds(
+                            win_pos, pos_bump.data(), row_words);
                     }
 
                     double non_resident_bytes = 0;
                     if (rows > 0) {
-                        row_nonres.resize(rows);
-                        for (std::size_t r = 0; r < rows; ++r) {
-                            const auto &rp = row_pos[r];
-                            bool resident = false;
-                            for (std::uint32_t p : win_pos) {
-                                if (std::binary_search(rp.begin(),
-                                                       rp.end(), p)) {
-                                    resident = true;
-                                    break;
-                                }
-                            }
-                            row_nonres[r] = resident ? 0 : 1;
-                        }
+                        row_nonres.assign(rows, 1);
+                        for (std::uint32_t p : win_pos)
+                            for (std::size_t i = pos_row_off[p];
+                                 i < pos_row_off[p + 1]; ++i)
+                                row_nonres[row_at[i]] = 0;
                         for (std::size_t s = 0; s < sig.size(); ++s) {
                             const std::int32_t row = sig_row[s];
                             if (row >= 0 &&
@@ -1671,19 +1616,16 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
 
                 auto run_task = [&](const SweepTask &t,
                                     Candidate &best,
-                                    DeviceSet &win_scratch,
                                     std::vector<std::size_t> &dq,
                                     std::vector<std::size_t> &row_ptr,
                                     std::vector<char> &row_nonres) {
                     if (t.band >= 0)
                         score_band_range(
                             static_cast<std::size_t>(t.band), t.lo,
-                            t.hi, best, win_scratch, dq, row_ptr,
-                            row_nonres);
+                            t.hi, best, dq, row_ptr, row_nonres);
                     else
                         for (std::size_t ei = t.lo; ei < t.hi; ++ei)
-                            score_extra(ei, best, win_scratch,
-                                        row_nonres);
+                            score_extra(ei, best, row_nonres);
                 };
 
                 Candidate best;
@@ -1692,14 +1634,12 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                         0, sweep_tasks.size(), 1,
                         [&](Candidate &acc, std::size_t lo,
                             std::size_t hi) {
-                            DeviceSet win_scratch;
                             std::vector<std::size_t> dq;
                             std::vector<std::size_t> row_ptr;
                             std::vector<char> row_nonres;
                             for (std::size_t t = lo; t < hi; ++t)
-                                run_task(sweep_tasks[t], acc,
-                                         win_scratch, dq, row_ptr,
-                                         row_nonres);
+                                run_task(sweep_tasks[t], acc, dq,
+                                         row_ptr, row_nonres);
                         },
                         [](Candidate &out, const Candidate &c) {
                             if (betterThan(c, out))
@@ -1707,8 +1647,8 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                         });
                 } else {
                     for (const SweepTask &t : sweep_tasks)
-                        run_task(t, best, win_buf, deque_scratch,
-                                 rowptr_scratch, rownonres_scratch);
+                        run_task(t, best, deque_scratch, rowptr_scratch,
+                                 rownonres_scratch);
                 }
 
                 if (!best.found()) {
@@ -1778,41 +1718,23 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
 
             // Attribute the committed flows to intra- vs
             // inter-island fabric, shard by shard (see
-            // interIslandShardFraction), priced with flowTime.
+            // interIslandShardFraction), priced as the sweep scored
+            // them: zero for empty flows and src == dst (flowTime's
+            // own early-outs), otherwise the window's link ranks.
             double entry_inter = 0;
             for (std::size_t k = 0; k < inflows.size(); ++k) {
                 const auto &[bytes, src] = inflows[k];
                 double t;
-                if (!exact_comm && !win_positions.empty()) {
-                    // Same class machinery the sweep scored with,
-                    // which equals flowTime bit for bit on uniform
-                    // fabrics: zero for empty flows and src == dst
-                    // (flowTime's own early-outs), otherwise the
-                    // flow time of the fastest class present in the
-                    // window. O(|window|): no island-presence pass
-                    // over the source set as the oracle makes.
-                    if (bytes <= 0 || *src == best_win) {
-                        t = 0;
-                    } else {
-                        const InflowCtx &ctx = inflow_ctx[k];
-                        int best_rank = kNumLinkClasses - 1;
-                        for (std::uint32_t p : win_positions) {
-                            const int r = rank_of_class[ctx.cls[p]];
-                            if (r < best_rank)
-                                best_rank = r;
-                            if (best_rank == 0)
-                                break;
-                        }
-                        t = ctx.flowByClass[class_by_bw[best_rank]];
-                    }
-                } else {
+                if (win_positions.empty())
                     t = coll.flowTime(bytes, *src, best_win);
-                }
+                else if (bytes <= 0 || *src == best_win)
+                    t = 0;
+                else
+                    t = inflow_ctx[k].windowSeconds(
+                        win_positions, pos_bump.data(), row_words);
                 if (t > 0)
-                    entry_inter +=
-                        t * interIslandShardFraction(
-                                topo_, *src, best_win,
-                                island_scratch);
+                    entry_inter += t * interIslandShardFraction(
+                                           topo_, sources[k], best_win);
             }
             if (cfg.tp > 1 && !topo_.withinOneIsland(best_win))
                 entry_inter += island_penalty;

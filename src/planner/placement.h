@@ -23,12 +23,18 @@
  *
  * Candidate generation is pluggable (see window_generator.h): the
  * placer scores whatever windows the configured WindowGenerator
- * emits, using incremental per-band state (link-class / residency /
+ * emits, using incremental per-band state (link-rank / residency /
  * island-change prefix counts and a sliding-window maximum over
  * per-device loads) so scoring stays O(1) per window after an
  * O(free-list) setup per entry. `ContiguousRuns` reproduces the
  * historical placer bit for bit (planner_equivalence_test);
  * `IslandAware` decouples window shape from device numbering.
+ *
+ * **One flow oracle.** Inter-wave flows are priced through the
+ * runtime's resolver, FlowSource (hardware/collective.h), on every
+ * fabric: each (island, in-source) pair resolves to one link, and a
+ * window costs the seconds of its best-ranked device's link — exactly
+ * CollectiveModel::flowTime, the best of the same per-device links.
  *
  * **Incremental per-entry sweep (4096-GPU scaling).** The per-entry
  * setup itself is incremental across entries rather than a rescan:
@@ -50,9 +56,9 @@
  * **Admissible band pruning** (PlacementOptions::bandPruning): before
  * scoring a chunk of band windows, the sweep derives an exact lower
  * bound on every window's primary score from the already-built
- * prefix state — minimum load along the band for the memory term,
- * the cheapest link class present anywhere in the chunk's position
- * range per inflow, residency over the whole range for the affinity
+ * per-band state — minimum load along the band for the memory term,
+ * the cheapest link present anywhere in the chunk's position range
+ * per inflow, residency over the whole range for the affinity
  * term, and min(0, penalty) for the island penalty. Each bound term
  * is ≤ its counterpart and is accumulated in the same structural
  * order as the real score, so by monotonicity of rounded addition
@@ -66,8 +72,8 @@
  * the flag at 1024 GPUs).
  *
  * With a ThreadPool the per-entry sweep runs as a parallel reduction:
- * the position setup (per-device loads, link classes, residency
- * flags), the per-band prefix builds, and the window scoring are
+ * the position setup (per-device loads, link ranks, residency
+ * flags), the per-band state builds, and the window scoring are
  * chunked across lanes, and the winning window is selected by a
  * deterministic merge on (primary score, secondary score, candidate
  * ordinal) — the ordinal is the serial enumeration index, so the

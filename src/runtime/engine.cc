@@ -309,7 +309,8 @@ Engine::runWithFaults(const MetaGraph &graph, const ExecutionPlan &plan,
     // than a device's HBM would OOM on real hardware. The planner's
     // placement never commits such a plan, but hand-built and
     // baseline plans (whole-cluster replication) can; surface the
-    // worst offender once instead of failing the simulation.
+    // worst offender once, as a warning and in the result, instead
+    // of failing the simulation.
     const double hbm = hw_.topology().device().memoryBytes;
     std::size_t worst = result.peakMemoryBytes.size();
     for (std::size_t d = 0; d < result.peakMemoryBytes.size(); ++d) {
@@ -318,10 +319,14 @@ Engine::runWithFaults(const MetaGraph &graph, const ExecutionPlan &plan,
              result.peakMemoryBytes[d] > result.peakMemoryBytes[worst]))
             worst = d;
     }
-    if (worst != result.peakMemoryBytes.size())
+    if (worst != result.peakMemoryBytes.size()) {
+        result.oversubscribed = Oversubscription{
+            static_cast<DeviceId>(worst), result.peakMemoryBytes[worst],
+            hbm};
         warn(strCat("Engine: placed plan oversubscribes device ", worst,
                     " (", result.peakMemoryBytes[worst] / GiB,
                     " GiB peak vs ", hbm / GiB, " GiB HBM)"));
+    }
 
     // sim is local and done: hand its timeline over without a copy.
     result.timeline = std::move(sim.timeline());

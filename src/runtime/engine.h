@@ -59,6 +59,14 @@ struct TimeBreakdown
 };
 
 /** Everything one simulated training iteration yields. */
+/** The worst device of a plan that does not fit device memory. */
+struct Oversubscription
+{
+    DeviceId device = 0;      ///< device with the highest peak over HBM
+    double peakBytes = 0;     ///< its peak memory
+    double capacityBytes = 0; ///< device HBM it exceeds
+};
+
 struct IterationResult
 {
     double iterationSeconds = 0;
@@ -75,6 +83,10 @@ struct IterationResult
 
     /** Bytes moved by inter-wave transmissions. */
     double transmissionBytes = 0;
+
+    /** Set when some device's peak memory exceeds its HBM (a real
+     *  run would OOM); empty when the plan fits. */
+    std::optional<Oversubscription> oversubscribed;
 };
 
 /**

@@ -565,16 +565,46 @@ TEST(Collective, FlowTimeMatchesPairwiseBruteForce)
     tied.interIsland = {200 * kGiga, 2 * kMicro};
     tied.device.copyBandwidth = 200 * kGiga;
 
-    for (const ClusterConfig *cfg : {&homogeneous, &mixed, &inverted, &tied}) {
+    // Intra and inter tied on bandwidth, apart on latency (the
+    // planner equivalence suite's TiedLinkClassBandwidths fabric).
+    ClusterConfig tied_latency = homogeneous;
+    tied_latency.intraIsland = {50 * kGiga, 3 * kMicro};
+    tied_latency.interIsland = {50 * kGiga, 10 * kMicro};
+
+    // The on-device copy slowest, NVLink fastest: a device that is
+    // the only source device of its island gets no intra link.
+    ClusterConfig copy_slowest = homogeneous;
+    copy_slowest.device.copyBandwidth = 10 * kGiga;
+
+    for (const ClusterConfig *cfg : {&homogeneous, &mixed, &inverted, &tied,
+                                     &tied_latency, &copy_slowest}) {
         ClusterTopology topo(*cfg);
         CollectiveModel coll(topo);
         const std::uint32_t n = topo.numDevices();
         auto check = [&](const DeviceSet &src, const DeviceSet &dst) {
             const double bytes =
                 std::uniform_real_distribution<double>(1.0, 4e9)(rng);
-            EXPECT_EQ(coll.flowTime(bytes, src, dst),
-                      pairwiseFlowTime(topo, bytes, src, dst))
+            const double reference = pairwiseFlowTime(topo, bytes, src, dst);
+            EXPECT_EQ(coll.flowTime(bytes, src, dst), reference)
                 << deviceSetStr(src) << " -> " << deviceSetStr(dst);
+
+            // The per-device path placement prices windows with: the
+            // best of each destination device's resolver link.
+            if (src == dst)
+                return; // flowTime's early-out, not the resolver's
+            FlowSource source(topo, src);
+            LinkParams best{0.0, 0.0};
+            for (DeviceId d : dst) {
+                const bool in_source =
+                    std::find(src.begin(), src.end(), d) != src.end();
+                const LinkParams l =
+                    source.link(topo.islandOf(d), in_source);
+                if (FlowSource::better(l, best))
+                    best = l;
+            }
+            EXPECT_EQ(source.seconds(bytes, dst.size(), best), reference)
+                << "resolver: " << deviceSetStr(src) << " -> "
+                << deviceSetStr(dst);
         };
         for (int trial = 0; trial < 200; ++trial) {
             const DeviceSet src = randomDeviceSet(rng, n);
@@ -600,6 +630,7 @@ TEST(Collective, FlowTimeMatchesPairwiseBruteForce)
             check({d}, {d});              // identical singletons: free
             check({d}, {(d + 1) % n});    // one pair, either class
             check({d, (d + 5) % n}, {d}); // overlap plus one pair
+            check({d}, {d, (d + 9) % n}); // lone source device
         }
     }
 }

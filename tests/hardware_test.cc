@@ -147,10 +147,10 @@ TEST(TopologyDegraded, RenumbersSurvivorsDense)
 
 TEST(TopologyDegraded, UniformFabricStaysUniform)
 {
-    // A uniform cluster must not come back non-uniform (placement's
-    // class-indexed fast path keys on uniformLinks()), and the
-    // surviving shape fingerprint must match the same island graph
-    // built directly.
+    // A uniform cluster must not come back non-uniform (the
+    // hierarchical collectives' bottleneck shortcut keys on
+    // uniformLinks()), and the surviving shape fingerprint must
+    // match the same island graph built directly.
     ClusterTopology topo = smallCluster(2);
     ASSERT_TRUE(topo.uniformLinks());
     const DegradedTopology deg = topo.withoutDevices({0, 1, 2});

@@ -709,7 +709,7 @@ TEST(PlannerEquivalence, ZeroShardParams)
 TEST(PlannerEquivalence, InvertedLinkBandwidthOrdering)
 {
     // A fabric whose inter-island links out-run the intra-island
-    // ones (fat IB across PCIe-only boxes): the placement fast path
+    // ones (fat IB across PCIe-only boxes): placement's link ranks
     // must still mirror flowTime's max-bandwidth pair selection
     // instead of assuming copy > intra > inter ordering. The 4-node
     // runs matter: only there do source slices span islands, where a
@@ -728,9 +728,9 @@ TEST(PlannerEquivalence, InvertedLinkBandwidthOrdering)
 TEST(PlannerEquivalence, TiedLinkClassBandwidths)
 {
     // Equal bandwidth with different latencies across two classes:
-    // the class-level fast path cannot reproduce flowTime's
-    // pair-order tie-break, so placement must take its exact
-    // flowTime fallback and still match bit for bit.
+    // placement's link ranks must follow flowTime's lower-latency
+    // tie-break (the resolver's selection order) and match the
+    // reference bit for bit.
     ClusterConfig cluster;
     cluster.intraIsland = {50 * kGiga, 3 * kMicro};
     cluster.interIsland = {50 * kGiga, 10 * kMicro};
@@ -837,14 +837,34 @@ TEST(PlannerEquivalence, HeterogeneousIslandSizes)
 
 TEST(PlannerEquivalence, PerPairLinkOverrides)
 {
-    // Non-uniform fabric: three classes cannot describe it, so the
-    // placer must take its exact flowTime path and still match the
-    // reference bit for bit.
+    // Non-uniform fabric: a per-island intra override and per-pair
+    // overrides give more distinct links than the three default
+    // classes; the placer ranks all of them through the flow
+    // resolver and must still match the reference bit for bit.
     ClusterConfig cfg = heteroCluster({8, 8, 8, 8});
     cfg.islands[1].intra = {400 * kGiga, 1 * kMicro};
     cfg.islandLinks.push_back(
         {0, 3, {25 * kGiga, 20 * kMicro}, {200 * kGiga, 20 * kMicro}});
     cfg.islandLinks.push_back({1, 2, {100 * kGiga, 5 * kMicro}, {}});
+    expectEquivalentOn(buildMultitaskClip({.numTasks = 10}), cfg);
+    expectEquivalentOn(buildOfasys({.numTasks = 7}), cfg);
+}
+
+TEST(PlannerEquivalence, ManyDistinctLinks)
+{
+    // Sixteen 2-GPU islands, each with its own intra class, and every
+    // island pair with its own slower point-to-point class: a window
+    // off the source's islands ranks by its best pair link, and there
+    // are more distinct links than one word of packed rank counters
+    // holds, so band scoring must read counters past the first word.
+    ClusterConfig cfg = heteroCluster(std::vector<std::uint32_t>(16, 2));
+    for (std::uint32_t i = 0; i < 16; ++i)
+        cfg.islands[i].intra = {(200.0 + 5.0 * i) * kGiga, 2 * kMicro};
+    for (std::uint32_t a = 0; a < 16; ++a)
+        for (std::uint32_t b = a + 1; b < 16; ++b)
+            cfg.islandLinks.push_back(
+                {a, b, {(10.0 + 0.5 * (16 * a + b)) * kGiga, 10 * kMicro},
+                 {}});
     expectEquivalentOn(buildMultitaskClip({.numTasks = 10}), cfg);
     expectEquivalentOn(buildOfasys({.numTasks = 7}), cfg);
 }
@@ -904,6 +924,76 @@ TEST(PlannerEquivalence, IslandAwareFirstWaveStaysIntraIsland)
                     << deviceSetStr(e.devices);
             }
         }
+    }
+}
+
+// ===================================================================
+// Explicit-window (extras) scoring
+// ===================================================================
+
+/**
+ * ContiguousRuns' candidate set emitted as explicit extras, no bands:
+ * every length-n run of the free list, in order. Extras are scored
+ * window by window instead of from band prefix state, so this pins
+ * their pricing — the path IslandAware's cross-island unions take —
+ * to the frozen reference.
+ */
+class RunsAsExtrasGenerator final : public WindowGenerator
+{
+  public:
+    const char *name() const override { return "RunsAsExtras"; }
+
+    void
+    generate(const WindowGenContext &ctx,
+             CandidateWindows &out) const override
+    {
+        out.clear();
+        const std::size_t runs = ctx.free.size() - ctx.n + 1;
+        for (std::size_t start = 0; start < runs; ++start) {
+            std::vector<std::uint32_t> &win = out.appendExtra();
+            for (std::uint32_t j = 0; j < ctx.n; ++j)
+                win.push_back(static_cast<std::uint32_t>(start + j));
+        }
+    }
+};
+
+TEST(PlannerEquivalence, ExtrasMatchReferenceOnEveryFabric)
+{
+    const RunsAsExtrasGenerator extras;
+    PlannerOptions options;
+    options.placement.generator = &extras;
+
+    auto nodes = [](ClusterConfig cfg, std::uint32_t num_nodes) {
+        cfg.numNodes = num_nodes;
+        cfg.gpusPerNode = 8;
+        return cfg;
+    };
+    ClusterConfig inverted;
+    inverted.intraIsland = {40 * kGiga, 3 * kMicro};
+    inverted.interIsland = {100 * kGiga, 10 * kMicro};
+    ClusterConfig tied;
+    tied.intraIsland = {50 * kGiga, 3 * kMicro};
+    tied.interIsland = {50 * kGiga, 10 * kMicro};
+    ClusterConfig copy_slowest;
+    copy_slowest.device.copyBandwidth = 10 * kGiga;
+    ClusterConfig per_pair = heteroCluster({8, 8, 8, 8});
+    per_pair.islands[1].intra = {400 * kGiga, 1 * kMicro};
+    per_pair.islandLinks.push_back(
+        {0, 3, {25 * kGiga, 20 * kMicro}, {200 * kGiga, 20 * kMicro}});
+    per_pair.islandLinks.push_back({1, 2, {100 * kGiga, 5 * kMicro}, {}});
+
+    const std::pair<const char *, ClusterConfig> fabrics[] = {
+        {"homogeneous", nodes({}, 4)},
+        {"inverted", nodes(inverted, 4)},
+        {"tied", nodes(tied, 4)},
+        {"copy-slowest", nodes(copy_slowest, 4)},
+        {"striped", stripedCluster(4, 8)},
+        {"per-pair", per_pair},
+    };
+    const ComputationGraph g = buildMultitaskClip({.numTasks = 10});
+    for (const auto &[name, cfg] : fabrics) {
+        SCOPED_TRACE(name);
+        expectEquivalentOn(g, cfg, options);
     }
 }
 

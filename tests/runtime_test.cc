@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/math_util.h"
 #include "planner/planner.h"
 #include "test_util.h"
@@ -185,6 +187,34 @@ TEST_F(RuntimeFixture, OverlapPolicyBreakdownIsConsistent)
     EXPECT_GE(r.breakdown.sendRecv, 0);
     EXPECT_NEAR(r.breakdown.total(), r.iterationSeconds,
                 1e-9 * r.iterationSeconds);
+}
+
+TEST_F(RuntimeFixture, OversubscriptionIsReportedInTheResult)
+{
+    // The planned plan fits the cluster it was placed on.
+    Engine engine(hw);
+    IterationResult fits = engine.run(meta, out.plan);
+    EXPECT_FALSE(fits.oversubscribed.has_value());
+
+    // The same device assignment on a cluster with half the HBM its
+    // busiest device needs: the result names that device.
+    const auto busiest = static_cast<DeviceId>(
+        std::max_element(fits.peakMemoryBytes.begin(),
+                         fits.peakMemoryBytes.end()) -
+        fits.peakMemoryBytes.begin());
+    ClusterConfig small_cfg = topo.config();
+    small_cfg.device.memoryBytes = fits.peakMemoryBytes[busiest] / 2;
+    ClusterTopology small_topo(small_cfg);
+    HardwareModel small_hw(small_topo);
+    IterationResult over = Engine(small_hw).run(meta, out.plan);
+    ASSERT_TRUE(over.oversubscribed.has_value());
+    EXPECT_EQ(over.oversubscribed->device, busiest);
+    EXPECT_EQ(over.oversubscribed->peakBytes,
+              over.peakMemoryBytes[busiest]);
+    EXPECT_EQ(over.oversubscribed->capacityBytes,
+              small_cfg.device.memoryBytes);
+    EXPECT_GT(over.oversubscribed->peakBytes,
+              over.oversubscribed->capacityBytes);
 }
 
 TEST(Runtime, EmptyPlanYieldsZeroIteration)
