@@ -18,7 +18,7 @@ main()
 {
     std::cout << "=== Tab. 2: larger-scale simulation, 256 GPUs "
                  "(speedup vs DeepSpeed) ===\n";
-    Table table({"workload", "system", "iter_ms", "speedup_vs_DS"});
+    Table table({"workload", "system", "iter_ms", "speedup_vs_DS", "fits"});
 
     for (QwenValConfig::Size size :
          {QwenValConfig::Size::B30, QwenValConfig::Size::B70}) {
@@ -50,9 +50,16 @@ main()
             results.push_back(sys->runIteration(meta));
         const double ds = results.back().iterationSeconds;
         for (const SystemResult &r : results) {
+            // A row whose plan oversubscribes HBM would OOM on real
+            // hardware: say so next to its (simulated) speedup.
+            const auto &over = r.oversubscribed;
+            const std::string fits =
+                over ? "no (" + Table::fmt(over->peakBytes / GiB, 1) + "/" +
+                           Table::fmt(over->capacityBytes / GiB, 0) + " GiB)"
+                     : "yes";
             table.addRow({label, r.system,
                           Table::fmt(toMs(r.iterationSeconds), 1),
-                          Table::fmt(ds / r.iterationSeconds, 2)});
+                          Table::fmt(ds / r.iterationSeconds, 2), fits});
         }
     }
     table.printAligned(std::cout);

@@ -38,6 +38,7 @@ System::runIteration(const MetaGraph &graph) const
     result.theoreticalOptimum = plan.theoreticalOptimum;
     result.transmissionBytes = iter.transmissionBytes;
     result.syncBytes = iter.syncBytes;
+    result.oversubscribed = iter.oversubscribed;
     return result;
 }
 

@@ -13,6 +13,7 @@
 #define SPINDLE_BASELINES_SYSTEM_H
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "runtime/engine.h"
@@ -37,6 +38,10 @@ struct SystemResult
 
     double transmissionBytes = 0;
     double syncBytes = 0;
+
+    /** The worst device over HBM when the plan does not fit (see
+     *  IterationResult::oversubscribed); empty when it fits. */
+    std::optional<Oversubscription> oversubscribed;
 };
 
 /**

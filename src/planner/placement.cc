@@ -296,7 +296,298 @@ interIslandShardFraction(const ClusterTopology &topo,
     return static_cast<double>(miss) / static_cast<double>(dst.size());
 }
 
-} // namespace
+/**
+ * Stage 1, entry setup: everything the later stages read of one wave
+ * entry, built once per entry — scored or replayed alike — into
+ * buffers reused across entries. It also owns the window-independent
+ * score terms, so each is written once for the Sequential window,
+ * band windows, explicit extras and the pruning bound.
+ */
+struct EntryContext
+{
+    EntryContext(const ClusterTopology &topo, const HardwareModel &hw,
+                 const MemoryModel &mem, double affinity_weight)
+        : topo(topo), hw(hw), mem(mem), affinity_weight(affinity_weight)
+    {
+    }
+
+    void build(const MetaGraph &graph, const WaveEntry &e,
+               const std::map<MetaOpId, DeviceSet> &last_slice);
+
+    /**
+     * Parameter affinity (§3.5): a window whose devices already store
+     * this slice's parameter sets is rewarded; placing elsewhere would
+     * grow the corresponding gradient-sync groups by roughly one ring
+     * pass of the non-resident bytes. @p nonres flags the residency
+     * rows no window device holds; the bytes accumulate in sig order
+     * (the historical FP order).
+     */
+    double
+    affinity(const std::vector<char> &nonres) const
+    {
+        double non_resident_bytes = 0;
+        if (!row_key.empty())
+            for (std::size_t s = 0; s < sig.size(); ++s)
+                if (sig_row[s] >= 0 &&
+                    nonres[static_cast<std::size_t>(sig_row[s])])
+                    non_resident_bytes += sig[s].bytes;
+        return affinity_weight * 2.0 * non_resident_bytes /
+               topo.config().interIslandCollective.bandwidth;
+    }
+
+    /** A window's comm score: its inflow seconds @p flows, plus the
+     *  affinity term, plus the TP island penalty when the window
+     *  @p spans islands — the order every score accumulates in. */
+    double
+    comm(double flows, const std::vector<char> &nonres, bool spans) const
+    {
+        double c = flows + affinity(nonres);
+        if (spans)
+            c += island_penalty;
+        return c;
+    }
+
+    /**
+     * Inter-island share of the committed flows into @p window, shard
+     * by shard (see interIslandShardFraction), priced by the flow
+     * oracle the sweep ranks windows with, plus the TP island penalty
+     * of a straddling window.
+     */
+    double
+    interIsland(const CollectiveModel &coll, const DeviceSet &window) const
+    {
+        double inter = 0;
+        for (std::size_t k = 0; k < inflows.size(); ++k) {
+            const double t =
+                coll.flowTime(inflows[k].first, *inflows[k].second, window);
+            if (t > 0)
+                inter += t * interIslandShardFraction(topo, sources[k],
+                                                      window);
+        }
+        if (cfg.tp > 1 && !topo.withinOneIsland(window))
+            inter += island_penalty;
+        return inter;
+    }
+
+    const ClusterTopology &topo;
+    const HardwareModel &hw;
+    const MemoryModel &mem;
+    const double affinity_weight;
+
+    MetaOpId meta_op = 0;
+    std::uint32_t n = 0;
+    ParallelConfig cfg;
+    double act_share = 0;                ///< activation bytes per device
+    std::vector<SliceParam> sig;         ///< slice param signature
+    std::vector<std::int64_t> uniq_keys; ///< distinct sig keys, sorted
+    std::vector<double> uniq_vals;       ///< per uniq key: max sig share
+    /** (key, max share) in first-occurrence sig order — the commit
+     *  loop's working set. Multi-task slices repeat shared keys many
+     *  times; committing each distinct key once with the strict-max
+     *  share leaves the map byte-identical (same distinct-insertion
+     *  sequence, so the same bucket layout deviceTotal() walks, and
+     *  strict-max folding is order-independent selection). */
+    std::vector<std::pair<std::int64_t, double>> commit_keys;
+    /** Inter-wave data sources, (bytes, source set), in the order the
+     *  score accumulates them, and one flow resolver per source. */
+    std::vector<std::pair<double, const DeviceSet *>> inflows;
+    std::vector<FlowSource> sources;
+    double island_penalty = 0; ///< TP group spanning islands
+    /** Residency rows: one per distinct key carried with bytes. */
+    std::vector<std::int32_t> sig_row; ///< sig index -> row, -1 = none
+    std::vector<std::int64_t> row_key; ///< row -> param key
+
+  private:
+    std::vector<char> key_seen; ///< per uniq key, per entry
+    std::unordered_map<std::int64_t, std::int32_t> row_of;
+};
+
+void
+EntryContext::build(const MetaGraph &graph, const WaveEntry &e,
+                    const std::map<MetaOpId, DeviceSet> &last_slice)
+{
+    const MetaOp &m = graph.metaOp(e.metaOp);
+    meta_op = e.metaOp;
+    n = e.n;
+    cfg = hw.bestConfig(memberDesc(m), e.n);
+    act_share = mem.activationBytesPerDevice(m, e.numOps, cfg);
+
+    // Slice parameter signature: per member operator, its dedup key,
+    // the parameter + optimizer share charged to each device, and
+    // its raw bytes.
+    const MemoryParams &mp = mem.params();
+    sig.clear();
+    sig.reserve(static_cast<std::size_t>(e.numOps));
+    for (std::int64_t i = 0; i < e.numOps; ++i) {
+        const OperatorDesc &op = graph.base().op(m.ops[e.opBegin + i]);
+        const double shard = op.paramBytes / cfg.tp /
+                             (mp.zeroShardParams ? cfg.dp : 1.0);
+        const double opt = op.paramBytes / cfg.tp * mp.optimizerFactor /
+                           (mp.zeroShardOptimizer ? cfg.dp : 1.0);
+        sig.push_back({paramDedupKey(op), shard + opt, op.paramBytes});
+    }
+
+    // Distinct keys of the slice (affected-set derivation and
+    // reverse-index upkeep at commit). Zero-byte keys are included on
+    // purpose: they still sit in the device maps, so a device holding
+    // one is "affected" — its probe loop takes the hit branch.
+    uniq_keys.clear();
+    for (const SliceParam &sp : sig)
+        uniq_keys.push_back(sp.key);
+    std::sort(uniq_keys.begin(), uniq_keys.end());
+    uniq_keys.erase(std::unique(uniq_keys.begin(), uniq_keys.end()),
+                    uniq_keys.end());
+    // Max share per distinct key (the value a device that held
+    // nothing ends up storing — mergeFlat strict-max folds it into the
+    // mirror at commit) and the distinct keys in first-occurrence
+    // order (see commit_keys).
+    const auto uniq_index = [this](std::int64_t key) {
+        return static_cast<std::size_t>(
+            std::lower_bound(uniq_keys.begin(), uniq_keys.end(), key) -
+            uniq_keys.begin());
+    };
+    uniq_vals.assign(uniq_keys.size(),
+                     -std::numeric_limits<double>::infinity());
+    key_seen.assign(uniq_keys.size(), 0);
+    commit_keys.clear();
+    for (const SliceParam &sp : sig) {
+        const std::size_t i = uniq_index(sp.key);
+        if (sp.share > uniq_vals[i])
+            uniq_vals[i] = sp.share;
+        if (!key_seen[i]) {
+            key_seen[i] = 1;
+            commit_keys.emplace_back(sp.key, 0.0);
+        }
+    }
+    // Resolve the shares once every occurrence is folded.
+    for (auto &kv : commit_keys)
+        kv.second = uniq_vals[uniq_index(kv.first)];
+
+    // Inter-wave data sources feeding this entry, in the edge order
+    // the score accumulates them: first slices pull from predecessor
+    // MetaOps, later slices from the own MetaOp's previous slice.
+    inflows.clear();
+    if (e.opBegin == 0) {
+        for (const MetaEdge &edge : graph.edges()) {
+            if (edge.dst != e.metaOp)
+                continue;
+            auto it = last_slice.find(edge.src);
+            if (it != last_slice.end())
+                inflows.emplace_back(edge.flowBytes, &it->second);
+        }
+    } else {
+        auto it = last_slice.find(e.metaOp);
+        if (it != last_slice.end())
+            inflows.emplace_back(m.activationBytes, &it->second);
+    }
+    sources.clear();
+    for (const auto &[bytes, src] : inflows)
+        sources.emplace_back(topo, *src);
+
+    // Intra-island preference: a TP group spanning islands pays the
+    // real collective slowdown. Window-independent, so hoisted out of
+    // scoring. Charged at the *default* link classes (the same
+    // reference the paper's heuristic uses) even on non-uniform
+    // fabrics.
+    island_penalty = 0;
+    if (cfg.tp > 1) {
+        const double shard = m.activationBytes / cfg.dp;
+        const double slow = CollectiveModel::ringAllReduce(
+            shard, cfg.tp, topo.config().interIsland);
+        const double fast = CollectiveModel::ringAllReduce(
+            shard, cfg.tp, topo.config().intraIsland);
+        island_penalty =
+            2.0 * static_cast<double>(e.numOps) * (slow - fast);
+    }
+
+    // Residency rows: one per distinct parameter key carried by the
+    // slice with bytes (affinity scoring).
+    sig_row.assign(sig.size(), -1);
+    row_of.clear();
+    row_key.clear();
+    for (std::size_t i = 0; i < sig.size(); ++i) {
+        if (sig[i].bytes <= 0)
+            continue;
+        auto [it, inserted] = row_of.emplace(
+            sig[i].key, static_cast<std::int32_t>(row_key.size()));
+        if (inserted)
+            row_key.push_back(sig[i].key);
+        sig_row[i] = it->second;
+    }
+}
+
+/**
+ * The selection rule shared by every candidate window and the pruning
+ * bound: a window's (primary, secondary) from its comm score and its
+ * peak would-be device load — comm plus weighted memory pressure, or
+ * memory pressure alone in the memory-first fallback — and the load
+ * no window may exceed.
+ */
+struct Selection
+{
+    double memoryBytes = 0;
+    double memoryWeight = 0;
+    double capacity = 0;
+    bool memoryFirst = false;
+
+    Candidate
+    rank(double comm, double max_total) const
+    {
+        // Division by a positive constant is monotone, so dividing
+        // the window maximum equals the per-device quotient maximum.
+        const double peak_frac = max_total / memoryBytes;
+        Candidate c;
+        c.comm = comm;
+        if (memoryFirst) {
+            c.primary = peak_frac;
+            c.secondary = comm;
+        } else {
+            c.primary = comm + memoryWeight * peak_frac;
+            c.secondary = peak_frac;
+        }
+        return c;
+    }
+};
+
+/**
+ * Entry placement order within a wave: highest communication volume
+ * first (or largest memory first in the fallback pass), ties by
+ * index; wave order for the Sequential strategy (@p ranked unset).
+ * Sort keys are precomputed, not re-derived per comparison.
+ */
+std::vector<std::size_t>
+entryOrder(const MetaGraph &graph, const Wave &wave,
+           const HardwareModel &hw, const MemoryModel &mem, bool ranked,
+           bool memory_first)
+{
+    std::vector<std::size_t> order(wave.entries.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    if (!ranked)
+        return order;
+    std::vector<double> sort_key(wave.entries.size());
+    for (std::size_t i = 0; i < wave.entries.size(); ++i) {
+        const WaveEntry &e = wave.entries[i];
+        const MetaOp &m = graph.metaOp(e.metaOp);
+        if (memory_first) {
+            sort_key[i] = mem.sliceBytesPerDevice(
+                m, e.numOps, hw.bestConfig(memberDesc(m), e.n));
+            continue;
+        }
+        double vol = m.activationBytes; // outflow / chain
+        if (e.opBegin == 0)
+            for (const MetaEdge &edge : graph.edges())
+                if (edge.dst == e.metaOp)
+                    vol += edge.flowBytes;
+        sort_key[i] = vol;
+    }
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) {
+                  if (sort_key[a] != sort_key[b])
+                      return sort_key[a] > sort_key[b];
+                  return a < b;
+              });
+    return order;
+}
 
 /**
  * Mutable state of one placement attempt.
@@ -310,7 +601,7 @@ interIslandShardFraction(const ClusterTopology &topo,
  * candidate window. The parallel position pass touches distinct
  * devices on distinct lanes, so the lazy refresh stays race-free.
  */
-struct DevicePlacement::Attempt
+struct Attempt
 {
     /**
      * Per-device stored parameter state, deduplicated by key. The
@@ -350,30 +641,21 @@ struct DevicePlacement::Attempt
     std::vector<double> total_cache;
     std::vector<char> total_dirty;
 
-    /** Lazy-refresh bits for the flat mirror: commits just flag the
-     *  device, and the next probe re-derives. Probes from the
-     *  parallel position pass touch distinct devices on distinct
-     *  lanes (like the deviceTotal cache), so the lazy refresh
-     *  stays race-free. */
+    /** Lazy-refresh bits for the flat mirror: a rebuild is pending
+     *  when set. Probes from the parallel position pass touch
+     *  distinct devices on distinct lanes (like the deviceTotal
+     *  cache), so the lazy refresh stays race-free. */
     std::vector<char> flat_dirty;
 
-    void
-    init(std::uint32_t num_devices)
-    {
-        params.assign(num_devices, {});
-        flat.assign(num_devices, {});
-        flat_dirty.assign(num_devices, 0);
-        holders.clear();
-        activations.assign(num_devices, 0.0);
-        total_cache.assign(num_devices, 0.0);
-        total_dirty.assign(num_devices, 1);
-    }
+    /** Pool for committing large windows (non-owning, may be null). */
+    ThreadPool *pool = nullptr;
 
-    void
-    markDirty(DeviceId d)
+    Attempt(std::uint32_t num_devices, ThreadPool *commit_pool)
+        : params(num_devices), flat(num_devices),
+          activations(num_devices, 0.0), total_cache(num_devices, 0.0),
+          total_dirty(num_devices, 1), flat_dirty(num_devices, 0),
+          pool(commit_pool)
     {
-        total_dirty[d] = 1;
-        flat_dirty[d] = 1;
     }
 
     /** Re-derive flat[d] from params[d]. Sorting by key makes the
@@ -471,7 +753,818 @@ struct DevicePlacement::Attempt
         }
         return total_cache[d];
     }
+
+    void commit(const EntryContext &ctx, const DeviceSet &window);
 };
+
+/**
+ * Stage 5, commit: fold the entry of @p ctx into the attempt state on
+ * @p window — the one path for scored and replayed entries alike.
+ */
+void
+Attempt::commit(const EntryContext &ctx, const DeviceSet &window)
+{
+    // Reverse-index upkeep, serially before any device mutates: a key
+    // gains exactly the window devices that do not yet hold it
+    // (probed against the still-pre-commit flat mirror), in window
+    // order. uniq_keys is deduplicated, so no device is appended
+    // twice for one key, keeping holder lists exact.
+    for (std::int64_t key : ctx.uniq_keys) {
+        std::vector<DeviceId> *hv = nullptr;
+        for (DeviceId d : window) {
+            if (findFlat(d, key) != nullptr)
+                continue;
+            if (hv == nullptr)
+                hv = &holders[key];
+            hv->push_back(d);
+        }
+    }
+
+    // Devices are committed independently (each lane touches only its
+    // own device's map, flat mirror, and dirty bit), so large entries
+    // parallelize; order is irrelevant to the resulting state.
+    auto commit_device = [&](std::size_t j) {
+        const DeviceId d = window[j];
+        activations[d] += ctx.act_share;
+        for (const auto &[key, share] : ctx.commit_keys) {
+            auto [it, inserted] = params[d].emplace(key, share);
+            if (!inserted && share > it->second)
+                it->second = share;
+        }
+        mergeFlat(d, ctx.uniq_keys, ctx.uniq_vals);
+        total_dirty[d] = 1;
+    };
+    maybeParallelFor(pool,
+                     window.size() * (ctx.sig.size() + 1) >=
+                         kMinParallelWork,
+                     0, window.size(), 8, commit_device);
+    lastSlice[ctx.meta_op] = window;
+}
+
+/**
+ * The Sequential ablation's window (Fig. 10): the next n consecutive
+ * device ids after @p cursor, wrapping. No awareness and — by design
+ * — no dependence on the island structure, so the baseline keeps its
+ * semantics under any renumbering of the cluster. Its single
+ * candidate is scored with the shared comm terms; the memory capacity
+ * check never rejects in this ablation.
+ */
+DeviceSet
+sequentialWindow(const EntryContext &ctx, Attempt &state,
+                 const CollectiveModel &coll, std::uint32_t num_devices,
+                 std::uint32_t &cursor, std::vector<char> &nonres,
+                 double &comm)
+{
+    DeviceSet win;
+    for (std::uint32_t k = 0; k < ctx.n; ++k)
+        win.push_back((cursor + k) % num_devices);
+    canonicalize(win);
+    // Wrapping can collapse duplicates only if n > num_devices, which
+    // validate() forbids.
+    cursor = (cursor + ctx.n) % num_devices;
+
+    double flows = 0;
+    for (const auto &[bytes, src] : ctx.inflows)
+        flows += coll.flowTime(bytes, *src, win);
+    nonres.assign(ctx.row_key.size(), 1);
+    for (std::size_t r = 0; r < ctx.row_key.size(); ++r)
+        for (DeviceId d : win)
+            if (state.findFlat(d, ctx.row_key[r]) != nullptr) {
+                nonres[r] = 0;
+                break;
+            }
+    comm = ctx.comm(flows, nonres,
+                    ctx.cfg.tp > 1 && !ctx.topo.withinOneIsland(win));
+    return win;
+}
+
+/**
+ * Stages 2-4 of the Spindle strategy: the candidate-window search of
+ * one entry. Candidate windows come from the configured generator:
+ * bands (every length-n contiguous subsequence of an ordered position
+ * sequence) and explicit extras. Every window score derives from
+ * per-device quantities computed once per entry (stage 2); the band
+ * sweeps combine them with prefix/extremum queries over per-band
+ * state (stage 3) that reproduce a full rescan bit for bit. The sweep
+ * itself (stage 4) is a (possibly parallel) reduction over candidate
+ * ordinals — see struct Candidate.
+ *
+ * Scratch buffers live across entries and only grow: the elements an
+ * entry reads are exactly the elements it wrote, so stale capacity
+ * never leaks into scores.
+ */
+class WindowSweep
+{
+  public:
+    WindowSweep(const ClusterTopology &topo, const WindowGenerator &gen,
+                ThreadPool *pool, bool prune, std::uint32_t num_devices)
+        : topo_(topo), gen_(gen), pool_(pool), prune_(prune),
+          affected_epoch_(num_devices, 0), pos_of_(num_devices, 0),
+          pos_epoch_(num_devices, 0)
+    {
+    }
+
+    /** The winning window of the entry of @p ctx over @p free under
+     *  @p sel, and its comm score; false when no window fits. */
+    bool choose(EntryContext &ctx, Attempt &state, const DeviceSet &free,
+                const Selection &sel, DeviceSet &window, double &comm);
+
+  private:
+    /** Per-lane sweep scratch: the sliding-maximum deque, residency
+     *  row pointers and non-resident row flags. */
+    struct Lane
+    {
+        std::vector<std::size_t> dq;
+        std::vector<std::size_t> row_ptr;
+        std::vector<char> nonres;
+    };
+
+    void positionPass(Attempt &state);
+    void position(Attempt &state, std::size_t pos, double sig_base);
+    void buildBands();
+    void buildBandShared(std::size_t b);
+    void buildBandRow(std::size_t b, std::size_t row);
+    Candidate sweep();
+    bool pruned(const BandState &bs, std::size_t w_lo, std::size_t w_hi,
+                std::vector<char> &nonres) const;
+    void scoreBandRange(std::size_t b, std::size_t w_lo, std::size_t w_hi,
+                        Candidate &best, Lane &lane);
+    void scoreExtra(std::size_t ei, Candidate &best,
+                    std::vector<char> &nonres);
+    void consider(Candidate &best, Candidate c);
+
+    /** True iff the window at free positions @p pos holds exactly
+     *  the devices of @p src, in order (zero-cost transfer). */
+    bool
+    isSource(const DeviceSet &src, const std::uint32_t *pos) const
+    {
+        return src.size() == ctx_->n &&
+               std::equal(src.begin(), src.end(), pos,
+                          [this](DeviceId d, std::uint32_t p) {
+                              return (*free_)[p] == d;
+                          });
+    }
+
+    /** Prefix row @p i of @p bs's link-rank counts. */
+    const std::uint64_t *
+    rankRow(const BandState &bs, std::size_t i) const
+    {
+        return bs.rankPref.data() + i * row_words_;
+    }
+
+    const ClusterTopology &topo_;
+    const WindowGenerator &gen_;
+    ThreadPool *pool_;
+    const bool prune_;
+
+    // The entry being placed.
+    EntryContext *ctx_ = nullptr;
+    const Selection *sel_ = nullptr;
+    const DeviceSet *free_ = nullptr;
+    std::size_t row_words_ = 0; ///< rank-counter words (InflowCtx)
+    std::size_t rows_ = 0;      ///< residency rows
+    std::size_t extras_base_ = 0;
+    std::size_t total_candidates_ = 0;
+
+    std::vector<double> cand_total_;        ///< per free pos: total if placed
+    std::vector<std::uint32_t> pos_island_; ///< per free pos: island index
+    /** Per free pos: what its device adds to each rank-counter word
+     *  (see InflowCtx), row_words_ words per position. */
+    std::vector<std::uint64_t> pos_bump_;
+    std::vector<InflowCtx> inflow_ctx_; ///< per-inflow link ranks
+    /** Per residency row: ascending free-list positions holding it. */
+    std::vector<std::vector<std::uint32_t>> row_pos_;
+    std::vector<std::uint32_t> pos_row_off_, row_at_; ///< row_pos_ transposed
+    std::vector<BandState> band_states_; ///< per-band prefix state
+    CandidateWindows cand_windows_;      ///< generator output
+    std::vector<SweepTask> sweep_tasks_;
+    Lane lane_; ///< serial-sweep scratch
+
+    // Affected-device epoch stamps: device d holds at least one of the
+    // current entry's keys iff affected_epoch_[d] == entry_epoch_.
+    // Stamping instead of clearing keeps the per-entry cost at the
+    // size of the holder lists, not the device count.
+    std::vector<std::uint64_t> affected_epoch_;
+    std::uint64_t entry_epoch_ = 0;
+
+    // Free-list position of each device this entry (valid iff
+    // pos_epoch_[d] == entry_epoch_ — the stamp doubles as the
+    // free-membership test), filled by the position pass. Turns the
+    // holder-list -> row-position intersection into O(1) lookups.
+    std::vector<std::uint32_t> pos_of_;
+    std::vector<std::uint64_t> pos_epoch_;
+
+    // Best primary score found so far in the current entry's sweep,
+    // shared across lanes for admissible pruning. Relaxed is enough:
+    // a stale read only prunes less, and pruning decisions never
+    // change the winner (see placement.h).
+    std::atomic<double> prune_bound_{
+        std::numeric_limits<double>::infinity()};
+};
+
+bool
+WindowSweep::choose(EntryContext &ctx, Attempt &state,
+                    const DeviceSet &free, const Selection &sel,
+                    DeviceSet &window, double &comm)
+{
+    ctx_ = &ctx;
+    sel_ = &sel;
+    free_ = &free;
+    gen_.generate({topo_, free, ctx.n}, cand_windows_);
+    positionPass(state);
+    buildBands();
+    const Candidate best = sweep();
+    if (!best.found())
+        return false;
+    comm = best.comm;
+    const std::uint32_t *at =
+        best.band >= 0
+            ? cand_windows_.bands[static_cast<std::size_t>(best.band)]
+                      .data() +
+                  best.start
+            : cand_windows_.extras[best.start].data();
+    window.resize(ctx.n);
+    for (std::uint32_t j = 0; j < ctx.n; ++j)
+        window[j] = free[at[j]];
+    return true;
+}
+
+/**
+ * Stage 2, position pass: entry-wide per-inflow link ranks, then per
+ * free position the device's would-be total, island and rank-counter
+ * addends, then the sparse residency of every row.
+ */
+void
+WindowSweep::positionPass(Attempt &state)
+{
+    const EntryContext &ctx = *ctx_;
+    const DeviceSet &free = *free_;
+    const std::size_t F = free.size();
+    const std::uint32_t num_isl = topo_.numIslands();
+    if (inflow_ctx_.size() < ctx.inflows.size())
+        inflow_ctx_.resize(ctx.inflows.size());
+    // Rank counters are 2^lg_bits bits wide, enough to count F (the
+    // longest band) positions.
+    const unsigned lg_bits = F < (1u << 8)    ? 3
+                             : F < (1u << 16) ? 4
+                                              : 5;
+    row_words_ = 0;
+    for (std::size_t k = 0; k < ctx.inflows.size(); ++k) {
+        InflowCtx &ic = inflow_ctx_[k];
+        ic.rankLinks(ctx_->sources[k], ctx.inflows[k].first, ctx.n,
+                     num_isl, row_words_, lg_bits);
+        row_words_ += ic.words;
+        ic.inSrc.assign(F, 0);
+        for (DeviceId s : *ctx.inflows[k].second) {
+            const auto fit = std::lower_bound(free.begin(), free.end(), s);
+            if (fit != free.end() && *fit == s)
+                ic.inSrc[static_cast<std::size_t>(fit - free.begin())] = 1;
+        }
+    }
+    if (pos_bump_.size() < F * row_words_)
+        pos_bump_.resize(F * row_words_);
+    rows_ = ctx.row_key.size();
+    if (cand_total_.size() < F) {
+        cand_total_.resize(F);
+        pos_island_.resize(F);
+    }
+
+    // The would-be per-device load splits into one shared all-miss
+    // base and sparse overrides: a device holding none of the slice's
+    // keys misses every probe, so its delta is act_share plus every
+    // share — accumulated here once, in the exact order the probe
+    // loop performs, so the base is bit-identical to the probes it
+    // replaces. Only the *affected* devices (union of the keys'
+    // holder lists) can deviate and take the probe loop.
+    double sig_base = ctx.act_share;
+    for (const SliceParam &sp : ctx.sig)
+        sig_base += sp.share;
+    ++entry_epoch_;
+    for (std::int64_t key : ctx.uniq_keys) {
+        const auto hit = state.holders.find(key);
+        if (hit == state.holders.end())
+            continue;
+        for (DeviceId d : hit->second)
+            affected_epoch_[d] = entry_epoch_;
+    }
+    // Positions are independent (each lane touches its own device's
+    // lazy total), so this is the entry's first parallel region.
+    maybeParallelFor(pool_, F * (ctx.inflows.size() + 2) >= kMinParallelWork,
+                     0, F, 16, [&](std::size_t pos) {
+                         position(state, pos, sig_base);
+                     });
+
+    // Sparse residency: per row, the ascending free-list positions
+    // whose device already holds the row's key — exactly the
+    // still-free holders, so the lists stay tiny relative to F and
+    // bands intersect them instead of scanning a rows x F flag matrix.
+    if (row_pos_.size() < rows_)
+        row_pos_.resize(rows_);
+    for (std::size_t r = 0; r < rows_; ++r) {
+        row_pos_[r].clear();
+        const auto hit = state.holders.find(ctx.row_key[r]);
+        if (hit == state.holders.end())
+            continue;
+        for (DeviceId d : hit->second)
+            if (pos_epoch_[d] == entry_epoch_)
+                row_pos_[r].push_back(pos_of_[d]);
+        std::sort(row_pos_[r].begin(), row_pos_[r].end());
+    }
+    // The same transposed, for explicit windows: the rows free
+    // position p holds are row_at_[pos_row_off_[p] .. pos_row_off_[p+1]).
+    if (!cand_windows_.extras.empty()) {
+        pos_row_off_.assign(F + 2, 0);
+        for (std::size_t r = 0; r < rows_; ++r)
+            for (std::uint32_t p : row_pos_[r])
+                ++pos_row_off_[p + 2];
+        for (std::size_t i = 2; i < F + 2; ++i)
+            pos_row_off_[i] += pos_row_off_[i - 1];
+        row_at_.resize(pos_row_off_[F + 1]);
+        for (std::size_t r = 0; r < rows_; ++r)
+            for (std::uint32_t p : row_pos_[r])
+                row_at_[pos_row_off_[p + 1]++] =
+                    static_cast<std::uint32_t>(r);
+    }
+}
+
+/** One free position of the position pass (see positionPass). */
+void
+WindowSweep::position(Attempt &state, std::size_t pos, double sig_base)
+{
+    const EntryContext &ctx = *ctx_;
+    const DeviceId d = (*free_)[pos];
+    pos_of_[d] = static_cast<std::uint32_t>(pos);
+    pos_epoch_[d] = entry_epoch_;
+    double add;
+    if (affected_epoch_[d] != entry_epoch_) {
+        add = sig_base;
+    } else {
+        add = ctx.act_share;
+        for (const SliceParam &sp : ctx.sig) {
+            const double *held = state.findFlat(d, sp.key);
+            if (held == nullptr)
+                add += sp.share;
+            else if (sp.share > *held)
+                add += sp.share - *held;
+        }
+    }
+    cand_total_[pos] = state.deviceTotal(d) + add;
+    const std::uint32_t isl = topo_.islandOf(d);
+    pos_island_[pos] = isl;
+    // One counter word is the common case: sum in a register.
+    if (row_words_ == 1) {
+        std::uint64_t bump = 0;
+        for (std::size_t k = 0; k < ctx.inflows.size(); ++k)
+            bump += inflow_ctx_[k].bumpAt(pos, isl).add;
+        pos_bump_[pos] = bump;
+    } else if (row_words_ > 1) {
+        std::uint64_t *bump = pos_bump_.data() + pos * row_words_;
+        std::fill_n(bump, row_words_, 0);
+        for (std::size_t k = 0; k < ctx.inflows.size(); ++k) {
+            const InflowCtx::Bump &b = inflow_ctx_[k].bumpAt(pos, isl);
+            bump[b.word] += b.add;
+        }
+    }
+}
+
+/**
+ * Stage 3, band build: per-band prefix state. Sizing and ordinal
+ * bases are serial (cheap, and resizes must not race); the fills are
+ * independent per band and per residency row.
+ */
+void
+WindowSweep::buildBands()
+{
+    const std::size_t n = ctx_->n;
+    const std::size_t num_bands = cand_windows_.bands.size();
+    if (band_states_.size() < num_bands)
+        band_states_.resize(num_bands);
+    std::size_t ordinal = 0;
+    std::size_t band_positions = 0;
+    for (std::size_t b = 0; b < num_bands; ++b) {
+        BandState &bs = band_states_[b];
+        const std::size_t B = cand_windows_.bands[b].size();
+        bs.ordinalBase = ordinal;
+        bs.numWindows = B >= n ? B - n + 1 : 0;
+        ordinal += bs.numWindows;
+        if (bs.numWindows == 0)
+            continue;
+        band_positions += B;
+        if (ctx_->cfg.tp > 1 && bs.chgPref.size() < B)
+            bs.chgPref.resize(B);
+        if (bs.resIdx.size() < rows_)
+            bs.resIdx.resize(rows_);
+        const std::size_t need = row_words_ * (B + 1);
+        if (bs.rankPref.size() < need)
+            bs.rankPref.resize(need);
+        bs.eqWindow.assign(ctx_->inflows.size(), -1);
+    }
+    extras_base_ = ordinal;
+    total_candidates_ = ordinal + cand_windows_.extras.size();
+
+    const std::size_t units_per_band = 1 + rows_;
+    maybeParallelFor(pool_,
+                     band_positions * (2 + row_words_) >= kMinParallelWork,
+                     0, num_bands * units_per_band, 1, [&](std::size_t u) {
+                         const std::size_t b = u / units_per_band;
+                         const std::size_t sub = u % units_per_band;
+                         if (sub == 0)
+                             buildBandShared(b);
+                         else
+                             buildBandRow(b, sub - 1);
+                     });
+}
+
+/** Shared per-band state: island-change prefix, minimum load,
+ *  link-rank prefixes, and the band window equal to a source set
+ *  (zero-cost transfer). */
+void
+WindowSweep::buildBandShared(std::size_t b)
+{
+    BandState &bs = band_states_[b];
+    if (bs.numWindows == 0)
+        return;
+    const auto &band = cand_windows_.bands[b];
+    const std::size_t B = band.size();
+    const std::size_t n = ctx_->n;
+    // Bands ascend (generator contract), so first position 0 and last
+    // B-1 force the identity permutation — the common ContiguousRuns
+    // case, where dropping the band[i] indirection lets the fills
+    // below vectorize.
+    const bool ident =
+        band[0] == 0 && band[B - 1] == static_cast<std::uint32_t>(B - 1);
+    const auto at = [&](std::size_t i) {
+        return ident ? static_cast<std::uint32_t>(i) : band[i];
+    };
+
+    // Island-change prefix: a window holds within one island iff no
+    // adjacent pair inside it changes islands (exact under any
+    // numbering). Only the TP island penalty reads it, so it is built
+    // only when cfg.tp > 1. The minimum load along the band always
+    // is: it is the admissible bound for the memory term (every
+    // window's maximum is >= the band-wide minimum) and the
+    // whole-band capacity skip.
+    if (ctx_->cfg.tp > 1) {
+        bs.chgPref[0] = 0;
+        for (std::size_t i = 1; i < B; ++i)
+            bs.chgPref[i] =
+                bs.chgPref[i - 1] +
+                (pos_island_[at(i)] != pos_island_[at(i - 1)] ? 1u : 0u);
+    }
+    double mn;
+    if (ident) {
+        mn = cand_total_[0];
+        for (std::size_t i = 1; i < B; ++i)
+            mn = std::min(mn, cand_total_[i]);
+    } else {
+        mn = cand_total_[band[0]];
+        for (std::size_t i = 1; i < B; ++i)
+            mn = std::min(mn, cand_total_[band[i]]);
+    }
+    bs.minTotal = mn;
+
+    std::uint64_t *pref = bs.rankPref.data();
+    const std::size_t rw = row_words_;
+    std::fill_n(pref, rw, 0);
+    if (rw == 1) {
+        for (std::size_t i = 0; i < B; ++i)
+            pref[i + 1] = pref[i] + pos_bump_[at(i)];
+    } else {
+        for (std::size_t i = 0; i < B; ++i)
+            for (std::size_t j = 0; j < rw; ++j)
+                pref[(i + 1) * rw + j] =
+                    pref[i * rw + j] + pos_bump_[at(i) * rw + j];
+    }
+
+    for (std::size_t k = 0; k < ctx_->inflows.size(); ++k) {
+        const DeviceSet &src = *ctx_->inflows[k].second;
+        if (src.size() != n)
+            continue;
+        // Devices ascend along a band, so binary-search the band for
+        // the source's first device.
+        std::size_t lo = 0, hi = B;
+        while (lo < hi) {
+            const std::size_t mid = (lo + hi) / 2;
+            if ((*free_)[band[mid]] < src.front())
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        if (lo + n <= B && isSource(src, band.data() + lo))
+            bs.eqWindow[k] = static_cast<std::ptrdiff_t>(lo);
+    }
+}
+
+/** Resident band indices of one row along one band: intersect the
+ *  band (ascending positions, per the generator contract) with the
+ *  row's holder-position list. O(holders · log B) instead of O(B). */
+void
+WindowSweep::buildBandRow(std::size_t b, std::size_t row)
+{
+    BandState &bs = band_states_[b];
+    if (bs.numWindows == 0)
+        return;
+    const auto &band = cand_windows_.bands[b];
+    std::vector<std::uint32_t> &out = bs.resIdx[row];
+    out.clear();
+    for (std::uint32_t p : row_pos_[row]) {
+        const auto it = std::lower_bound(band.begin(), band.end(), p);
+        if (it != band.end() && *it == p)
+            out.push_back(static_cast<std::uint32_t>(it - band.begin()));
+    }
+}
+
+/**
+ * Stage 4, the chunked sweep: a reduction over the candidate
+ * ordinals, band windows and explicit extras alike. Chunk size only
+ * balances lanes and sets the pruning granularity; any chunking
+ * yields the same winner (the ordinal tie-break is global, and
+ * pruning is winner-preserving per chunk). The serial sweep is
+ * chunked too — that is what gives pruning its skippable units —
+ * with a floor of 4n so the per-chunk deque warm-up (n - 1 positions)
+ * stays under a quarter of the chunk.
+ */
+Candidate
+WindowSweep::sweep()
+{
+    prune_bound_.store(std::numeric_limits<double>::infinity(),
+                       std::memory_order_relaxed);
+    const std::size_t sweep_work =
+        total_candidates_ * (ctx_->sig.size() + ctx_->inflows.size() + 4);
+    const bool sweep_parallel = pool_ != nullptr && pool_->threads() > 1 &&
+                                sweep_work >= kMinParallelWork &&
+                                total_candidates_ > 1;
+    const std::size_t chunk_floor = std::max<std::size_t>(
+        kMinSweepChunk, 4 * static_cast<std::size_t>(ctx_->n));
+    const std::size_t chunk =
+        sweep_parallel
+            ? std::max(chunk_floor,
+                       total_candidates_ /
+                           (static_cast<std::size_t>(pool_->threads()) * 4))
+            : chunk_floor;
+    sweep_tasks_.clear();
+    for (std::size_t b = 0; b < cand_windows_.bands.size(); ++b) {
+        const std::size_t W = band_states_[b].numWindows;
+        for (std::size_t lo = 0; lo < W; lo += chunk)
+            sweep_tasks_.push_back({static_cast<std::int32_t>(b), lo,
+                                    std::min(lo + chunk, W)});
+    }
+    const std::size_t E = cand_windows_.extras.size();
+    for (std::size_t lo = 0; lo < E; lo += chunk)
+        sweep_tasks_.push_back({-1, lo, std::min(lo + chunk, E)});
+
+    const auto run_task = [this](const SweepTask &t, Candidate &best,
+                                 Lane &lane) {
+        if (t.band >= 0)
+            scoreBandRange(static_cast<std::size_t>(t.band), t.lo, t.hi,
+                           best, lane);
+        else
+            for (std::size_t ei = t.lo; ei < t.hi; ++ei)
+                scoreExtra(ei, best, lane.nonres);
+    };
+    Candidate best;
+    if (sweep_parallel && sweep_tasks_.size() > 1) {
+        best = pool_->parallelReduce<Candidate>(
+            0, sweep_tasks_.size(), 1,
+            [&](Candidate &acc, std::size_t lo, std::size_t hi) {
+                Lane lane;
+                for (std::size_t t = lo; t < hi; ++t)
+                    run_task(sweep_tasks_[t], acc, lane);
+            },
+            [](Candidate &out, const Candidate &c) {
+                if (betterThan(c, out))
+                    out = c;
+            });
+    } else {
+        for (const SweepTask &t : sweep_tasks_)
+            run_task(t, best, lane_);
+    }
+    return best;
+}
+
+/**
+ * Replace @p best by @p c when strictly better — the historical
+ * replace-on-strictly-better scan (see struct Candidate) — and
+ * publish an improved primary into the shared pruning bound.
+ */
+void
+WindowSweep::consider(Candidate &best, Candidate c)
+{
+    if (!betterThan(c, best))
+        return;
+    best = c;
+    if (!prune_)
+        return;
+    double cur = prune_bound_.load(std::memory_order_relaxed);
+    while (c.primary < cur &&
+           !prune_bound_.compare_exchange_weak(cur, c.primary,
+                                               std::memory_order_relaxed))
+        ;
+}
+
+/**
+ * Admissible pruning of the band windows starting in [w_lo, w_hi):
+ * an exact lower bound on every such window's primary — each term <=
+ * its counterpart in every window's score, accumulated in the same
+ * structural order, so rounded addition keeps the bound <= every
+ * primary — compared *strictly* against an already-scored primary.
+ * A pruned chunk cannot contain the winner even via the (secondary,
+ * ordinal) tie-break, which only arbitrates equal primaries. See
+ * placement.h.
+ */
+bool
+WindowSweep::pruned(const BandState &bs, std::size_t w_lo,
+                    std::size_t w_hi, std::vector<char> &nonres) const
+{
+    const EntryContext &ctx = *ctx_;
+    // Chunk windows cover band positions [w_lo, w_hi + n - 1).
+    const std::size_t r_end = w_hi + ctx.n - 1;
+    double comm = 0;
+    if (!sel_->memoryFirst) {
+        double flows = 0;
+        for (std::size_t k = 0; k < ctx.inflows.size(); ++k) {
+            if (ctx.inflows[k].first <= 0)
+                continue;
+            const std::ptrdiff_t eq = bs.eqWindow[k];
+            if (eq >= static_cast<std::ptrdiff_t>(w_lo) &&
+                eq < static_cast<std::ptrdiff_t>(w_hi))
+                continue; // one pays 0
+            // A window's link is present in it, hence in the chunk's
+            // range.
+            flows += inflow_ctx_[k].cheapest(rankRow(bs, r_end),
+                                             rankRow(bs, w_lo),
+                                             r_end - w_lo);
+        }
+        // Rows with no resident position in the whole range are
+        // non-resident in every window; their bytes are a floor on
+        // the affinity term.
+        if (rows_ > 0) {
+            nonres.resize(rows_);
+            for (std::size_t r = 0; r < rows_; ++r) {
+                const auto &idx = bs.resIdx[r];
+                const auto it = std::lower_bound(
+                    idx.begin(), idx.end(),
+                    static_cast<std::uint32_t>(w_lo));
+                nonres[r] = (it == idx.end() || *it >= r_end) ? 1 : 0;
+            }
+        }
+        // The island penalty's floor is min(0, penalty).
+        comm = ctx.comm(flows, nonres,
+                        ctx.cfg.tp > 1 && ctx.island_penalty < 0);
+    }
+    return sel_->rank(comm, bs.minTotal).primary >
+           prune_bound_.load(std::memory_order_relaxed);
+}
+
+/**
+ * Score band windows with start in [w_lo, w_hi). The memory extremum
+ * uses a monotonic deque (sliding-window maximum over the per-device
+ * candidate totals along the band); a chunk warms its own deque over
+ * the n-1 positions before its first window, so the maximum — a
+ * selection, not an accumulation — is bit-identical to the full scan.
+ */
+void
+WindowSweep::scoreBandRange(std::size_t b, std::size_t w_lo,
+                            std::size_t w_hi, Candidate &best, Lane &lane)
+{
+    const EntryContext &ctx = *ctx_;
+    const Selection &sel = *sel_;
+    const auto &band = cand_windows_.bands[b];
+    const BandState &bs = band_states_[b];
+    // Locals, not members: the flag stores below may alias any
+    // member, and the hot loop should keep these in registers.
+    const std::size_t n = ctx.n;
+    const std::size_t rows = rows_;
+    const bool tp = ctx.cfg.tp > 1;
+    const double *total = cand_total_.data();
+
+    if (prune_ && bs.minTotal > sel.capacity)
+        return; // every window fails capacity
+    if (prune_ && pruned(bs, w_lo, w_hi, lane.nonres))
+        return;
+
+    // Per-row sweep pointers: first resident band index >= w_lo;
+    // advanced as the window slides (amortized O(1) per window).
+    lane.row_ptr.resize(rows);
+    lane.nonres.resize(rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+        const auto &idx = bs.resIdx[r];
+        lane.row_ptr[r] = static_cast<std::size_t>(
+            std::lower_bound(idx.begin(), idx.end(),
+                             static_cast<std::uint32_t>(w_lo)) -
+            idx.begin());
+    }
+
+    std::vector<std::size_t> &dq = lane.dq;
+    dq.clear();
+    std::size_t head = 0;
+    const std::size_t i_end = w_hi + n - 1;
+    for (std::size_t i = w_lo; i < i_end; ++i) {
+        while (dq.size() > head && total[band[dq.back()]] <= total[band[i]])
+            dq.pop_back();
+        dq.push_back(i);
+        if (i + 1 < w_lo + n)
+            continue; // window not yet full
+        const std::size_t w = i + 1 - n;
+        if (dq[head] < w)
+            ++head;
+        const double max_total = total[band[dq[head]]];
+        if (max_total > sel.capacity)
+            continue; // memory infeasible
+
+        // Inter-wave communication, accumulated in the same source
+        // order as always.
+        double flows = 0;
+        for (std::size_t k = 0; k < ctx.inflows.size(); ++k) {
+            if (static_cast<std::ptrdiff_t>(w) == bs.eqWindow[k])
+                continue; // data resident
+            if (ctx.inflows[k].first <= 0)
+                continue;
+            flows += inflow_ctx_[k].rowSeconds(rankRow(bs, w + n),
+                                               rankRow(bs, w));
+        }
+        // Residency flags from the sliding pointers into the sparse
+        // resident-index lists.
+        for (std::size_t r = 0; r < rows; ++r) {
+            const auto &idx = bs.resIdx[r];
+            std::size_t &ptr = lane.row_ptr[r];
+            while (ptr < idx.size() && idx[ptr] < w)
+                ++ptr;
+            lane.nonres[r] =
+                (ptr >= idx.size() || idx[ptr] >= w + n) ? 1 : 0;
+        }
+        Candidate c = sel.rank(
+            ctx.comm(flows, lane.nonres,
+                     tp && bs.chgPref[w + n - 1] != bs.chgPref[w]),
+            max_total);
+        c.ordinal = bs.ordinalBase + w;
+        c.band = static_cast<std::int32_t>(b);
+        c.start = w;
+        consider(best, c);
+    }
+}
+
+/** Score one explicit window (cross-island unions etc.). */
+void
+WindowSweep::scoreExtra(std::size_t ei, Candidate &best,
+                        std::vector<char> &nonres)
+{
+    const EntryContext &ctx = *ctx_;
+    const auto &win_pos = cand_windows_.extras[ei];
+    panicIf(win_pos.size() != ctx.n,
+            "tryPlace: generator emitted a window of the wrong size");
+    double max_total = 0;
+    for (std::uint32_t p : win_pos)
+        max_total = std::max(max_total, cand_total_[p]);
+    if (max_total > sel_->capacity)
+        return;
+
+    double flows = 0;
+    for (std::size_t k = 0; k < ctx.inflows.size(); ++k) {
+        if (ctx.inflows[k].first <= 0 ||
+            isSource(*ctx.inflows[k].second, win_pos.data()))
+            continue; // no bytes, or already resident
+        flows += inflow_ctx_[k].windowSeconds(win_pos, pos_bump_.data(),
+                                              row_words_);
+    }
+    if (rows_ > 0) {
+        nonres.assign(rows_, 1);
+        for (std::uint32_t p : win_pos)
+            for (std::size_t i = pos_row_off_[p]; i < pos_row_off_[p + 1];
+                 ++i)
+                nonres[row_at_[i]] = 0;
+    }
+    bool spans = false;
+    if (ctx.cfg.tp > 1) {
+        const std::uint32_t first = pos_island_[win_pos.front()];
+        spans = std::any_of(win_pos.begin(), win_pos.end(),
+                            [&](std::uint32_t p) {
+                                return pos_island_[p] != first;
+                            });
+    }
+    Candidate c = sel_->rank(ctx.comm(flows, nonres, spans), max_total);
+    c.ordinal = extras_base_ + ei;
+    c.start = ei;
+    consider(best, c);
+}
+
+/** Drop the committed @p window from @p free (single compaction pass;
+ *  general windows need not be contiguous runs of it). */
+void
+removeFromFree(DeviceSet &free, const DeviceSet &window)
+{
+    std::size_t out = 0, take = 0;
+    for (std::size_t pos = 0; pos < free.size(); ++pos) {
+        if (take < window.size() && free[pos] == window[take]) {
+            ++take;
+            continue;
+        }
+        free[out++] = free[pos];
+    }
+    free.resize(out);
+}
+
+} // namespace
 
 DevicePlacement::DevicePlacement(const ClusterTopology &topo,
                                  const HardwareModel &hw,
@@ -494,13 +1587,32 @@ PlacementResult
 DevicePlacement::place(const MetaGraph &graph, ExecutionPlan &plan,
                        std::vector<PlacementCommit> *commit_log) const
 {
+    return placeWithPrefix(graph, plan, 0, {}, commit_log);
+}
+
+PlacementResult
+DevicePlacement::placeWithPrefix(
+    const MetaGraph &graph, ExecutionPlan &plan, std::size_t resume_wave,
+    const std::vector<PlacementCommit> &prefix,
+    std::vector<PlacementCommit> *commit_log) const
+{
     if (commit_log != nullptr)
         commit_log->clear();
+
+    // Comm-first from the replayed prefix. Replay recommits the
+    // donor's exact per-device state, and wave scoring reads only
+    // earlier commits plus graph data — never later waves — so this
+    // pass commits bit for bit what a from-scratch comm-first pass
+    // commits (the donor's prefix for waves < resume_wave *is* that
+    // pass's prefix, since the leading levels are value-identical).
+    // The log starts with the prefix records, so it equals the log of
+    // a from-scratch pass: prefix first, then this pass's fresh
+    // commits, in wave-major commit order.
     PlacementResult result;
-    std::vector<CommitRecord> log;
+    std::vector<CommitRecord> log = prefix;
     std::size_t fail_wave = 0;
-    if (tryPlace(graph, plan, /*memory_first=*/false, result, 0, nullptr,
-                 &log, &fail_wave)) {
+    if (tryPlace(graph, plan, /*memory_first=*/false, result, resume_wave,
+                 prefix, &log, &fail_wave)) {
         if (commit_log != nullptr)
             *commit_log = std::move(log);
         return result;
@@ -516,69 +1628,15 @@ DevicePlacement::place(const MetaGraph &graph, ExecutionPlan &plan,
         partial.usedMemoryFallback = true;
         partial.fallbackRestartWave = fail_wave;
         if (tryPlace(graph, plan, /*memory_first=*/true, partial,
-                     fail_wave, &log, nullptr, nullptr))
+                     fail_wave, log, nullptr, nullptr))
             return partial;
     }
 
     // Last resort: the historical full memory-first restart.
     result = {};
     result.usedMemoryFallback = true;
-    fatalIf(!tryPlace(graph, plan, /*memory_first=*/true, result, 0,
-                      nullptr, nullptr, nullptr),
-            "DevicePlacement: workload does not fit device memory even "
-            "with memory-first placement");
-    return result;
-}
-
-PlacementResult
-DevicePlacement::placeWithPrefix(
-    const MetaGraph &graph, ExecutionPlan &plan, std::size_t resume_wave,
-    const std::vector<PlacementCommit> &prefix,
-    std::vector<PlacementCommit> *commit_log) const
-{
-    if (resume_wave == 0)
-        return place(graph, plan, commit_log);
-    if (commit_log != nullptr)
-        commit_log->clear();
-
-    // Comm-first from the replayed prefix. Replay recommits the
-    // donor's exact per-device state, and wave scoring reads only
-    // earlier commits plus graph data — never later waves — so this
-    // pass commits bit for bit what a from-scratch comm-first pass
-    // commits (the donor's prefix for waves < resume_wave *is* that
-    // pass's prefix, since the leading levels are value-identical).
-    PlacementResult result;
-    std::vector<CommitRecord> fresh;
-    std::size_t fail_wave = 0;
-    if (tryPlace(graph, plan, /*memory_first=*/false, result, resume_wave,
-                 &prefix, &fresh, &fail_wave)) {
-        if (commit_log != nullptr) {
-            *commit_log = prefix;
-            commit_log->insert(commit_log->end(), fresh.begin(),
-                               fresh.end());
-        }
-        return result;
-    }
-
-    // Mirror place()'s fallback cascade exactly. The combined log
-    // below equals the log a from-scratch comm-first pass would have
-    // handed the partial restart: prefix records first, then this
-    // pass's fresh commits, in wave-major commit order.
-    std::vector<CommitRecord> combined = prefix;
-    combined.insert(combined.end(), fresh.begin(), fresh.end());
-    if (options_.partialFallbackRestart && fail_wave > 0) {
-        PlacementResult partial;
-        partial.usedMemoryFallback = true;
-        partial.fallbackRestartWave = fail_wave;
-        if (tryPlace(graph, plan, /*memory_first=*/true, partial,
-                     fail_wave, &combined, nullptr, nullptr))
-            return partial;
-    }
-
-    result = {};
-    result.usedMemoryFallback = true;
-    fatalIf(!tryPlace(graph, plan, /*memory_first=*/true, result, 0,
-                      nullptr, nullptr, nullptr),
+    fatalIf(!tryPlace(graph, plan, /*memory_first=*/true, result, 0, {},
+                      nullptr, nullptr),
             "DevicePlacement: workload does not fit device memory even "
             "with memory-first placement");
     return result;
@@ -588,1181 +1646,77 @@ bool
 DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                           bool memory_first, PlacementResult &result,
                           std::size_t resume_wave,
-                          const std::vector<CommitRecord> *replay,
+                          const std::vector<CommitRecord> &replay,
                           std::vector<CommitRecord> *log,
                           std::size_t *fail_wave) const
 {
     const std::uint32_t num_devices = plan.numDevices;
-    const double capacity =
-        topo_.device().memoryBytes * options_.memorySlack;
     const CollectiveModel &coll = hw_.collectives();
-    const WindowGenerator &window_gen = generator();
-    const bool use_pool = pool_ != nullptr && pool_->threads() > 1;
+    const bool sequential =
+        options_.strategy == PlacementStrategy::Sequential;
+    Attempt state(num_devices, pool_);
+    EntryContext ctx(topo_, hw_, mem_, options_.paramAffinityWeight);
 
-    Attempt state;
-    state.init(num_devices);
-
-    // Per-op parameter share charged to each device of a slice.
-    auto param_share = [&](const OperatorDesc &op, ParallelConfig cfg) {
-        const double shard =
-            op.paramBytes / cfg.tp /
-            (mem_.params().zeroShardParams ? cfg.dp : 1.0);
-        const double opt =
-            op.paramBytes / cfg.tp * mem_.params().optimizerFactor /
-            (mem_.params().zeroShardOptimizer ? cfg.dp : 1.0);
-        return shard + opt;
-    };
-
-    // Partial-restart replay: recommit the feasible prefix (device
-    // choices and their logged comm) without re-scoring it. The
-    // records replayed are exactly the commits the failed pass made
-    // for waves before resume_wave, in commit order, so the attempt
-    // state ends up bit-identical to that pass's state at the start
-    // of the first infeasible wave.
-    if (resume_wave > 0) {
-        panicIf(replay == nullptr, "tryPlace: resume without replay log");
-        for (const CommitRecord &rec : *replay) {
-            if (rec.wave >= resume_wave)
-                continue;
-            WaveEntry &e = plan.waves[rec.wave].entries[rec.entry];
-            const MetaOp &m = graph.metaOp(e.metaOp);
-            const ParallelConfig cfg =
-                hw_.bestConfig(memberDesc(m), e.n);
-            const double act_share =
-                mem_.activationBytesPerDevice(m, e.numOps, cfg);
-            for (DeviceId d : e.devices) {
-                state.activations[d] += act_share;
-                for (std::int64_t i = 0; i < e.numOps; ++i) {
-                    const OperatorDesc &op =
-                        graph.base().op(m.ops[e.opBegin + i]);
-                    const std::int64_t key = paramDedupKey(op);
-                    const double share = param_share(op, cfg);
-                    auto [it, inserted] =
-                        state.params[d].emplace(key, share);
-                    if (inserted)
-                        state.holders[key].push_back(d);
-                    else if (share > it->second)
-                        it->second = share;
-                }
-                state.markDirty(d);
-            }
-            state.lastSlice[e.metaOp] = e.devices;
-            result.estimatedCommSeconds += rec.comm;
-            result.interIslandCommSeconds += rec.interIsland;
-        }
+    // Replay: recommit the feasible prefix (device choices and their
+    // logged comm) without re-scoring it. The records replayed are
+    // exactly the commits the logged pass made for waves before
+    // resume_wave, in commit order, through the same commit as a
+    // scored entry, so the attempt state ends up bit-identical to
+    // that pass's state at the start of wave resume_wave.
+    for (const CommitRecord &rec : replay) {
+        if (rec.wave >= resume_wave)
+            continue;
+        const WaveEntry &e = plan.waves[rec.wave].entries[rec.entry];
+        ctx.build(graph, e, state.lastSlice);
+        state.commit(ctx, e.devices);
+        result.estimatedCommSeconds += rec.comm;
+        result.interIslandCommSeconds += rec.interIsland;
     }
 
-    std::uint32_t seq_cursor = 0; // Sequential strategy cursor
-
-    // Scratch buffers reused across entries. All are only-grow: the
-    // elements an entry reads are exactly the elements it wrote, so
-    // stale capacity never leaks into scores.
-    std::vector<double> cand_total;        // per free pos: total if placed
-    std::vector<std::uint32_t> pos_island; // per free pos: island index
-    /** Per free pos: what its device adds to each rank-counter word
-     *  (see InflowCtx), row_words words per position. */
-    std::vector<std::uint64_t> pos_bump;
-    std::vector<SliceParam> sig;           // slice param signature
-    std::vector<std::int64_t> uniq_keys;   // distinct sig keys, sorted
-    std::vector<double> uniq_vals;         // per uniq key: max sig share
-    /** (key, max share) in first-occurrence sig order — the commit
-     *  loop's working set. Multi-task slices repeat shared keys many
-     *  times; committing each distinct key once with the strict-max
-     *  share leaves the map byte-identical (same distinct-insertion
-     *  sequence, so the same bucket layout deviceTotal() walks, and
-     *  strict-max folding is order-independent selection). */
-    std::vector<std::pair<std::int64_t, double>> commit_keys;
-    std::vector<char> key_seen;            // per uniq key, per entry
-    std::vector<std::int32_t> sig_row;     // sig index -> residency row
-    std::vector<std::int64_t> row_key;     // residency row -> param key
-    std::unordered_map<std::int64_t, std::int32_t> row_of;
-    /** Per row: ascending free-list positions holding the key. */
-    std::vector<std::vector<std::uint32_t>> row_pos;
-    std::vector<std::uint32_t> pos_row_off, row_at; // row_pos transposed
-    std::vector<FlowSource> sources;       // per inflow
-    std::vector<InflowCtx> inflow_ctx;     // per-inflow link ranks
-    std::vector<BandState> band_states;    // per-band prefix state
-    CandidateWindows cand_windows;         // generator output
-    std::vector<SweepTask> sweep_tasks;
-    /** Free-list positions of the winning window (empty on the
-     *  Sequential path), kept for the attribution below. */
-    std::vector<std::uint32_t> win_positions;
-    std::vector<std::size_t> deque_scratch; // serial-sweep deque
-    std::vector<std::size_t> rowptr_scratch; // serial residency ptrs
-    std::vector<char> rownonres_scratch;     // serial residency flags
-
-    // Affected-device epoch stamps: device d holds at least one of
-    // the current entry's keys iff affected_epoch[d] == entry_epoch.
-    // Stamping instead of clearing keeps the per-entry cost at the
-    // size of the holder lists, not the device count.
-    std::vector<std::uint64_t> affected_epoch(num_devices, 0);
-    std::uint64_t entry_epoch = 0;
-
-    // Free-list position of each device this entry (valid iff
-    // pos_epoch[d] == entry_epoch — the stamp doubles as the
-    // free-membership test), filled by the position pass. Turns the
-    // holder-list -> row-position intersection into O(1) lookups.
-    std::vector<std::uint32_t> pos_of(num_devices, 0);
-    std::vector<std::uint64_t> pos_epoch(num_devices, 0);
-
-    // Best primary score committed so far in the current entry's
-    // sweep, shared across lanes for admissible pruning. Relaxed is
-    // enough: a stale read only prunes less, and pruning decisions
-    // never change the winner (see placement.h).
-    const bool prune = options_.bandPruning;
-    std::atomic<double> prune_bound{
-        std::numeric_limits<double>::infinity()};
+    const Selection sel{
+        topo_.device().memoryBytes, options_.memoryWeight,
+        topo_.device().memoryBytes * options_.memorySlack, memory_first};
+    WindowSweep sweep(topo_, generator(), pool_, options_.bandPruning,
+                      num_devices);
+    std::uint32_t seq_cursor = 0;
+    std::vector<char> seq_nonres;
 
     for (std::size_t wi = resume_wave; wi < plan.waves.size(); ++wi) {
         Wave &wave = plan.waves[wi];
         DeviceSet free = topo_.allDevices();
         free.resize(std::min<std::size_t>(free.size(), num_devices));
 
-        // Entry placement order: highest communication volume first
-        // (or largest memory first in the fallback pass). Sort keys
-        // are precomputed; the former comparator re-derived them on
-        // every comparison (including a bestConfig search per probe
-        // in the fallback pass).
-        std::vector<std::size_t> order(wave.entries.size());
-        for (std::size_t i = 0; i < order.size(); ++i)
-            order[i] = i;
-        if (options_.strategy == PlacementStrategy::Spindle) {
-            std::vector<double> sort_key(wave.entries.size());
-            for (std::size_t i = 0; i < wave.entries.size(); ++i) {
-                const WaveEntry &e = wave.entries[i];
-                const MetaOp &m = graph.metaOp(e.metaOp);
-                if (memory_first) {
-                    ParallelConfig cfg =
-                        hw_.bestConfig(memberDesc(m), e.n);
-                    sort_key[i] =
-                        mem_.sliceBytesPerDevice(m, e.numOps, cfg);
-                } else {
-                    double vol = m.activationBytes; // outflow / chain
-                    if (e.opBegin == 0) {
-                        for (const MetaEdge &edge : graph.edges())
-                            if (edge.dst == e.metaOp)
-                                vol += edge.flowBytes;
-                    }
-                    sort_key[i] = vol;
-                }
-            }
-            std::sort(order.begin(), order.end(),
-                      [&](std::size_t a, std::size_t b) {
-                          if (sort_key[a] != sort_key[b])
-                              return sort_key[a] > sort_key[b];
-                          return a < b;
-                      });
-        }
-
-        for (std::size_t idx : order) {
+        for (std::size_t idx : entryOrder(graph, wave, hw_, mem_,
+                                          !sequential, memory_first)) {
             WaveEntry &e = wave.entries[idx];
-            const MetaOp &m = graph.metaOp(e.metaOp);
-            const ParallelConfig cfg = hw_.bestConfig(memberDesc(m), e.n);
-            const double act_share =
-                mem_.activationBytesPerDevice(m, e.numOps, cfg);
-
+            ctx.build(graph, e, state.lastSlice);
             panicIf(free.size() < e.n,
                     "tryPlace: scheduler exceeded wave capacity");
 
-            // Slice parameter signature, computed once per entry.
-            sig.clear();
-            sig.reserve(static_cast<std::size_t>(e.numOps));
-            for (std::int64_t i = 0; i < e.numOps; ++i) {
-                const OperatorDesc &op =
-                    graph.base().op(m.ops[e.opBegin + i]);
-                sig.push_back({paramDedupKey(op), param_share(op, cfg),
-                               op.paramBytes});
-            }
-
-            // Distinct keys of the slice (affected-set derivation
-            // and reverse-index upkeep at commit). Zero-byte keys
-            // are included on purpose: they still sit in the device
-            // maps, so a device holding one is "affected" — its
-            // probe loop takes the hit branch.
-            uniq_keys.clear();
-            for (const SliceParam &sp : sig)
-                uniq_keys.push_back(sp.key);
-            std::sort(uniq_keys.begin(), uniq_keys.end());
-            uniq_keys.erase(
-                std::unique(uniq_keys.begin(), uniq_keys.end()),
-                uniq_keys.end());
-            // Max share per distinct key (the value a device that
-            // held nothing ends up storing — mergeFlat strict-max
-            // folds it into the mirror at commit) and the distinct
-            // keys in first-occurrence order (the commit loop's
-            // working set, see commit_keys).
-            uniq_vals.assign(uniq_keys.size(),
-                             -std::numeric_limits<double>::infinity());
-            key_seen.assign(uniq_keys.size(), 0);
-            commit_keys.clear();
-            for (const SliceParam &sp : sig) {
-                const std::size_t i = static_cast<std::size_t>(
-                    std::lower_bound(uniq_keys.begin(),
-                                     uniq_keys.end(), sp.key) -
-                    uniq_keys.begin());
-                if (sp.share > uniq_vals[i])
-                    uniq_vals[i] = sp.share;
-                if (!key_seen[i]) {
-                    key_seen[i] = 1;
-                    commit_keys.emplace_back(sp.key, 0.0);
-                }
-            }
-            // Resolve the shares once every occurrence is folded.
-            for (auto &kv : commit_keys)
-                kv.second = uniq_vals[static_cast<std::size_t>(
-                    std::lower_bound(uniq_keys.begin(),
-                                     uniq_keys.end(), kv.first) -
-                    uniq_keys.begin())];
-
-            // Inter-wave data sources feeding this entry, in the
-            // edge order the score accumulates them: first slices
-            // pull from predecessor MetaOps, later slices from the
-            // own MetaOp's previous slice.
-            std::vector<std::pair<double, const DeviceSet *>> inflows;
-            if (e.opBegin == 0) {
-                for (const MetaEdge &edge : graph.edges()) {
-                    if (edge.dst != e.metaOp)
-                        continue;
-                    auto it = state.lastSlice.find(edge.src);
-                    if (it != state.lastSlice.end())
-                        inflows.emplace_back(edge.flowBytes,
-                                             &it->second);
-                }
+            DeviceSet win;
+            double comm = 0;
+            if (sequential) {
+                win = sequentialWindow(ctx, state, coll, num_devices,
+                                       seq_cursor, seq_nonres, comm);
+            } else if (!sweep.choose(ctx, state, free, sel, win, comm)) {
+                if (fail_wave != nullptr)
+                    *fail_wave = wi;
+                return false; // nothing fits: trigger fallback
             } else {
-                auto it = state.lastSlice.find(e.metaOp);
-                if (it != state.lastSlice.end())
-                    inflows.emplace_back(m.activationBytes,
-                                         &it->second);
-            }
-            sources.clear();
-            for (const auto &[bytes, src] : inflows)
-                sources.emplace_back(topo_, *src);
-
-            // Intra-island preference: a TP group spanning islands
-            // pays the real collective slowdown. Window-independent,
-            // hoisted out of the scoring loop. Charged at the
-            // *default* link classes (the same reference the paper's
-            // heuristic uses) even on non-uniform fabrics.
-            double island_penalty = 0;
-            if (cfg.tp > 1) {
-                const double shard = m.activationBytes / cfg.dp;
-                const double slow = CollectiveModel::ringAllReduce(
-                    shard, cfg.tp, topo_.config().interIsland);
-                const double fast = CollectiveModel::ringAllReduce(
-                    shard, cfg.tp, topo_.config().intraIsland);
-                island_penalty = 2.0 * static_cast<double>(e.numOps) *
-                                 (slow - fast);
+                removeFromFree(free, win);
             }
 
-            double best_comm = 0;
-            std::size_t row_words = 0; // rank-counter words (InflowCtx)
-            DeviceSet best_win;
-
-            if (options_.strategy == PlacementStrategy::Sequential) {
-                // Next consecutive device ids, wrapping; no
-                // awareness, and — by design — no dependence on the
-                // island structure, so the baseline keeps its
-                // semantics under any renumbering of the cluster.
-                DeviceSet win;
-                for (std::uint32_t k = 0; k < e.n; ++k)
-                    win.push_back((seq_cursor + k) % num_devices);
-                canonicalize(win);
-                // Wrapping can collapse duplicates only if n >
-                // num_devices, which validate() forbids.
-                seq_cursor = (seq_cursor + e.n) % num_devices;
-
-                // Single candidate: score it directly (the memory
-                // capacity check never rejects in this ablation).
-                double peak_frac = 0;
-                for (DeviceId d : win) {
-                    double add = act_share;
-                    for (const SliceParam &sp : sig) {
-                        auto it = state.params[d].find(sp.key);
-                        if (it == state.params[d].end())
-                            add += sp.share;
-                        else if (sp.share > it->second)
-                            add += sp.share - it->second;
-                    }
-                    const double total = state.deviceTotal(d) + add;
-                    peak_frac = std::max(
-                        peak_frac, total / topo_.device().memoryBytes);
-                }
-                double comm = 0;
-                for (const auto &[bytes, src] : inflows)
-                    comm += coll.flowTime(bytes, *src, win);
-                double non_resident_bytes = 0;
-                for (const SliceParam &sp : sig) {
-                    if (sp.bytes <= 0)
-                        continue;
-                    bool resident = false;
-                    for (DeviceId d : win) {
-                        if (state.params[d].count(sp.key)) {
-                            resident = true;
-                            break;
-                        }
-                    }
-                    if (!resident)
-                        non_resident_bytes += sp.bytes;
-                }
-                comm += options_.paramAffinityWeight * 2.0 *
-                        non_resident_bytes /
-                        topo_.config().interIslandCollective.bandwidth;
-                if (cfg.tp > 1 && !topo_.withinOneIsland(win))
-                    comm += island_penalty;
-                best_comm = comm;
-                best_win = std::move(win);
-            } else {
-                // Candidate windows come from the configured
-                // generator: bands (every length-n contiguous
-                // subsequence of an ordered position sequence) and
-                // explicit extras. All window scores derive from
-                // per-device quantities computed once per entry; the
-                // band sweeps combine them with prefix/extremum
-                // queries that reproduce a full rescan bit for bit.
-                // The sweep itself is a (possibly parallel) reduction
-                // over candidate ordinals — see struct Candidate.
-                const std::size_t F = free.size();
-                const std::uint32_t n = e.n;
-
-                window_gen.generate({topo_, free, n}, cand_windows);
-
-                // ---- Phase A setup: entry-wide per-inflow link
-                // ranks, and residency rows.
-                const std::uint32_t num_isl = topo_.numIslands();
-                if (inflow_ctx.size() < inflows.size())
-                    inflow_ctx.resize(inflows.size());
-                // Rank counters are 2^lg_bits bits wide, enough to
-                // count F (the longest band) positions.
-                const unsigned lg_bits = F < (1u << 8)    ? 3
-                                         : F < (1u << 16) ? 4
-                                                          : 5;
-                for (std::size_t k = 0; k < inflows.size(); ++k) {
-                    const DeviceSet &src = *inflows[k].second;
-                    InflowCtx &ctx = inflow_ctx[k];
-                    ctx.rankLinks(sources[k], inflows[k].first, n,
-                                  num_isl, row_words, lg_bits);
-                    row_words += ctx.words;
-                    ctx.inSrc.assign(F, 0);
-                    for (DeviceId s : src) {
-                        const auto fit = std::lower_bound(
-                            free.begin(), free.end(), s);
-                        if (fit != free.end() && *fit == s)
-                            ctx.inSrc[static_cast<std::size_t>(
-                                fit - free.begin())] = 1;
-                    }
-                }
-                if (pos_bump.size() < F * row_words)
-                    pos_bump.resize(F * row_words);
-
-                // Residency rows: one per distinct parameter key
-                // carried by the slice (affinity scoring).
-                sig_row.assign(sig.size(), -1);
-                row_of.clear();
-                row_key.clear();
-                for (std::size_t i = 0; i < sig.size(); ++i) {
-                    if (sig[i].bytes <= 0)
-                        continue;
-                    auto [it, inserted] = row_of.emplace(
-                        sig[i].key,
-                        static_cast<std::int32_t>(row_key.size()));
-                    if (inserted)
-                        row_key.push_back(sig[i].key);
-                    sig_row[i] = it->second;
-                }
-                const std::size_t rows = row_key.size();
-                if (cand_total.size() < F) {
-                    cand_total.resize(F);
-                    pos_island.resize(F);
-                }
-
-                // The would-be per-device load splits into one
-                // shared all-miss base and sparse overrides: a
-                // device holding none of the slice's keys misses
-                // every probe, so its delta is act_share plus every
-                // share — accumulated here once, in the exact order
-                // the probe loop performs, so the base is
-                // bit-identical to the probes it replaces. Only the
-                // *affected* devices (union of the keys' holder
-                // lists) can deviate and take the probe loop.
-                double sig_base = act_share;
-                for (const SliceParam &sp : sig)
-                    sig_base += sp.share;
-                ++entry_epoch;
-                for (std::int64_t key : uniq_keys) {
-                    const auto hit = state.holders.find(key);
-                    if (hit == state.holders.end())
-                        continue;
-                    for (DeviceId d : hit->second)
-                        affected_epoch[d] = entry_epoch;
-                }
-
-                // ---- Phase A: per free position, the device's
-                // would-be total, island, and rank-counter addends.
-                // Positions are independent (each lane touches its
-                // own device's lazy total), so this is the entry's
-                // first parallel region.
-                auto compute_position = [&](std::size_t pos) {
-                    const DeviceId d = free[pos];
-                    pos_of[d] = static_cast<std::uint32_t>(pos);
-                    pos_epoch[d] = entry_epoch;
-                    double add;
-                    if (affected_epoch[d] != entry_epoch) {
-                        add = sig_base;
-                    } else {
-                        add = act_share;
-                        for (const SliceParam &sp : sig) {
-                            const double *held =
-                                state.findFlat(d, sp.key);
-                            if (held == nullptr)
-                                add += sp.share;
-                            else if (sp.share > *held)
-                                add += sp.share - *held;
-                        }
-                    }
-                    cand_total[pos] = state.deviceTotal(d) + add;
-                    const std::uint32_t isl = topo_.islandOf(d);
-                    pos_island[pos] = isl;
-                    // One counter word is the common case: sum in a
-                    // register.
-                    if (row_words == 1) {
-                        std::uint64_t bump = 0;
-                        for (std::size_t k = 0; k < inflows.size(); ++k)
-                            bump += inflow_ctx[k].bumpAt(pos, isl).add;
-                        pos_bump[pos] = bump;
-                    } else if (row_words > 1) {
-                        std::uint64_t *bump =
-                            pos_bump.data() + pos * row_words;
-                        std::fill_n(bump, row_words, 0);
-                        for (std::size_t k = 0; k < inflows.size(); ++k) {
-                            const InflowCtx::Bump &b =
-                                inflow_ctx[k].bumpAt(pos, isl);
-                            bump[b.word] += b.add;
-                        }
-                    }
-                };
-                const std::size_t pos_work =
-                    F * (inflows.size() + 2);
-                maybeParallelFor(pool_,
-                                 pos_work >= kMinParallelWork, 0, F,
-                                 16, compute_position);
-
-                // Sparse residency: per row, the ascending free-list
-                // positions whose device already holds the row's key
-                // — exactly the still-free holders, so the lists
-                // stay tiny relative to F and bands intersect them
-                // instead of scanning a rows x F flag matrix.
-                if (row_pos.size() < rows)
-                    row_pos.resize(rows);
-                for (std::size_t r = 0; r < rows; ++r) {
-                    row_pos[r].clear();
-                    const auto hit = state.holders.find(row_key[r]);
-                    if (hit == state.holders.end())
-                        continue;
-                    for (DeviceId d : hit->second)
-                        if (pos_epoch[d] == entry_epoch)
-                            row_pos[r].push_back(pos_of[d]);
-                    std::sort(row_pos[r].begin(), row_pos[r].end());
-                }
-                // The same transposed, for explicit windows: the rows
-                // free position p holds are row_at[pos_row_off[p] ..
-                // pos_row_off[p + 1]).
-                if (!cand_windows.extras.empty()) {
-                    pos_row_off.assign(F + 2, 0);
-                    for (std::size_t r = 0; r < rows; ++r)
-                        for (std::uint32_t p : row_pos[r])
-                            ++pos_row_off[p + 2];
-                    for (std::size_t i = 2; i < F + 2; ++i)
-                        pos_row_off[i] += pos_row_off[i - 1];
-                    row_at.resize(pos_row_off[F + 1]);
-                    for (std::size_t r = 0; r < rows; ++r)
-                        for (std::uint32_t p : row_pos[r])
-                            row_at[pos_row_off[p + 1]++] =
-                                static_cast<std::uint32_t>(r);
-                }
-
-                // ---- Phase B: per-band prefix state. Sizing and
-                // ordinal bases are serial (cheap, and resizes must
-                // not race); the fills are independent per band and
-                // per residency row.
-                const std::size_t num_bands = cand_windows.bands.size();
-                if (band_states.size() < num_bands)
-                    band_states.resize(num_bands);
-                std::size_t ordinal = 0;
-                std::size_t band_positions = 0;
-                for (std::size_t b = 0; b < num_bands; ++b) {
-                    BandState &bs = band_states[b];
-                    const std::size_t B = cand_windows.bands[b].size();
-                    bs.ordinalBase = ordinal;
-                    bs.numWindows = B >= n ? B - n + 1 : 0;
-                    ordinal += bs.numWindows;
-                    if (bs.numWindows == 0)
-                        continue;
-                    band_positions += B;
-                    if (cfg.tp > 1 && bs.chgPref.size() < B)
-                        bs.chgPref.resize(B);
-                    if (bs.resIdx.size() < rows)
-                        bs.resIdx.resize(rows);
-                    const std::size_t need = row_words * (B + 1);
-                    if (bs.rankPref.size() < need)
-                        bs.rankPref.resize(need);
-                    bs.eqWindow.assign(inflows.size(), -1);
-                }
-                const std::size_t extras_base = ordinal;
-                const std::size_t total_candidates =
-                    ordinal + cand_windows.extras.size();
-
-                // True iff source device @p d sits at free position
-                // @p p.
-                const auto is_at = [&](DeviceId d, std::uint32_t p) {
-                    return free[p] == d;
-                };
-
-                // Shared per-band state: island-change prefix,
-                // link-rank prefixes, and the band window equal to a
-                // source set (zero-cost transfer).
-                auto build_band_shared = [&](std::size_t b) {
-                    BandState &bs = band_states[b];
-                    if (bs.numWindows == 0)
-                        return;
-                    const auto &band = cand_windows.bands[b];
-                    const std::size_t B = band.size();
-                    // Bands ascend (generator contract), so first
-                    // position 0 and last B-1 force the identity
-                    // permutation — the common ContiguousRuns case,
-                    // where dropping the band[i] indirection lets
-                    // the fills below vectorize.
-                    const bool ident =
-                        band[0] == 0 &&
-                        band[B - 1] == static_cast<std::uint32_t>(
-                                           B - 1);
-                    const auto at = [&](std::size_t i) {
-                        return ident ? static_cast<std::uint32_t>(i)
-                                     : band[i];
-                    };
-
-                    // Island-change prefix: a window holds within
-                    // one island iff no adjacent pair inside it
-                    // changes islands (exact under any numbering).
-                    // Only the TP island penalty reads it, so it is
-                    // built only when cfg.tp > 1. The minimum load
-                    // along the band always is: it is the admissible
-                    // bound for the memory term (every window's
-                    // maximum is >= the band-wide minimum) and the
-                    // whole-band capacity skip.
-                    if (cfg.tp > 1) {
-                        bs.chgPref[0] = 0;
-                        for (std::size_t i = 1; i < B; ++i)
-                            bs.chgPref[i] =
-                                bs.chgPref[i - 1] +
-                                (pos_island[at(i)] !=
-                                         pos_island[at(i - 1)]
-                                     ? 1u
-                                     : 0u);
-                    }
-                    double mn;
-                    if (ident) {
-                        mn = cand_total[0];
-                        for (std::size_t i = 1; i < B; ++i)
-                            mn = std::min(mn, cand_total[i]);
-                    } else {
-                        mn = cand_total[band[0]];
-                        for (std::size_t i = 1; i < B; ++i)
-                            mn = std::min(mn, cand_total[band[i]]);
-                    }
-                    bs.minTotal = mn;
-
-                    std::uint64_t *pref = bs.rankPref.data();
-                    std::fill_n(pref, row_words, 0);
-                    if (row_words == 1) {
-                        for (std::size_t i = 0; i < B; ++i)
-                            pref[i + 1] = pref[i] + pos_bump[at(i)];
-                    } else {
-                        for (std::size_t i = 0; i < B; ++i)
-                            for (std::size_t j = 0; j < row_words; ++j)
-                                pref[(i + 1) * row_words + j] =
-                                    pref[i * row_words + j] +
-                                    pos_bump[at(i) * row_words + j];
-                    }
-
-                    for (std::size_t k = 0; k < inflows.size(); ++k) {
-                        const DeviceSet &src = *inflows[k].second;
-                        if (src.size() == n) {
-                            // Devices ascend along a band, so
-                            // binary-search the band for the
-                            // source's first device.
-                            std::size_t lo = 0, hi = B;
-                            while (lo < hi) {
-                                const std::size_t mid = (lo + hi) / 2;
-                                if (free[band[mid]] < src.front())
-                                    lo = mid + 1;
-                                else
-                                    hi = mid;
-                            }
-                            if (lo + n <= B &&
-                                std::equal(src.begin(), src.end(),
-                                           band.begin() + lo, is_at))
-                                bs.eqWindow[k] =
-                                    static_cast<std::ptrdiff_t>(lo);
-                        }
-                    }
-                };
-                // Resident band indices of one row along one band:
-                // intersect the band (ascending positions, per the
-                // generator contract) with the row's holder-position
-                // list. O(holders · log B) instead of O(B).
-                auto build_band_row = [&](std::size_t b,
-                                          std::size_t row) {
-                    BandState &bs = band_states[b];
-                    if (bs.numWindows == 0)
-                        return;
-                    const auto &band = cand_windows.bands[b];
-                    std::vector<std::uint32_t> &out = bs.resIdx[row];
-                    out.clear();
-                    for (std::uint32_t p : row_pos[row]) {
-                        const auto it = std::lower_bound(
-                            band.begin(), band.end(), p);
-                        if (it != band.end() && *it == p)
-                            out.push_back(static_cast<std::uint32_t>(
-                                it - band.begin()));
-                    }
-                };
-                const std::size_t units_per_band = 1 + rows;
-                const std::size_t num_units =
-                    num_bands * units_per_band;
-                auto build_unit = [&](std::size_t u) {
-                    const std::size_t b = u / units_per_band;
-                    const std::size_t sub = u % units_per_band;
-                    if (sub == 0)
-                        build_band_shared(b);
-                    else
-                        build_band_row(b, sub - 1);
-                };
-                const std::size_t band_work =
-                    band_positions * (2 + row_words);
-                maybeParallelFor(pool_,
-                                 band_work >= kMinParallelWork, 0,
-                                 num_units, 1, build_unit);
-
-                // ---- Phase C: the window sweep, a reduction over
-                // the candidate ordinals. consider() mirrors the
-                // historical replace-on-strictly-better scan (see
-                // struct Candidate), and publishes improved
-                // primaries into the shared pruning bound.
-                prune_bound.store(
-                    std::numeric_limits<double>::infinity(),
-                    std::memory_order_relaxed);
-                auto consider = [&](Candidate &best, double max_total,
-                                    double comm, std::size_t ord,
-                                    std::int32_t band,
-                                    std::size_t start) {
-                    const double peak_frac =
-                        max_total / topo_.device().memoryBytes;
-                    const double mem_score =
-                        options_.memoryWeight * peak_frac;
-                    double primary, secondary;
-                    if (memory_first) {
-                        primary = peak_frac;
-                        secondary = comm;
-                    } else {
-                        primary = comm + mem_score;
-                        secondary = peak_frac;
-                    }
-                    if (primary < best.primary ||
-                        (primary == best.primary &&
-                         (secondary < best.secondary ||
-                          (secondary == best.secondary &&
-                           ord < best.ordinal)))) {
-                        best.primary = primary;
-                        best.secondary = secondary;
-                        best.comm = comm;
-                        best.ordinal = ord;
-                        best.band = band;
-                        best.start = start;
-                        if (prune) {
-                            double cur = prune_bound.load(
-                                std::memory_order_relaxed);
-                            while (primary < cur &&
-                                   !prune_bound
-                                        .compare_exchange_weak(
-                                            cur, primary,
-                                            std::memory_order_relaxed))
-                                ;
-                        }
-                    }
-                };
-
-                // Score band windows with start in [w_lo, w_hi). The
-                // memory extremum uses a monotonic deque (sliding-
-                // window maximum over the per-device candidate
-                // totals along the band); a chunk warms its own
-                // deque over the n-1 positions before its first
-                // window, so the maximum — a selection, not an
-                // accumulation — is bit-identical to the full scan.
-                //
-                // Before scoring, the chunk may be pruned: the lower
-                // bound below is exact (each term <= its counterpart
-                // in every window's score, accumulated in the same
-                // structural order, so rounded addition keeps the
-                // bound <= every primary), and a chunk is skipped
-                // only when the bound is *strictly* above an
-                // already-scored primary — such a chunk cannot
-                // contain the winner even via the (secondary,
-                // ordinal) tie-break, which only arbitrates equal
-                // primaries. See placement.h.
-                auto score_band_range =
-                    [&](std::size_t b, std::size_t w_lo,
-                        std::size_t w_hi, Candidate &best,
-                        std::vector<std::size_t> &dq,
-                        std::vector<std::size_t> &row_ptr,
-                        std::vector<char> &row_nonres) {
-                        const auto &band = cand_windows.bands[b];
-                        const BandState &bs = band_states[b];
-                        auto row = [&](std::size_t i) {
-                            return bs.rankPref.data() + i * row_words;
-                        };
-
-                        if (prune && bs.minTotal > capacity)
-                            return; // every window fails capacity
-
-                        if (prune) {
-                            // Chunk windows cover band positions
-                            // [w_lo, w_hi + n - 1).
-                            const std::size_t r_end = w_hi + n - 1;
-                            double lb = 0;
-                            if (memory_first) {
-                                lb = bs.minTotal /
-                                     topo_.device().memoryBytes;
-                            } else {
-                                for (std::size_t k = 0;
-                                     k < inflows.size(); ++k) {
-                                    if (inflows[k].first <= 0)
-                                        continue;
-                                    const std::ptrdiff_t eq =
-                                        bs.eqWindow[k];
-                                    if (eq >= static_cast<
-                                                  std::ptrdiff_t>(
-                                                  w_lo) &&
-                                        eq < static_cast<
-                                                 std::ptrdiff_t>(
-                                                 w_hi))
-                                        continue; // one pays 0
-                                    // A window's link is present in
-                                    // it, hence in the chunk's range.
-                                    lb += inflow_ctx[k].cheapest(
-                                        row(r_end), row(w_lo),
-                                        r_end - w_lo);
-                                }
-                                // Rows with no resident position in
-                                // the whole range are non-resident
-                                // in every window; their bytes are a
-                                // floor on the affinity term.
-                                double nrb = 0;
-                                if (rows > 0) {
-                                    row_nonres.resize(rows);
-                                    for (std::size_t r = 0; r < rows;
-                                         ++r) {
-                                        const auto &idx =
-                                            bs.resIdx[r];
-                                        const auto it =
-                                            std::lower_bound(
-                                                idx.begin(),
-                                                idx.end(),
-                                                static_cast<
-                                                    std::uint32_t>(
-                                                    w_lo));
-                                        row_nonres[r] =
-                                            (it == idx.end() ||
-                                             *it >= r_end)
-                                                ? 1
-                                                : 0;
-                                    }
-                                    for (std::size_t s = 0;
-                                         s < sig.size(); ++s) {
-                                        const std::int32_t row =
-                                            sig_row[s];
-                                        if (row >= 0 &&
-                                            row_nonres[static_cast<
-                                                std::size_t>(row)])
-                                            nrb += sig[s].bytes;
-                                    }
-                                }
-                                lb += options_.paramAffinityWeight *
-                                      2.0 * nrb /
-                                      topo_.config()
-                                          .interIslandCollective
-                                          .bandwidth;
-                                if (cfg.tp > 1)
-                                    lb += std::min(0.0,
-                                                   island_penalty);
-                                lb += options_.memoryWeight *
-                                      (bs.minTotal /
-                                       topo_.device().memoryBytes);
-                            }
-                            if (lb > prune_bound.load(
-                                         std::memory_order_relaxed))
-                                return;
-                        }
-
-                        // Per-row sweep pointers: first resident
-                        // band index >= w_lo; advanced as the window
-                        // slides (amortized O(1) per window).
-                        row_ptr.resize(rows);
-                        row_nonres.resize(rows);
-                        for (std::size_t r = 0; r < rows; ++r) {
-                            const auto &idx = bs.resIdx[r];
-                            row_ptr[r] = static_cast<std::size_t>(
-                                std::lower_bound(
-                                    idx.begin(), idx.end(),
-                                    static_cast<std::uint32_t>(
-                                        w_lo)) -
-                                idx.begin());
-                        }
-
-                        dq.clear();
-                        std::size_t head = 0;
-                        const std::size_t i_end = w_hi + n - 1;
-                        for (std::size_t i = w_lo; i < i_end; ++i) {
-                            while (dq.size() > head &&
-                                   cand_total[band[dq.back()]] <=
-                                       cand_total[band[i]])
-                                dq.pop_back();
-                            dq.push_back(i);
-                            if (i + 1 < w_lo + n)
-                                continue; // window not yet full
-                            const std::size_t w = i + 1 - n;
-                            if (dq[head] < w)
-                                ++head;
-                            const double max_total =
-                                cand_total[band[dq[head]]];
-
-                            // Memory feasibility. Division by a
-                            // positive constant is monotone, so
-                            // dividing the window maximum equals the
-                            // former per-device quotient maximum.
-                            if (max_total > capacity)
-                                continue;
-
-                            // Inter-wave communication, accumulated
-                            // in the same source order as always.
-                            double comm = 0;
-                            for (std::size_t k = 0; k < inflows.size();
-                                 ++k) {
-                                if (static_cast<std::ptrdiff_t>(w) ==
-                                    bs.eqWindow[k])
-                                    continue; // data resident
-                                if (inflows[k].first <= 0)
-                                    continue;
-                                comm += inflow_ctx[k].rowSeconds(
-                                    row(w + n), row(w));
-                            }
-
-                            // Parameter affinity (§3.5): reward
-                            // windows whose devices already store
-                            // this slice's parameter sets; placing
-                            // elsewhere would grow the corresponding
-                            // gradient-sync groups by roughly one
-                            // ring pass of the non-resident bytes.
-                            // The bytes accumulate in sig order (the
-                            // historical FP order); the per-row
-                            // flags come from the sliding pointers
-                            // into the sparse resident-index lists.
-                            double non_resident_bytes = 0;
-                            if (rows > 0) {
-                                for (std::size_t r = 0; r < rows;
-                                     ++r) {
-                                    const auto &idx = bs.resIdx[r];
-                                    std::size_t &ptr = row_ptr[r];
-                                    while (ptr < idx.size() &&
-                                           idx[ptr] < w)
-                                        ++ptr;
-                                    row_nonres[r] =
-                                        (ptr >= idx.size() ||
-                                         idx[ptr] >= w + n)
-                                            ? 1
-                                            : 0;
-                                }
-                                for (std::size_t s = 0;
-                                     s < sig.size(); ++s) {
-                                    const std::int32_t row =
-                                        sig_row[s];
-                                    if (row >= 0 &&
-                                        row_nonres[static_cast<
-                                            std::size_t>(row)])
-                                        non_resident_bytes +=
-                                            sig[s].bytes;
-                                }
-                            }
-                            comm += options_.paramAffinityWeight *
-                                    2.0 * non_resident_bytes /
-                                    topo_.config()
-                                        .interIslandCollective
-                                        .bandwidth;
-
-                            if (cfg.tp > 1 &&
-                                bs.chgPref[w + n - 1] !=
-                                    bs.chgPref[w])
-                                comm += island_penalty;
-
-                            consider(best, max_total, comm,
-                                     bs.ordinalBase + w,
-                                     static_cast<std::int32_t>(b), w);
-                        }
-                    };
-
-                // Score one explicit window (cross-island unions
-                // etc.).
-                auto score_extra = [&](std::size_t ei, Candidate &best,
-                                       std::vector<char> &row_nonres) {
-                    const auto &win_pos = cand_windows.extras[ei];
-                    panicIf(win_pos.size() != n,
-                            "tryPlace: generator emitted a window of "
-                            "the wrong size");
-                    double max_total = 0;
-                    for (std::uint32_t p : win_pos)
-                        max_total =
-                            std::max(max_total, cand_total[p]);
-                    if (max_total > capacity)
-                        return;
-
-                    double comm = 0;
-                    for (std::size_t k = 0; k < inflows.size(); ++k) {
-                        const DeviceSet &src = *inflows[k].second;
-                        if (inflows[k].first <= 0 ||
-                            (src.size() == n &&
-                             std::equal(src.begin(), src.end(),
-                                        win_pos.begin(), is_at)))
-                            continue; // no bytes, or already resident
-                        comm += inflow_ctx[k].windowSeconds(
-                            win_pos, pos_bump.data(), row_words);
-                    }
-
-                    double non_resident_bytes = 0;
-                    if (rows > 0) {
-                        row_nonres.assign(rows, 1);
-                        for (std::uint32_t p : win_pos)
-                            for (std::size_t i = pos_row_off[p];
-                                 i < pos_row_off[p + 1]; ++i)
-                                row_nonres[row_at[i]] = 0;
-                        for (std::size_t s = 0; s < sig.size(); ++s) {
-                            const std::int32_t row = sig_row[s];
-                            if (row >= 0 &&
-                                row_nonres[static_cast<std::size_t>(
-                                    row)])
-                                non_resident_bytes += sig[s].bytes;
-                        }
-                    }
-                    comm += options_.paramAffinityWeight * 2.0 *
-                            non_resident_bytes /
-                            topo_.config()
-                                .interIslandCollective.bandwidth;
-
-                    if (cfg.tp > 1) {
-                        const std::uint32_t first =
-                            pos_island[win_pos.front()];
-                        bool spans = false;
-                        for (std::uint32_t p : win_pos) {
-                            if (pos_island[p] != first) {
-                                spans = true;
-                                break;
-                            }
-                        }
-                        if (spans)
-                            comm += island_penalty;
-                    }
-
-                    consider(best, max_total, comm, extras_base + ei,
-                             -1, ei);
-                };
-
-                // Chunk the candidate space into sweep tasks. Chunk
-                // size only balances lanes and sets the pruning
-                // granularity; any chunking yields the same winner
-                // (the ordinal tie-break is global, and pruning is
-                // winner-preserving per chunk). The serial sweep is
-                // chunked too — that is what gives pruning its
-                // skippable units — with a floor of 4n so the
-                // per-chunk deque warm-up (n - 1 positions) stays
-                // under a quarter of the chunk.
-                const std::size_t sweep_work =
-                    total_candidates *
-                    (sig.size() + inflows.size() + 4);
-                const bool sweep_parallel =
-                    use_pool && sweep_work >= kMinParallelWork &&
-                    total_candidates > 1;
-                const std::size_t chunk_floor = std::max<std::size_t>(
-                    kMinSweepChunk, 4 * static_cast<std::size_t>(n));
-                const std::size_t chunk =
-                    sweep_parallel
-                        ? std::max(chunk_floor,
-                                   total_candidates /
-                                       (static_cast<std::size_t>(
-                                            pool_->threads()) *
-                                        4))
-                        : chunk_floor;
-                sweep_tasks.clear();
-                for (std::size_t b = 0; b < num_bands; ++b) {
-                    const std::size_t W = band_states[b].numWindows;
-                    for (std::size_t lo = 0; lo < W; lo += chunk)
-                        sweep_tasks.push_back(
-                            {static_cast<std::int32_t>(b), lo,
-                             std::min(lo + chunk, W)});
-                }
-                for (std::size_t lo = 0;
-                     lo < cand_windows.extras.size(); lo += chunk)
-                    sweep_tasks.push_back(
-                        {-1, lo,
-                         std::min(lo + chunk,
-                                  cand_windows.extras.size())});
-
-                auto run_task = [&](const SweepTask &t,
-                                    Candidate &best,
-                                    std::vector<std::size_t> &dq,
-                                    std::vector<std::size_t> &row_ptr,
-                                    std::vector<char> &row_nonres) {
-                    if (t.band >= 0)
-                        score_band_range(
-                            static_cast<std::size_t>(t.band), t.lo,
-                            t.hi, best, dq, row_ptr, row_nonres);
-                    else
-                        for (std::size_t ei = t.lo; ei < t.hi; ++ei)
-                            score_extra(ei, best, row_nonres);
-                };
-
-                Candidate best;
-                if (sweep_parallel && sweep_tasks.size() > 1) {
-                    best = pool_->parallelReduce<Candidate>(
-                        0, sweep_tasks.size(), 1,
-                        [&](Candidate &acc, std::size_t lo,
-                            std::size_t hi) {
-                            std::vector<std::size_t> dq;
-                            std::vector<std::size_t> row_ptr;
-                            std::vector<char> row_nonres;
-                            for (std::size_t t = lo; t < hi; ++t)
-                                run_task(sweep_tasks[t], acc, dq,
-                                         row_ptr, row_nonres);
-                        },
-                        [](Candidate &out, const Candidate &c) {
-                            if (betterThan(c, out))
-                                out = c;
-                        });
-                } else {
-                    for (const SweepTask &t : sweep_tasks)
-                        run_task(t, best, deque_scratch, rowptr_scratch,
-                                 rownonres_scratch);
-                }
-
-                if (!best.found()) {
-                    if (fail_wave != nullptr)
-                        *fail_wave = wi;
-                    return false; // nothing fits: trigger fallback
-                }
-                best_comm = best.comm;
-                best_win.resize(n);
-                win_positions.clear();
-                if (best.band >= 0) {
-                    const auto &band =
-                        cand_windows.bands[static_cast<std::size_t>(
-                            best.band)];
-                    for (std::uint32_t j = 0; j < n; ++j) {
-                        win_positions.push_back(band[best.start + j]);
-                        best_win[j] = free[band[best.start + j]];
-                    }
-                } else {
-                    const auto &win_pos =
-                        cand_windows.extras[best.start];
-                    for (std::uint32_t j = 0; j < n; ++j) {
-                        win_positions.push_back(win_pos[j]);
-                        best_win[j] = free[win_pos[j]];
-                    }
-                }
-            }
-
-            // Reverse-index upkeep, serially before the commit
-            // mutates any device: a key gains exactly the window
-            // devices that do not yet hold it (probed against the
-            // still-pre-commit flat mirror). uniq_keys is
-            // deduplicated, so no device is appended twice for one
-            // key, keeping holder lists exact.
-            for (std::int64_t key : uniq_keys) {
-                std::vector<DeviceId> *hv = nullptr;
-                for (DeviceId d : best_win) {
-                    if (state.findFlat(d, key) != nullptr)
-                        continue;
-                    if (hv == nullptr)
-                        hv = &state.holders[key];
-                    hv->push_back(d);
-                }
-            }
-
-            // Commit the chosen window. Devices are committed
-            // independently (each lane touches only its own device's
-            // map, flat mirror, and dirty bit), so large entries
-            // parallelize; order is irrelevant to the resulting
-            // state.
-            auto commit_device = [&](std::size_t j) {
-                const DeviceId d = best_win[j];
-                state.activations[d] += act_share;
-                for (const auto &[key, share] : commit_keys) {
-                    auto [it, inserted] =
-                        state.params[d].emplace(key, share);
-                    if (!inserted && share > it->second)
-                        it->second = share;
-                }
-                state.mergeFlat(d, uniq_keys, uniq_vals);
-                state.total_dirty[d] = 1;
-            };
-            maybeParallelFor(pool_,
-                             best_win.size() * (sig.size() + 1) >=
-                                 kMinParallelWork,
-                             0, best_win.size(), 8, commit_device);
-
-            // Attribute the committed flows to intra- vs
-            // inter-island fabric, shard by shard (see
-            // interIslandShardFraction), priced as the sweep scored
-            // them: zero for empty flows and src == dst (flowTime's
-            // own early-outs), otherwise the window's link ranks.
-            double entry_inter = 0;
-            for (std::size_t k = 0; k < inflows.size(); ++k) {
-                const auto &[bytes, src] = inflows[k];
-                double t;
-                if (win_positions.empty())
-                    t = coll.flowTime(bytes, *src, best_win);
-                else if (bytes <= 0 || *src == best_win)
-                    t = 0;
-                else
-                    t = inflow_ctx[k].windowSeconds(
-                        win_positions, pos_bump.data(), row_words);
-                if (t > 0)
-                    entry_inter += t * interIslandShardFraction(
-                                           topo_, sources[k], best_win);
-            }
-            if (cfg.tp > 1 && !topo_.withinOneIsland(best_win))
-                entry_inter += island_penalty;
-            result.interIslandCommSeconds += entry_inter;
-
+            // Attribution reads the inflow sets, so it precedes the
+            // commit, which replaces this MetaOp's last slice.
+            const double inter = ctx.interIsland(coll, win);
+            result.estimatedCommSeconds += comm;
+            result.interIslandCommSeconds += inter;
             if (log != nullptr)
                 log->push_back({static_cast<std::uint32_t>(wi),
-                                static_cast<std::uint32_t>(idx),
-                                best_comm, entry_inter});
-
-            e.devices = best_win;
-            state.lastSlice[e.metaOp] = std::move(best_win);
-            result.estimatedCommSeconds += best_comm;
-            if (options_.strategy != PlacementStrategy::Sequential) {
-                // Remove the committed devices from the free list
-                // (single compaction pass; general windows need not
-                // be contiguous runs of it).
-                const DeviceSet &win = state.lastSlice[e.metaOp];
-                std::size_t out = 0, take = 0;
-                for (std::size_t pos = 0; pos < free.size(); ++pos) {
-                    if (take < win.size() && free[pos] == win[take]) {
-                        ++take;
-                        continue;
-                    }
-                    free[out++] = free[pos];
-                }
-                free.resize(out);
-            }
+                                static_cast<std::uint32_t>(idx), comm,
+                                inter});
+            state.commit(ctx, win);
+            e.devices = std::move(win);
         }
     }
 

@@ -21,6 +21,30 @@
  *    fallback cheap at 512+ GPU scale; a full restart remains the
  *    last resort.
  *
+ * **Stages.** One placement pass (DevicePlacement::tryPlace) is a
+ * short loop over named stages in placement.cc:
+ *  1. *Entry setup* (EntryContext): built once per entry — its
+ *     parallel config and activation share, the slice's parameter
+ *     signature, distinct keys with their max shares and commit
+ *     order, the inflows with one FlowSource each, the TP island
+ *     penalty and the residency rows. It also owns the score terms
+ *     (parameter affinity, island penalty), each written once.
+ *  2. *Position pass*: per-inflow link ranks, then per free position
+ *     the device's would-be load, island and rank-counter addends,
+ *     then each residency row's holder positions.
+ *  3. *Band build*: per-band prefix state (island changes, minimum
+ *     load, link-rank prefix counts, the window equal to a source).
+ *  4. *Chunked sweep with pruning*: band windows and explicit extras
+ *     are scored chunk by chunk under one selection rule (Selection:
+ *     comm plus weighted memory pressure, or memory first in the
+ *     fallback) and reduced to the winner.
+ *  5. *Commit* (Attempt::commit): reverse-index upkeep, per-device
+ *     maps and flat mirrors, and the MetaOp's last slice.
+ * The Sequential strategy replaces stages 2–4 by its one window.
+ * Replaying a logged prefix builds the same entry setup and calls the
+ * same commit, then adds the logged comm; place() is placeWithPrefix
+ * with an empty prefix, so the fallback cascade exists once.
+ *
  * Candidate generation is pluggable (see window_generator.h): the
  * placer scores whatever windows the configured WindowGenerator
  * emits, using incremental per-band state (link-rank / residency /
@@ -34,47 +58,45 @@
  * runtime's resolver, FlowSource (hardware/collective.h), on every
  * fabric: each (island, in-source) pair resolves to one link, and a
  * window costs the seconds of its best-ranked device's link — exactly
- * CollectiveModel::flowTime, the best of the same per-device links.
+ * CollectiveModel::flowTime, the best of the same per-device links,
+ * which prices the committed flows' inter-island attribution.
  *
- * **Incremental per-entry sweep (4096-GPU scaling).** The per-entry
- * setup itself is incremental across entries rather than a rescan:
- * the attempt state keeps, besides the per-device parameter maps, a
- * sorted flat mirror of each map (binary-search probes in the hot
- * loops, same stored doubles, so identical arithmetic) and a
- * reverse index from parameter key to the devices holding it. An
- * entry's would-be per-device load then splits into one shared
- * "all-miss" base — activation share plus every signature share,
- * accumulated once in the exact order the probe loop would have —
- * and sparse overrides for the *affected* devices (the union of the
- * holder lists of the entry's keys), the only devices where a probe
- * can hit. Commits dirty only the chosen window's devices, so
- * affected sets stay tiny and per-entry setup is O(free) + O(affected
- * · |sig|) instead of O(free · |sig|). Parameter residency follows
- * the same scheme: per residency row a sparse ascending list of
- * holder positions replaces the rows × free flag matrix.
+ * **Incremental per-entry setup (4096-GPU scaling).** The attempt
+ * state keeps, besides the per-device parameter maps, a sorted flat
+ * mirror of each map (binary-search probes in the hot loops, same
+ * stored doubles, so identical arithmetic) and a reverse index from
+ * parameter key to the devices holding it. An entry's would-be
+ * per-device load then splits into one shared "all-miss" base —
+ * activation share plus every signature share, accumulated once in
+ * the exact order the probe loop would have — and sparse overrides
+ * for the *affected* devices (the union of the holder lists of the
+ * entry's keys), the only devices where a probe can hit. Commits
+ * dirty only the chosen window's devices, so affected sets stay tiny
+ * and the position pass is O(free) + O(affected · |sig|) instead of
+ * O(free · |sig|). Parameter residency follows the same scheme: per
+ * residency row a sparse ascending list of holder positions replaces
+ * the rows × free flag matrix.
  *
  * **Admissible band pruning** (PlacementOptions::bandPruning): before
  * scoring a chunk of band windows, the sweep derives an exact lower
- * bound on every window's primary score from the already-built
- * per-band state — minimum load along the band for the memory term,
- * the cheapest link present anywhere in the chunk's position range
- * per inflow, residency over the whole range for the affinity
- * term, and min(0, penalty) for the island penalty. Each bound term
- * is ≤ its counterpart and is accumulated in the same structural
- * order as the real score, so by monotonicity of rounded addition
- * the bound never exceeds any window's primary. A chunk is skipped
- * only when its bound is *strictly* above an already-scored
- * candidate's primary; the selection tie-break (secondary, then
- * serial enumeration ordinal) only arbitrates between equal
- * primaries, so a pruned chunk can never contain the winner and the
- * emitted plan is byte-identical with pruning on or off, at any
- * thread count (pinned by planner_equivalence_test, which toggles
- * the flag at 1024 GPUs).
+ * bound on every window's primary score from the band state —
+ * minimum load along the band for the memory term, the cheapest link
+ * present anywhere in the chunk's position range per inflow,
+ * residency over the whole range for the affinity term, and
+ * min(0, penalty) for the island penalty — through the same score
+ * terms and selection rule as a window. Each bound term is ≤ its
+ * counterpart and is accumulated in the same structural order as the
+ * real score, so by monotonicity of rounded addition the bound never
+ * exceeds any window's primary. A chunk is skipped only when its
+ * bound is *strictly* above an already-scored candidate's primary;
+ * the selection tie-break (secondary, then serial enumeration
+ * ordinal) only arbitrates between equal primaries, so a pruned chunk
+ * can never contain the winner and the emitted plan is byte-identical
+ * with pruning on or off, at any thread count (pinned by
+ * planner_equivalence_test, which toggles the flag at 1024 GPUs).
  *
- * With a ThreadPool the per-entry sweep runs as a parallel reduction:
- * the position setup (per-device loads, link ranks, residency
- * flags), the per-band state builds, and the window scoring are
- * chunked across lanes, and the winning window is selected by a
+ * With a ThreadPool the position pass, the band build and the sweep
+ * are chunked across lanes, and the winning window is selected by a
  * deterministic merge on (primary score, secondary score, candidate
  * ordinal) — the ordinal is the serial enumeration index, so the
  * emitted plan is byte-identical to the single-threaded sweep at any
@@ -85,8 +107,8 @@
  *
  * A Sequential strategy (each entry takes the next consecutive
  * device ids, no topology awareness — by design independent of the
- * island structure and of any renumbering) is provided for the
- * Fig. 10 ablation.
+ * island structure and of any renumbering — and no capacity check)
+ * is provided for the Fig. 10 ablation.
  */
 
 #ifndef SPINDLE_PLANNER_PLACEMENT_H
@@ -254,24 +276,21 @@ class DevicePlacement
                     std::vector<PlacementCommit> *commit_log = nullptr) const;
 
   private:
-    struct Attempt;
-
     /** Internal alias; see PlacementCommit. */
     using CommitRecord = PlacementCommit;
 
     /**
-     * One placement pass. Waves before @p resume_wave are replayed
-     * from @p replay (state committed, no scoring); waves from
-     * @p resume_wave on are scored (memory-first when
-     * @p memory_first). On failure, the index of the first
-     * infeasible wave lands in @p fail_wave and committed records
-     * (all passes log into @p log when non-null) describe the
-     * feasible prefix.
+     * One placement pass. Records of @p replay for waves before
+     * @p resume_wave are replayed (state committed, no scoring);
+     * waves from @p resume_wave on are scored (memory-first when
+     * @p memory_first). Scored commits are appended to @p log when
+     * non-null. On failure, the index of the first infeasible wave
+     * lands in @p fail_wave, and the log holds the feasible prefix.
      */
     bool tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                   bool memory_first, PlacementResult &result,
                   std::size_t resume_wave,
-                  const std::vector<CommitRecord> *replay,
+                  const std::vector<CommitRecord> &replay,
                   std::vector<CommitRecord> *log,
                   std::size_t *fail_wave) const;
 

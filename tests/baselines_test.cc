@@ -204,6 +204,30 @@ TEST_F(BaselineFixture, TheoreticalOptimumOnlyFromSpindle)
     EXPECT_DOUBLE_EQ(ds.runIteration(meta).theoreticalOptimum, 0);
 }
 
+TEST_F(BaselineFixture, ResultCarriesOversubscription)
+{
+    // DeepSpeed's plan ignores device memory, so with HBM below its
+    // own peak the system result must carry the engine's report.
+    const SystemResult fits =
+        SequentialSystem(hw, SequentialMode::DeepSpeed).runIteration(meta);
+    EXPECT_FALSE(fits.oversubscribed.has_value());
+
+    ClusterConfig cfg = topo.config();
+    cfg.device.memoryBytes = *std::max_element(fits.peakMemoryBytes.begin(),
+                                               fits.peakMemoryBytes.end()) /
+                             2;
+    ClusterTopology small(cfg);
+    HardwareModel small_hw(small);
+    const SystemResult over = SequentialSystem(small_hw,
+                                               SequentialMode::DeepSpeed)
+                                  .runIteration(meta);
+    ASSERT_TRUE(over.oversubscribed.has_value());
+    EXPECT_EQ(over.oversubscribed->peakBytes,
+              *std::max_element(over.peakMemoryBytes.begin(),
+                                over.peakMemoryBytes.end()));
+    EXPECT_EQ(over.oversubscribed->capacityBytes, cfg.device.memoryBytes);
+}
+
 TEST(SpindleSystemMemory, EngineChargesThePlannersMemoryRegime)
 {
     // Tab. 2: QWen-VAL 70B only fits 80 GB devices with ZeRO-3

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "planner/planner.h"
@@ -463,6 +465,158 @@ TEST(Placement, SequentialStrategyIgnoresMemoryBalance)
         planWith(meta, hw, PlacementStrategy::Sequential);
     out.plan.validate(meta);
     EXPECT_FALSE(out.placement.usedMemoryFallback);
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) ==
+           std::bit_cast<std::uint64_t>(b);
+}
+
+void
+expectSameDevices(const ExecutionPlan &want, const ExecutionPlan &got)
+{
+    ASSERT_EQ(want.waves.size(), got.waves.size());
+    for (std::size_t w = 0; w < want.waves.size(); ++w) {
+        ASSERT_EQ(want.waves[w].entries.size(), got.waves[w].entries.size());
+        for (std::size_t i = 0; i < want.waves[w].entries.size(); ++i)
+            EXPECT_EQ(want.waves[w].entries[i].devices,
+                      got.waves[w].entries[i].devices)
+                << "wave " << w << " entry " << i;
+    }
+}
+
+void
+expectSamePeaks(const PlacementResult &want, const PlacementResult &got)
+{
+    ASSERT_EQ(want.peakBytes.size(), got.peakBytes.size());
+    for (std::size_t d = 0; d < want.peakBytes.size(); ++d)
+        EXPECT_TRUE(sameBits(want.peakBytes[d], got.peakBytes[d]))
+            << "device " << d;
+}
+
+/**
+ * Resume placement at every wave r from place()'s own commit records
+ * for waves < r: the replayed prefix goes through the same commit as
+ * a scored entry, so each resumed pass must reproduce place()'s
+ * devices, result and commit log bit for bit.
+ */
+void
+expectPrefixReplayMatchesPlace(const ComputationGraph &g,
+                               const ClusterConfig &cluster,
+                               WindowPolicy windows)
+{
+    ClusterTopology topo(cluster);
+    HardwareModel hw(topo);
+    MetaGraph meta = contractGraph(g);
+    PlannerOptions options;
+    options.placement.windows = windows;
+    const ExecutionPlan waves = ExecutionPlanner(hw, options).plan(meta).plan;
+    MemoryModel mem(options.memory);
+    DevicePlacement placement(topo, hw, mem, options.placement);
+
+    ExecutionPlan full = waves;
+    std::vector<PlacementCommit> full_log;
+    const PlacementResult want = placement.place(meta, full, &full_log);
+    ASSERT_FALSE(want.usedMemoryFallback);
+    ASSERT_GT(full.waves.size(), 2u);
+    expectSameDevices(waves, full);
+
+    for (std::size_t r = 1; r < full.waves.size(); ++r) {
+        SCOPED_TRACE(strCat("resume wave ", r));
+        ExecutionPlan resumed = waves;
+        std::vector<PlacementCommit> prefix;
+        for (std::size_t w = 0; w < resumed.waves.size(); ++w)
+            for (std::size_t i = 0; i < resumed.waves[w].entries.size(); ++i)
+                resumed.waves[w].entries[i].devices =
+                    w < r ? full.waves[w].entries[i].devices : DeviceSet{};
+        for (const PlacementCommit &rec : full_log)
+            if (rec.wave < r)
+                prefix.push_back(rec);
+
+        std::vector<PlacementCommit> log;
+        const PlacementResult got =
+            placement.placeWithPrefix(meta, resumed, r, prefix, &log);
+        expectSameDevices(full, resumed);
+        expectSamePeaks(want, got);
+        EXPECT_TRUE(sameBits(want.estimatedCommSeconds,
+                             got.estimatedCommSeconds));
+        EXPECT_TRUE(sameBits(want.interIslandCommSeconds,
+                             got.interIslandCommSeconds));
+        EXPECT_FALSE(got.usedMemoryFallback);
+        ASSERT_EQ(log.size(), full_log.size());
+        for (std::size_t k = 0; k < log.size(); ++k) {
+            EXPECT_EQ(log[k].wave, full_log[k].wave);
+            EXPECT_EQ(log[k].entry, full_log[k].entry);
+            EXPECT_TRUE(sameBits(log[k].comm, full_log[k].comm));
+            EXPECT_TRUE(
+                sameBits(log[k].interIsland, full_log[k].interIsland));
+        }
+    }
+}
+
+TEST(Placement, PrefixReplayMatchesPlaceAtEveryWave)
+{
+    ClusterConfig nodes;
+    nodes.numNodes = 2;
+    nodes.gpusPerNode = 8;
+    expectPrefixReplayMatchesPlace(buildMultitaskClip({.numTasks = 4}),
+                                   nodes, WindowPolicy::ContiguousRuns);
+
+    // Mixed-size islands: IslandAware emits multi-band sweeps plus
+    // cross-island extras.
+    ClusterConfig islands;
+    DeviceId next = 0;
+    for (std::uint32_t size : {12u, 4u, 12u, 4u}) {
+        IslandSpec island;
+        for (std::uint32_t i = 0; i < size; ++i)
+            island.devices.push_back(next++);
+        islands.islands.push_back(std::move(island));
+    }
+    expectPrefixReplayMatchesPlace(
+        buildQwenVal({.size = QwenValConfig::Size::B9}), islands,
+        WindowPolicy::IslandAware);
+}
+
+TEST(Placement, SequentialIgnoresCapacityUnderPressure)
+{
+    // The Sequential ablation scores its one window but never rejects
+    // it: with HBM below its own roomy peak it must neither fall back
+    // nor move, and its per-device peaks stay those of the roomy plan.
+    ComputationGraph g = buildMultitaskClip({.numTasks = 4});
+    MetaGraph meta = contractGraph(g);
+    ClusterConfig cfg;
+    cfg.numNodes = 2;
+    cfg.gpusPerNode = 8;
+    ClusterTopology roomy(cfg);
+    HardwareModel hw_roomy(roomy);
+    PlannerOptions options;
+    options.placement.strategy = PlacementStrategy::Sequential;
+    const ExecutionPlan waves =
+        ExecutionPlanner(hw_roomy, options).plan(meta).plan;
+    MemoryModel mem(options.memory);
+
+    ExecutionPlan roomy_plan = waves;
+    const PlacementResult want =
+        DevicePlacement(roomy, hw_roomy, mem, options.placement)
+            .place(meta, roomy_plan);
+    const double peak =
+        *std::max_element(want.peakBytes.begin(), want.peakBytes.end());
+
+    cfg.device.memoryBytes = peak * 0.5;
+    ClusterTopology tight(cfg);
+    HardwareModel hw_tight(tight);
+    ExecutionPlan tight_plan = waves;
+    const PlacementResult got =
+        DevicePlacement(tight, hw_tight, mem, options.placement)
+            .place(meta, tight_plan);
+
+    EXPECT_FALSE(got.usedMemoryFallback);
+    expectSameDevices(roomy_plan, tight_plan);
+    expectSamePeaks(want, got);
+    EXPECT_GT(*std::max_element(got.peakBytes.begin(), got.peakBytes.end()),
+              cfg.device.memoryBytes);
 }
 
 TEST(MemoryModel, ShardingArithmetic)
