@@ -5,7 +5,9 @@
  * 70B QWen-VAL of Tab. 2), with the per-phase breakdown (estimation /
  * allocation / scheduling / placement seconds) attached as counters,
  * plus sampled 1024/2048/4096-GPU CLIP-10 points probing the scale
- * envelope and a 512-GPU memory-fallback stress lane (the
+ * envelope, a 2048-GPU QWen-VAL 70B point on mixed 12/4-GPU islands
+ * (the IslandAware catch-all path) and a 512-GPU memory-fallback
+ * stress lane (the
  * Placement.MemoryFallback512GpuStress scenario as a gated
  * wall-clock record). The 4096-GPU point also simulates its plan and
  * records engine_seconds, the fastest Engine::run of the iteration,
@@ -266,6 +268,10 @@ const WorkloadCase clip10_hetero{"CLIP-10-hetero",
                                  buildMultitaskClip({.numTasks = 10}),
                                  /*zeroShardParams=*/false,
                                  /*hetero=*/true};
+const WorkloadCase qwen70_hetero{
+    "QWenVAL-70B-hetero",
+    buildQwenVal({.size = QwenValConfig::Size::B70, .batch = 128}),
+    /*zeroShardParams=*/true, /*hetero=*/true};
 
 } // namespace
 
@@ -295,6 +301,11 @@ BENCHMARK_CAPTURE(planAtScale, QWenVAL_70B, qwen70)
 BENCHMARK_CAPTURE(planAtScale, CLIP_10Tasks_hetero, clip10_hetero)
     ->Args({2, 1})->Args({8, 1})->Args({16, 1})->Args({32, 1})
     ->Args({32, 2})->Args({32, 8})
+    ->Unit(benchmark::kMillisecond);
+// The 70B model on 2048 GPUs of mixed islands: every entry outgrows
+// every island, so IslandAware placement runs its greedy catch-all.
+BENCHMARK_CAPTURE(planAtScale, QWenVAL_70B_hetero, qwen70_hetero)
+    ->Args({256, 1})
     ->Unit(benchmark::kMillisecond);
 
 int

@@ -12,7 +12,9 @@ bench/baseline_planner.json:
     must every record carrying an explicit "gate" flag (the sampled
     1024- and 4096-GPU scale-envelope points — their budgets encode
     the 4096-GPU acceptance: >= 4x below the pre-incremental-sweep
-    1024-GPU budget, sub-100 ms at 4096 after the regression factor);
+    1024-GPU budget, sub-100 ms at 4096 after the regression factor —
+    and the 2048-GPU QWen-VAL 70B point on mixed islands, the only
+    budget on IslandAware's greedy catch-all);
   * every 256-GPU or "gate"-flagged record must additionally stay
     within the factor on each budgeted *per-phase* wall-clock
     (estimation / allocation / scheduling / placement seconds), so a

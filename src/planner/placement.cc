@@ -1187,10 +1187,26 @@ WindowSweep::buildBandShared(std::size_t b)
     const auto &band = cand_windows_.bands[b];
     const std::size_t B = band.size();
     const std::size_t n = ctx_->n;
-    // Bands ascend (generator contract), so first position 0 and last
-    // B-1 force the identity permutation — the common ContiguousRuns
-    // case, where dropping the band[i] indirection lets the fills
-    // below vectorize.
+    // The minimum load along the band: the admissible bound for the
+    // memory term (every window's maximum is >= the band-wide minimum)
+    // and the whole-band capacity skip. Its loop visits every position
+    // first, so it also enforces the generator contract (positions
+    // ascend strictly inside the free list) before anything indexes
+    // by them.
+    const std::size_t F = free_->size();
+    double mn = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < B; ++i) {
+        const std::uint32_t p = band[i];
+        fatalIf(p >= F || (i > 0 && p <= band[i - 1]),
+                "tryPlace: generator emitted band position ", p,
+                " out of order or beyond the ", F, " free devices");
+        mn = std::min(mn, cand_total_[p]);
+    }
+    bs.minTotal = mn;
+
+    // Bands ascend, so first position 0 and last B-1 force the
+    // identity permutation — the common ContiguousRuns case, where
+    // dropping the band[i] indirection lets the fills below vectorize.
     const bool ident =
         band[0] == 0 && band[B - 1] == static_cast<std::uint32_t>(B - 1);
     const auto at = [&](std::size_t i) {
@@ -1200,10 +1216,7 @@ WindowSweep::buildBandShared(std::size_t b)
     // Island-change prefix: a window holds within one island iff no
     // adjacent pair inside it changes islands (exact under any
     // numbering). Only the TP island penalty reads it, so it is built
-    // only when cfg.tp > 1. The minimum load along the band always
-    // is: it is the admissible bound for the memory term (every
-    // window's maximum is >= the band-wide minimum) and the
-    // whole-band capacity skip.
+    // only when cfg.tp > 1.
     if (ctx_->cfg.tp > 1) {
         bs.chgPref[0] = 0;
         for (std::size_t i = 1; i < B; ++i)
@@ -1211,17 +1224,6 @@ WindowSweep::buildBandShared(std::size_t b)
                 bs.chgPref[i - 1] +
                 (pos_island_[at(i)] != pos_island_[at(i - 1)] ? 1u : 0u);
     }
-    double mn;
-    if (ident) {
-        mn = cand_total_[0];
-        for (std::size_t i = 1; i < B; ++i)
-            mn = std::min(mn, cand_total_[i]);
-    } else {
-        mn = cand_total_[band[0]];
-        for (std::size_t i = 1; i < B; ++i)
-            mn = std::min(mn, cand_total_[band[i]]);
-    }
-    bs.minTotal = mn;
 
     std::uint64_t *pref = bs.rankPref.data();
     const std::size_t rw = row_words_;
@@ -1511,11 +1513,19 @@ WindowSweep::scoreExtra(std::size_t ei, Candidate &best,
 {
     const EntryContext &ctx = *ctx_;
     const auto &win_pos = cand_windows_.extras[ei];
-    panicIf(win_pos.size() != ctx.n,
+    fatalIf(win_pos.size() != ctx.n,
             "tryPlace: generator emitted a window of the wrong size");
+    // The generator contract, enforced in the loop that visits every
+    // position first: positions ascend strictly inside the free list.
+    const std::size_t F = free_->size();
     double max_total = 0;
-    for (std::uint32_t p : win_pos)
+    for (std::size_t i = 0; i < win_pos.size(); ++i) {
+        const std::uint32_t p = win_pos[i];
+        fatalIf(p >= F || (i > 0 && p <= win_pos[i - 1]),
+                "tryPlace: generator emitted window position ", p,
+                " out of order or beyond the ", F, " free devices");
         max_total = std::max(max_total, cand_total_[p]);
+    }
     if (max_total > sel_->capacity)
         return;
 

@@ -146,7 +146,10 @@ struct PlacementOptions
 
     /**
      * Custom window generator (non-owning; must outlive placement).
-     * Overrides `windows` when set.
+     * Overrides `windows` when set. A window that breaks the
+     * generator contract (an extra of the wrong size, or a position
+     * that is out of range or not strictly ascending) is a fatal()
+     * user error.
      */
     const WindowGenerator *generator = nullptr;
 

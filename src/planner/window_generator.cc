@@ -21,6 +21,8 @@ ContiguousRunsGenerator::generate(const WindowGenContext &ctx,
 
 namespace {
 
+using Variant = CandidateWindows::CatchAllScratch::Variant;
+
 /** Merge the first @p take_a of @p a with the first @p take_b of
  *  @p b into @p win as one ascending position list. */
 void
@@ -32,6 +34,112 @@ mergedPrefix(const std::vector<std::uint32_t> &a, std::size_t take_a,
     std::merge(a.begin(), a.begin() + static_cast<std::ptrdiff_t>(take_a),
                b.begin(), b.begin() + static_cast<std::ptrdiff_t>(take_b),
                std::back_inserter(win));
+}
+
+/**
+ * Step 3 of IslandAwareGenerator::generate, the greedy catch-all
+ * (see the class comment), for n above every island's free count.
+ * @p isl holds the free positions per island and cw.catchAll.byFirst
+ * the non-empty islands by first free position.
+ */
+void
+greedyCatchAll(const std::vector<std::vector<std::uint32_t>> &isl,
+               std::uint32_t n, CandidateWindows &cw)
+{
+    CandidateWindows::CatchAllScratch &ws = cw.catchAll;
+    const auto size = [&](std::uint32_t k) {
+        return static_cast<std::uint32_t>(isl[k].size());
+    };
+    std::vector<std::uint32_t> &order = ws.order;
+    order = ws.byFirst;
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                  return size(a) != size(b) ? size(a) > size(b) : a < b;
+              });
+    const std::size_t m = order.size();
+    ws.rank.resize(isl.size());
+    ws.prefix.resize(m + 1);
+    ws.prefix[0] = 0;
+    for (std::size_t j = 0; j < m; ++j) {
+        ws.rank[order[j]] = static_cast<std::uint32_t>(j);
+        ws.prefix[j + 1] = ws.prefix[j] + size(order[j]);
+    }
+    // A fill of `budget` positions takes fill-order islands [0, cut)
+    // whole, cut being the last index whose prefix sum still fits the
+    // budget, and the rest from island `cut`.
+    const auto fill = [&](std::uint32_t start, std::uint32_t budget) {
+        const auto cut = static_cast<std::uint32_t>(
+            std::upper_bound(ws.prefix.begin(), ws.prefix.end(), budget) -
+            ws.prefix.begin() - 1);
+        return Variant{start, cut, budget - ws.prefix[cut]};
+    };
+
+    // Starts inside the base's whole prefix [0, base.cut) reproduce
+    // the base window. Any later start s (every island has fewer than
+    // n free) fills n - |s| from the order before s, so it takes all
+    // of s, which the base does not, and stops no later than the
+    // base: it stays distinct from the base and from every other
+    // start. s never lands on its own cut island (its fill stops
+    // before s or at the base's cut, which precedes s).
+    ws.variants.clear();
+    const Variant base = fill(Variant::kNoStart, n);
+    ws.variants.push_back(base);
+    for (std::size_t j = base.cut; j < m; ++j)
+        ws.variants.push_back(fill(order[j], n - size(order[j])));
+
+    const auto take = [&](const Variant &v, std::uint32_t k) {
+        const std::uint32_t r = ws.rank[k];
+        if (k == v.start || r < v.cut)
+            return size(k);
+        return r == v.cut ? v.rest : 0u;
+    };
+    // Lexicographic order of the ascending position lists: the
+    // smallest position in the symmetric difference decides, and it
+    // belongs to the variant taking more of its island. Takes can
+    // differ only on the fill-order span between the two cuts and on
+    // the two starts.
+    const auto precedes = [&](const Variant &a, const Variant &b) {
+        std::uint32_t first_diff = ~0u;
+        bool a_first = false;
+        const auto probe = [&](std::uint32_t k) {
+            const std::uint32_t ta = take(a, k), tb = take(b, k);
+            if (ta == tb)
+                return;
+            const std::uint32_t p = isl[k][std::min(ta, tb)];
+            if (p < first_diff) {
+                first_diff = p;
+                a_first = ta > tb;
+            }
+        };
+        const std::size_t hi = std::min<std::size_t>(
+            std::max(a.cut, b.cut) + std::size_t{1}, m);
+        for (std::size_t r = std::min(a.cut, b.cut); r < hi; ++r)
+            probe(order[r]);
+        if (a.start != Variant::kNoStart)
+            probe(a.start);
+        if (b.start != Variant::kNoStart)
+            probe(b.start);
+        return a_first;
+    };
+    std::sort(ws.variants.begin(), ws.variants.end(), precedes);
+
+    // Each window: the islands' position prefixes in order of first
+    // free position. That concatenation already ascends unless two
+    // islands interleave; then only the overlapping tail is merged.
+    for (const Variant &v : ws.variants) {
+        std::vector<std::uint32_t> &win = cw.appendExtra();
+        win.reserve(n);
+        for (std::uint32_t k : ws.byFirst) {
+            const std::uint32_t t = take(v, k);
+            if (t == 0)
+                continue;
+            const auto mid = win.insert(win.end(), isl[k].begin(),
+                                        isl[k].begin() + t);
+            if (mid != win.begin() && *(mid - 1) > *mid)
+                std::inplace_merge(std::upper_bound(win.begin(), mid, *mid),
+                                   mid, win.end());
+        }
+    }
 }
 
 } // namespace
@@ -51,19 +159,32 @@ IslandAwareGenerator::generate(const WindowGenContext &ctx,
     // caller-owned scratch so repeated sweeps reuse capacity instead
     // of allocating one list set per entry. (scratch may be larger
     // than num_isl from an earlier call; only [0, num_isl) is live.)
+    // The same scan lists the non-empty islands by first free
+    // position, for the catch-all.
     const std::size_t num_isl = ctx.topo.numIslands();
     out.prepareScratch(num_isl);
     std::vector<std::vector<std::uint32_t>> &isl = out.scratch;
-    for (std::size_t pos = 0; pos < F; ++pos)
-        isl[ctx.topo.islandOf(ctx.free[pos])].push_back(
-            static_cast<std::uint32_t>(pos));
+    std::vector<std::uint32_t> &by_first = out.catchAll.byFirst;
+    by_first.clear();
+    for (std::size_t pos = 0; pos < F; ++pos) {
+        const std::uint32_t k = ctx.topo.islandOf(ctx.free[pos]);
+        if (isl[k].empty())
+            by_first.push_back(k);
+        isl[k].push_back(static_cast<std::uint32_t>(pos));
+    }
 
     // 1. Per-island bands: sliding runs that never leave an island,
     //    whatever the device numbering looks like.
-    std::size_t largest = 0;
+    std::size_t largest = 0, second = 0;
     for (std::size_t k = 0; k < num_isl; ++k) {
-        largest = std::max(largest, isl[k].size());
-        if (isl[k].size() >= n)
+        const std::size_t c = isl[k].size();
+        if (c > largest) {
+            second = largest;
+            largest = c;
+        } else if (c > second) {
+            second = c;
+        }
+        if (c >= n)
             out.appendBand() = isl[k];
     }
 
@@ -72,8 +193,10 @@ IslandAwareGenerator::generate(const WindowGenContext &ctx,
     //    to three splits (lean on the first island, balance, lean on
     //    the second), each taking the lowest-id free devices of its
     //    island. Unordered iteration keeps the (i, j) and (j, i)
-    //    splits from being emitted — and scored — twice.
-    for (std::size_t i = 0; i + 1 < num_isl && n >= 2; ++i) {
+    //    splits from being emitted — and scored — twice. No pair
+    //    hosts n beyond the two largest islands combined.
+    const bool pairs_can_host = n >= 2 && n <= largest + second;
+    for (std::size_t i = 0; pairs_can_host && i + 1 < num_isl; ++i) {
         const std::size_t ci = isl[i].size();
         if (ci == 0)
             continue;
@@ -106,53 +229,12 @@ IslandAwareGenerator::generate(const WindowGenContext &ctx,
         }
     }
 
-    // 3. Greedy catch-alls when the entry outgrows every island:
-    //    one variant per non-empty starting island, each filled up
-    //    from the remaining islands in descending free-count order
-    //    (ties by island id). Several variants keep placement — and
-    //    in particular the memory-first fallback — from hinging on
-    //    a single candidate whose devices happen to be loaded.
-    if (largest < n) {
-        std::vector<std::size_t> order;
-        for (std::size_t k = 0; k < num_isl; ++k)
-            if (!isl[k].empty())
-                order.push_back(k);
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             return isl[a].size() > isl[b].size();
-                         });
-        // Emit the variants straight into extras (recycled storage),
-        // then sort-and-dedupe that tail in place: different starts
-        // can coincide, and each window must be emitted once, in the
-        // historical lexicographic order.
-        const std::size_t greedy_base = out.extras.size();
-        for (std::size_t start : order) {
-            std::vector<std::uint32_t> &win = out.appendExtra();
-            win.reserve(n);
-            auto take_from = [&](std::size_t k) {
-                if (win.size() >= n)
-                    return;
-                const std::size_t take = std::min<std::size_t>(
-                    isl[k].size(), n - win.size());
-                win.insert(win.end(), isl[k].begin(),
-                           isl[k].begin() +
-                               static_cast<std::ptrdiff_t>(take));
-            };
-            take_from(start);
-            for (std::size_t k : order)
-                if (k != start)
-                    take_from(k);
-            std::sort(win.begin(), win.end());
-        }
-        const auto greedy_begin =
-            out.extras.begin() +
-            static_cast<std::ptrdiff_t>(greedy_base);
-        std::sort(greedy_begin, out.extras.end());
-        const auto tail =
-            std::unique(greedy_begin, out.extras.end());
-        out.dropLastExtras(
-            static_cast<std::size_t>(out.extras.end() - tail));
-    }
+    // 3. Greedy catch-alls when the entry outgrows every island.
+    //    Several variants keep placement — and in particular the
+    //    memory-first fallback — from hinging on a single candidate
+    //    whose devices happen to be loaded.
+    if (largest < n)
+        greedyCatchAll(isl, n, out);
 }
 
 const WindowGenerator &

@@ -32,6 +32,11 @@
  *    an island by accident, regardless of device numbering) plus
  *    deliberate cross-island unions for entries that outgrow any
  *    single island or want to straddle on purpose.
+ *
+ * Extras order is part of the byte-identity contract: the placer
+ * breaks score ties on the candidate ordinal, and an extra's ordinal
+ * is its index in `extras`. A generator that emits the same windows
+ * in another order can commit a different plan.
  */
 
 #ifndef SPINDLE_PLANNER_WINDOW_GENERATOR_H
@@ -84,6 +89,29 @@ struct CandidateWindows
      * CandidateWindows is the only per-sweep mutable state.
      */
     std::vector<std::vector<std::uint32_t>> scratch;
+
+    /** IslandAware's catch-all workspace (see IslandAwareGenerator),
+     *  caller-owned for the same reason as scratch. */
+    struct CatchAllScratch
+    {
+        /** One variant by its island takes: island `start` whole
+         *  (kNoStart for the base variant), the first `cut` islands
+         *  of the fill order whole, and the first `rest` positions
+         *  of fill-order island `cut`. */
+        struct Variant
+        {
+            static constexpr std::uint32_t kNoStart = ~0u;
+            std::uint32_t start = kNoStart;
+            std::uint32_t cut = 0;
+            std::uint32_t rest = 0;
+        };
+
+        std::vector<std::uint32_t> byFirst; ///< islands by first free position
+        std::vector<std::uint32_t> order;   ///< fill order
+        std::vector<std::uint32_t> rank;    ///< island -> index in order
+        std::vector<std::uint32_t> prefix;  ///< fill-order prefix sums
+        std::vector<Variant> variants;
+    } catchAll;
 
     /** Recycle bands and extras into the pool (capacity kept). */
     void
@@ -181,7 +209,35 @@ class ContiguousRunsGenerator final : public WindowGenerator
                   CandidateWindows &out) const override;
 };
 
-/** Per-island runs plus deliberate cross-island unions. */
+/**
+ * Per-island runs plus deliberate cross-island unions. Every extra
+ * takes the lowest free positions of each island it touches. Extras
+ * are emitted in two groups:
+ *
+ *  1. **Pair unions**, for n that at least one island of the pair
+ *     cannot host alone but the two together can: per unordered
+ *     island pair (i < j), the i-heavy, balanced and j-heavy splits,
+ *     equal splits once. Skipped outright when n exceeds the two
+ *     largest free counts combined, since then no pair can host.
+ *  2. **Greedy catch-all**, when n exceeds every island's free
+ *     count. The fill order lists the non-empty islands by free
+ *     count, descending, ties by island id. The variant started at
+ *     island s takes all of s, then fills from the fill order
+ *     (skipping s) until it holds n devices. There is one variant
+ *     per non-empty island, with duplicates removed: every start in
+ *     the fully taken prefix of the *base* variant (the one started
+ *     at the head of the fill order) yields exactly the base window,
+ *     and every other start yields a window of its own. The
+ *     survivors are emitted in ascending lexicographic order of
+ *     their position lists.
+ *
+ * The catch-all never sorts positions or compares windows: a
+ * variant is kept as its island takes, two variants compare by the
+ * smallest position in their symmetric difference (which belongs to
+ * the one taking more of that island), and each window is the
+ * concatenation of its islands' position prefixes in order of first
+ * free position, merged only where islands interleave.
+ */
 class IslandAwareGenerator final : public WindowGenerator
 {
   public:

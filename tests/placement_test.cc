@@ -424,6 +424,99 @@ TEST(Placement, CustomWindowGeneratorIsConsumed)
     }
 }
 
+namespace {
+
+/** Test generator breaking the generator contract in one way. */
+class BrokenWindowGenerator final : public WindowGenerator
+{
+  public:
+    enum class Fault
+    {
+        ExtraWrongSize,
+        ExtraBeyondFree,
+        ExtraDescending,
+        BandBeyondFree,
+        BandDescending,
+    };
+
+    explicit BrokenWindowGenerator(Fault fault) : fault_(fault) {}
+
+    const char *name() const override { return "BrokenWindowGenerator"; }
+
+    void
+    generate(const WindowGenContext &ctx,
+             CandidateWindows &out) const override
+    {
+        out.clear();
+        const auto F = static_cast<std::uint32_t>(ctx.free.size());
+        std::vector<std::uint32_t> win;
+        switch (fault_) {
+          case Fault::ExtraWrongSize: // n + 1 positions
+            for (std::uint32_t p = 0; p <= ctx.n; ++p)
+                win.push_back(p);
+            out.extras.push_back(std::move(win));
+            break;
+          case Fault::ExtraBeyondFree: // the last n positions, shifted by one
+            for (std::uint32_t p = F - ctx.n + 1; p <= F; ++p)
+                win.push_back(p);
+            out.extras.push_back(std::move(win));
+            break;
+          case Fault::ExtraDescending: // the first n positions, reversed
+            for (std::uint32_t p = ctx.n; p-- > 0;)
+                win.push_back(p);
+            out.extras.push_back(std::move(win));
+            break;
+          case Fault::BandBeyondFree: // every position, plus F
+            for (std::uint32_t p = 0; p <= F; ++p)
+                win.push_back(p);
+            out.bands.push_back(std::move(win));
+            break;
+          case Fault::BandDescending: // every position, reversed
+            for (std::uint32_t p = F; p-- > 0;)
+                win.push_back(p);
+            out.bands.push_back(std::move(win));
+            break;
+        }
+    }
+
+  private:
+    Fault fault_;
+};
+
+} // namespace
+
+TEST(Placement, GeneratorContractViolationIsRecoverable)
+{
+    // A custom generator is caller code: a window of the wrong size,
+    // a position past the free list, or positions that do not ascend
+    // strictly must fail as a user error (recoverable in scope)
+    // before placement indexes by them, not read out of bounds or
+    // commit a non-canonical window.
+    ComputationGraph g = fig3Workload();
+    MetaGraph meta = contractGraph(g);
+    ClusterTopology topo = smallCluster(2);
+    HardwareModel hw(topo);
+    using Fault = BrokenWindowGenerator::Fault;
+    for (Fault fault : {Fault::ExtraWrongSize, Fault::ExtraBeyondFree,
+                        Fault::ExtraDescending, Fault::BandBeyondFree,
+                        Fault::BandDescending}) {
+        SCOPED_TRACE(static_cast<int>(fault));
+        BrokenWindowGenerator broken(fault);
+        PlannerOptions options;
+        options.placement.generator = &broken;
+        options.threads = 1; // fatal() is recoverable on this thread only
+        RecoverableScope scope;
+        try {
+            ExecutionPlanner(hw, options).plan(meta);
+            ADD_FAILURE() << "a contract-breaking generator was accepted";
+        } catch (const RecoverableError &e) {
+            EXPECT_NE(std::string(e.what()).find("generator emitted"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(Placement, CandidateWindowPoolRecyclesCapacity)
 {
     // The placer calls the window generator once per wave entry; at

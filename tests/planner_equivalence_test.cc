@@ -29,6 +29,9 @@
 #include <deque>
 #include <limits>
 #include <map>
+#include <numeric>
+#include <random>
+#include <thread>
 #include <unordered_map>
 
 #include "baselines/spindle_system.h"
@@ -514,6 +517,108 @@ plan(const HardwareModel &hw, const PlannerOptions &options,
     return out;
 }
 
+/**
+ * IslandAwareGenerator as it was before the catch-all learned to work
+ * from island takes, frozen: per-island bands, pair unions, then the
+ * greedy catch-all built by materializing one variant per start
+ * island, sorting each, sorting the variants lexicographically and
+ * deduping. Its extras (content and order) are the contract.
+ */
+void
+islandAwareGenerate(const WindowGenContext &ctx, CandidateWindows &out)
+{
+    out.bands.clear();
+    out.extras.clear();
+    const std::size_t F = ctx.free.size();
+    const std::uint32_t n = ctx.n;
+    const std::size_t num_isl = ctx.topo.numIslands();
+    std::vector<std::vector<std::uint32_t>> isl(num_isl);
+    for (std::size_t pos = 0; pos < F; ++pos)
+        isl[ctx.topo.islandOf(ctx.free[pos])].push_back(
+            static_cast<std::uint32_t>(pos));
+
+    std::size_t largest = 0;
+    for (std::size_t k = 0; k < num_isl; ++k) {
+        largest = std::max(largest, isl[k].size());
+        if (isl[k].size() >= n)
+            out.bands.push_back(isl[k]);
+    }
+
+    for (std::size_t i = 0; i + 1 < num_isl && n >= 2; ++i) {
+        const std::size_t ci = isl[i].size();
+        if (ci == 0)
+            continue;
+        for (std::size_t j = i + 1; j < num_isl; ++j) {
+            const std::size_t cj = isl[j].size();
+            if (cj == 0 || ci + cj < n)
+                continue;
+            if (ci >= n && cj >= n)
+                continue;
+            const std::size_t lo =
+                n > cj ? static_cast<std::size_t>(n - cj) : 1;
+            const std::size_t hi =
+                std::min(ci, static_cast<std::size_t>(n - 1));
+            if (lo > hi)
+                continue;
+            const std::size_t takes[3] = {
+                hi,
+                std::clamp<std::size_t>(n / 2, lo, hi),
+                lo,
+            };
+            std::size_t prev = num_isl + n;
+            for (std::size_t take_i : takes) {
+                if (take_i == prev)
+                    continue;
+                prev = take_i;
+                std::vector<std::uint32_t> win;
+                std::merge(isl[i].begin(),
+                           isl[i].begin() +
+                               static_cast<std::ptrdiff_t>(take_i),
+                           isl[j].begin(),
+                           isl[j].begin() +
+                               static_cast<std::ptrdiff_t>(n - take_i),
+                           std::back_inserter(win));
+                out.extras.push_back(std::move(win));
+            }
+        }
+    }
+
+    if (largest < n) {
+        std::vector<std::size_t> order;
+        for (std::size_t k = 0; k < num_isl; ++k)
+            if (!isl[k].empty())
+                order.push_back(k);
+        std::stable_sort(order.begin(), order.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return isl[a].size() > isl[b].size();
+                         });
+        std::vector<std::vector<std::uint32_t>> greedy;
+        for (std::size_t start : order) {
+            std::vector<std::uint32_t> win;
+            auto take_from = [&](std::size_t k) {
+                if (win.size() >= n)
+                    return;
+                const std::size_t take = std::min<std::size_t>(
+                    isl[k].size(), n - win.size());
+                win.insert(win.end(), isl[k].begin(),
+                           isl[k].begin() +
+                               static_cast<std::ptrdiff_t>(take));
+            };
+            take_from(start);
+            for (std::size_t k : order)
+                if (k != start)
+                    take_from(k);
+            std::sort(win.begin(), win.end());
+            greedy.push_back(std::move(win));
+        }
+        std::sort(greedy.begin(), greedy.end());
+        greedy.erase(std::unique(greedy.begin(), greedy.end()),
+                     greedy.end());
+        for (auto &win : greedy)
+            out.extras.push_back(std::move(win));
+    }
+}
+
 } // namespace reference
 
 // ===================================================================
@@ -925,6 +1030,192 @@ TEST(PlannerEquivalence, IslandAwareFirstWaveStaysIntraIsland)
             }
         }
     }
+}
+
+/**
+ * The built-in IslandAware candidates on one free list, for each n in
+ * @p ns, byte-compared with the frozen reference: bands, then extras
+ * in content *and* order (the sweep breaks score ties on the extras'
+ * ordinals). @p got is reused across calls, the way the placer reuses
+ * its CandidateWindows across entries, so stale workspace shows.
+ */
+void
+expectIslandAwareMatchesReference(const ClusterTopology &topo,
+                                  const DeviceSet &free,
+                                  const std::vector<std::uint32_t> &ns,
+                                  CandidateWindows &got)
+{
+    const WindowGenerator &gen =
+        builtinWindowGenerator(WindowPolicy::IslandAware);
+    CandidateWindows want;
+    for (std::uint32_t n : ns) {
+        SCOPED_TRACE(strCat("n=", n, " of ", free.size(), " free"));
+        const WindowGenContext ctx{topo, free, n};
+        gen.generate(ctx, got);
+        reference::islandAwareGenerate(ctx, want);
+        ASSERT_EQ(got.bands, want.bands);
+        ASSERT_EQ(got.extras, want.extras);
+    }
+}
+
+/** Every entry size a free list of @p F devices can host. */
+std::vector<std::uint32_t>
+everyN(std::size_t F)
+{
+    std::vector<std::uint32_t> ns(F);
+    std::iota(ns.begin(), ns.end(), 1u);
+    return ns;
+}
+
+/** @p topo's devices, each kept free with probability @p keep (at
+ *  least one is). */
+DeviceSet
+punchedFree(const ClusterTopology &topo, double keep, std::mt19937 &rng)
+{
+    std::bernoulli_distribution kept(keep);
+    DeviceSet free;
+    for (DeviceId d = 0; d < topo.numDevices(); ++d)
+        if (kept(rng))
+            free.push_back(d);
+    if (free.empty())
+        free.push_back(0);
+    return free;
+}
+
+DeviceSet
+allFree(const ClusterTopology &topo)
+{
+    DeviceSet free(topo.numDevices());
+    std::iota(free.begin(), free.end(), DeviceId{0});
+    return free;
+}
+
+TEST(PlannerEquivalence, IslandAwareCandidatesMatchFrozenReference)
+{
+    std::mt19937 rng(20251017);
+    CandidateWindows got;
+
+    // Random mixed island sizes with many equal-size ties, numbered
+    // contiguously or shuffled across islands, on full and randomly
+    // punched free lists, at every n.
+    const std::uint32_t sizes_pool[] = {1, 2, 3, 4, 4, 6, 8, 8, 12};
+    std::uniform_int_distribution<std::size_t> pick(
+        0, std::size(sizes_pool) - 1);
+    std::uniform_int_distribution<std::uint32_t> num_islands(2, 16);
+    for (int trial = 0; trial < 40; ++trial) {
+        SCOPED_TRACE(strCat("trial ", trial));
+        std::vector<std::uint32_t> sizes(num_islands(rng));
+        for (std::uint32_t &sz : sizes)
+            sz = sizes_pool[pick(rng)];
+        ClusterConfig cfg = heteroCluster(sizes);
+        if (trial % 2 == 1) {
+            std::vector<DeviceId> ids;
+            for (const IslandSpec &island : cfg.islands)
+                ids.insert(ids.end(), island.devices.begin(),
+                           island.devices.end());
+            std::shuffle(ids.begin(), ids.end(), rng);
+            std::size_t next = 0;
+            for (IslandSpec &island : cfg.islands)
+                for (DeviceId &d : island.devices)
+                    d = ids[next++];
+        }
+        ClusterTopology topo(cfg);
+        for (double keep : {1.0, 0.7, 0.35}) {
+            SCOPED_TRACE(strCat("keep ", keep));
+            const DeviceSet free =
+                keep == 1.0 ? allFree(topo) : punchedFree(topo, keep, rng);
+            expectIslandAwareMatchesReference(topo, free,
+                                              everyN(free.size()), got);
+        }
+    }
+
+    // Interleaved (striped) numbering: every island's positions
+    // interleave with every other's, so windows need merging.
+    for (auto [islands, size] : {std::pair{4u, 8u}, {3u, 5u}, {7u, 3u}}) {
+        SCOPED_TRACE(strCat("striped ", islands, "x", size));
+        ClusterTopology topo(stripedCluster(islands, size));
+        const DeviceSet full = allFree(topo);
+        expectIslandAwareMatchesReference(topo, full, everyN(full.size()),
+                                          got);
+        const DeviceSet punched = punchedFree(topo, 0.6, rng);
+        expectIslandAwareMatchesReference(
+            topo, punched, everyN(punched.size()), got);
+    }
+
+    // The 2048-GPU mixed 12/4 layout, sampled n (every n would be
+    // slow for the reference): the catch-all's boundary sizes and the
+    // entry sizes a 70B plan uses.
+    std::vector<std::uint32_t> layout;
+    for (int pair = 0; pair < 128; ++pair) {
+        layout.push_back(12);
+        layout.push_back(4);
+    }
+    ClusterTopology topo(heteroCluster(layout));
+    const DeviceSet full = allFree(topo);
+    expectIslandAwareMatchesReference(
+        topo, full, {4, 12, 13, 16, 17, 24, 100, 697, 698, 1023, 1024,
+                     1500, 2047, 2048},
+        got);
+    const DeviceSet punched = punchedFree(topo, 0.6, rng);
+    const auto F = static_cast<std::uint32_t>(punched.size());
+    expectIslandAwareMatchesReference(
+        topo, punched, {13, 17, 200, 698, F / 2, F - 1, F}, got);
+}
+
+TEST(PlannerEquivalence, IslandAwareConcurrentPlansMatchSerial)
+{
+    // The built-in generators are shared immutable singletons: two
+    // planners on two threads run the one IslandAware instance at
+    // once, each through its own CandidateWindows workspace. Both
+    // must plan byte-identically to a serial run (and race-free
+    // under TSan). Entries outgrow every island, so the greedy
+    // catch-all runs.
+    std::vector<std::uint32_t> layout;
+    for (int pair = 0; pair < 4; ++pair) {
+        layout.push_back(12);
+        layout.push_back(4);
+    }
+    ClusterTopology topo(heteroCluster(layout));
+    HardwareModel hw(topo);
+    const ComputationGraph graphs[] = {buildQwenVal({}),
+                                       buildMultitaskClip({.numTasks = 10})};
+    PlannerOptions options;
+    options.placement.windows = WindowPolicy::IslandAware;
+    options.threads = 1;
+
+    PlannerOutput serial[2];
+    for (int g = 0; g < 2; ++g) {
+        MetaGraph meta = contractGraph(graphs[g]);
+        serial[g] = ExecutionPlanner(hw, options).plan(meta);
+    }
+    bool outgrows = false;
+    for (const PlannerOutput &out : serial)
+        for (const Wave &w : out.plan.waves)
+            for (const WaveEntry &e : w.entries)
+                outgrows = outgrows || e.n > topo.maxIslandSize();
+    ASSERT_TRUE(outgrows) << "no entry reaches the catch-all";
+
+    // Each thread plans both graphs, in opposite orders, several
+    // times, so the two threads overlap on the same generator.
+    PlannerOutput concurrent[2][2];
+    auto worker = [&](int t) {
+        for (int rep = 0; rep < 3; ++rep)
+            for (int i = 0; i < 2; ++i) {
+                const int g = (i + t) % 2;
+                MetaGraph meta = contractGraph(graphs[g]);
+                concurrent[t][g] = ExecutionPlanner(hw, options).plan(meta);
+            }
+    };
+    std::thread a(worker, 0), b(worker, 1);
+    a.join();
+    b.join();
+    for (int t = 0; t < 2; ++t)
+        for (int g = 0; g < 2; ++g) {
+            SCOPED_TRACE(strCat("thread ", t, " graph ", g));
+            expectPlansIdentical(serial[g].plan, concurrent[t][g].plan);
+            expectPlacementsIdentical(serial[g].placement,
+                                      concurrent[t][g].placement);
+        }
 }
 
 // ===================================================================
