@@ -15,18 +15,12 @@
  *
  * The paper claims planning completes "within 3 seconds" at 64 GPUs;
  * the incremental placement scoring and memoized cost model keep the
- * 256-GPU points in the low milliseconds, and the thread-pool
- * planner core scales the dominant placement sweep across cores. The
- * sweep therefore carries a `threads` dimension at the largest scale
- * (serial / 2 / 8 planner threads at 256 GPUs; plans are
- * byte-identical across thread counts, so only wall-clock moves).
- * Results are written as BENCH_planner.json (path overridable via
- * SPINDLE_BENCH_JSON) for trajectory tracking and the CI perf smoke
- * job — see scripts/check_bench_regression.py (planner mode for the
- * wall-clock budgets, planner-threads mode for the parallel-vs-serial
- * speedup floor, planner-stress mode for the 512-GPU fallback lane;
- * each record carries hw_threads so the wall-clock gates can skip
- * runners without parallel hardware).
+ * 256-GPU points in the low milliseconds. Every point plans serially
+ * on the calling thread. Results are written as BENCH_planner.json
+ * (path overridable via SPINDLE_BENCH_JSON) for trajectory tracking
+ * and the CI perf smoke job — see scripts/check_bench_regression.py
+ * (planner mode for the wall-clock budgets, planner-stress mode for
+ * the 512-GPU fallback lane).
  */
 
 #include <benchmark/benchmark.h>
@@ -35,7 +29,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <iterator>
-#include <thread>
 
 #include "bench_util.h"
 
@@ -72,7 +65,6 @@ void
 planAtScale(benchmark::State &state, const WorkloadCase &wl)
 {
     const auto nodes = static_cast<std::uint32_t>(state.range(0));
-    const auto threads = static_cast<std::uint32_t>(state.range(1));
     ClusterTopology topo =
         wl.hetero ? makeHeteroCluster(nodes) : makeCluster(nodes);
     HardwareModel hw(topo);
@@ -84,7 +76,6 @@ planAtScale(benchmark::State &state, const WorkloadCase &wl)
     options.memory.zeroShardParams = wl.zeroShardParams;
     if (wl.hetero)
         options.placement.windows = WindowPolicy::IslandAware;
-    options.threads = threads;
     ExecutionPlanner planner(hw, options);
 
     // Keep the *fastest* iteration: the CI gate compares these
@@ -138,7 +129,6 @@ planAtScale(benchmark::State &state, const WorkloadCase &wl)
             tail = i;
 
     state.counters["gpus"] = gpus;
-    state.counters["threads"] = threads;
     state.counters["plan_seconds"] = best.planningSeconds;
     state.counters["estimation_seconds"] = best.phaseSeconds.estimation;
     state.counters["allocation_seconds"] = best.phaseSeconds.allocation;
@@ -149,18 +139,8 @@ planAtScale(benchmark::State &state, const WorkloadCase &wl)
     if (engine_seconds >= 0)
         state.counters["engine_seconds"] = engine_seconds;
 
-    // Serial records keep their historical names (budget
-    // continuity); threaded records append the threads dimension.
-    const std::string rec_name =
-        threads == 1
-            ? strCat(wl.name, "/gpus=", gpus)
-            : strCat(wl.name, "/gpus=", gpus, "/threads=", threads);
-    const auto hw_threads = static_cast<double>(
-        std::thread::hardware_concurrency());
     std::vector<std::pair<std::string, BenchField>> fields = {
         {"gpus", static_cast<double>(gpus)},
-        {"threads", static_cast<double>(threads)},
-        {"hw_threads", hw_threads},
         {"plan_seconds", best.planningSeconds},
         {"estimation_seconds", best.phaseSeconds.estimation},
         {"allocation_seconds", best.phaseSeconds.allocation},
@@ -171,7 +151,7 @@ planAtScale(benchmark::State &state, const WorkloadCase &wl)
         {"waves", static_cast<double>(best.plan.waves.size())}};
     if (engine_seconds >= 0)
         fields.push_back({"engine_seconds", engine_seconds});
-    jsonLog().record(rec_name, std::move(fields));
+    jsonLog().record(strCat(wl.name, "/gpus=", gpus), std::move(fields));
 }
 
 /**
@@ -181,9 +161,9 @@ planAtScale(benchmark::State &state, const WorkloadCase &wl)
  * pressure ladder until the comm-first pass fails mid-plan and the
  * memory-first fallback takes the partial restart — run as a
  * wall-clock benchmark. The record carries the fallback facts
- * (used_fallback, fallback_restart_wave) as value gates that hold on
- * any runner, plus plan_seconds for the hw_threads-gated wall-clock
- * budget (scripts/check_bench_regression.py, planner-stress mode).
+ * (used_fallback, fallback_restart_wave) as value gates plus
+ * plan_seconds for the wall-clock budget, all gated on every runner
+ * (scripts/check_bench_regression.py, planner-stress mode).
  */
 void
 placementStress512(benchmark::State &state)
@@ -191,12 +171,10 @@ placementStress512(benchmark::State &state)
     ComputationGraph g = buildQwenVal({});
     MetaGraph meta = contractGraph(g);
 
-    constexpr std::uint32_t kThreads = 8;
     ClusterConfig cfg;
     cfg.numNodes = 64;
     cfg.gpusPerNode = 8;
     PlannerOptions options;
-    options.threads = kThreads;
 
     // Find the pressure rung that forces the fallback (same ladder as
     // the ctest stress), once, outside the timed loop.
@@ -247,9 +225,6 @@ placementStress512(benchmark::State &state)
     jsonLog().record(
         "QWenVAL-stress/gpus=512",
         {{"gpus", 512.0},
-         {"threads", static_cast<double>(kThreads)},
-         {"hw_threads", static_cast<double>(
-                            std::thread::hardware_concurrency())},
          {"used_fallback",
           fell_back && best.placement.usedMemoryFallback ? 1.0 : 0.0},
          {"fallback_restart_wave",
@@ -275,37 +250,32 @@ const WorkloadCase qwen70_hetero{
 
 } // namespace
 
-// 8..256 GPUs serially, plus the threads dimension at 256 GPUs
-// (args are {nodes, planner threads}) and sampled 1024/2048/4096-GPU
-// points on the heaviest workload (128/256/512 nodes, serial)
-// probing the scale envelope — serial_tail_phase on those records
-// names the phase the next scaling push has to attack. QWen-VAL 70B
+// 8..256 GPUs (the arg is the node count), plus sampled
+// 1024/2048/4096-GPU points on the heaviest workload (128/256/512
+// nodes) probing the scale envelope — serial_tail_phase on those
+// records names the phase the next scaling push has to attack. QWen-VAL 70B
 // needs >= 64 GPUs to fit 80 GB devices even with ZeRO-3 sharding,
 // so its sweep starts there. The hetero case plans the same GPU
 // counts over mixed 12/4-GPU islands with island-aware window
 // generation.
 BENCHMARK_CAPTURE(planAtScale, CLIP_10Tasks, clip10)
-    ->Args({1, 1})->Args({2, 1})->Args({4, 1})->Args({8, 1})
-    ->Args({16, 1})->Args({32, 1})->Args({32, 2})->Args({32, 8})
-    ->Args({128, 1})->Args({256, 1})->Args({512, 1})
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32)
+    ->Arg(128)->Arg(256)->Arg(512)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(placementStress512)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(planAtScale, OFASys_7Tasks, ofa7)
-    ->Args({1, 1})->Args({2, 1})->Args({4, 1})->Args({8, 1})
-    ->Args({16, 1})->Args({32, 1})->Args({32, 2})->Args({32, 8})
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(planAtScale, QWenVAL_70B, qwen70)
-    ->Args({8, 1})->Args({16, 1})->Args({32, 1})
-    ->Args({32, 2})->Args({32, 4})->Args({32, 8})
+    ->Arg(8)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(planAtScale, CLIP_10Tasks_hetero, clip10_hetero)
-    ->Args({2, 1})->Args({8, 1})->Args({16, 1})->Args({32, 1})
-    ->Args({32, 2})->Args({32, 8})
+    ->Arg(2)->Arg(8)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMillisecond);
 // The 70B model on 2048 GPUs of mixed islands: every entry outgrows
 // every island, so IslandAware placement runs its greedy catch-all.
 BENCHMARK_CAPTURE(planAtScale, QWenVAL_70B_hetero, qwen70_hetero)
-    ->Args({256, 1})
+    ->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
 int

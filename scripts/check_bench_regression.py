@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI perf smoke: fail when a benchmark artifact regresses.
 
-Seven modes, selected by the first argument:
+Six modes, selected by the first argument:
 
 planner — compare a fresh BENCH_planner.json (written by
 bench_planner_scaling) against the checked-in budget file
@@ -27,22 +27,6 @@ bench/baseline_planner.json:
     tail — must be a planner phase name (PHASE_NAMES); a moved tail
     is reported, not gated.
 
-planner-threads — gate the parallel planner's speedup at the largest
-scale. For every baseline record carrying "min_speedup" (the
-".../gpus=256/threads=8" points), the current run's serial record
-(same name minus the /threads suffix) is divided by its parallel
-record; the ratio must reach the floor. Records carry the runner's
-hw_threads, and a record is only gated when the runner has at least
-as many hardware threads as the record runs planner threads (and
-never below 4): an oversubscribed or serial machine cannot
-demonstrate a speedup, so those points are reported and skipped
-rather than failed. The gate cannot silently evaporate: a current
-record missing hw_threads or the serial/parallel pair fails, and a
-baseline with no min_speedup record at all fails. Floors are
-per-record: the placement-dominated QWenVAL-70B point carries the
-headline 2x floor at 8 threads, plus a 1.5x floor at 4 threads that
-stock 4-vCPU CI runners evaluate.
-
 planner-stress — gate the promoted 512-GPU memory-fallback lane
 (the Placement.MemoryFallback512GpuStress scenario, recorded by
 bench_planner_scaling as "QWenVAL-stress/gpus=512"). Every baseline
@@ -50,12 +34,11 @@ record carrying "used_fallback" is a stress record. Two value gates
 apply on any runner (the scenario is deterministic): the current
 record must report used_fallback == 1 (the pressure ladder forced
 the memory-first pass) and fallback_restart_wave > 0 (the fallback
-took the partial restart, not a wave-0 full restart). The
-plan_seconds wall-clock budget additionally gates, with the same
-hw_threads runner gating as planner-threads (the lane plans with 8
-planner threads; undersized runners report and skip the wall clock
-but still evaluate the value gates). A baseline with no stress
-record at all fails — the lane cannot silently stop evaluating.
+took the partial restart, not a wave-0 full restart). The lane
+plans serially, so its plan_seconds wall-clock budget (within the
+regression factor) also gates on every runner. A baseline with no
+stress record at all fails — the lane cannot silently stop
+evaluating.
 
 collectives — compare a fresh BENCH_collectives.json (written by
 bench_collectives) against bench/baseline_collectives.json. The
@@ -89,9 +72,8 @@ floor, and the plan cache must have fully hit at least once (a
 cache that never hits would make the ratio meaningless). The ratio
 compares two wall-clocks measured in the same process on the same
 machine, so it needs no per-runner budget padding; records without
-a floor are informational. As with planner-threads, a baseline with
-no min_speedup record at all fails — the gate cannot silently
-evaporate.
+a floor are informational. A baseline with no min_speedup record at
+all fails — the gate cannot silently evaporate.
 
 recovery — gate elastic failure recovery's advantage over cold
 replanning. bench_failure_recovery writes BENCH_recovery.json with
@@ -116,9 +98,9 @@ report mismatches == 0, and the whole-plan dedupe rate must reach the
 record's "min_full_hit_rate" floor. Records carrying "min_speedup"
 (the 8-worker point) additionally gate wall-clock: the current run's
 1-worker seconds divided by this record's seconds must reach the
-floor — but, as with planner-threads, only when the runner has at
-least as many hardware threads as the record runs workers (never
-below 4); a serial machine reports and skips. A baseline with no
+floor — but only when the runner has at least as many hardware
+threads as the record runs workers (never below 4); a serial machine
+reports and skips. A baseline with no
 min_speedup record at all fails — the gate cannot silently
 evaporate.
 
@@ -127,8 +109,7 @@ local run) so shared CI runners do not flap. Other scale points are
 reported informationally.
 
 Usage: check_bench_regression.py
-       {planner|planner-threads|planner-stress|collectives|replan|
-        recovery|service}
+       {planner|planner-stress|collectives|replan|recovery|service}
        CURRENT_JSON BASELINE_JSON [FACTOR]
 """
 
@@ -263,74 +244,6 @@ def check_engine_budget(name, cur, base, factor):
     return []
 
 
-MIN_HW_THREADS_FOR_SPEEDUP = 4
-
-
-def check_planner_threads(current, baseline):
-    failures = []
-    gated = 0
-    for name, base in sorted(baseline.items()):
-        floor = base.get("min_speedup")
-        if floor is None:
-            continue
-        gated += 1
-        serial_name = name.split("/threads=")[0]
-        cur = current.get(name)
-        serial = current.get(serial_name)
-        if cur is None or serial is None:
-            failures.append(
-                f"{name}: parallel or serial record missing from "
-                f"current run"
-            )
-            continue
-        hw_raw = cur.get("hw_threads")
-        if hw_raw is None:
-            # Missing field != small machine: treating it as 0 would
-            # silently skip every gate on a capable runner.
-            failures.append(
-                f"{name}: hw_threads missing from current record "
-                f"(stale BENCH_planner.json or bench regression?)"
-            )
-            continue
-        hw = int(hw_raw)
-        # A record's floor is only meaningful when every worker lane
-        # has real hardware under it: gating an 8-thread run on a
-        # 4-vCPU shared runner would flap on noisy neighbors, the
-        # exact failure mode the padded wall-clock budgets avoid.
-        needed = max(
-            int(base.get("threads", 0)), MIN_HW_THREADS_FOR_SPEEDUP
-        )
-        if hw < needed:
-            print(
-                f"skip  {name:<36} runner has {hw} hardware threads "
-                f"(< {needed}); this speedup gate needs parallel "
-                f"hardware for every lane"
-            )
-            continue
-        parallel_s = cur["plan_seconds"]
-        serial_s = serial["plan_seconds"]
-        speedup = (
-            serial_s / parallel_s if parallel_s > 0 else float("inf")
-        )
-        ok = speedup >= floor
-        status = "OK" if ok else "FAIL"
-        print(
-            f"{status:>4}  {name:<36} serial={serial_s * 1e3:8.3f} ms"
-            f"  parallel={parallel_s * 1e3:8.3f} ms"
-            f"  speedup={speedup:5.2f}x  floor={floor:.1f}x"
-        )
-        if not ok:
-            failures.append(
-                f"{name}: speedup {speedup:.2f}x < floor {floor:.1f}x"
-            )
-    if gated == 0:
-        failures.append(
-            "planner-threads: no baseline record carries min_speedup; "
-            "the speedup gate is not wired up"
-        )
-    return failures
-
-
 def check_planner_stress(current, baseline, factor):
     failures = []
     gated = 0
@@ -362,39 +275,20 @@ def check_planner_stress(current, baseline, factor):
                 "partial-restart path stopped engaging at 512 GPUs"
             )
 
-        # Wall-clock gate: only on runners with real hardware under
-        # every planner thread (see planner-threads).
-        wall_txt = ""
-        hw_raw = cur.get("hw_threads")
-        if hw_raw is None:
+        # Wall-clock gate: the lane plans serially, so it holds on
+        # every runner.
+        budget = base["plan_seconds"]
+        ratio = seconds / budget if budget > 0 else float("inf")
+        wall_txt = (
+            f"  plan={seconds * 1e3:8.3f} ms"
+            f"  budget={budget * 1e3:8.3f} ms"
+            f"  ratio={ratio:5.2f}x"
+        )
+        if ratio > factor:
             problems.append(
-                "hw_threads missing from current record (stale "
-                "BENCH_planner.json or bench regression?)"
+                f"plan {seconds:.6f}s > {factor:.1f}x budget "
+                f"{budget:.6f}s"
             )
-        else:
-            needed = max(
-                int(base.get("threads", 0)), MIN_HW_THREADS_FOR_SPEEDUP
-            )
-            if int(hw_raw) < needed:
-                print(
-                    f"skip  {name:<24} wall clock ungated: runner has "
-                    f"{int(hw_raw)} hardware threads (< {needed})"
-                )
-            else:
-                budget = base["plan_seconds"]
-                ratio = (
-                    seconds / budget if budget > 0 else float("inf")
-                )
-                wall_txt = (
-                    f"  plan={seconds * 1e3:8.3f} ms"
-                    f"  budget={budget * 1e3:8.3f} ms"
-                    f"  ratio={ratio:5.2f}x"
-                )
-                if ratio > factor:
-                    problems.append(
-                        f"plan {seconds:.6f}s > {factor:.1f}x budget "
-                        f"{budget:.6f}s"
-                    )
 
         status = "FAIL" if problems else "OK"
         print(
@@ -599,6 +493,9 @@ def check_recovery(current, baseline):
     return failures
 
 
+MIN_HW_THREADS_FOR_SPEEDUP = 4
+
+
 def check_service(current, baseline):
     failures = []
     gated = 0
@@ -642,7 +539,8 @@ def check_service(current, baseline):
                     f"current run"
                 )
             elif hw_raw is None:
-                # Missing field != small machine (see planner-threads).
+                # Missing field != small machine: treating it as 0
+                # would silently skip the gate on a capable runner.
                 problems.append(
                     "hw_threads missing from current record (stale "
                     "BENCH_service.json or bench regression?)"
@@ -694,7 +592,6 @@ def check_service(current, baseline):
 def main(argv):
     if len(argv) not in (4, 5) or argv[1] not in (
         "planner",
-        "planner-threads",
         "planner-stress",
         "collectives",
         "replan",
@@ -710,8 +607,6 @@ def main(argv):
 
     if mode == "planner":
         failures = check_planner(current, baseline, factor)
-    elif mode == "planner-threads":
-        failures = check_planner_threads(current, baseline)
     elif mode == "planner-stress":
         failures = check_planner_stress(current, baseline, factor)
     elif mode == "replan":

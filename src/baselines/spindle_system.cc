@@ -21,14 +21,13 @@ SpindleSystem::name() const
 ExecutionPlan
 SpindleSystem::buildPlan(const MetaGraph &graph) const
 {
-    // API-misuse tripwire, not a lock: overlapping calls used to
-    // race on planner_ (and the planner's pool + cache) and corrupt
-    // them silently. Panic — the *caller* holds the bug — naming the
-    // contract and the supported alternatives.
+    // API-misuse tripwire, not a lock: overlapping calls would race
+    // on planner_ and its cache. Panic — the *caller* holds the bug —
+    // naming the contract and the supported alternatives.
     panicIf(building_.exchange(true, std::memory_order_acquire),
             "SpindleSystem::buildPlan: overlapping call on one "
-            "instance. buildPlan caches the planner and its worker "
-            "pool across calls, so calls must be serialized per "
+            "instance. buildPlan caches the planner and its plan "
+            "cache across calls, so calls must be serialized per "
             "instance; for concurrent planning give each thread its "
             "own SpindleSystem or submit requests through a "
             "PlanService (service/plan_service.h)");
@@ -38,19 +37,10 @@ SpindleSystem::buildPlan(const MetaGraph &graph) const
         ~Guard() { flag.store(false, std::memory_order_release); }
     } guard{building_};
 
-    PlannerOptions options = options_;
-    // EngineOptions::plannerThreads is the system-level override
-    // (like the collective selector); unset defers to the planner
-    // options this system was constructed with.
-    if (engine_options_.plannerThreads.has_value())
-        options.threads = *engine_options_.plannerThreads;
-    // The planner (and its worker pool + plan cache) is cached
-    // across builds — runDynamic-style replans must not pay thread
-    // spawn/join per plan, and revisited task mixes should hit the
-    // cache. Only the threads knob can change between calls.
-    if (planner_ == nullptr ||
-        planner_->options().threads != options.threads)
-        planner_ = std::make_unique<ExecutionPlanner>(hw_, options);
+    // The planner (and its plan cache) is kept across builds, so
+    // revisited task mixes hit the cache.
+    if (planner_ == nullptr)
+        planner_ = std::make_unique<ExecutionPlanner>(hw_, options_);
     // Incremental: byte-identical to plan(graph), but arrivals and
     // departures pay for what they perturb, not for the cluster.
     return planner_->replan(graph).plan;

@@ -18,17 +18,15 @@ namespace spindle {
 /**
  * The full Spindle planner + runtime as a System.
  *
- * buildPlan() caches the planner (and its worker pool) across
- * calls, so concurrent buildPlan() on one instance is not supported
- * — matching ExecutionPlanner::plan(), which was never itself
- * thread-safe. Parallelism belongs *inside* a plan
- * (EngineOptions::plannerThreads) or *across requests* behind a
- * PlanService (service/plan_service.h), not across threads sharing
- * one SpindleSystem. The misuse used to corrupt the cached
- * planner/pool state silently; an atomic in-use guard now panics
- * with an actionable message instead (overlapping buildPlan calls —
- * including re-entry from a placement window-generator callback —
- * are detected, not raced).
+ * buildPlan() builds its planner once and reuses it (with its plan
+ * cache) across calls, so concurrent buildPlan() on one instance is
+ * not supported. Each plan runs serially on the calling thread;
+ * parallelism belongs *across requests* behind a PlanService
+ * (service/plan_service.h), not across threads sharing one
+ * SpindleSystem. An atomic in-use guard panics with an actionable
+ * message on that misuse (overlapping buildPlan calls — including
+ * re-entry from a placement window-generator callback — are
+ * detected, not raced).
  */
 class SpindleSystem : public System
 {
@@ -48,8 +46,7 @@ class SpindleSystem : public System
   private:
     PlannerOptions options_;
 
-    /** Cached planner (owns the worker pool); rebuilt only when the
-     *  effective thread count changes (see buildPlan). */
+    /** Planner built by the first buildPlan() and reused after. */
     mutable std::unique_ptr<ExecutionPlanner> planner_;
 
     /** buildPlan() in-use guard: detects overlapping calls on one

@@ -43,9 +43,8 @@ class RecoverableError : public std::runtime_error
  * the file comment). Nestable; the outermost destructor restores the
  * default terminate-on-fatal behavior. Scopes are thread-local: a
  * scope on a service worker never changes how fatals behave on other
- * threads, so code that spawns its own workers (the planner's
- * ThreadPool regions) keeps the historical process-exit contract
- * unless each worker opts in itself.
+ * threads. Planning runs entirely on its calling thread, so every
+ * fatal() a plan raises honors that thread's scope.
  */
 class RecoverableScope
 {

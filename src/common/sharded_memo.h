@@ -4,9 +4,9 @@
  *
  * The planner memoizes hot cost-model queries (ScalingCurve::inverse,
  * HardwareModel::bestConfig / validAllocations). Those memos used to
- * be plain unordered_maps — correct for the historical single planner
- * thread, racy once allocation, estimation and placement scoring run
- * on a pool. StripedMemo shards the key space over a fixed set of
+ * be plain unordered_maps — correct for one planner thread, racy once
+ * PlanService workers plan concurrently against one HardwareModel.
+ * StripedMemo shards the key space over a fixed set of
  * lock-protected stripes, keeping lookups thread-safe at any thread
  * count while staying *value-transparent*: the cached value of a key
  * is always exactly what the compute function returns for it, so a

@@ -6,37 +6,26 @@
 
 namespace spindle {
 
-namespace {
-
-/** Bounded spin before a thread falls back to sleeping (see the
- *  dispatch-latency note in the header). Short on purpose: on an
- *  oversubscribed machine long spins steal cycles from the lanes
- *  doing real work. */
-constexpr int kSpinIterations = 1024;
-
-} // namespace
-
 std::uint32_t
-resolveThreadCount(std::uint32_t requested)
+resolveWorkerCount(std::uint32_t requested)
 {
     if (requested == 0) {
         const unsigned hw = std::thread::hardware_concurrency();
         requested = hw == 0 ? 1u : static_cast<std::uint32_t>(hw);
     }
-    if (requested > kMaxPlannerThreads) {
-        warn(strCat("resolveThreadCount: ", requested,
-                    " threads requested; clamping to ",
-                    kMaxPlannerThreads));
-        requested = kMaxPlannerThreads;
+    if (requested > kMaxServiceWorkers) {
+        warn(strCat("resolveWorkerCount: ", requested,
+                    " workers requested; clamping to ",
+                    kMaxServiceWorkers));
+        requested = kMaxServiceWorkers;
     }
     return std::max(requested, 1u);
 }
 
-ThreadPool::ThreadPool(std::uint32_t threads)
-    : threads_(std::max(threads, 1u))
+ThreadPool::ThreadPool(std::uint32_t workers)
 {
-    workers_.reserve(threads_ - 1);
-    for (std::uint32_t i = 0; i + 1 < threads_; ++i)
+    workers_.reserve(workers);
+    for (std::uint32_t i = 0; i < workers; ++i)
         workers_.emplace_back([this] { workerLoop(); });
 }
 
@@ -44,179 +33,43 @@ ThreadPool::~ThreadPool()
 {
     {
         std::lock_guard<std::mutex> lk(mu_);
-        stop_.store(true);
+        stop_ = true;
     }
     cv_work_.notify_all();
     for (std::thread &w : workers_)
         w.join();
 }
 
-std::size_t
-ThreadPool::drainChunks(const Job &job)
-{
-    std::size_t done = 0;
-    for (;;) {
-        const std::size_t c = next_chunk_.fetch_add(1);
-        if (c >= job.num_chunks)
-            break;
-        const std::size_t lo = job.begin + c * job.grain;
-        const std::size_t hi = std::min(lo + job.grain, job.end);
-        (*job.fn)(c, lo, hi);
-        ++done;
-    }
-    if (done > 0 &&
-        chunks_done_.fetch_add(done) + done == job.num_chunks) {
-        // Pair with run()'s cv_done_ wait: taking the mutex orders
-        // this notify after the waiter either saw the final count or
-        // entered the wait.
-        { std::lock_guard<std::mutex> lk(mu_); }
-        cv_done_.notify_all();
-    }
-    return done;
-}
-
 void
 ThreadPool::workerLoop()
 {
-    std::uint64_t seen = 0;
     for (;;) {
-        bool woke = false;
-        for (int spin = 0; spin < kSpinIterations; ++spin) {
-            if (stop_.load(std::memory_order_relaxed) ||
-                job_gen_.load(std::memory_order_acquire) != seen ||
-                num_tasks_.load(std::memory_order_acquire) != 0) {
-                woke = true;
-                break;
-            }
-        }
-        Job job;
+        std::function<void()> task;
         {
             std::unique_lock<std::mutex> lk(mu_);
-            if (!woke)
-                cv_work_.wait(lk, [&] {
-                    return stop_.load() || job_gen_.load() != seen ||
-                           !tasks_.empty();
-                });
-            if (stop_.load())
+            cv_work_.wait(lk, [&] { return stop_ || !tasks_.empty(); });
+            if (stop_)
                 return;
-            // Posted tasks first: a detached task never blocks a
-            // chunked region (the region's caller is itself a lane),
-            // but a region parked behind a long request would stall
-            // its caller.
-            if (!tasks_.empty()) {
-                std::function<void()> task = std::move(tasks_.front());
-                tasks_.pop_front();
-                num_tasks_.store(tasks_.size(),
-                                 std::memory_order_release);
-                lk.unlock();
-                task();
-                continue;
-            }
-            if (job_gen_.load() == seen)
-                continue; // raced with a wake for work already done
-            // job_ and job_gen_ are written together under mu_, so
-            // this copy is of the generation just observed. Joining
-            // (active_workers_) fences the next run(): it will not
-            // install a new job — and in particular not reset the
-            // chunk cursor — while any worker still holds this copy.
-            seen = job_gen_.load();
-            job = job_;
-            active_workers_.fetch_add(1);
+            task = std::move(tasks_.front());
+            tasks_.pop_front();
         }
-        drainChunks(job);
-        if (active_workers_.fetch_sub(1) == 1) {
-            { std::lock_guard<std::mutex> lk(mu_); }
-            cv_done_.notify_all();
-        }
+        task();
     }
 }
 
 void
 ThreadPool::post(std::function<void()> task)
 {
-    panicIf(threads_ == 1,
-            "ThreadPool::post: pool has no worker threads (threads() "
-            "== 1); posted tasks only run on workers — construct the "
-            "pool with at least 2 lanes");
+    panicIf(workers_.empty(),
+            "ThreadPool::post: pool has no worker threads; posted tasks "
+            "only run on workers — construct the pool with at least 1 "
+            "worker");
     {
         std::lock_guard<std::mutex> lk(mu_);
-        panicIf(stop_.load(), "ThreadPool::post: pool is stopping");
+        panicIf(stop_, "ThreadPool::post: pool is stopping");
         tasks_.push_back(std::move(task));
-        num_tasks_.store(tasks_.size(), std::memory_order_release);
     }
     cv_work_.notify_one();
-}
-
-std::size_t
-ThreadPool::pendingTasks() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return tasks_.size();
-}
-
-void
-ThreadPool::run(std::size_t begin, std::size_t end, std::size_t grain,
-                const std::function<void(std::size_t, std::size_t,
-                                         std::size_t)> &fn)
-{
-    if (end <= begin)
-        return;
-    const std::size_t g = grain == 0 ? 1 : grain;
-    const std::size_t total = end - begin;
-    const std::size_t num_chunks = (total + g - 1) / g;
-
-    // Serial fast path: no workers, or nothing to hand out. This is
-    // also what guarantees a threads == 1 pool executes regions as a
-    // plain in-order loop.
-    if (threads_ == 1 || num_chunks == 1) {
-        for (std::size_t c = 0; c < num_chunks; ++c) {
-            const std::size_t lo = begin + c * g;
-            const std::size_t hi = std::min(lo + g, end);
-            fn(c, lo, hi);
-        }
-        return;
-    }
-
-    {
-        std::unique_lock<std::mutex> lk(mu_);
-        panicIf(running_, "ThreadPool::run: concurrent or nested run()");
-        running_ = true;
-        // Fence against stragglers of the previous job: they may
-        // still hold a copy of the old Job (and its fn pointer), so
-        // the cursor reset below must not happen under their feet.
-        cv_done_.wait(lk, [&] { return active_workers_.load() == 0; });
-        job_.fn = &fn;
-        job_.begin = begin;
-        job_.end = end;
-        job_.grain = g;
-        job_.num_chunks = num_chunks;
-        next_chunk_.store(0);
-        chunks_done_.store(0);
-        job_gen_.fetch_add(1, std::memory_order_release);
-    }
-    cv_work_.notify_all();
-
-    // The caller is a lane too.
-    Job job = job_; // safe: only run() writes job_, and runs never
-                    // overlap (running_ guard above)
-    drainChunks(job);
-
-    // Wait for stragglers: spin briefly (back-to-back planner
-    // regions), then sleep. Every chunk counted means every fn
-    // invocation has returned, so returning here keeps fn's referent
-    // alive for as long as any lane can dereference it.
-    bool all_done = false;
-    for (int spin = 0; spin < kSpinIterations; ++spin) {
-        if (chunks_done_.load(std::memory_order_acquire) == num_chunks) {
-            all_done = true;
-            break;
-        }
-    }
-    std::unique_lock<std::mutex> lk(mu_);
-    if (!all_done)
-        cv_done_.wait(lk,
-                      [&] { return chunks_done_.load() == num_chunks; });
-    running_ = false;
 }
 
 } // namespace spindle

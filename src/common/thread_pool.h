@@ -1,50 +1,15 @@
 /**
  * @file
- * Planner thread-pool substrate: a small, work-stealing-free pool of
- * persistent workers plus chunked `parallelFor`/`parallelReduce`
- * helpers.
- *
- * Design goals, in order:
- *
- *  1. **Determinism.** Work is split into chunks whose boundaries
- *     depend only on (begin, end, grain) — never on the number of
- *     threads or on scheduling. Chunks are handed out through a
- *     single atomic cursor (no stealing, no per-thread queues), and
- *     `parallelReduce` merges per-chunk results *in chunk order*, so
- *     a reduction whose merge operator is deterministic yields the
- *     same answer at any thread count — including 1, where every
- *     helper degenerates to a plain loop on the calling thread.
- *     Callers that reduce over floating-point scores must make the
- *     merge order-free themselves (the planner embeds a global
- *     candidate ordinal in its score tuples for exactly this).
- *
- *  2. **Low dispatch latency.** The planner issues a few small
- *     parallel regions per placed wave entry, so a dispatch costs
- *     must stay in the low microseconds. Workers spin briefly on the
- *     job generation counter before sleeping on the condition
- *     variable, which keeps back-to-back regions (the common planner
- *     pattern) on the fast path.
- *
- * Chunk tasks must not throw: planner error paths are
- * fatal()/panic(), which terminate the process (a service worker
- * that wants recoverable errors catches them inside its posted task
- * — see post()). The calling thread always participates in chunk
- * execution, so a pool of `threads() == k` runs a region on at most
- * k lanes (k - 1 workers + the caller).
- *
- * Besides the synchronous chunked regions, the pool doubles as the
- * service-side task executor: post() enqueues a detached task that
- * some worker runs as soon as it is free (PlanService admits plan
- * requests this way). Chunked regions and posted tasks share the
- * workers fairly — a worker between chunk jobs drains the task
- * queue, and a region dispatched while tasks run simply executes on
- * the remaining lanes (the caller is always one of them).
+ * Fixed-size task executor: a pool of persistent worker threads that
+ * run posted tasks in FIFO order. PlanService admits plan requests
+ * this way — one worker, one request, one serial planner — which is
+ * where planning parallelism pays: across requests, not inside one
+ * plan.
  */
 
 #ifndef SPINDLE_COMMON_THREAD_POOL_H
 #define SPINDLE_COMMON_THREAD_POOL_H
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -55,15 +20,15 @@
 
 namespace spindle {
 
-/** Hard cap on planner threads (see resolveThreadCount). */
-constexpr std::uint32_t kMaxPlannerThreads = 256;
+/** Hard cap on service workers (see resolveWorkerCount). */
+constexpr std::uint32_t kMaxServiceWorkers = 256;
 
 /**
- * Resolve a user-facing thread-count knob: 0 means auto
+ * Resolve a user-facing worker-count knob: 0 means auto
  * (hardware_concurrency, at least 1); values above
- * kMaxPlannerThreads warn and clamp. The result is always >= 1.
+ * kMaxServiceWorkers warn and clamp. The result is always >= 1.
  */
-std::uint32_t resolveThreadCount(std::uint32_t requested);
+std::uint32_t resolveWorkerCount(std::uint32_t requested);
 
 /**
  * Fixed-size pool of persistent workers (see file comment).
@@ -71,148 +36,40 @@ std::uint32_t resolveThreadCount(std::uint32_t requested);
 class ThreadPool
 {
   public:
-    /** @param threads total lanes including the caller; clamped
-     *  below 1 to 1. threads == 1 creates no workers at all. */
-    explicit ThreadPool(std::uint32_t threads);
+    /** Spawns @p workers threads; 0 creates a pool that cannot run
+     *  tasks (post() panics). */
+    explicit ThreadPool(std::uint32_t workers);
+
+    /** Joins every worker. Tasks still queued are dropped without
+     *  running — owners that need every task to run (PlanService)
+     *  must drain before tearing the pool down. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Total execution lanes (workers + calling thread). */
-    std::uint32_t threads() const { return threads_; }
-
-    /**
-     * Run @p fn over the chunk grid of [begin, end) with the given
-     * grain: fn(chunk_index, chunk_begin, chunk_end) for every chunk
-     * [begin + c * grain, min(begin + (c+1) * grain, end)). Blocks
-     * until every chunk has finished. Chunk boundaries depend only
-     * on the arguments, not on the pool size.
-     */
-    void run(std::size_t begin, std::size_t end, std::size_t grain,
-             const std::function<void(std::size_t, std::size_t,
-                                      std::size_t)> &fn);
 
     /**
      * Enqueue a detached task for asynchronous execution on some
      * worker thread. Tasks run in FIFO order (one worker at a time
      * pops the front; several workers drain the queue concurrently)
      * and must not throw out of their own body. panic()s on a pool
-     * with no workers (threads() == 1): there is nobody to run the
-     * task, and running it inline would turn an async API into a
-     * blocking one. Tasks still queued when the pool is destroyed
-     * are dropped without running — owners that need every task to
-     * run (PlanService) must drain before tearing the pool down.
+     * with no workers: there is nobody to run the task, and running
+     * it inline would turn an async API into a blocking one.
      */
     void post(std::function<void()> task);
 
-    /** Posted tasks not yet picked up by a worker. */
-    std::size_t pendingTasks() const;
-
-    /** Element-wise parallel for: fn(i) for every i in [begin, end). */
-    template <typename Fn>
-    void
-    parallelFor(std::size_t begin, std::size_t end, std::size_t grain,
-                Fn &&fn)
-    {
-        run(begin, end, grain,
-            [&fn](std::size_t, std::size_t lo, std::size_t hi) {
-                for (std::size_t i = lo; i < hi; ++i)
-                    fn(i);
-            });
-    }
-
-    /**
-     * Chunked parallel reduction: @p map fills one default-initialized
-     * accumulator per chunk (map(acc, chunk_begin, chunk_end)); the
-     * accumulators are then folded left-to-right *in chunk order*
-     * with merge(total, acc). Deterministic whenever map and merge
-     * are (see the determinism note in the file comment).
-     */
-    template <typename Acc, typename Map, typename Merge>
-    Acc
-    parallelReduce(std::size_t begin, std::size_t end, std::size_t grain,
-                   Map &&map, Merge &&merge)
-    {
-        const std::size_t total = end > begin ? end - begin : 0;
-        const std::size_t g = grain == 0 ? 1 : grain;
-        const std::size_t chunks = total == 0 ? 0 : (total + g - 1) / g;
-        std::vector<Acc> partial(chunks);
-        run(begin, end, g,
-            [&](std::size_t c, std::size_t lo, std::size_t hi) {
-                map(partial[c], lo, hi);
-            });
-        Acc out{};
-        for (Acc &p : partial)
-            merge(out, p);
-        return out;
-    }
-
   private:
-    struct Job
-    {
-        const std::function<void(std::size_t, std::size_t, std::size_t)>
-            *fn = nullptr;
-        std::size_t begin = 0;
-        std::size_t end = 0;
-        std::size_t grain = 1;
-        std::size_t num_chunks = 0;
-    };
-
     void workerLoop();
 
-    /** Execute chunks of the current job until the cursor runs dry;
-     *  returns the number of chunks this thread completed. */
-    std::size_t drainChunks(const Job &job);
-
-    std::uint32_t threads_ = 1;
-    std::vector<std::thread> workers_;
-
-    mutable std::mutex mu_;
+    std::mutex mu_;
     std::condition_variable cv_work_;
-    std::condition_variable cv_done_;
-    Job job_;
-
-    /** Detached tasks (post()), FIFO; guarded by mu_. */
+    /** Posted tasks, FIFO; guarded by mu_. */
     std::deque<std::function<void()>> tasks_;
-    /** tasks_.size() mirror for the workers' lock-free spin check. */
-    std::atomic<std::size_t> num_tasks_{0};
+    bool stop_ = false; ///< guarded by mu_
 
-    /** Bumped (under mu_) for every new job; workers key off it. */
-    std::atomic<std::uint64_t> job_gen_{0};
-    std::atomic<bool> stop_{false};
-
-    /** Next chunk index of the current job. */
-    std::atomic<std::size_t> next_chunk_{0};
-    /** Chunks of the current job that have finished executing. */
-    std::atomic<std::size_t> chunks_done_{0};
-    /** Workers currently holding a copy of job_ (see run()). */
-    std::atomic<std::size_t> active_workers_{0};
-    /** Guards against concurrent / nested run() calls. */
-    bool running_ = false;
+    /** Declared last: the workers use every member above. */
+    std::vector<std::thread> workers_;
 };
-
-/**
- * Shared serial/parallel dispatch guard: run fn(i) for every i in
- * [begin, end) on the pool when one exists with workers and the
- * caller's work estimate says a dispatch pays off (@p parallel);
- * otherwise inline on the calling thread. Both paths visit every
- * index; results must not depend on which path ran (the planner's
- * regions guarantee that with indexed writes or ordinal merges).
- */
-template <typename Fn>
-void
-maybeParallelFor(ThreadPool *pool, bool parallel, std::size_t begin,
-                 std::size_t end, std::size_t grain, Fn &&fn)
-{
-    if (pool != nullptr && pool->threads() > 1 && parallel &&
-        end > begin + 1) {
-        pool->parallelFor(begin, end, grain, std::forward<Fn>(fn));
-        return;
-    }
-    for (std::size_t i = begin; i < end; ++i)
-        fn(i);
-}
 
 } // namespace spindle
 

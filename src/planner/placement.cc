@@ -1,7 +1,6 @@
 #include "planner/placement.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <limits>
 #include <map>
@@ -10,8 +9,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
-
 
 namespace spindle {
 
@@ -40,12 +37,7 @@ struct SliceParam
     double bytes = 0; ///< raw parameter bytes (affinity scoring)
 };
 
-/** Below this much estimated per-phase work (rough element-visit
- *  count) a parallel dispatch costs more than it saves; purely a
- *  performance threshold — both paths compute identical bytes. */
-constexpr std::size_t kMinParallelWork = 1 << 12;
-
-/** Smallest window-sweep chunk handed to a lane. */
+/** Smallest window-sweep chunk (the pruning unit). */
 constexpr std::size_t kMinSweepChunk = 128;
 
 /**
@@ -212,8 +204,7 @@ struct InflowCtx
  */
 struct BandState
 {
-    std::size_t ordinalBase = 0; ///< global ordinal of window w=0
-    std::size_t numWindows = 0;  ///< B - n + 1, or 0 when B < n
+    std::size_t numWindows = 0; ///< B - n + 1, or 0 when B < n
     double minTotal = 0; ///< min candidate total along the band
 
     std::vector<std::uint32_t> chgPref; ///< island changes, size B
@@ -233,29 +224,24 @@ struct BandState
 };
 
 /**
- * One scored candidate window. The placer's historical selection
- * rule — scan candidates in enumeration order, replace on strictly
- * better (primary, secondary) — equals a minimum under the
- * lexicographic order (primary, secondary, ordinal), which is what
- * makes the parallel sweep's merge deterministic and byte-identical
- * to the serial scan at any thread count.
+ * One scored candidate window. The sweep scans candidates in
+ * enumeration order and keeps the first of the best: a candidate
+ * replaces the best so far only when strictly better on (primary,
+ * secondary).
  */
 struct Candidate
 {
     double primary = std::numeric_limits<double>::infinity();
     double secondary = std::numeric_limits<double>::infinity();
     double comm = 0;
-    std::size_t ordinal = std::numeric_limits<std::size_t>::max();
     std::int32_t band = -1; ///< band index; -1 = explicit extra
     std::size_t start = 0;  ///< window start in band / extras index
-
-    bool
-    found() const
-    {
-        return ordinal != std::numeric_limits<std::size_t>::max();
-    }
+    bool found = false;     ///< a scored window (false: none yet)
 };
 
+/** Whether @p a replaces @p b as the best candidate so far (see
+ *  struct Candidate); any scored window replaces "none yet" on a
+ *  tie. */
 bool
 betterThan(const Candidate &a, const Candidate &b)
 {
@@ -263,17 +249,8 @@ betterThan(const Candidate &a, const Candidate &b)
         return a.primary < b.primary;
     if (a.secondary != b.secondary)
         return a.secondary < b.secondary;
-    return a.ordinal < b.ordinal;
+    return !b.found;
 }
-
-/** One chunk of the window sweep: a start range of one band, or
- *  (band < 0) a range of explicit extras. */
-struct SweepTask
-{
-    std::int32_t band = -1;
-    std::size_t lo = 0;
-    std::size_t hi = 0;
-};
 
 /**
  * Shard-level inter-island attribution of one flow: the flow's bytes
@@ -538,6 +515,7 @@ struct Selection
         const double peak_frac = max_total / memoryBytes;
         Candidate c;
         c.comm = comm;
+        c.found = true;
         if (memoryFirst) {
             c.primary = peak_frac;
             c.secondary = comm;
@@ -598,8 +576,7 @@ entryOrder(const MetaGraph &graph, const Wave &wave,
  * commit dirties a device, by replaying the exact walk the uncached
  * code performed — cached reads are bit-identical, and each device
  * is re-walked at most once per committed entry instead of once per
- * candidate window. The parallel position pass touches distinct
- * devices on distinct lanes, so the lazy refresh stays race-free.
+ * candidate window.
  */
 struct Attempt
 {
@@ -642,19 +619,13 @@ struct Attempt
     std::vector<char> total_dirty;
 
     /** Lazy-refresh bits for the flat mirror: a rebuild is pending
-     *  when set. Probes from the parallel position pass touch
-     *  distinct devices on distinct lanes (like the deviceTotal
-     *  cache), so the lazy refresh stays race-free. */
+     *  when set. */
     std::vector<char> flat_dirty;
 
-    /** Pool for committing large windows (non-owning, may be null). */
-    ThreadPool *pool = nullptr;
-
-    Attempt(std::uint32_t num_devices, ThreadPool *commit_pool)
+    explicit Attempt(std::uint32_t num_devices)
         : params(num_devices), flat(num_devices),
           activations(num_devices, 0.0), total_cache(num_devices, 0.0),
-          total_dirty(num_devices, 1), flat_dirty(num_devices, 0),
-          pool(commit_pool)
+          total_dirty(num_devices, 1), flat_dirty(num_devices, 0)
     {
     }
 
@@ -764,8 +735,8 @@ struct Attempt
 void
 Attempt::commit(const EntryContext &ctx, const DeviceSet &window)
 {
-    // Reverse-index upkeep, serially before any device mutates: a key
-    // gains exactly the window devices that do not yet hold it
+    // Reverse-index upkeep, before any device mutates: a key gains
+    // exactly the window devices that do not yet hold it
     // (probed against the still-pre-commit flat mirror), in window
     // order. uniq_keys is deduplicated, so no device is appended
     // twice for one key, keeping holder lists exact.
@@ -780,11 +751,7 @@ Attempt::commit(const EntryContext &ctx, const DeviceSet &window)
         }
     }
 
-    // Devices are committed independently (each lane touches only its
-    // own device's map, flat mirror, and dirty bit), so large entries
-    // parallelize; order is irrelevant to the resulting state.
-    auto commit_device = [&](std::size_t j) {
-        const DeviceId d = window[j];
+    for (DeviceId d : window) {
         activations[d] += ctx.act_share;
         for (const auto &[key, share] : ctx.commit_keys) {
             auto [it, inserted] = params[d].emplace(key, share);
@@ -793,11 +760,7 @@ Attempt::commit(const EntryContext &ctx, const DeviceSet &window)
         }
         mergeFlat(d, ctx.uniq_keys, ctx.uniq_vals);
         total_dirty[d] = 1;
-    };
-    maybeParallelFor(pool,
-                     window.size() * (ctx.sig.size() + 1) >=
-                         kMinParallelWork,
-                     0, window.size(), 8, commit_device);
+    }
     lastSlice[ctx.meta_op] = window;
 }
 
@@ -846,8 +809,8 @@ sequentialWindow(const EntryContext &ctx, Attempt &state,
  * per-device quantities computed once per entry (stage 2); the band
  * sweeps combine them with prefix/extremum queries over per-band
  * state (stage 3) that reproduce a full rescan bit for bit. The sweep
- * itself (stage 4) is a (possibly parallel) reduction over candidate
- * ordinals — see struct Candidate.
+ * itself (stage 4) is a chunked scan in enumeration order — see
+ * struct Candidate.
  *
  * Scratch buffers live across entries and only grow: the elements an
  * entry reads are exactly the elements it wrote, so stale capacity
@@ -857,8 +820,8 @@ class WindowSweep
 {
   public:
     WindowSweep(const ClusterTopology &topo, const WindowGenerator &gen,
-                ThreadPool *pool, bool prune, std::uint32_t num_devices)
-        : topo_(topo), gen_(gen), pool_(pool), prune_(prune),
+                bool prune, std::uint32_t num_devices)
+        : topo_(topo), gen_(gen), prune_(prune),
           affected_epoch_(num_devices, 0), pos_of_(num_devices, 0),
           pos_epoch_(num_devices, 0)
     {
@@ -870,15 +833,6 @@ class WindowSweep
                 const Selection &sel, DeviceSet &window, double &comm);
 
   private:
-    /** Per-lane sweep scratch: the sliding-maximum deque, residency
-     *  row pointers and non-resident row flags. */
-    struct Lane
-    {
-        std::vector<std::size_t> dq;
-        std::vector<std::size_t> row_ptr;
-        std::vector<char> nonres;
-    };
-
     void positionPass(Attempt &state);
     void position(Attempt &state, std::size_t pos, double sig_base);
     void buildBands();
@@ -886,12 +840,10 @@ class WindowSweep
     void buildBandRow(std::size_t b, std::size_t row);
     Candidate sweep();
     bool pruned(const BandState &bs, std::size_t w_lo, std::size_t w_hi,
-                std::vector<char> &nonres) const;
+                double bound);
     void scoreBandRange(std::size_t b, std::size_t w_lo, std::size_t w_hi,
-                        Candidate &best, Lane &lane);
-    void scoreExtra(std::size_t ei, Candidate &best,
-                    std::vector<char> &nonres);
-    void consider(Candidate &best, Candidate c);
+                        Candidate &best);
+    void scoreExtra(std::size_t ei, Candidate &best);
 
     /** True iff the window at free positions @p pos holds exactly
      *  the devices of @p src, in order (zero-cost transfer). */
@@ -914,7 +866,6 @@ class WindowSweep
 
     const ClusterTopology &topo_;
     const WindowGenerator &gen_;
-    ThreadPool *pool_;
     const bool prune_;
 
     // The entry being placed.
@@ -923,8 +874,6 @@ class WindowSweep
     const DeviceSet *free_ = nullptr;
     std::size_t row_words_ = 0; ///< rank-counter words (InflowCtx)
     std::size_t rows_ = 0;      ///< residency rows
-    std::size_t extras_base_ = 0;
-    std::size_t total_candidates_ = 0;
 
     std::vector<double> cand_total_;        ///< per free pos: total if placed
     std::vector<std::uint32_t> pos_island_; ///< per free pos: island index
@@ -937,8 +886,11 @@ class WindowSweep
     std::vector<std::uint32_t> pos_row_off_, row_at_; ///< row_pos_ transposed
     std::vector<BandState> band_states_; ///< per-band prefix state
     CandidateWindows cand_windows_;      ///< generator output
-    std::vector<SweepTask> sweep_tasks_;
-    Lane lane_; ///< serial-sweep scratch
+    // Sweep scratch: the sliding-maximum deque, residency row
+    // pointers and non-resident row flags.
+    std::vector<std::size_t> dq_;
+    std::vector<std::size_t> row_ptr_;
+    std::vector<char> nonres_;
 
     // Affected-device epoch stamps: device d holds at least one of the
     // current entry's keys iff affected_epoch_[d] == entry_epoch_.
@@ -953,13 +905,6 @@ class WindowSweep
     // holder-list -> row-position intersection into O(1) lookups.
     std::vector<std::uint32_t> pos_of_;
     std::vector<std::uint64_t> pos_epoch_;
-
-    // Best primary score found so far in the current entry's sweep,
-    // shared across lanes for admissible pruning. Relaxed is enough:
-    // a stale read only prunes less, and pruning decisions never
-    // change the winner (see placement.h).
-    std::atomic<double> prune_bound_{
-        std::numeric_limits<double>::infinity()};
 };
 
 bool
@@ -974,7 +919,7 @@ WindowSweep::choose(EntryContext &ctx, Attempt &state,
     positionPass(state);
     buildBands();
     const Candidate best = sweep();
-    if (!best.found())
+    if (!best.found)
         return false;
     comm = best.comm;
     const std::uint32_t *at =
@@ -1047,12 +992,8 @@ WindowSweep::positionPass(Attempt &state)
         for (DeviceId d : hit->second)
             affected_epoch_[d] = entry_epoch_;
     }
-    // Positions are independent (each lane touches its own device's
-    // lazy total), so this is the entry's first parallel region.
-    maybeParallelFor(pool_, F * (ctx.inflows.size() + 2) >= kMinParallelWork,
-                     0, F, 16, [&](std::size_t pos) {
-                         position(state, pos, sig_base);
-                     });
+    for (std::size_t pos = 0; pos < F; ++pos)
+        position(state, pos, sig_base);
 
     // Sparse residency: per row, the ascending free-list positions
     // whose device already holds the row's key — exactly the
@@ -1128,9 +1069,8 @@ WindowSweep::position(Attempt &state, std::size_t pos, double sig_base)
 }
 
 /**
- * Stage 3, band build: per-band prefix state. Sizing and ordinal
- * bases are serial (cheap, and resizes must not race); the fills are
- * independent per band and per residency row.
+ * Stage 3, band build: per band, sizing, then the shared prefix state
+ * and the residency rows.
  */
 void
 WindowSweep::buildBands()
@@ -1139,17 +1079,12 @@ WindowSweep::buildBands()
     const std::size_t num_bands = cand_windows_.bands.size();
     if (band_states_.size() < num_bands)
         band_states_.resize(num_bands);
-    std::size_t ordinal = 0;
-    std::size_t band_positions = 0;
     for (std::size_t b = 0; b < num_bands; ++b) {
         BandState &bs = band_states_[b];
         const std::size_t B = cand_windows_.bands[b].size();
-        bs.ordinalBase = ordinal;
         bs.numWindows = B >= n ? B - n + 1 : 0;
-        ordinal += bs.numWindows;
         if (bs.numWindows == 0)
             continue;
-        band_positions += B;
         if (ctx_->cfg.tp > 1 && bs.chgPref.size() < B)
             bs.chgPref.resize(B);
         if (bs.resIdx.size() < rows_)
@@ -1158,21 +1093,10 @@ WindowSweep::buildBands()
         if (bs.rankPref.size() < need)
             bs.rankPref.resize(need);
         bs.eqWindow.assign(ctx_->inflows.size(), -1);
+        buildBandShared(b);
+        for (std::size_t row = 0; row < rows_; ++row)
+            buildBandRow(b, row);
     }
-    extras_base_ = ordinal;
-    total_candidates_ = ordinal + cand_windows_.extras.size();
-
-    const std::size_t units_per_band = 1 + rows_;
-    maybeParallelFor(pool_,
-                     band_positions * (2 + row_words_) >= kMinParallelWork,
-                     0, num_bands * units_per_band, 1, [&](std::size_t u) {
-                         const std::size_t b = u / units_per_band;
-                         const std::size_t sub = u % units_per_band;
-                         if (sub == 0)
-                             buildBandShared(b);
-                         else
-                             buildBandRow(b, sub - 1);
-                     });
 }
 
 /** Shared per-band state: island-change prefix, minimum load,
@@ -1182,8 +1106,6 @@ void
 WindowSweep::buildBandShared(std::size_t b)
 {
     BandState &bs = band_states_[b];
-    if (bs.numWindows == 0)
-        return;
     const auto &band = cand_windows_.bands[b];
     const std::size_t B = band.size();
     const std::size_t n = ctx_->n;
@@ -1264,8 +1186,6 @@ void
 WindowSweep::buildBandRow(std::size_t b, std::size_t row)
 {
     BandState &bs = band_states_[b];
-    if (bs.numWindows == 0)
-        return;
     const auto &band = cand_windows_.bands[b];
     std::vector<std::uint32_t> &out = bs.resIdx[row];
     out.clear();
@@ -1277,91 +1197,26 @@ WindowSweep::buildBandRow(std::size_t b, std::size_t row)
 }
 
 /**
- * Stage 4, the chunked sweep: a reduction over the candidate
- * ordinals, band windows and explicit extras alike. Chunk size only
- * balances lanes and sets the pruning granularity; any chunking
- * yields the same winner (the ordinal tie-break is global, and
- * pruning is winner-preserving per chunk). The serial sweep is
- * chunked too — that is what gives pruning its skippable units —
- * with a floor of 4n so the per-chunk deque warm-up (n - 1 positions)
- * stays under a quarter of the chunk.
+ * Stage 4, the chunked sweep: band windows, then explicit extras, in
+ * enumeration order. Band windows are scored in chunks, the pruning
+ * unit; pruning never changes the winner. The floor of 4n keeps the
+ * per-chunk deque warm-up (n - 1 positions) under a quarter of the
+ * chunk.
  */
 Candidate
 WindowSweep::sweep()
 {
-    prune_bound_.store(std::numeric_limits<double>::infinity(),
-                       std::memory_order_relaxed);
-    const std::size_t sweep_work =
-        total_candidates_ * (ctx_->sig.size() + ctx_->inflows.size() + 4);
-    const bool sweep_parallel = pool_ != nullptr && pool_->threads() > 1 &&
-                                sweep_work >= kMinParallelWork &&
-                                total_candidates_ > 1;
-    const std::size_t chunk_floor = std::max<std::size_t>(
+    const std::size_t chunk = std::max<std::size_t>(
         kMinSweepChunk, 4 * static_cast<std::size_t>(ctx_->n));
-    const std::size_t chunk =
-        sweep_parallel
-            ? std::max(chunk_floor,
-                       total_candidates_ /
-                           (static_cast<std::size_t>(pool_->threads()) * 4))
-            : chunk_floor;
-    sweep_tasks_.clear();
+    Candidate best;
     for (std::size_t b = 0; b < cand_windows_.bands.size(); ++b) {
         const std::size_t W = band_states_[b].numWindows;
         for (std::size_t lo = 0; lo < W; lo += chunk)
-            sweep_tasks_.push_back({static_cast<std::int32_t>(b), lo,
-                                    std::min(lo + chunk, W)});
+            scoreBandRange(b, lo, std::min(lo + chunk, W), best);
     }
-    const std::size_t E = cand_windows_.extras.size();
-    for (std::size_t lo = 0; lo < E; lo += chunk)
-        sweep_tasks_.push_back({-1, lo, std::min(lo + chunk, E)});
-
-    const auto run_task = [this](const SweepTask &t, Candidate &best,
-                                 Lane &lane) {
-        if (t.band >= 0)
-            scoreBandRange(static_cast<std::size_t>(t.band), t.lo, t.hi,
-                           best, lane);
-        else
-            for (std::size_t ei = t.lo; ei < t.hi; ++ei)
-                scoreExtra(ei, best, lane.nonres);
-    };
-    Candidate best;
-    if (sweep_parallel && sweep_tasks_.size() > 1) {
-        best = pool_->parallelReduce<Candidate>(
-            0, sweep_tasks_.size(), 1,
-            [&](Candidate &acc, std::size_t lo, std::size_t hi) {
-                Lane lane;
-                for (std::size_t t = lo; t < hi; ++t)
-                    run_task(sweep_tasks_[t], acc, lane);
-            },
-            [](Candidate &out, const Candidate &c) {
-                if (betterThan(c, out))
-                    out = c;
-            });
-    } else {
-        for (const SweepTask &t : sweep_tasks_)
-            run_task(t, best, lane_);
-    }
+    for (std::size_t ei = 0; ei < cand_windows_.extras.size(); ++ei)
+        scoreExtra(ei, best);
     return best;
-}
-
-/**
- * Replace @p best by @p c when strictly better — the historical
- * replace-on-strictly-better scan (see struct Candidate) — and
- * publish an improved primary into the shared pruning bound.
- */
-void
-WindowSweep::consider(Candidate &best, Candidate c)
-{
-    if (!betterThan(c, best))
-        return;
-    best = c;
-    if (!prune_)
-        return;
-    double cur = prune_bound_.load(std::memory_order_relaxed);
-    while (c.primary < cur &&
-           !prune_bound_.compare_exchange_weak(cur, c.primary,
-                                               std::memory_order_relaxed))
-        ;
 }
 
 /**
@@ -1369,14 +1224,14 @@ WindowSweep::consider(Candidate &best, Candidate c)
  * an exact lower bound on every such window's primary — each term <=
  * its counterpart in every window's score, accumulated in the same
  * structural order, so rounded addition keeps the bound <= every
- * primary — compared *strictly* against an already-scored primary.
- * A pruned chunk cannot contain the winner even via the (secondary,
- * ordinal) tie-break, which only arbitrates equal primaries. See
+ * primary — compared *strictly* against @p bound, the best primary
+ * scored so far. Every window of a pruned chunk scores a strictly
+ * worse primary than the best so far, so none could replace it. See
  * placement.h.
  */
 bool
 WindowSweep::pruned(const BandState &bs, std::size_t w_lo,
-                    std::size_t w_hi, std::vector<char> &nonres) const
+                    std::size_t w_hi, double bound)
 {
     const EntryContext &ctx = *ctx_;
     // Chunk windows cover band positions [w_lo, w_hi + n - 1).
@@ -1401,21 +1256,20 @@ WindowSweep::pruned(const BandState &bs, std::size_t w_lo,
         // non-resident in every window; their bytes are a floor on
         // the affinity term.
         if (rows_ > 0) {
-            nonres.resize(rows_);
+            nonres_.resize(rows_);
             for (std::size_t r = 0; r < rows_; ++r) {
                 const auto &idx = bs.resIdx[r];
                 const auto it = std::lower_bound(
                     idx.begin(), idx.end(),
                     static_cast<std::uint32_t>(w_lo));
-                nonres[r] = (it == idx.end() || *it >= r_end) ? 1 : 0;
+                nonres_[r] = (it == idx.end() || *it >= r_end) ? 1 : 0;
             }
         }
         // The island penalty's floor is min(0, penalty).
-        comm = ctx.comm(flows, nonres,
+        comm = ctx.comm(flows, nonres_,
                         ctx.cfg.tp > 1 && ctx.island_penalty < 0);
     }
-    return sel_->rank(comm, bs.minTotal).primary >
-           prune_bound_.load(std::memory_order_relaxed);
+    return sel_->rank(comm, bs.minTotal).primary > bound;
 }
 
 /**
@@ -1427,7 +1281,7 @@ WindowSweep::pruned(const BandState &bs, std::size_t w_lo,
  */
 void
 WindowSweep::scoreBandRange(std::size_t b, std::size_t w_lo,
-                            std::size_t w_hi, Candidate &best, Lane &lane)
+                            std::size_t w_hi, Candidate &best)
 {
     const EntryContext &ctx = *ctx_;
     const Selection &sel = *sel_;
@@ -1442,22 +1296,22 @@ WindowSweep::scoreBandRange(std::size_t b, std::size_t w_lo,
 
     if (prune_ && bs.minTotal > sel.capacity)
         return; // every window fails capacity
-    if (prune_ && pruned(bs, w_lo, w_hi, lane.nonres))
+    if (prune_ && pruned(bs, w_lo, w_hi, best.primary))
         return;
 
     // Per-row sweep pointers: first resident band index >= w_lo;
     // advanced as the window slides (amortized O(1) per window).
-    lane.row_ptr.resize(rows);
-    lane.nonres.resize(rows);
+    row_ptr_.resize(rows);
+    nonres_.resize(rows);
     for (std::size_t r = 0; r < rows; ++r) {
         const auto &idx = bs.resIdx[r];
-        lane.row_ptr[r] = static_cast<std::size_t>(
+        row_ptr_[r] = static_cast<std::size_t>(
             std::lower_bound(idx.begin(), idx.end(),
                              static_cast<std::uint32_t>(w_lo)) -
             idx.begin());
     }
 
-    std::vector<std::size_t> &dq = lane.dq;
+    std::vector<std::size_t> &dq = dq_;
     dq.clear();
     std::size_t head = 0;
     const std::size_t i_end = w_hi + n - 1;
@@ -1489,27 +1343,26 @@ WindowSweep::scoreBandRange(std::size_t b, std::size_t w_lo,
         // resident-index lists.
         for (std::size_t r = 0; r < rows; ++r) {
             const auto &idx = bs.resIdx[r];
-            std::size_t &ptr = lane.row_ptr[r];
+            std::size_t &ptr = row_ptr_[r];
             while (ptr < idx.size() && idx[ptr] < w)
                 ++ptr;
-            lane.nonres[r] =
+            nonres_[r] =
                 (ptr >= idx.size() || idx[ptr] >= w + n) ? 1 : 0;
         }
         Candidate c = sel.rank(
-            ctx.comm(flows, lane.nonres,
+            ctx.comm(flows, nonres_,
                      tp && bs.chgPref[w + n - 1] != bs.chgPref[w]),
             max_total);
-        c.ordinal = bs.ordinalBase + w;
         c.band = static_cast<std::int32_t>(b);
         c.start = w;
-        consider(best, c);
+        if (betterThan(c, best))
+            best = c;
     }
 }
 
 /** Score one explicit window (cross-island unions etc.). */
 void
-WindowSweep::scoreExtra(std::size_t ei, Candidate &best,
-                        std::vector<char> &nonres)
+WindowSweep::scoreExtra(std::size_t ei, Candidate &best)
 {
     const EntryContext &ctx = *ctx_;
     const auto &win_pos = cand_windows_.extras[ei];
@@ -1538,11 +1391,11 @@ WindowSweep::scoreExtra(std::size_t ei, Candidate &best,
                                               row_words_);
     }
     if (rows_ > 0) {
-        nonres.assign(rows_, 1);
+        nonres_.assign(rows_, 1);
         for (std::uint32_t p : win_pos)
             for (std::size_t i = pos_row_off_[p]; i < pos_row_off_[p + 1];
                  ++i)
-                nonres[row_at_[i]] = 0;
+                nonres_[row_at_[i]] = 0;
     }
     bool spans = false;
     if (ctx.cfg.tp > 1) {
@@ -1552,10 +1405,10 @@ WindowSweep::scoreExtra(std::size_t ei, Candidate &best,
                                 return pos_island_[p] != first;
                             });
     }
-    Candidate c = sel_->rank(ctx.comm(flows, nonres, spans), max_total);
-    c.ordinal = extras_base_ + ei;
+    Candidate c = sel_->rank(ctx.comm(flows, nonres_, spans), max_total);
     c.start = ei;
-    consider(best, c);
+    if (betterThan(c, best))
+        best = c;
 }
 
 /** Drop the committed @p window from @p free (single compaction pass;
@@ -1579,9 +1432,8 @@ removeFromFree(DeviceSet &free, const DeviceSet &window)
 DevicePlacement::DevicePlacement(const ClusterTopology &topo,
                                  const HardwareModel &hw,
                                  const MemoryModel &mem,
-                                 PlacementOptions options,
-                                 ThreadPool *pool)
-    : topo_(topo), hw_(hw), mem_(mem), options_(options), pool_(pool)
+                                 PlacementOptions options)
+    : topo_(topo), hw_(hw), mem_(mem), options_(options)
 {
 }
 
@@ -1664,7 +1516,7 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
     const CollectiveModel &coll = hw_.collectives();
     const bool sequential =
         options_.strategy == PlacementStrategy::Sequential;
-    Attempt state(num_devices, pool_);
+    Attempt state(num_devices);
     EntryContext ctx(topo_, hw_, mem_, options_.paramAffinityWeight);
 
     // Replay: recommit the feasible prefix (device choices and their
@@ -1686,7 +1538,7 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
     const Selection sel{
         topo_.device().memoryBytes, options_.memoryWeight,
         topo_.device().memoryBytes * options_.memorySlack, memory_first};
-    WindowSweep sweep(topo_, generator(), pool_, options_.bandPruning,
+    WindowSweep sweep(topo_, generator(), options_.bandPruning,
                       num_devices);
     std::uint32_t seq_cursor = 0;
     std::vector<char> seq_nonres;

@@ -34,16 +34,19 @@
  *     then each residency row's holder positions.
  *  3. *Band build*: per-band prefix state (island changes, minimum
  *     load, link-rank prefix counts, the window equal to a source).
- *  4. *Chunked sweep with pruning*: band windows and explicit extras
- *     are scored chunk by chunk under one selection rule (Selection:
- *     comm plus weighted memory pressure, or memory first in the
- *     fallback) and reduced to the winner.
+ *  4. *Chunked sweep with pruning*: band windows, chunk by chunk,
+ *     then explicit extras are scored under one selection rule
+ *     (Selection: comm plus weighted memory pressure, or memory first
+ *     in the fallback) and reduced to the winner.
  *  5. *Commit* (Attempt::commit): reverse-index upkeep, per-device
  *     maps and flat mirrors, and the MetaOp's last slice.
  * The Sequential strategy replaces stages 2–4 by its one window.
  * Replaying a logged prefix builds the same entry setup and calls the
  * same commit, then adds the logged comm; place() is placeWithPrefix
- * with an empty prefix, so the fallback cascade exists once.
+ * with an empty prefix, so the fallback cascade exists once. Every
+ * stage runs on the calling thread, so a fatal() it raises (say, a
+ * custom generator breaking its contract) honors that thread's
+ * RecoverableScope.
  *
  * Candidate generation is pluggable (see window_generator.h): the
  * placer scores whatever windows the configured WindowGenerator
@@ -88,22 +91,11 @@
  * counterpart and is accumulated in the same structural order as the
  * real score, so by monotonicity of rounded addition the bound never
  * exceeds any window's primary. A chunk is skipped only when its
- * bound is *strictly* above an already-scored candidate's primary;
- * the selection tie-break (secondary, then serial enumeration
- * ordinal) only arbitrates between equal primaries, so a pruned chunk
- * can never contain the winner and the emitted plan is byte-identical
- * with pruning on or off, at any thread count (pinned by
+ * bound is *strictly* above the best primary scored so far; the scan
+ * replaces its best only on a strictly better (primary, secondary),
+ * so no window of a pruned chunk could have won and the emitted plan
+ * is byte-identical with pruning on or off (pinned by
  * planner_equivalence_test, which toggles the flag at 1024 GPUs).
- *
- * With a ThreadPool the position pass, the band build and the sweep
- * are chunked across lanes, and the winning window is selected by a
- * deterministic merge on (primary score, secondary score, candidate
- * ordinal) — the ordinal is the serial enumeration index, so the
- * emitted plan is byte-identical to the single-threaded sweep at any
- * thread count (pinned by planner_equivalence_test). Lanes share the
- * pruning bound through a relaxed atomic: a stale read only prunes
- * less, never differently, so pruning is also determinism-neutral
- * under concurrency.
  *
  * A Sequential strategy (each entry takes the next consecutive
  * device ids, no topology awareness — by design independent of the
@@ -121,8 +113,6 @@
 #include "runtime/memory_model.h"
 
 namespace spindle {
-
-class ThreadPool;
 
 /** Placement strategy selector. */
 enum class PlacementStrategy : std::uint8_t
@@ -185,7 +175,7 @@ struct PlacementOptions
      * so plans are byte-identical with the flag on or off; it exists
      * as the equivalence test's proof handle and as a perf escape
      * hatch. Value-transparent — excluded from the planner options
-     * fingerprint, like thread count and plan-cache settings.
+     * fingerprint, like the plan-cache settings.
      */
     bool bandPruning = true;
 };
@@ -242,12 +232,8 @@ struct PlacementResult
 class DevicePlacement
 {
   public:
-    /** @param pool optional planner pool for the parallel scoring
-     *  sweep (non-owning; nullptr or a 1-thread pool run the
-     *  historical serial sweep — same bytes either way). */
     DevicePlacement(const ClusterTopology &topo, const HardwareModel &hw,
-                    const MemoryModel &mem, PlacementOptions options = {},
-                    ThreadPool *pool = nullptr);
+                    const MemoryModel &mem, PlacementOptions options = {});
 
     /**
      * Fill WaveEntry::devices for every wave of @p plan.
@@ -303,7 +289,6 @@ class DevicePlacement
     const HardwareModel &hw_;
     const MemoryModel &mem_;
     PlacementOptions options_;
-    ThreadPool *pool_ = nullptr;
 };
 
 } // namespace spindle

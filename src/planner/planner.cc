@@ -35,8 +35,7 @@ mix(std::uint64_t h, double v)
 
 /**
  * Fingerprint of every option that can change planned bytes.
- * `threads` is deliberately excluded (plans are byte-identical at
- * any thread count), as are `cache` (bookkeeping, not behavior),
+ * Deliberately excluded are `cache` (bookkeeping, not behavior),
  * `placement.bandPruning` (the admissible pruning is
  * winner-preserving by construction — see placement.h — so toggling
  * it cannot change a single planned byte, and fingerprinting it
@@ -77,59 +76,38 @@ curveKeyOf(const MetaOp &m, std::uint32_t max_devices)
 
 /**
  * One memoized pipeline stage over @p count independent items. Each
- * item's result is served from @p memo (@p find), copied from an
- * earlier item of this graph with an equal key, or computed
- * (@p compute — in parallel when pooled; each result lands at its
- * own index) and then stored. Keys are probed serially before
- * anything is computed, so @p hits equals that of a serial pass at
- * any thread count. Without a memo every item is computed and no
- * key is built.
+ * item's result is served from @p memo (@p find) — a hit, including
+ * an item whose key an earlier item of this graph just stored — or
+ * computed (@p compute) and stored. Without a memo every item is
+ * computed and no key is built.
  */
 template <typename Value, typename Key, typename KeyOf, typename Compute>
 std::vector<Value>
-memoizedStage(ThreadPool *pool, PlanCache *memo, std::uint64_t ctx,
-              std::size_t count, KeyOf key_of,
+memoizedStage(PlanCache *memo, std::uint64_t ctx, std::size_t count,
+              KeyOf key_of,
               std::optional<Value> (PlanCache::*find)(std::uint64_t,
                                                       const Key &) const,
               void (PlanCache::*store)(std::uint64_t, const Key &,
                                        const Value &),
               Compute compute, std::uint64_t &hits)
 {
-    std::vector<std::optional<Value>> slots(count);
-    std::vector<Key> keys;
-    std::vector<std::size_t> todo;
-    std::vector<std::pair<std::size_t, std::size_t>> copies;
-    for (std::size_t i = 0; i < count; ++i) {
-        if (memo != nullptr) {
-            keys.push_back(key_of(i));
-            if ((slots[i] = (memo->*find)(ctx, keys[i])).has_value())
-                continue;
-            auto same = std::find_if(todo.begin(), todo.end(),
-                                     [&](std::size_t j) {
-                                         return keys[j] == keys[i];
-                                     });
-            if (same != todo.end()) {
-                copies.emplace_back(i, *same);
-                continue;
-            }
-        }
-        todo.push_back(i);
-    }
-    maybeParallelFor(pool, /*parallel=*/true, 0, todo.size(), 1,
-                     [&](std::size_t t) {
-                         slots[todo[t]].emplace(compute(todo[t]));
-                     });
-    if (memo != nullptr)
-        for (std::size_t i : todo)
-            (memo->*store)(ctx, keys[i], *slots[i]);
-    for (auto [i, from] : copies)
-        slots[i] = slots[from];
-    hits = count - todo.size();
-
     std::vector<Value> out;
     out.reserve(count);
-    for (std::optional<Value> &slot : slots)
-        out.push_back(std::move(*slot));
+    hits = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+        if (memo == nullptr) {
+            out.push_back(compute(i));
+            continue;
+        }
+        const Key key = key_of(i);
+        if (std::optional<Value> hit = (memo->*find)(ctx, key)) {
+            out.push_back(std::move(*hit));
+            ++hits;
+            continue;
+        }
+        out.push_back(compute(i));
+        (memo->*store)(ctx, key, out.back());
+    }
     return out;
 }
 
@@ -137,11 +115,8 @@ memoizedStage(ThreadPool *pool, PlanCache *memo, std::uint64_t ctx,
 
 ExecutionPlanner::ExecutionPlanner(const HardwareModel &hw,
                                    PlannerOptions options)
-    : hw_(hw), options_(options),
-      threads_(resolveThreadCount(options.threads))
+    : hw_(hw), options_(options)
 {
-    if (threads_ > 1)
-        pool_ = std::make_unique<ThreadPool>(threads_);
     cache_context_ =
         mix(hw.topology().fingerprint(), optionsFingerprint(options_));
 }
@@ -263,12 +238,12 @@ ExecutionPlanner::pipeline(const MetaGraph &graph, PlanCache *memo) const
         // §3.2: profile the oracle and fit one independent curve per
         // MetaOp. A curve is a pure function of the MetaOp's workload
         // shape and the cluster (the noisy variant seeds its stream
-        // per (MetaOp, n)), so curves may be estimated on any lane
-        // and are served from the curve memo by that shape.
+        // per (MetaOp, n)), so curves are served from the curve memo
+        // by that shape.
         ScalabilityEstimator estimator(hw_, options_.estimator);
         const std::vector<MetaOp> &ops = graph.metaOps();
         out.curves = memoizedStage<ScalingCurve, PlanCache::CurveKey>(
-            pool_.get(), memo, ctx, ops.size(),
+            memo, ctx, ops.size(),
             [&](std::size_t i) { return curveKeyOf(ops[i], n); },
             &PlanCache::findCurve, &PlanCache::storeCurve,
             [&](std::size_t i) { return estimator.estimate(ops[i], n); },
@@ -284,7 +259,7 @@ ExecutionPlanner::pipeline(const MetaGraph &graph, PlanCache *memo) const
                                     options_.allocator);
         std::vector<LevelAllocation> allocations =
             memoizedStage<LevelAllocation, PlanCache::LevelKey>(
-                pool_.get(), memo, ctx, graph.numLevels(),
+                memo, ctx, graph.numLevels(),
                 [&](std::size_t k) {
                     PlanCache::LevelKey key;
                     for (MetaOpId id : graph.level(k)) {
@@ -333,17 +308,16 @@ ExecutionPlanner::pipeline(const MetaGraph &graph, PlanCache *memo) const
             : out.plan.waves.back().start + out.plan.waves.back().duration;
         lap(out.phaseSeconds.scheduling);
 
-        // §3.5: map wave entries onto devices (the scoring sweep runs
-        // as a deterministic parallel reduction when pooled). With a
-        // memo, the committed prefix of the cached plan sharing the
-        // longest level prefix with this workload is replayed, so
-        // only the waves of perturbed levels are scored. Prefix reuse
-        // relies on the Spindle strategy's state being wave-local;
-        // Sequential threads a device cursor through every wave, so
-        // it re-places from scratch.
+        // §3.5: map wave entries onto devices. With a memo, the
+        // committed prefix of the cached plan sharing the longest
+        // level prefix with this workload is replayed, so only the
+        // waves of perturbed levels are scored. Prefix reuse relies on
+        // the Spindle strategy's state being wave-local; Sequential
+        // threads a device cursor through every wave, so it re-places
+        // from scratch.
         MemoryModel mem(options_.memory);
         DevicePlacement placement(hw_.topology(), hw_, mem,
-                                  options_.placement, pool_.get());
+                                  options_.placement);
         std::size_t resume_wave = 0;
         std::vector<PlacementCommit> prefix;
         std::size_t donor_levels = 0;

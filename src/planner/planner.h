@@ -23,6 +23,11 @@
  *    the perturbation, not the cluster. replan() output is
  *    byte-identical to plan() on the same graph (pinned by
  *    planner_equivalence_test).
+ *
+ * Every stage runs serially on the calling thread. Planning
+ * parallelism lives across requests: PlanService
+ * (service/plan_service.h) runs one serial planner per worker, all
+ * sharing one thread-safe PlanCache.
  */
 
 #ifndef SPINDLE_PLANNER_PLANNER_H
@@ -30,7 +35,6 @@
 
 #include <memory>
 
-#include "common/thread_pool.h"
 #include "cost/estimator.h"
 #include "planner/placement.h"
 #include "planner/plan_cache.h"
@@ -51,17 +55,6 @@ struct PlannerOptions
     MemoryParams memory;
 
     /**
-     * Planner worker threads: 1 (default) plans serially on the
-     * calling thread, 0 resolves to the machine's hardware
-     * concurrency, and absurd values warn and clamp
-     * (resolveThreadCount). Estimation, per-MetaLevel allocation and
-     * the placement scoring sweep parallelize; scheduling stays
-     * serial. Emitted plans are byte-identical at every thread
-     * count (planner_equivalence_test pins {1, 2, 8}).
-     */
-    std::uint32_t threads = 1;
-
-    /**
      * Plan cache consulted by replan() (non-owning; must outlive the
      * planner). nullptr gives the planner a lazily created private
      * cache. Sharing one cache between planners is safe, including
@@ -71,7 +64,7 @@ struct PlannerOptions
      * fingerprint) context, so near-identical workloads from
      * different tenants dedupe into full hits while different
      * contexts never collide. Excluded from the context fingerprint
-     * itself, like `threads`.
+     * itself.
      */
     PlanCache *cache = nullptr;
 };
@@ -131,10 +124,9 @@ struct ReplanStats
     /** Placement waves covered by the replayed prefix. */
     std::uint32_t prefixWaves = 0;
 
-    /** Memo lookups of the estimation and allocation stages, counted
-     *  as a serial pass would at any thread count: a MetaOp (level)
-     *  sharing its key with an earlier one of the same graph is a
-     *  hit. */
+    /** Memo lookups of the estimation and allocation stages: a
+     *  MetaOp (level) sharing its key with an earlier one of the
+     *  same graph is a hit. */
     std::uint64_t curveHits = 0;
     std::uint64_t curveMisses = 0;
     std::uint64_t allocHits = 0;
@@ -163,7 +155,9 @@ struct PlannerOutput
 };
 
 /**
- * End-to-end planner facade over a hardware oracle.
+ * End-to-end planner facade over a hardware oracle. One instance
+ * plans one workload at a time; planners on different threads may
+ * share a PlanCache (see PlannerOptions::cache).
  */
 class ExecutionPlanner
 {
@@ -194,10 +188,6 @@ class ExecutionPlanner
     const PlannerOptions &options() const { return options_; }
     const HardwareModel &hardware() const { return hw_; }
 
-    /** Resolved worker-thread count (options().threads after
-     *  resolveThreadCount: 0 -> hardware_concurrency, clamped). */
-    std::uint32_t resolvedThreads() const { return threads_; }
-
     /** The cache replan() consults: options().cache when set, else
      *  this planner's private cache (created on first use). */
     PlanCache &planCache() const;
@@ -214,11 +204,6 @@ class ExecutionPlanner
 
     const HardwareModel &hw_;
     PlannerOptions options_;
-    std::uint32_t threads_ = 1;
-
-    /** Worker pool shared by every plan() call (created only when
-     *  threads_ > 1; plan() is not itself thread-safe). */
-    std::unique_ptr<ThreadPool> pool_;
 
     /** Private cache backing planCache() when options_.cache is
      *  null (mutable: replan() is logically const — its output is

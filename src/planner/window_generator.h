@@ -34,9 +34,9 @@
  *    single island or want to straddle on purpose.
  *
  * Extras order is part of the byte-identity contract: the placer
- * breaks score ties on the candidate ordinal, and an extra's ordinal
- * is its index in `extras`. A generator that emits the same windows
- * in another order can commit a different plan.
+ * scans candidates in order (bands, then `extras` by index) and keeps
+ * the first of equally scored ones. A generator that emits the same
+ * windows in another order can commit a different plan.
  */
 
 #ifndef SPINDLE_PLANNER_WINDOW_GENERATOR_H

@@ -164,18 +164,6 @@ struct EngineOptions
      */
     CollectiveKind collective = CollectiveKind::FlatRing;
 
-    /**
-     * Planner worker threads for systems that build plans behind the
-     * common System interface. Unset (default) defers to the
-     * system's own planner options; set, it overrides them with
-     * PlannerOptions::threads semantics (1 = serial, 0 = auto,
-     * absurd values warn + clamp) — the same system-level override
-     * shape as the collective selector above. Plans are
-     * byte-identical at every thread count, so this is purely a
-     * wall-clock knob.
-     */
-    std::optional<std::uint32_t> plannerThreads;
-
     /** Failure-recovery knobs (see RecoveryOptions). */
     RecoveryOptions recovery;
 };

@@ -114,24 +114,12 @@ PlanService::PlanService(const HardwareModel &hw, PlanServiceOptions options)
     : hw_(hw), options_(options),
       cache_(std::max<std::size_t>(options.maxPlansPerContext, 1))
 {
-    workers_ = resolveThreadCount(options_.workers);
+    workers_ = resolveWorkerCount(options_.workers);
     options_.queueCapacity = std::max<std::size_t>(options_.queueCapacity, 1);
 
     planner_options_ = options_.planner;
-    if (planner_options_.threads != 1) {
-        warn(strCat("PlanService: per-request planner threads forced "
-                    "from ", planner_options_.threads,
-                    " to 1; the service parallelizes across requests, "
-                    "not within one"));
-        planner_options_.threads = 1;
-    }
     planner_options_.cache = &cache_;
-
-    // workers_ + 1 lanes: the pool's "caller lane" runs chunked
-    // regions inline, but posted tasks only run on the pool's own
-    // worker threads — so a service of N planning workers needs a
-    // pool with N workers, i.e. N + 1 lanes.
-    pool_ = std::make_unique<ThreadPool>(workers_ + 1);
+    pool_ = std::make_unique<ThreadPool>(workers_);
 }
 
 PlanService::~PlanService()
@@ -288,11 +276,10 @@ PlanService::execute(PlanJob &job)
                 " contracted to an empty MetaGraph (no levels); "
                 "nothing to plan");
 
-        // Per-request planner: construction is cheap at threads == 1
-        // (no pool spawned), and replan() against the shared cache is
-        // where cross-request reuse happens. Byte-identical to a
-        // serial plan() on the same (graph, hardware) — pinned by
-        // service_test.
+        // Per-request planner: construction is cheap, and replan()
+        // against the shared cache is where cross-request reuse
+        // happens. Byte-identical to a serial plan() on the same
+        // (graph, hardware) — pinned by service_test.
         const ExecutionPlanner planner(*hw, planner_options_);
         job.complete(planner.replan(*job.graph_));
     } catch (const RecoverableError &err) {

@@ -4,11 +4,11 @@
  * plan cache, in the scheduler/worker/client shape of distributed
  * task frameworks (spider-style jobs with status/cancel handles).
  *
- * A PlanService owns a worker pool (the planner ThreadPool's
- * detached-task lane) and one shared, thread-safe PlanCache. Clients
- * submit plan/replan requests — a contracted MetaGraph, optionally
- * against a tenant-specific cluster — through a bounded admission
- * queue and get back a PlanJob handle to poll, wait on, or cancel.
+ * A PlanService owns a worker pool (common/thread_pool.h) and one
+ * shared, thread-safe PlanCache. Clients submit plan/replan requests
+ * — a contracted MetaGraph, optionally against a tenant-specific
+ * cluster — through a bounded admission queue and get back a PlanJob
+ * handle to poll, wait on, or cancel.
  * Each request plans through ExecutionPlanner::replan() against the
  * shared cache, so near-identical workloads from different tenants
  * dedupe into full hits: the cache keys by value (GraphSignature ×
@@ -18,9 +18,11 @@
  * serial ExecutionPlanner::plan() on the same (graph, hardware):
  * replan() is pinned byte-identical to plan(), the shared cache is
  * value-transparent under concurrency, and requests never share
- * mutable planning state (each runs on one worker with a private
- * planner). Concurrency changes *when* a response is computed, never
- * *what* it contains (pinned by service_test).
+ * mutable planning state (each runs on one worker with a private,
+ * serial planner). This is where planning parallelism lives:
+ * across requests, never inside one plan. Concurrency changes *when*
+ * a response is computed, never *what* it contains (pinned by
+ * service_test).
  *
  * **Failure isolation.** A worker plans inside a RecoverableScope:
  * request-reachable user errors — malformed tenant topologies,
@@ -154,7 +156,7 @@ using PlanJobHandle = std::shared_ptr<PlanJob>;
 struct PlanServiceOptions
 {
     /** Planning workers. 0 resolves to the machine's hardware
-     *  concurrency (resolveThreadCount), minimum 1 either way. */
+     *  concurrency (resolveWorkerCount), minimum 1 either way. */
     std::uint32_t workers = 2;
 
     /** Bound on *queued* (admitted, not yet running) requests;
@@ -164,11 +166,9 @@ struct PlanServiceOptions
 
     /**
      * Planning configuration applied to every request. `cache` is
-     * ignored (the service's shared cache is used) and `threads` is
-     * forced to 1 with a warning when set higher: the service
-     * parallelizes *across* requests — one worker, one request, one
-     * serial planner — which is also what keeps every fatal() of a
-     * request on the worker thread that holds its RecoverableScope.
+     * ignored (the service's shared cache is used). One worker plans
+     * one request serially, which keeps every fatal() of a request on
+     * the worker thread that holds its RecoverableScope.
      */
     PlannerOptions planner;
 
@@ -265,7 +265,7 @@ class PlanService
 
     const HardwareModel &hw_;
     PlanServiceOptions options_;
-    PlannerOptions planner_options_; ///< options_.planner, normalized
+    PlannerOptions planner_options_; ///< options_.planner + shared cache
     std::uint32_t workers_ = 1;
 
     PlanCache cache_;

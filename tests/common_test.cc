@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for common/: logging helpers, math utilities, units,
- * the result-table builder, and the planner thread-pool substrate
- * (ThreadPool / StripedMemo).
+ * the result-table builder, the service worker pool (ThreadPool) and
+ * the striped memo cache (StripedMemo).
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
-#include <numeric>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -264,74 +263,13 @@ TEST(Table, FmtPrecision)
     EXPECT_EQ(Table::fmt(2.0, 0), "2");
 }
 
-TEST(ThreadPoolTest, ResolveThreadCount)
+TEST(ThreadPoolTest, ResolveWorkerCount)
 {
-    EXPECT_GE(resolveThreadCount(0), 1u); // auto: at least one lane
-    EXPECT_EQ(resolveThreadCount(1), 1u);
-    EXPECT_EQ(resolveThreadCount(7), 7u);
+    EXPECT_GE(resolveWorkerCount(0), 1u); // auto: at least one worker
+    EXPECT_EQ(resolveWorkerCount(1), 1u);
+    EXPECT_EQ(resolveWorkerCount(7), 7u);
     // Absurd requests warn and clamp instead of spawning a fork bomb.
-    EXPECT_EQ(resolveThreadCount(1u << 20), kMaxPlannerThreads);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce)
-{
-    for (std::uint32_t threads : {1u, 2u, 4u, 8u}) {
-        ThreadPool pool(threads);
-        EXPECT_EQ(pool.threads(), threads);
-        std::vector<std::atomic<int>> hits(1000);
-        pool.parallelFor(0, hits.size(), 7,
-                         [&](std::size_t i) { hits[i].fetch_add(1); });
-        for (std::size_t i = 0; i < hits.size(); ++i)
-            EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-    }
-}
-
-TEST(ThreadPoolTest, RunReportsDeterministicChunkGrid)
-{
-    // Chunk boundaries depend only on (begin, end, grain) — the
-    // contract deterministic reductions build on.
-    ThreadPool pool(4);
-    std::vector<std::pair<std::size_t, std::size_t>> chunks(4);
-    pool.run(10, 45, 10,
-             [&](std::size_t c, std::size_t lo, std::size_t hi) {
-                 chunks[c] = {lo, hi};
-             });
-    EXPECT_EQ(chunks[0], (std::pair<std::size_t, std::size_t>{10, 20}));
-    EXPECT_EQ(chunks[1], (std::pair<std::size_t, std::size_t>{20, 30}));
-    EXPECT_EQ(chunks[2], (std::pair<std::size_t, std::size_t>{30, 40}));
-    EXPECT_EQ(chunks[3], (std::pair<std::size_t, std::size_t>{40, 45}));
-}
-
-TEST(ThreadPoolTest, ParallelReduceMergesInChunkOrder)
-{
-    // Sum of 1..N via per-chunk partial sums: exact in integers, and
-    // the per-chunk partials make merge-order bugs visible.
-    ThreadPool pool(4);
-    const std::size_t kCount = 10000;
-    auto total = pool.parallelReduce<std::uint64_t>(
-        1, kCount + 1, 13,
-        [](std::uint64_t &acc, std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i)
-                acc += i;
-        },
-        [](std::uint64_t &out, const std::uint64_t &part) {
-            out += part;
-        });
-    EXPECT_EQ(total, kCount * (kCount + 1) / 2);
-}
-
-TEST(ThreadPoolTest, BackToBackRegionsReuseWorkers)
-{
-    // Many consecutive small regions (the placement-sweep pattern):
-    // each must run to completion before the next is issued.
-    ThreadPool pool(4);
-    std::vector<int> data(256, 0);
-    for (int round = 0; round < 200; ++round) {
-        pool.parallelFor(0, data.size(), 16,
-                         [&](std::size_t i) { data[i] += 1; });
-    }
-    for (int v : data)
-        EXPECT_EQ(v, 200);
+    EXPECT_EQ(resolveWorkerCount(1u << 20), kMaxServiceWorkers);
 }
 
 TEST(ThreadPoolTest, PostedTasksRunFifoToCompletion)
@@ -339,7 +277,7 @@ TEST(ThreadPoolTest, PostedTasksRunFifoToCompletion)
     // post() is the PlanService admission substrate: detached tasks
     // must all run, and a single worker must drain them in FIFO
     // order.
-    ThreadPool pool(2); // exactly one worker thread
+    ThreadPool pool(1);
     std::mutex mu;
     std::vector<int> order;
     std::condition_variable cv;
@@ -353,34 +291,16 @@ TEST(ThreadPoolTest, PostedTasksRunFifoToCompletion)
     cv.wait(lk, [&] { return order.size() == 16; });
     for (int i = 0; i < 16; ++i)
         EXPECT_EQ(order[i], i);
-    EXPECT_EQ(pool.pendingTasks(), 0u);
-}
-
-TEST(ThreadPoolTest, PostedTasksCoexistWithChunkedRegions)
-{
-    // A chunked region dispatched while detached tasks drain: both
-    // must complete; neither may starve the other.
-    ThreadPool pool(4);
-    std::atomic<int> tasks_run{0};
-    for (int i = 0; i < 32; ++i)
-        pool.post([&] { tasks_run.fetch_add(1); });
-    std::vector<std::atomic<int>> hits(512);
-    pool.parallelFor(0, hits.size(), 8,
-                     [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (std::size_t i = 0; i < hits.size(); ++i)
-        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-    while (tasks_run.load() != 32)
-        std::this_thread::yield();
-    EXPECT_EQ(tasks_run.load(), 32);
 }
 
 TEST(ThreadPoolDeathTest, PostOnWorkerlessPoolPanics)
 {
-    // threads == 1 has nobody to run a detached task; silently
-    // running it inline would turn an async API into a blocking one.
+    // A pool without workers has nobody to run a detached task;
+    // silently running it inline would turn an async API into a
+    // blocking one.
     EXPECT_DEATH(
         {
-            ThreadPool pool(1);
+            ThreadPool pool(0);
             pool.post([] {});
         },
         "no worker threads");
@@ -400,17 +320,25 @@ TEST(StripedMemoTest, ValueTransparentAndConcurrent)
     EXPECT_DOUBLE_EQ(memo.getOrCompute(4, compute_for(4)), 6.0);
     EXPECT_EQ(computes.load(), 1); // second lookup hit the cache
 
-    // Hammer one memo from several lanes; every answer must be the
+    // Hammer one memo from several threads; every answer must be the
     // pure function's (this is also the TSan coverage for the
     // striped locking).
-    ThreadPool pool(8);
+    constexpr std::size_t kThreads = 8;
+    constexpr std::size_t kLookups = 4096;
     std::atomic<int> mismatches{0};
-    pool.parallelFor(0, 4096, 1, [&](std::size_t i) {
-        const std::uint64_t key = i % 97;
-        const double got = memo.getOrCompute(key, compute_for(key));
-        if (got != static_cast<double>(key) * 1.5)
-            mismatches.fetch_add(1);
-    });
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            for (std::size_t i = t; i < kLookups; i += kThreads) {
+                const std::uint64_t key = i % 97;
+                const double got =
+                    memo.getOrCompute(key, compute_for(key));
+                if (got != static_cast<double>(key) * 1.5)
+                    mismatches.fetch_add(1);
+            }
+        });
+    for (std::thread &th : threads)
+        th.join();
     EXPECT_EQ(mismatches.load(), 0);
 }
 

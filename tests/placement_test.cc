@@ -310,10 +310,8 @@ TEST(Placement, MemoryFallback512GpuStress)
     // comm-first pass must fail mid-plan (not at wave 0) so the
     // memory-first fallback takes the partial-restart path, replays
     // the committed prefix, and still fits with valid device sets.
-    // ctest-only — deliberately not part of the perf smoke, where
-    // runner variance at this scale is not yet understood. Planned
-    // with 8 planner threads, which also exercises the parallel
-    // scoring sweep (and its replay path) at scale.
+    // bench_planner_scaling times the same scenario as its
+    // placementStress512 lane.
     ComputationGraph g = buildQwenVal({});
     MetaGraph meta = contractGraph(g);
 
@@ -323,7 +321,6 @@ TEST(Placement, MemoryFallback512GpuStress)
     ClusterTopology roomy(cfg);
     HardwareModel hw_roomy(roomy);
     PlannerOptions options;
-    options.threads = 8;
     PlannerOutput baseline = ExecutionPlanner(hw_roomy, options).plan(meta);
     double peak = 0;
     for (double b : baseline.placement.peakBytes)
@@ -449,6 +446,11 @@ class BrokenWindowGenerator final : public WindowGenerator
     {
         out.clear();
         const auto F = static_cast<std::uint32_t>(ctx.free.size());
+        // A valid band over every free position first, so the broken
+        // extras are reached after a full band of scored windows.
+        std::vector<std::uint32_t> all(F);
+        std::iota(all.begin(), all.end(), 0u);
+        out.bands.push_back(all);
         std::vector<std::uint32_t> win;
         switch (fault_) {
           case Fault::ExtraWrongSize: // n + 1 positions
@@ -467,14 +469,11 @@ class BrokenWindowGenerator final : public WindowGenerator
             out.extras.push_back(std::move(win));
             break;
           case Fault::BandBeyondFree: // every position, plus F
-            for (std::uint32_t p = 0; p <= F; ++p)
-                win.push_back(p);
-            out.bands.push_back(std::move(win));
+            out.bands.back().push_back(F);
             break;
           case Fault::BandDescending: // every position, reversed
-            for (std::uint32_t p = F; p-- > 0;)
-                win.push_back(p);
-            out.bands.push_back(std::move(win));
+            std::reverse(out.bands.back().begin(),
+                         out.bands.back().end());
             break;
         }
     }
@@ -491,28 +490,35 @@ TEST(Placement, GeneratorContractViolationIsRecoverable)
     // a position past the free list, or positions that do not ascend
     // strictly must fail as a user error (recoverable in scope)
     // before placement indexes by them, not read out of bounds or
-    // commit a non-canonical window.
+    // commit a non-canonical window. At 4096 GPUs the first entry
+    // sees 4096 free devices, so the band build and the sweep over
+    // thousands of band windows run at full size before the fault
+    // is reached; the error must still surface on the planning
+    // thread, inside its scope.
     ComputationGraph g = fig3Workload();
     MetaGraph meta = contractGraph(g);
-    ClusterTopology topo = smallCluster(2);
-    HardwareModel hw(topo);
     using Fault = BrokenWindowGenerator::Fault;
-    for (Fault fault : {Fault::ExtraWrongSize, Fault::ExtraBeyondFree,
-                        Fault::ExtraDescending, Fault::BandBeyondFree,
-                        Fault::BandDescending}) {
-        SCOPED_TRACE(static_cast<int>(fault));
-        BrokenWindowGenerator broken(fault);
-        PlannerOptions options;
-        options.placement.generator = &broken;
-        options.threads = 1; // fatal() is recoverable on this thread only
-        RecoverableScope scope;
-        try {
-            ExecutionPlanner(hw, options).plan(meta);
-            ADD_FAILURE() << "a contract-breaking generator was accepted";
-        } catch (const RecoverableError &e) {
-            EXPECT_NE(std::string(e.what()).find("generator emitted"),
-                      std::string::npos)
-                << e.what();
+    for (std::uint32_t nodes : {2u, 512u}) {
+        ClusterTopology topo = smallCluster(nodes);
+        HardwareModel hw(topo);
+        for (Fault fault : {Fault::ExtraWrongSize, Fault::ExtraBeyondFree,
+                            Fault::ExtraDescending, Fault::BandBeyondFree,
+                            Fault::BandDescending}) {
+            SCOPED_TRACE(strCat("nodes=", nodes, " fault=",
+                                static_cast<int>(fault)));
+            BrokenWindowGenerator broken(fault);
+            PlannerOptions options;
+            options.placement.generator = &broken;
+            RecoverableScope scope;
+            try {
+                ExecutionPlanner(hw, options).plan(meta);
+                ADD_FAILURE()
+                    << "a contract-breaking generator was accepted";
+            } catch (const RecoverableError &e) {
+                EXPECT_NE(std::string(e.what()).find("generator emitted"),
+                          std::string::npos)
+                    << e.what();
+            }
         }
     }
 }

@@ -10,12 +10,9 @@
  * every seed workload is planned by both pipelines and byte-compared
  * — comm-first and memory-first placement passes alike.
  *
- * The concurrency-ready planner core extends the promise to thread
- * counts: every equivalence case runs the optimized pipeline at
- * {1, 2, 8} planner threads and byte-compares each against the
- * frozen serial reference, and a determinism case re-runs the
- * parallel planner to catch accidental dependence on lane scheduling
- * or sharded-memo iteration order.
+ * A determinism case re-runs the planner to catch accidental
+ * dependence on hash or sharded-memo iteration order, and concurrent
+ * planners sharing one generator must match a serial run.
  *
  * If an intentional scoring change ever lands, these reference
  * copies must be updated alongside it (and the change called out as
@@ -34,9 +31,7 @@
 #include <thread>
 #include <unordered_map>
 
-#include "baselines/spindle_system.h"
 #include "common/math_util.h"
-#include "common/thread_pool.h"
 #include "planner/planner.h"
 #include "test_util.h"
 
@@ -714,19 +709,10 @@ expectEquivalentOn(const ComputationGraph &graph, ClusterConfig cluster,
     PlannerOutput ref = reference::plan(hw, options, meta);
 
     // The optimized pipeline must reproduce the frozen reference bit
-    // for bit at every thread count: 1 is the serial fast path; 2
-    // and 8 exercise the parallel estimation / allocation / sweep
-    // and their deterministic merges.
-    for (std::uint32_t threads : {1u, 2u, 8u}) {
-        SCOPED_TRACE(strCat("threads=", threads));
-        PlannerOptions threaded = options;
-        threaded.threads = threads;
-        ExecutionPlanner planner(hw, threaded);
-        PlannerOutput opt = planner.plan(meta);
-
-        expectPlansIdentical(ref.plan, opt.plan);
-        expectPlacementsIdentical(ref.placement, opt.placement);
-    }
+    // for bit.
+    PlannerOutput opt = ExecutionPlanner(hw, options).plan(meta);
+    expectPlansIdentical(ref.plan, opt.plan);
+    expectPlacementsIdentical(ref.placement, opt.placement);
 }
 
 void
@@ -1035,8 +1021,8 @@ TEST(PlannerEquivalence, IslandAwareFirstWaveStaysIntraIsland)
 /**
  * The built-in IslandAware candidates on one free list, for each n in
  * @p ns, byte-compared with the frozen reference: bands, then extras
- * in content *and* order (the sweep breaks score ties on the extras'
- * ordinals). @p got is reused across calls, the way the placer reuses
+ * in content *and* order (the sweep keeps the first of equally scored
+ * extras). @p got is reused across calls, the way the placer reuses
  * its CandidateWindows across entries, so stale workspace shows.
  */
 void
@@ -1181,7 +1167,6 @@ TEST(PlannerEquivalence, IslandAwareConcurrentPlansMatchSerial)
                                        buildMultitaskClip({.numTasks = 10})};
     PlannerOptions options;
     options.placement.windows = WindowPolicy::IslandAware;
-    options.threads = 1;
 
     PlannerOutput serial[2];
     for (int g = 0; g < 2; ++g) {
@@ -1328,21 +1313,12 @@ TEST(PlannerEquivalence, MemoryFirstFallbackPass)
         options.placement.partialFallbackRestart = false;
         PlannerOutput ref = reference::plan(hw, options, fresh);
 
-        bool fell_back = false;
-        for (std::uint32_t threads : {1u, 8u}) {
-            SCOPED_TRACE(strCat("threads=", threads));
-            PlannerOptions threaded = options;
-            threaded.threads = threads;
-            ExecutionPlanner planner(hw, threaded);
-            PlannerOutput opt = planner.plan(fresh);
-
-            EXPECT_EQ(ref.placement.usedMemoryFallback,
-                      opt.placement.usedMemoryFallback);
-            expectPlansIdentical(ref.plan, opt.plan);
-            expectPlacementsIdentical(ref.placement, opt.placement);
-            fell_back = opt.placement.usedMemoryFallback;
-        }
-        if (fell_back) {
+        PlannerOutput opt = ExecutionPlanner(hw, options).plan(fresh);
+        EXPECT_EQ(ref.placement.usedMemoryFallback,
+                  opt.placement.usedMemoryFallback);
+        expectPlansIdentical(ref.plan, opt.plan);
+        expectPlacementsIdentical(ref.placement, opt.placement);
+        if (opt.placement.usedMemoryFallback) {
             exercised = true;
             break;
         }
@@ -1353,16 +1329,15 @@ TEST(PlannerEquivalence, MemoryFirstFallbackPass)
 }
 
 // ===================================================================
-// Parallel planner: run-to-run determinism and the threads knob
+// Run-to-run determinism
 // ===================================================================
 
-TEST(PlannerEquivalence, ParallelPlannerDeterministicAcrossRuns)
+TEST(PlannerEquivalence, PlannerDeterministicAcrossRuns)
 {
-    // Run the parallel planner 3x at the same thread count and
-    // byte-compare: catches accidental dependence on lane scheduling
-    // or sharded-memo iteration order. The mixed-size island cluster
-    // with island-aware windows exercises multi-band sweeps plus
-    // cross-island extras — the widest parallel surface.
+    // Run one planner 3x and byte-compare: catches accidental
+    // dependence on hash or sharded-memo iteration order. The
+    // mixed-size island cluster with island-aware windows exercises
+    // multi-band sweeps plus cross-island extras.
     ClusterTopology topo(heteroCluster({12, 4, 12, 4}));
     HardwareModel hw(topo);
     ComputationGraph g = buildMultitaskClip({.numTasks = 10});
@@ -1370,9 +1345,7 @@ TEST(PlannerEquivalence, ParallelPlannerDeterministicAcrossRuns)
 
     PlannerOptions options;
     options.placement.windows = WindowPolicy::IslandAware;
-    options.threads = 8;
     ExecutionPlanner planner(hw, options);
-    ASSERT_EQ(planner.resolvedThreads(), 8u);
 
     PlannerOutput first = planner.plan(meta);
     for (int run = 1; run < 3; ++run) {
@@ -1383,52 +1356,6 @@ TEST(PlannerEquivalence, ParallelPlannerDeterministicAcrossRuns)
     }
 }
 
-TEST(PlannerEquivalence, ThreadsKnobResolvesAutoAndClampsAbsurd)
-{
-    ClusterConfig cfg;
-    cfg.numNodes = 1;
-    cfg.gpusPerNode = 8;
-    ClusterTopology topo(cfg);
-    HardwareModel hw(topo);
-
-    PlannerOptions options;
-    options.threads = 0; // auto = hardware_concurrency
-    EXPECT_GE(ExecutionPlanner(hw, options).resolvedThreads(), 1u);
-
-    options.threads = 3;
-    EXPECT_EQ(ExecutionPlanner(hw, options).resolvedThreads(), 3u);
-
-    options.threads = 1u << 24; // absurd: warns and clamps
-    EXPECT_EQ(ExecutionPlanner(hw, options).resolvedThreads(),
-              kMaxPlannerThreads);
-}
-
-TEST(PlannerEquivalence, EngineOptionsPlannerThreadsPlumbing)
-{
-    // The System-level override (plumbed through setEngineOptions
-    // like the collective selector) may only change wall clock,
-    // never plan bytes.
-    ClusterConfig cfg;
-    cfg.numNodes = 2;
-    cfg.gpusPerNode = 8;
-    ClusterTopology topo(cfg);
-    HardwareModel hw(topo);
-    ComputationGraph g = buildMultitaskClip({.numTasks = 4});
-    MetaGraph meta = contractGraph(g);
-
-    SpindleSystem serial(hw);
-    SpindleSystem threaded(hw);
-    EngineOptions engine;
-    engine.plannerThreads = 8u;
-    threaded.setEngineOptions(engine);
-    ASSERT_TRUE(threaded.engineOptions().plannerThreads.has_value());
-    EXPECT_EQ(*threaded.engineOptions().plannerThreads, 8u);
-
-    ExecutionPlan a = serial.buildPlan(meta);
-    ExecutionPlan b = threaded.buildPlan(meta);
-    expectPlansIdentical(a, b);
-}
-
 // ===================================================================
 // Incremental replanning (plan cache)
 // ===================================================================
@@ -1436,8 +1363,7 @@ TEST(PlannerEquivalence, EngineOptionsPlannerThreadsPlumbing)
 /**
  * plan() vs cold replan() (cache miss: curve/level memos plus the
  * prefix-donor machinery) vs warm replan() (full hit: positional id
- * remap of the cached plan) at every thread count. All three must
- * be byte-identical — plan() never touches the cache, so it stays
+ * remap of the cached plan). All three must be byte-identical — plan() never touches the cache, so it stays
  * the from-scratch reference throughout.
  */
 void
@@ -1447,28 +1373,22 @@ expectReplanMatchesPlan(const ComputationGraph &graph,
     ClusterTopology topo(std::move(cluster));
     HardwareModel hw(topo);
     MetaGraph meta = contractGraph(graph);
+    ExecutionPlanner planner(hw, options);
 
-    for (std::uint32_t threads : {1u, 2u, 8u}) {
-        SCOPED_TRACE(strCat("threads=", threads));
-        PlannerOptions threaded = options;
-        threaded.threads = threads;
-        ExecutionPlanner planner(hw, threaded);
+    PlannerOutput ref = planner.plan(meta);
 
-        PlannerOutput ref = planner.plan(meta);
+    PlannerOutput cold = planner.replan(meta);
+    EXPECT_TRUE(cold.replan.attempted);
+    EXPECT_FALSE(cold.replan.fullHit);
+    expectPlansIdentical(ref.plan, cold.plan);
+    expectPlacementsIdentical(ref.placement, cold.placement);
 
-        PlannerOutput cold = planner.replan(meta);
-        EXPECT_TRUE(cold.replan.attempted);
-        EXPECT_FALSE(cold.replan.fullHit);
-        expectPlansIdentical(ref.plan, cold.plan);
-        expectPlacementsIdentical(ref.placement, cold.placement);
-
-        PlannerOutput warm = planner.replan(meta);
-        EXPECT_TRUE(warm.replan.attempted);
-        EXPECT_TRUE(warm.replan.fullHit);
-        EXPECT_EQ(warm.replan.reusedLevels, warm.replan.totalLevels);
-        expectPlansIdentical(ref.plan, warm.plan);
-        expectPlacementsIdentical(ref.placement, warm.placement);
-    }
+    PlannerOutput warm = planner.replan(meta);
+    EXPECT_TRUE(warm.replan.attempted);
+    EXPECT_TRUE(warm.replan.fullHit);
+    EXPECT_EQ(warm.replan.reusedLevels, warm.replan.totalLevels);
+    expectPlansIdentical(ref.plan, warm.plan);
+    expectPlacementsIdentical(ref.placement, warm.placement);
 }
 
 void
@@ -1576,33 +1496,28 @@ TEST(PlannerEquivalence, ReplanReusesUntouchedLevelPrefix)
     ASSERT_EQ(m1.numLevels(), 3u);
     ASSERT_EQ(m2.numLevels(), 3u);
 
-    for (std::uint32_t threads : {1u, 2u, 8u}) {
-        SCOPED_TRACE(strCat("threads=", threads));
-        PlannerOptions options;
-        options.threads = threads;
-        ExecutionPlanner planner(hw, options);
-        PlannerOutput ref = planner.plan(m2);
+    ExecutionPlanner planner(hw);
+    PlannerOutput ref = planner.plan(m2);
 
-        PlannerOutput seed = planner.replan(m1);
-        EXPECT_TRUE(seed.replan.attempted);
-        EXPECT_FALSE(seed.replan.fullHit);
+    PlannerOutput seed = planner.replan(m1);
+    EXPECT_TRUE(seed.replan.attempted);
+    EXPECT_FALSE(seed.replan.fullHit);
 
-        PlannerOutput inc = planner.replan(m2);
-        EXPECT_TRUE(inc.replan.attempted);
-        EXPECT_FALSE(inc.replan.fullHit);
-        EXPECT_EQ(inc.replan.totalLevels, 3u);
-        EXPECT_EQ(inc.replan.reusedLevels, 2u);
-        EXPECT_GT(inc.replan.prefixWaves, 0u);
-        expectPlansIdentical(ref.plan, inc.plan);
-        expectPlacementsIdentical(ref.placement, inc.placement);
+    PlannerOutput inc = planner.replan(m2);
+    EXPECT_TRUE(inc.replan.attempted);
+    EXPECT_FALSE(inc.replan.fullHit);
+    EXPECT_EQ(inc.replan.totalLevels, 3u);
+    EXPECT_EQ(inc.replan.reusedLevels, 2u);
+    EXPECT_GT(inc.replan.prefixWaves, 0u);
+    expectPlansIdentical(ref.plan, inc.plan);
+    expectPlacementsIdentical(ref.placement, inc.placement);
 
-        // The perturbed mix is cached now: replanning it again is a
-        // full hit and still byte-identical.
-        PlannerOutput warm = planner.replan(m2);
-        EXPECT_TRUE(warm.replan.fullHit);
-        expectPlansIdentical(ref.plan, warm.plan);
-        expectPlacementsIdentical(ref.placement, warm.placement);
-    }
+    // The perturbed mix is cached now: replanning it again is a full
+    // hit and still byte-identical.
+    PlannerOutput warm = planner.replan(m2);
+    EXPECT_TRUE(warm.replan.fullHit);
+    expectPlansIdentical(ref.plan, warm.plan);
+    expectPlacementsIdentical(ref.placement, warm.placement);
 }
 
 TEST(PlannerEquivalence, ReplanArrivalOscillation)
@@ -1742,9 +1657,9 @@ TEST(PlannerEquivalence, DirtyTrackingSigAlternation)
 {
     ComputationGraph g = sigAlternationWorkload();
 
-    // Reference vs optimized (pruning on by default) at {1,2,8}
-    // threads, on contiguous islands and on a striped numbering
-    // whose free-list runs churn across islands.
+    // Reference vs optimized (pruning on by default), on contiguous
+    // islands and on a striped numbering whose free-list runs churn
+    // across islands.
     expectEquivalent(g, 2);
     expectEquivalentOn(g, stripedCluster(4, 4));
 
@@ -1755,16 +1670,16 @@ TEST(PlannerEquivalence, DirtyTrackingSigAlternation)
     expectEquivalent(g, 2, no_prune);
 }
 
-TEST(PlannerEquivalence, Sampled1024GpuPruningAndThreadsToggle)
+TEST(PlannerEquivalence, Sampled1024GpuPruningToggle)
 {
     // The scale acceptance of the incremental sweep: at the sampled
     // 1024-GPU point (the bench's scale-envelope record), plans must
-    // stay byte-identical with admissible band pruning on or off, at
-    // 1 and 8 planner threads. The frozen reference is deliberately
-    // not run here — the pairwise comparison pins exactly the claim
-    // the pruning bound proves (strict-inequality pruning preserves
-    // the ordinal tie-break, so the winner never changes), and the
-    // reference already anchors the smaller scales above.
+    // stay byte-identical with admissible band pruning on or off.
+    // The frozen reference is deliberately not run here — the
+    // pairwise comparison pins exactly the claim the pruning bound
+    // proves (strict-inequality pruning keeps the first-best
+    // tie-break, so the winner never changes), and the reference
+    // already anchors the smaller scales above.
     ComputationGraph g = buildMultitaskClip({.numTasks = 10});
     MetaGraph meta = contractGraph(g);
     ClusterConfig cfg;
@@ -1778,20 +1693,11 @@ TEST(PlannerEquivalence, Sampled1024GpuPruningAndThreadsToggle)
     PlannerOutput anchor = ExecutionPlanner(hw, anchor_opt).plan(meta);
     EXPECT_EQ(anchor.plan.numDevices, 1024u);
 
-    for (bool pruning : {false, true}) {
-        for (std::uint32_t threads : {1u, 8u}) {
-            if (!pruning && threads == 1)
-                continue; // the anchor itself
-            SCOPED_TRACE(
-                strCat("pruning=", pruning, " threads=", threads));
-            PlannerOptions options;
-            options.placement.bandPruning = pruning;
-            options.threads = threads;
-            PlannerOutput out = ExecutionPlanner(hw, options).plan(meta);
-            expectPlansIdentical(anchor.plan, out.plan);
-            expectPlacementsIdentical(anchor.placement, out.placement);
-        }
-    }
+    PlannerOptions options;
+    options.placement.bandPruning = true;
+    PlannerOutput out = ExecutionPlanner(hw, options).plan(meta);
+    expectPlansIdentical(anchor.plan, out.plan);
+    expectPlacementsIdentical(anchor.placement, out.placement);
 }
 
 } // namespace

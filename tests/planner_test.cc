@@ -345,35 +345,26 @@ TEST(Planner, AllocationMemoServesEvictedPlan)
     expectSameBytes(planner.plan(a), again);
 }
 
-TEST(Planner, MemoCountersDoNotDependOnThreadCount)
+TEST(Planner, MemoCountersCountInGraphRepeatsAsHits)
 {
     // Multitask-CLIP tasks share encoder shapes, so a cold replan
     // meets curve keys an earlier MetaOp of the same graph missed
-    // on. Those count as hits at every thread count, exactly as a
-    // serial pass counts them.
+    // on. Those count as hits, and every lookup is counted once.
     ComputationGraph g = buildMultitaskClip({.numTasks = 6});
     MetaGraph meta = contractGraph(g);
     ClusterTopology topo = smallCluster(2);
     HardwareModel hw(topo);
 
-    std::vector<ReplanStats> cold;
-    for (std::uint32_t threads : {1u, 2u, 8u}) {
-        PlanCache cache;
-        PlannerOptions options;
-        options.threads = threads;
-        options.cache = &cache;
-        ExecutionPlanner planner(hw, options);
-        const PlannerOutput out = planner.replan(meta);
-        expectSameBytes(planner.plan(meta), out);
-        cold.push_back(out.replan);
-    }
-    EXPECT_GT(cold[0].curveHits, 0u);
-    for (const ReplanStats &s : cold) {
-        EXPECT_EQ(s.curveHits, cold[0].curveHits);
-        EXPECT_EQ(s.curveMisses, cold[0].curveMisses);
-        EXPECT_EQ(s.allocHits, cold[0].allocHits);
-        EXPECT_EQ(s.allocMisses, cold[0].allocMisses);
-    }
+    PlanCache cache;
+    PlannerOptions options;
+    options.cache = &cache;
+    ExecutionPlanner planner(hw, options);
+    const PlannerOutput out = planner.replan(meta);
+    expectSameBytes(planner.plan(meta), out);
+    const ReplanStats &cold = out.replan;
+    EXPECT_GT(cold.curveHits, 0u);
+    EXPECT_EQ(cold.curveHits + cold.curveMisses, meta.numMetaOps());
+    EXPECT_EQ(cold.allocHits + cold.allocMisses, meta.numLevels());
 }
 
 TEST(Planner, PhaseSecondsIncludeFinalizeAndStayWithinTotal)
@@ -450,12 +441,13 @@ TEST(Planner, PlanCacheReHitsRecurringDegradedShape)
     EXPECT_EQ(cache.stats().misses, 3u);
 }
 
-TEST(Planner, DegradedReplanByteIdenticalAcrossThreadCounts)
+TEST(Planner, DegradedReplanByteIdenticalToPlan)
 {
-    // Replans on a surviving topology must be byte-identical no
-    // matter how many planner threads run — recovery must not trade
-    // determinism for speed. Kill devices in both islands so the
-    // surviving shape (6+7) has no symmetry to hide behind.
+    // Replans on a surviving topology must be byte-identical to a
+    // from-scratch plan, and planning twice must agree — recovery
+    // must not trade determinism for speed. Kill devices in both
+    // islands so the surviving shape (6+7) has no symmetry to hide
+    // behind.
     ComputationGraph g = buildMultitaskClip({.numTasks = 3});
     MetaGraph meta = contractGraph(g);
     ClusterTopology topo = smallCluster(2);
@@ -463,20 +455,14 @@ TEST(Planner, DegradedReplanByteIdenticalAcrossThreadCounts)
     ASSERT_EQ(surv.numDevices(), 13u);
     HardwareModel hw(surv);
 
-    PlannerOptions serial;
-    serial.threads = 1;
-    ExecutionPlanner baseline(hw, serial);
+    ExecutionPlanner baseline(hw);
     PlannerOutput want = baseline.plan(meta);
     want.plan.validate(meta); // panics if invalid
 
-    for (std::uint32_t threads : {2u, 8u}) {
-        PlannerOptions opts;
-        opts.threads = threads;
-        ExecutionPlanner planner(hw, opts);
-        expectSameBytes(planner.plan(meta), want);
-        // replan() (the recovery path) stays pinned to plan() too.
-        expectSameBytes(planner.replan(meta), want);
-    }
+    ExecutionPlanner planner(hw);
+    expectSameBytes(planner.plan(meta), want);
+    // replan() (the recovery path) stays pinned to plan() too.
+    expectSameBytes(planner.replan(meta), want);
 }
 
 // ===================================================================

@@ -477,15 +477,13 @@ TEST(PlanServiceDeathTest, ResultOnNonDoneJobPanics)
         "not Done");
 }
 
-TEST(PlanService, PerRequestPlannerThreadsForcedToOne)
+TEST(PlanService, PerRequestPlannersUseTheSharedCache)
 {
     ClusterTopology topo = smallCluster(1);
     HardwareModel hw(topo);
     PlanServiceOptions options;
     options.workers = 2;
-    options.planner.threads = 8; // service overrides with a warning
     PlanService service(hw, options);
-    EXPECT_EQ(service.plannerOptions().threads, 1u);
     EXPECT_EQ(service.plannerOptions().cache, &service.cache());
     EXPECT_EQ(service.workers(), 2u);
 }
