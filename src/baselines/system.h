@@ -50,8 +50,8 @@ struct SystemResult
  * Execution is shared: every system's plan is annotated with
  * readiness edges and dispatched through the same event-driven
  * engine (WaveDispatcher / TransmissionExecutor / SyncExecutor), so
- * a DispatchPolicy change applies uniformly to all systems under
- * comparison.
+ * an EngineOptions::dispatch or ::collective change applies uniformly
+ * to all systems under comparison.
  */
 class System
 {

@@ -102,58 +102,14 @@ CollectiveModel::ringReduceScatter(double bytes, std::uint32_t group_size,
 
 namespace {
 
-/** The historical single-ring model over groupLink's bottleneck. */
-class FlatRingAlgorithm final : public CollectiveAlgorithm
-{
-  public:
-    using CollectiveAlgorithm::CollectiveAlgorithm;
-
-    CollectiveKind kind() const override
-    {
-        return CollectiveKind::FlatRing;
-    }
-
-    double
-    allReduce(double bytes, const DeviceSet &group,
-              const GroupDecomposition &) const override
-    {
-        if (group.size() <= 1)
-            return 0.0;
-        return CollectiveModel::ringAllReduce(
-            bytes, static_cast<std::uint32_t>(group.size()),
-            topo_.groupLink(group));
-    }
-
-    double
-    allGather(double bytes, const DeviceSet &group,
-              const GroupDecomposition &) const override
-    {
-        if (group.size() <= 1)
-            return 0.0;
-        return CollectiveModel::ringAllGather(
-            bytes, static_cast<std::uint32_t>(group.size()),
-            topo_.groupLink(group));
-    }
-
-    CollectiveSchedule
-    allReduceSchedule(double bytes, const DeviceSet &group,
-                      const GroupDecomposition &decomp,
-                      const std::string &label) const override
-    {
-        CollectiveSchedule sched;
-        sched.stages.push_back(
-            {{group, allReduce(bytes, group, decomp), label}});
-        return sched;
-    }
-};
-
 /**
- * Bottleneck collective class among the island pairs the group
- * spans — the same bottleneck rule ClusterTopology::groupLink
- * applies, so per-island-pair overrides are respected. Shared by the
- * hierarchical and sharded-hierarchical algorithms.
+ * Bottleneck collective class among the island pairs a spanning
+ * group touches: the lowest-bandwidth pair class, the first such
+ * pair in ascending island order on ties. Every cross-island ring
+ * — the flat ring and the leader / per-rail stages alike — runs
+ * over this one class.
  */
-LinkParams
+const LinkParams &
 interBottleneck(const ClusterTopology &topo,
                 const GroupDecomposition &decomp)
 {
@@ -172,278 +128,13 @@ interBottleneck(const ClusterTopology &topo,
     return *worst;
 }
 
-/**
- * Three-phase island-aware schedule: ring reduce-scatter within each
- * island (intra class), ring all-reduce across per-island leaders
- * (bottleneck inter-island collective class), ring all-gather back
- * within each island. Single-island groups degenerate exactly to
- * the flat ring (identical formula over the identical link class).
- */
-class HierarchicalAlgorithm final : public CollectiveAlgorithm
-{
-  public:
-    using CollectiveAlgorithm::CollectiveAlgorithm;
-
-    CollectiveKind kind() const override
-    {
-        return CollectiveKind::Hierarchical;
-    }
-
-    double
-    allReduce(double bytes, const DeviceSet &group,
-              const GroupDecomposition &decomp) const override
-    {
-        if (group.size() <= 1)
-            return 0.0;
-        if (!decomp.spansIslands())
-            return CollectiveModel::ringAllReduce(
-                bytes, static_cast<std::uint32_t>(group.size()),
-                topo_.groupLink(group));
-        double rs_max = 0, ag_max = 0;
-        for (const IslandGroup &g : decomp.islands) {
-            const LinkParams &intra = topo_.intraLink(g.island);
-            rs_max = std::max(rs_max, CollectiveModel::ringReduceScatter(
-                                          bytes, g.size(), intra));
-            ag_max = std::max(ag_max, CollectiveModel::ringAllGather(
-                                          bytes, g.size(), intra));
-        }
-        const double inter = CollectiveModel::ringAllReduce(
-            bytes, decomp.numIslands(), interBottleneck(topo_, decomp));
-        return rs_max + inter + ag_max;
-    }
-
-    double
-    allGather(double bytes, const DeviceSet &group,
-              const GroupDecomposition &decomp) const override
-    {
-        if (group.size() <= 1)
-            return 0.0;
-        if (!decomp.spansIslands())
-            return CollectiveModel::ringAllGather(
-                bytes, static_cast<std::uint32_t>(group.size()),
-                topo_.groupLink(group));
-        // Leaders all-gather across islands, then every island
-        // broadcasts inward via its intra all-gather.
-        double ag_max = 0;
-        for (const IslandGroup &g : decomp.islands)
-            ag_max = std::max(ag_max,
-                              CollectiveModel::ringAllGather(
-                                  bytes, g.size(),
-                                  topo_.intraLink(g.island)));
-        return CollectiveModel::ringAllGather(
-                   bytes, decomp.numIslands(), interBottleneck(topo_, decomp)) +
-               ag_max;
-    }
-
-    CollectiveSchedule
-    allReduceSchedule(double bytes, const DeviceSet &group,
-                      const GroupDecomposition &decomp,
-                      const std::string &label) const override
-    {
-        CollectiveSchedule sched;
-        if (group.size() <= 1)
-            return sched;
-        if (!decomp.spansIslands()) {
-            // Exact flat-ring degeneration, single step included.
-            sched.stages.push_back(
-                {{group, allReduce(bytes, group, decomp), label}});
-            return sched;
-        }
-
-        std::vector<CollectiveStep> rs, ag;
-        for (const IslandGroup &g : decomp.islands) {
-            if (g.size() <= 1)
-                continue; // singleton island slices have no intra phase
-            const LinkParams &intra = topo_.intraLink(g.island);
-            rs.push_back({g.devices,
-                          CollectiveModel::ringReduceScatter(
-                              bytes, g.size(), intra),
-                          label + "_rs"});
-            ag.push_back({g.devices,
-                          CollectiveModel::ringAllGather(bytes, g.size(),
-                                                         intra),
-                          label + "_ag"});
-        }
-        if (!rs.empty())
-            sched.stages.push_back(std::move(rs));
-        sched.stages.push_back({{decomp.leaders,
-                                 CollectiveModel::ringAllReduce(
-                                     bytes, decomp.numIslands(),
-                                     interBottleneck(topo_, decomp)),
-                                 label + "_xr"}});
-        if (!ag.empty())
-            sched.stages.push_back(std::move(ag));
-        return sched;
-    }
-};
-
-/**
- * Rail-optimized hierarchical schedule: identical intra phases, but
- * the inter-island stage runs S = min(smallest island slice,
- * bottleneck rail count) concurrent rings, ring r threading the r-th
- * member of every island slice and carrying bytes/S over its own
- * rail. S == 1 (any rails == 1 fabric, or a singleton slice capping
- * the rings) reproduces the hierarchical algorithm bit for bit —
- * bytes/1 is exact in IEEE — and single-island groups degenerate to
- * the flat ring like every algorithm here.
- */
-class ShardedHierarchicalAlgorithm final : public CollectiveAlgorithm
-{
-  public:
-    using CollectiveAlgorithm::CollectiveAlgorithm;
-
-    CollectiveKind kind() const override
-    {
-        return CollectiveKind::ShardedHierarchical;
-    }
-
-    /** Concurrent inter-island rings this group can sustain. */
-    std::uint32_t
-    shardCount(const GroupDecomposition &decomp,
-               const LinkParams &inter) const
-    {
-        return std::min(decomp.minSliceSize(), inter.rails);
-    }
-
-    double
-    allReduce(double bytes, const DeviceSet &group,
-              const GroupDecomposition &decomp) const override
-    {
-        if (group.size() <= 1)
-            return 0.0;
-        if (!decomp.spansIslands())
-            return CollectiveModel::ringAllReduce(
-                bytes, static_cast<std::uint32_t>(group.size()),
-                topo_.groupLink(group));
-        double rs_max = 0, ag_max = 0;
-        for (const IslandGroup &g : decomp.islands) {
-            const LinkParams &intra = topo_.intraLink(g.island);
-            rs_max = std::max(rs_max, CollectiveModel::ringReduceScatter(
-                                          bytes, g.size(), intra));
-            ag_max = std::max(ag_max, CollectiveModel::ringAllGather(
-                                          bytes, g.size(), intra));
-        }
-        const LinkParams inter_link = interBottleneck(topo_, decomp);
-        const double shards =
-            static_cast<double>(shardCount(decomp, inter_link));
-        const double inter = CollectiveModel::ringAllReduce(
-            bytes / shards, decomp.numIslands(), inter_link);
-        return rs_max + inter + ag_max;
-    }
-
-    double
-    allGather(double bytes, const DeviceSet &group,
-              const GroupDecomposition &decomp) const override
-    {
-        if (group.size() <= 1)
-            return 0.0;
-        if (!decomp.spansIslands())
-            return CollectiveModel::ringAllGather(
-                bytes, static_cast<std::uint32_t>(group.size()),
-                topo_.groupLink(group));
-        double ag_max = 0;
-        for (const IslandGroup &g : decomp.islands)
-            ag_max = std::max(ag_max,
-                              CollectiveModel::ringAllGather(
-                                  bytes, g.size(),
-                                  topo_.intraLink(g.island)));
-        const LinkParams inter_link = interBottleneck(topo_, decomp);
-        const double shards =
-            static_cast<double>(shardCount(decomp, inter_link));
-        return CollectiveModel::ringAllGather(
-                   bytes / shards, decomp.numIslands(), inter_link) +
-               ag_max;
-    }
-
-    CollectiveSchedule
-    allReduceSchedule(double bytes, const DeviceSet &group,
-                      const GroupDecomposition &decomp,
-                      const std::string &label) const override
-    {
-        CollectiveSchedule sched;
-        if (group.size() <= 1)
-            return sched;
-        if (!decomp.spansIslands()) {
-            sched.stages.push_back(
-                {{group, allReduce(bytes, group, decomp), label}});
-            return sched;
-        }
-
-        std::vector<CollectiveStep> rs, ag;
-        for (const IslandGroup &g : decomp.islands) {
-            if (g.size() <= 1)
-                continue; // singleton island slices have no intra phase
-            const LinkParams &intra = topo_.intraLink(g.island);
-            rs.push_back({g.devices,
-                          CollectiveModel::ringReduceScatter(
-                              bytes, g.size(), intra),
-                          label + "_rs"});
-            ag.push_back({g.devices,
-                          CollectiveModel::ringAllGather(bytes, g.size(),
-                                                         intra),
-                          label + "_ag"});
-        }
-        if (!rs.empty())
-            sched.stages.push_back(std::move(rs));
-
-        // One stage of S disjoint per-rail rings: ring r threads the
-        // r-th member of every island slice (valid because S never
-        // exceeds the smallest slice), so ring 0 is exactly the
-        // leader set and S == 1 reproduces the hierarchical stage
-        // byte for byte. Disjoint steps of one stage overlap in the
-        // SyncExecutor, which is what makes the rings concurrent.
-        const LinkParams inter_link = interBottleneck(topo_, decomp);
-        const std::uint32_t shards = shardCount(decomp, inter_link);
-        const double ring_seconds = CollectiveModel::ringAllReduce(
-            bytes / static_cast<double>(shards), decomp.numIslands(),
-            inter_link);
-        std::vector<CollectiveStep> inter;
-        for (std::uint32_t r = 0; r < shards; ++r) {
-            DeviceSet ring;
-            ring.reserve(decomp.islands.size());
-            for (const IslandGroup &g : decomp.islands)
-                ring.push_back(g.devices[r]);
-            canonicalize(ring);
-            inter.push_back({std::move(ring), ring_seconds,
-                             label + "_xr"});
-        }
-        sched.stages.push_back(std::move(inter));
-
-        if (!ag.empty())
-            sched.stages.push_back(std::move(ag));
-        return sched;
-    }
-};
-
 } // namespace
 
 // ---------------------------------------------------------------------
 // CollectiveModel.
 
-CollectiveModel::CollectiveModel(const ClusterTopology &topo)
-    : topo_(topo), flat_(std::make_unique<FlatRingAlgorithm>(topo)),
-      hierarchical_(std::make_unique<HierarchicalAlgorithm>(topo)),
-      sharded_(std::make_unique<ShardedHierarchicalAlgorithm>(topo))
+CollectiveModel::CollectiveModel(const ClusterTopology &topo) : topo_(topo)
 {
-}
-
-CollectiveModel::~CollectiveModel() = default;
-
-const CollectiveAlgorithm &
-CollectiveModel::algorithm(CollectiveKind kind) const
-{
-    switch (kind) {
-    case CollectiveKind::FlatRing:
-        return *flat_;
-    case CollectiveKind::Hierarchical:
-        return *hierarchical_;
-    case CollectiveKind::ShardedHierarchical:
-        return *sharded_;
-    case CollectiveKind::Auto:
-        break;
-    }
-    panic("CollectiveModel::algorithm: Auto has no fixed algorithm; "
-          "resolve it per call with resolveAuto()");
 }
 
 GroupDecomposition
@@ -453,21 +144,73 @@ CollectiveModel::decompose(const DeviceSet &group) const
 }
 
 double
-CollectiveModel::allReduceTime(double bytes, const DeviceSet &group) const
+CollectiveModel::allReduce(double bytes, const DeviceSet &group,
+                           const GroupDecomposition &decomp,
+                           CollectiveKind kind, CollectiveSchedule *sched,
+                           const std::string &label) const
 {
-    if (group.size() <= 1)
-        return 0.0;
-    return ringAllReduce(bytes, static_cast<std::uint32_t>(group.size()),
-                         topo_.groupLink(group));
-}
+    if (!decomp.spansIslands() || kind == CollectiveKind::FlatRing) {
+        // One ring over the whole group: every algorithm degenerates
+        // to it on a single island.
+        const double t = ringAllReduce(
+            bytes, static_cast<std::uint32_t>(group.size()),
+            decomp.spansIslands()
+                ? interBottleneck(topo_, decomp)
+                : topo_.intraLink(decomp.islands.front().island));
+        if (sched != nullptr)
+            sched->stages.push_back({{group, t, label}});
+        return t;
+    }
 
-double
-CollectiveModel::allGatherTime(double bytes, const DeviceSet &group) const
-{
-    if (group.size() <= 1)
-        return 0.0;
-    return ringAllGather(bytes, static_cast<std::uint32_t>(group.size()),
-                         topo_.groupLink(group));
+    // Ring reduce-scatter within each island, S concurrent rings
+    // across the islands (ring r threads the r-th member of every
+    // slice and carries bytes/S over its own rail), ring all-gather
+    // back within each island. Hierarchical is S == 1, whose one
+    // ring is the leader set; bytes / 1.0 is exact, so it prices
+    // bit for bit like a dedicated leader ring.
+    double rs_max = 0, ag_max = 0;
+    std::vector<CollectiveStep> rs, ag;
+    for (const IslandGroup &g : decomp.islands) {
+        const LinkParams &intra = topo_.intraLink(g.island);
+        const double rs_t = ringReduceScatter(bytes, g.size(), intra);
+        const double ag_t = ringAllGather(bytes, g.size(), intra);
+        rs_max = std::max(rs_max, rs_t);
+        ag_max = std::max(ag_max, ag_t);
+        if (sched != nullptr && g.size() > 1) {
+            // Singleton island slices have no intra phase.
+            rs.push_back({g.devices, rs_t, label + "_rs"});
+            ag.push_back({g.devices, ag_t, label + "_ag"});
+        }
+    }
+    const LinkParams &inter_link = interBottleneck(topo_, decomp);
+    const std::uint32_t shards =
+        kind == CollectiveKind::ShardedHierarchical
+            ? std::min(decomp.minSliceSize(), inter_link.rails)
+            : 1;
+    const double inter = ringAllReduce(
+        bytes / static_cast<double>(shards), decomp.numIslands(),
+        inter_link);
+
+    if (sched != nullptr) {
+        if (!rs.empty())
+            sched->stages.push_back(std::move(rs));
+        // Disjoint steps of one stage overlap in the SyncExecutor,
+        // which is what makes the per-rail rings concurrent.
+        std::vector<CollectiveStep> rings;
+        for (std::uint32_t r = 0; r < shards; ++r) {
+            DeviceSet ring;
+            ring.reserve(decomp.islands.size());
+            for (const IslandGroup &g : decomp.islands)
+                ring.push_back(g.devices[r]);
+            canonicalize(ring);
+            rings.push_back({std::move(ring), inter, label + "_xr"});
+        }
+        sched->stages.push_back(std::move(rings));
+        if (!ag.empty())
+            sched->stages.push_back(std::move(ag));
+    }
+    // Summed in stage order, as CollectiveSchedule::seconds() does.
+    return rs_max + inter + ag_max;
 }
 
 double
@@ -482,31 +225,8 @@ CollectiveModel::allReduceTime(double bytes, const DeviceSet &group,
         local = decompose(group);
         decomp = &local;
     }
-    if (kind == CollectiveKind::Auto)
-        kind = resolveAuto(bytes, group, kind, decomp);
-    return algorithm(kind).allReduce(bytes, group, *decomp);
-}
-
-double
-CollectiveModel::allGatherTime(double bytes, const DeviceSet &group,
-                               CollectiveKind kind,
-                               const GroupDecomposition *decomp) const
-{
-    if (group.size() <= 1)
-        return 0.0;
-    GroupDecomposition local;
-    if (decomp == nullptr) {
-        local = decompose(group);
-        decomp = &local;
-    }
-    if (kind == CollectiveKind::Auto) {
-        const double flat = flat_->allGather(bytes, group, *decomp);
-        const double hier =
-            hierarchical_->allGather(bytes, group, *decomp);
-        const double sharded = sharded_->allGather(bytes, group, *decomp);
-        return std::min(std::min(flat, hier), sharded);
-    }
-    return algorithm(kind).allGather(bytes, group, *decomp);
+    return allReduce(bytes, group, *decomp,
+                     resolveAuto(bytes, group, kind, decomp));
 }
 
 CollectiveKind
@@ -523,9 +243,12 @@ CollectiveModel::resolveAuto(double bytes, const DeviceSet &group,
         local = decompose(group);
         decomp = &local;
     }
-    const double flat = flat_->allReduce(bytes, group, *decomp);
-    const double hier = hierarchical_->allReduce(bytes, group, *decomp);
-    const double sharded = sharded_->allReduce(bytes, group, *decomp);
+    const double flat =
+        allReduce(bytes, group, *decomp, CollectiveKind::FlatRing);
+    const double hier =
+        allReduce(bytes, group, *decomp, CollectiveKind::Hierarchical);
+    const double sharded = allReduce(bytes, group, *decomp,
+                                     CollectiveKind::ShardedHierarchical);
     // Tie order: the sharded schedule must beat *both* others
     // strictly (on rails == 1 fabrics it always ties hierarchical,
     // which keeps the pre-rails resolution), and the flat ring keeps
@@ -542,17 +265,17 @@ CollectiveModel::allReduceSchedule(double bytes, const DeviceSet &group,
                                    const std::string &label,
                                    const GroupDecomposition *decomp) const
 {
-    CollectiveSchedule empty;
+    CollectiveSchedule sched;
     if (group.size() <= 1)
-        return empty;
+        return sched;
     GroupDecomposition local;
     if (decomp == nullptr) {
         local = decompose(group);
         decomp = &local;
     }
-    kind = resolveAuto(bytes, group, kind, decomp);
-    return algorithm(kind).allReduceSchedule(bytes, group, *decomp,
-                                             label);
+    allReduce(bytes, group, *decomp,
+              resolveAuto(bytes, group, kind, decomp), &sched, label);
+    return sched;
 }
 
 double

@@ -1,29 +1,32 @@
 /**
  * @file
  * Collective-algorithm layer: the communication cost oracle AND the
- * pluggable algorithms Spindle's runtime schedules parameter sync
+ * all-reduce algorithms Spindle's runtime schedules parameter sync
  * with (§3.6). Point-to-point flows use the classic alpha-beta
- * formulation [Hockney 94]; group collectives come in four flavours:
+ * formulation [Hockney 94]; group all-reduce comes in four kinds,
+ * selected per call by CollectiveKind and priced by one routine:
  *
- *  - FlatRing — the historical model: one ring over the whole group,
- *    bottlenecked by the slowest collective link class the group
- *    spans (ClusterTopology::groupLink). Bit-reproducible legacy
- *    behaviour; the default.
+ *  - FlatRing — the historical model: one ring over the whole group.
+ *    A single-island group rides its island's intra class; a group
+ *    spanning islands rides the bottleneck inter-island collective
+ *    class (the lowest-bandwidth class among the island pairs it
+ *    spans). Bit-reproducible legacy behaviour; the default.
  *  - Hierarchical — topology-aware three-phase schedule over the
  *    group's island decomposition: ring reduce-scatter within each
  *    island over its intra link class, ring all-reduce across the
- *    per-island leaders over the bottleneck inter-island collective
- *    class, ring all-gather back within each island. Single-island
- *    groups degenerate *exactly* to the flat ring.
+ *    per-island leaders over the same bottleneck class, ring
+ *    all-gather back within each island.
  *  - ShardedHierarchical — the rail-optimized variant: same intra
  *    phases, but the inter-island stage runs
  *    S = min(smallest island slice, bottleneck rails) concurrent
  *    rings — ring r over the r-th member of every island slice —
- *    each carrying bytes/S over its own rail. Degenerates bit-exactly
- *    to Hierarchical when S == 1 (rails == 1 fabrics) and to the
- *    flat ring on single-island groups.
+ *    each carrying bytes/S over its own rail. Hierarchical is the
+ *    S == 1 case (ring 0 is the leader set).
  *  - Auto — per call, whichever of the three is cheapest (flat on
  *    ties; Hierarchical on a hierarchical/sharded tie).
+ *
+ * Every kind degenerates *exactly* to the flat ring on single-island
+ * groups.
  *
  * Island decomposition (decomposeByIsland) handles arbitrary
  * DeviceSets: partial-island membership, permuted / non-contiguous
@@ -42,7 +45,6 @@
 #define SPINDLE_HARDWARE_COLLECTIVE_H
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -135,43 +137,6 @@ struct CollectiveSchedule
 };
 
 /**
- * One pluggable collective algorithm: prices ring all-reduce /
- * all-gather over a decomposed device group and emits the phase
- * schedule the runtime executes. Stateless over a frozen topology.
- */
-class CollectiveAlgorithm
-{
-  public:
-    explicit CollectiveAlgorithm(const ClusterTopology &topo)
-        : topo_(topo)
-    {
-    }
-    virtual ~CollectiveAlgorithm() = default;
-
-    virtual CollectiveKind kind() const = 0;
-
-    /** All-reduce time of @p bytes over the decomposed group. */
-    virtual double allReduce(double bytes, const DeviceSet &group,
-                             const GroupDecomposition &decomp) const = 0;
-
-    /** All-gather time of @p bytes over the decomposed group. */
-    virtual double allGather(double bytes, const DeviceSet &group,
-                             const GroupDecomposition &decomp) const = 0;
-
-    /**
-     * The all-reduce phase schedule the runtime executes; step
-     * labels derive from @p label. Its seconds() equals allReduce().
-     */
-    virtual CollectiveSchedule
-    allReduceSchedule(double bytes, const DeviceSet &group,
-                      const GroupDecomposition &decomp,
-                      const std::string &label) const = 0;
-
-  protected:
-    const ClusterTopology &topo_;
-};
-
-/**
  * Per-source flow resolver: the one place a point-to-point flow's
  * link is chosen, for the runtime (CollectiveModel::flowTime) and for
  * placement scoring alike. It records the source set's devices per
@@ -249,43 +214,29 @@ class FlowSource
 };
 
 /**
- * Collective/communication cost oracle over a concrete topology,
- * dispatching to the selected CollectiveAlgorithm. The kind-less
- * overloads keep the historical flat-ring behaviour bit for bit.
+ * Collective/communication cost oracle over a concrete topology. The
+ * CollectiveKind selects the all-reduce algorithm per call; one
+ * routine prices every kind and emits its phase schedule.
  */
 class CollectiveModel
 {
   public:
     explicit CollectiveModel(const ClusterTopology &topo);
-    ~CollectiveModel();
 
     CollectiveModel(const CollectiveModel &) = delete;
     CollectiveModel &operator=(const CollectiveModel &) = delete;
 
     /**
-     * Ring all-reduce of @p bytes across @p group (flat ring).
-     * t = 2 (g-1)/g * bytes / bw + 2 (g-1) * lat; 0 for g <= 1.
-     */
-    double allReduceTime(double bytes, const DeviceSet &group) const;
-
-    /** Ring all-gather: t = (g-1)/g * bytes / bw + (g-1) * lat. */
-    double allGatherTime(double bytes, const DeviceSet &group) const;
-
-    /**
-     * Algorithm-aware all-reduce. FlatRing reproduces the kind-less
-     * overload bit for bit; Hierarchical degenerates to it on
-     * single-island groups; ShardedHierarchical degenerates to
-     * Hierarchical when its shard count is 1; Auto returns the
-     * minimum of the three. Pass a cached @p decomp (e.g.
-     * ParameterGroupPool's) to skip re-decomposing the group; it
-     * must be the decomposition of @p group by this model's topology.
+     * Ring all-reduce of @p bytes across @p group under @p kind
+     * (Auto: the per-call winner of resolveAuto). Every kind
+     * degenerates to one ring over the group on single-island
+     * groups; ShardedHierarchical degenerates to Hierarchical when
+     * its shard count is 1. 0 for groups of at most one device.
+     * Pass a cached @p decomp (e.g. ParameterGroupPool's) to skip
+     * re-decomposing the group; it must be the decomposition of
+     * @p group by this model's topology.
      */
     double allReduceTime(double bytes, const DeviceSet &group,
-                         CollectiveKind kind,
-                         const GroupDecomposition *decomp = nullptr) const;
-
-    /** Algorithm-aware all-gather (same contract as allReduceTime). */
-    double allGatherTime(double bytes, const DeviceSet &group,
                          CollectiveKind kind,
                          const GroupDecomposition *decomp = nullptr) const;
 
@@ -303,8 +254,8 @@ class CollectiveModel
 
     /**
      * Phase schedule of the selected algorithm's all-reduce (Auto:
-     * of the per-call winner). seconds() equals allReduceTime() of
-     * the resolved kind.
+     * of the per-call winner); step labels derive from @p label.
+     * seconds() equals allReduceTime() of the same call.
      */
     CollectiveSchedule
     allReduceSchedule(double bytes, const DeviceSet &group,
@@ -350,16 +301,21 @@ class CollectiveModel
     static double ringReduceScatter(double bytes, std::uint32_t group_size,
                                     const LinkParams &link);
 
-    /** The concrete algorithm for a non-Auto kind. */
-    const CollectiveAlgorithm &algorithm(CollectiveKind kind) const;
-
     const ClusterTopology &topology() const { return topo_; }
 
   private:
+    /**
+     * The one all-reduce routine: the price of a resolved (non-Auto)
+     * @p kind over a group of at least two devices, appending the
+     * phase schedule to @p sched (steps labelled from @p label) when
+     * it is given.
+     */
+    double allReduce(double bytes, const DeviceSet &group,
+                     const GroupDecomposition &decomp, CollectiveKind kind,
+                     CollectiveSchedule *sched = nullptr,
+                     const std::string &label = {}) const;
+
     const ClusterTopology &topo_;
-    std::unique_ptr<CollectiveAlgorithm> flat_;
-    std::unique_ptr<CollectiveAlgorithm> hierarchical_;
-    std::unique_ptr<CollectiveAlgorithm> sharded_;
 };
 
 } // namespace spindle

@@ -407,42 +407,4 @@ ClusterTopology::withoutDevices(const DeviceSet &dead) const
     return out;
 }
 
-LinkParams
-ClusterTopology::groupLink(const DeviceSet &devices) const
-{
-    panicIf(devices.empty(), "groupLink: empty group");
-    if (devices.size() == 1)
-        return {config_.device.copyBandwidth, 0.0};
-    const std::uint32_t first = islandOf(devices.front());
-    bool spans = false;
-    for (DeviceId d : devices) {
-        if (islandOf(d) != first) {
-            spans = true;
-            break;
-        }
-    }
-    if (!spans)
-        return intra_links_[first];
-    if (uniform_links_)
-        return config_.interIslandCollective;
-
-    // Ring bottleneck: the lowest-bandwidth collective class among
-    // the island pairs the group spans.
-    std::vector<std::uint32_t> seen;
-    for (DeviceId d : devices) {
-        const std::uint32_t island = islandOf(d);
-        if (std::find(seen.begin(), seen.end(), island) == seen.end())
-            seen.push_back(island);
-    }
-    const LinkParams *worst = nullptr;
-    for (std::size_t i = 0; i < seen.size(); ++i) {
-        for (std::size_t j = i + 1; j < seen.size(); ++j) {
-            const LinkParams &link = collectiveLink(seen[i], seen[j]);
-            if (worst == nullptr || link.bandwidth < worst->bandwidth)
-                worst = &link;
-        }
-    }
-    return *worst;
-}
-
 } // namespace spindle

@@ -217,8 +217,8 @@ class ClusterTopology
     /**
      * True iff every island uses the default intra class and no
      * island-pair override is configured — i.e. the three default
-     * link classes describe the whole fabric. The hierarchical
-     * collectives read it to skip the per-pair bottleneck scan;
+     * link classes describe the whole fabric. The collectives read
+     * it to skip the per-pair ring-bottleneck scan;
      * point-to-point flow pricing (FlowSource) needs no such flag.
      */
     bool uniformLinks() const { return uniform_links_; }
@@ -242,16 +242,6 @@ class ClusterTopology
      * that resolve to the same island graph hash equal.
      */
     std::uint64_t fingerprint() const { return fingerprint_; }
-
-    /**
-     * The slowest link class spanned by a device group: the
-     * bottleneck of a ring collective over the group. Groups
-     * spanning islands are bottlenecked by the lowest-bandwidth
-     * collective class among the island pairs they span.
-     *
-     * @see DegradedTopology
-     */
-    LinkParams groupLink(const DeviceSet &devices) const;
 
     /**
      * Derive the surviving topology after the devices of @p dead

@@ -37,11 +37,10 @@ struct PlanExecution
 {
     PlanExecution(Simulator &sim, const HardwareModel &hw,
                   const MetaGraph &graph, const ExecutionPlan &plan,
-                  const EngineOptions &options,
-                  const DispatchPolicy &policy)
+                  const EngineOptions &options)
         : trans(sim, hw.collectives(), graph, plan),
           pool(ParameterGroupPool::build(graph, plan, &hw.topology())),
-          dispatcher(sim, hw, graph, plan, options, trans, policy),
+          dispatcher(sim, hw, graph, plan, options, trans),
           syncer(sim, hw.collectives(), pool, options)
     {
     }
@@ -58,12 +57,11 @@ struct PlanExecution
 
 /** Dispatch fwd + bwd + sync of one plan, starting at @p earliest. */
 void
-startExecution(PlanExecution &exec, double earliest, bool overlap)
+startExecution(PlanExecution &exec, double earliest)
 {
-    exec.dispatcher.start(earliest, [&exec,
-                                     overlap](const DispatchStats &st) {
+    exec.dispatcher.start(earliest, [&exec](const DispatchStats &st) {
         exec.stats = st;
-        exec.sync = exec.syncer.execute(st.fwdEnd, st.bwdEnd, overlap);
+        exec.sync = exec.syncer.execute(st.fwdEnd, st.bwdEnd);
         exec.finished = true;
     });
 }
@@ -156,14 +154,9 @@ Engine::runWithFaults(const MetaGraph &graph, const ExecutionPlan &plan,
     }
 
     Simulator sim(plan.numDevices);
-    const std::unique_ptr<DispatchPolicy> policy =
-        makeDispatchPolicy(options_.dispatch);
-    const bool overlap =
-        policy->kind() != DispatchPolicyKind::StrictBarrier;
-
     // The base iteration registers its events immediately...
-    PlanExecution base(sim, hw_, graph, plan, options_, *policy);
-    startExecution(base, 0.0, overlap);
+    PlanExecution base(sim, hw_, graph, plan, options_);
+    startExecution(base, 0.0);
     const DeviceSet base_devices = planDevices(plan);
 
     // Fault batches arm before the arrival events so that a fault
@@ -221,11 +214,11 @@ Engine::runWithFaults(const MetaGraph &graph, const ExecutionPlan &plan,
         panicIf(a.plan->waves.empty(), "runDynamic: empty arrival plan");
         arrival_devices[idx] = planDevices(*a.plan);
         injected[idx] = std::make_unique<PlanExecution>(
-            sim, hw_, *a.graph, *a.plan, options_, *policy);
+            sim, hw_, *a.graph, *a.plan, options_);
         PlanExecution *exec = injected[idx].get();
         const double at = a.time;
         sim.queue().schedule(at, [&out, &sim, &started, &arrival_devices,
-                                  exec, idx, at, overlap] {
+                                  exec, idx, at] {
             if (sim.anyFailed(arrival_devices[idx])) {
                 // The task's placement predates the failure; refuse
                 // injection with a structured error the caller can
@@ -244,7 +237,7 @@ Engine::runWithFaults(const MetaGraph &graph, const ExecutionPlan &plan,
                 return;
             }
             started[idx] = 1;
-            startExecution(*exec, at, overlap);
+            startExecution(*exec, at);
         });
     }
 

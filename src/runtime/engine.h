@@ -7,13 +7,15 @@
  * events on the cluster simulator rather than a sequence of global
  * barriers: the engine builds transmissions and the parameter
  * device-group pool, then hands the placed plan to a WaveDispatcher
- * that registers wave events on the discrete-event queue. A
- * DispatchPolicy decides admission order — StrictBarrier (default)
- * reproduces lockstep wave-by-wave execution bit for bit, Overlap
- * releases each device group as soon as its own readiness
- * predecessors finish so transmissions and exposed sync overlap
- * compute where dependencies allow. A SyncExecutor runs group-wise
- * parameter synchronization after the backward phase. Every busy
+ * that registers wave events on the discrete-event queue.
+ * EngineOptions::dispatch selects the admission order —
+ * StrictBarrier (default) reproduces lockstep wave-by-wave execution
+ * bit for bit, Overlap releases each device group as soon as its own
+ * readiness predecessors finish so transmissions and exposed sync
+ * overlap compute where dependencies allow. A SyncExecutor runs
+ * group-wise parameter synchronization after the backward phase,
+ * with the all-reduce algorithm EngineOptions::collective selects
+ * (hardware/collective.h). Every busy
  * interval lands in the timeline, from which iteration time, the
  * Fig. 10 breakdown, and all utilization figures derive.
  *
@@ -42,7 +44,6 @@
 #include "runtime/memory_model.h"
 #include "runtime/param_groups.h"
 #include "runtime/transmission.h"
-#include "sim/dispatch_policy.h"
 #include "sim/fault.h"
 #include "sim/simulator.h"
 
@@ -127,6 +128,17 @@ struct RecoveryOptions
     double retryBackoff = 2.0;
 };
 
+/** Admission order of the event-driven wave dispatcher. */
+enum class DispatchPolicyKind : std::uint8_t
+{
+    /** Lockstep: a wave starts once every wave before it in phase
+     *  order completed (legacy barrier semantics, bit for bit). */
+    StrictBarrier,
+    /** Dependency-driven: a wave starts once its own readiness
+     *  predecessors completed. */
+    Overlap,
+};
+
 /** Engine tunables. */
 struct EngineOptions
 {
@@ -148,19 +160,19 @@ struct EngineOptions
      *  with a warning when out of range. */
     double minSyncFraction = 0.25;
 
-    /** Admission-order policy of the event-driven dispatcher. */
+    /** Admission order of the event-driven dispatcher. */
     DispatchPolicyKind dispatch = DispatchPolicyKind::StrictBarrier;
 
     /**
-     * Collective algorithm for group-wise parameter sync. FlatRing
-     * (default) keeps the legacy single-ring schedule bit for bit;
-     * Hierarchical splits each cross-island group into intra-island
-     * reduce-scatter / leader-ring / intra-island all-gather phases
-     * dispatched as separate simulator reservations;
-     * ShardedHierarchical additionally fans the inter-island phase
-     * out into min(smallest island slice, rail count) concurrent
-     * per-rail rings (rails come from the fabric's LinkParams); Auto
-     * picks the cheapest algorithm per group.
+     * All-reduce algorithm of group-wise parameter sync, handed to
+     * CollectiveModel per group. FlatRing (default) keeps the legacy
+     * single-ring schedule bit for bit; Hierarchical splits each
+     * cross-island group into intra-island reduce-scatter /
+     * leader-ring / intra-island all-gather phases dispatched as
+     * separate simulator reservations; ShardedHierarchical runs the
+     * inter-island phase as min(smallest island slice, rail count)
+     * concurrent per-rail rings (rails come from the fabric's
+     * LinkParams); Auto picks the cheapest algorithm per group.
      */
     CollectiveKind collective = CollectiveKind::FlatRing;
 

@@ -12,12 +12,14 @@ SyncExecutor::SyncExecutor(Simulator &sim, const CollectiveModel &coll,
 }
 
 SyncStats
-SyncExecutor::execute(double fwd_end, double bwd_end, bool overlap)
+SyncExecutor::execute(double fwd_end, double bwd_end)
 {
+    const bool overlap =
+        options_.dispatch != DispatchPolicyKind::StrictBarrier;
     const double bwd_span = bwd_end - fwd_end;
     double sync_end = bwd_end;
     // Slowest group's whole (analytic) collective: the base of the
-    // unoverlappable-tail floor under the overlap policy.
+    // unoverlappable-tail floor under Overlap dispatch.
     double whole_max = 0;
     for (const ParamGroup &g : pool_.groups()) {
         if (g.devices.size() < 2)

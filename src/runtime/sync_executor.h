@@ -3,9 +3,9 @@
  * Parameter-synchronization unit of the event-driven runtime (§3.6
  * step 4). After the backward phase, every parameter device group
  * all-reduces its gradients; groups on disjoint devices overlap
- * each other. Under the strict-barrier policy all groups wait for
+ * each other. Under StrictBarrier dispatch all groups wait for
  * the global backward end (legacy semantics, bit-reproducible);
- * under the overlap policy each group starts as soon as its own
+ * under Overlap dispatch each group starts as soon as its own
  * devices finish their backward work, so sync hides under the
  * compute of slower groups.
  *
@@ -22,7 +22,7 @@
  * Exposed-cost accounting: the bucketed all-reduce model hides
  * syncOverlapFraction of the backward span, down to the
  * unoverlappable minSyncFraction tail. Under the strict barrier the
- * historical formula is kept bit for bit. Under the overlap policy
+ * historical formula is kept bit for bit. Under Overlap dispatch
  * the event schedule itself already hid part of the slowest group's
  * collective (groups start at their own devices' free time), so the
  * bucketed credit is charged only against what the schedule did NOT
@@ -69,10 +69,8 @@ class SyncExecutor
      *
      * @param fwd_end end of the forward phase (backward span start)
      * @param bwd_end end of the backward phase
-     * @param overlap release each group at its own devices' free
-     *                time instead of the global backward barrier
      */
-    SyncStats execute(double fwd_end, double bwd_end, bool overlap);
+    SyncStats execute(double fwd_end, double bwd_end);
 
   private:
     Simulator &sim_;

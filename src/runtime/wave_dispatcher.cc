@@ -10,10 +10,9 @@ WaveDispatcher::WaveDispatcher(Simulator &sim, const HardwareModel &hw,
                                const MetaGraph &graph,
                                const ExecutionPlan &plan,
                                const EngineOptions &options,
-                               TransmissionExecutor &trans,
-                               const DispatchPolicy &policy)
+                               TransmissionExecutor &trans)
     : sim_(sim), hw_(hw), graph_(graph), plan_(plan), options_(options),
-      trans_(trans), policy_(policy)
+      trans_(trans)
 {
     if (hasWaveReadiness(plan_.waves)) {
         preds_.reserve(plan_.waves.size());
@@ -46,7 +45,7 @@ void
 WaveDispatcher::runPhase(bool forward)
 {
     phase_max_end_ = start_time_;
-    if (policy_.kind() == DispatchPolicyKind::StrictBarrier)
+    if (options_.dispatch == DispatchPolicyKind::StrictBarrier)
         startStrictStream(forward, 0);
     else
         startEventPhase(forward);
@@ -61,7 +60,7 @@ WaveDispatcher::phaseDone(bool forward)
         return;
     }
     stats_.bwdEnd = std::max(stats_.fwdEnd, phase_max_end_);
-    if (policy_.kind() == DispatchPolicyKind::StrictBarrier) {
+    if (options_.dispatch == DispatchPolicyKind::StrictBarrier) {
         for (const auto &[stream_id, acc] : send_acc_)
             stats_.exposedSendRecv =
                 std::max(stats_.exposedSendRecv, acc);
@@ -165,7 +164,7 @@ WaveDispatcher::processStrict(const Wave &w, bool forward,
 }
 
 // ---------------------------------------------------------------------
-// Generic dependency-driven path.
+// Dependency-driven event path.
 
 void
 WaveDispatcher::startEventPhase(bool forward)
@@ -197,13 +196,18 @@ WaveDispatcher::tryAdmit(bool forward)
 {
     const std::size_t n = plan_.waves.size();
     for (std::size_t i = 0; i < n; ++i) {
-        if (admitted_[i] || !policy_.admits(i, phase_preds_[i], done_))
+        // Admitted once every predecessor completed.
+        const std::vector<std::int32_t> &preds = phase_preds_[i];
+        if (admitted_[i] ||
+            !std::all_of(preds.begin(), preds.end(), [this](std::int32_t p) {
+                return done_[static_cast<std::size_t>(p)];
+            }))
             continue;
         admitted_[i] = true;
         // Ready once every predecessor's completion (barrier
         // included) has passed.
         double t_ready = start_time_;
-        for (std::int32_t p : phase_preds_[i])
+        for (std::int32_t p : preds)
             t_ready = std::max(t_ready,
                                wave_end_[static_cast<std::size_t>(p)]);
         sim_.notifyAt(t_ready, [this, forward, i, t_ready] {

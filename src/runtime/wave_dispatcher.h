@@ -3,19 +3,18 @@
  * Wave dispatch unit of the event-driven runtime (§3.6).
  *
  * Dispatches the forward and backward phases of a placed plan as
- * events on the simulator's discrete-event queue. Admission order
- * is delegated to a DispatchPolicy:
+ * events on the simulator's discrete-event queue. EngineOptions::
+ * dispatch selects one of two paths:
  *
- *  - StrictBarrier runs the dedicated lockstep path: streams are
- *    processed in order, waves chain wave-by-wave with a barrier at
- *    each boundary, and transmissions execute at the boundary. This
+ *  - StrictBarrier runs the lockstep path: streams are processed in
+ *    order, waves chain wave-by-wave with a barrier at each
+ *    boundary, and transmissions execute at the boundary. This
  *    reproduces the pre-event-core engine's timelines bit for bit.
- *  - Every other policy (Overlap today) runs the generic
- *    dependency-driven path: each wave becomes an event admitted
- *    when the policy approves it against the plan's readiness
- *    edges; its input transmissions start as early as their
- *    producers allow (hiding under unrelated compute), and its
- *    completion event releases its consumers.
+ *  - Overlap runs the dependency-driven event path: each wave
+ *    becomes an event admitted once every predecessor on the plan's
+ *    readiness edges completed; its input transmissions start as
+ *    early as their producers allow (hiding under unrelated
+ *    compute), and its completion event releases its consumers.
  */
 
 #ifndef SPINDLE_RUNTIME_WAVE_DISPATCHER_H
@@ -26,7 +25,6 @@
 
 #include "runtime/engine.h"
 #include "runtime/transmission_executor.h"
-#include "sim/dispatch_policy.h"
 #include "sim/simulator.h"
 
 namespace spindle {
@@ -64,8 +62,7 @@ class WaveDispatcher
     WaveDispatcher(Simulator &sim, const HardwareModel &hw,
                    const MetaGraph &graph, const ExecutionPlan &plan,
                    const EngineOptions &options,
-                   TransmissionExecutor &trans,
-                   const DispatchPolicy &policy);
+                   TransmissionExecutor &trans);
 
     /**
      * Register the iteration's initial events; dispatch begins no
@@ -88,7 +85,7 @@ class WaveDispatcher
     void processStrict(const Wave &w, bool forward,
                        std::int32_t stream_id);
 
-    // Generic dependency-driven path.
+    // Dependency-driven event path.
     void startEventPhase(bool forward);
     void tryAdmit(bool forward);
     void processEventWave(bool forward, std::size_t i, double t_ready);
@@ -99,7 +96,6 @@ class WaveDispatcher
     const ExecutionPlan &plan_;
     const EngineOptions &options_;
     TransmissionExecutor &trans_;
-    const DispatchPolicy &policy_;
 
     /** Readiness adjacency (stored on the plan, or derived). */
     std::vector<std::vector<std::int32_t>> preds_;

@@ -111,8 +111,7 @@ PlanJob::error() const
 // PlanService
 
 PlanService::PlanService(const HardwareModel &hw, PlanServiceOptions options)
-    : hw_(hw), options_(options),
-      cache_(std::max<std::size_t>(options.maxPlansPerContext, 1))
+    : hw_(hw), options_(options)
 {
     workers_ = resolveWorkerCount(options_.workers);
     options_.queueCapacity = std::max<std::size_t>(options_.queueCapacity, 1);

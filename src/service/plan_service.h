@@ -171,9 +171,6 @@ struct PlanServiceOptions
      * the worker thread that holds its RecoverableScope.
      */
     PlannerOptions planner;
-
-    /** FIFO bound per cache context (PlanCache). */
-    std::size_t maxPlansPerContext = 32;
 };
 
 /** Cumulative service counters (consistent snapshot via stats()). */

@@ -62,7 +62,6 @@ TEST(Collective, TrivialGroupsAreFree)
          {CollectiveKind::FlatRing, CollectiveKind::Hierarchical,
           CollectiveKind::ShardedHierarchical, CollectiveKind::Auto}) {
         EXPECT_EQ(coll.allReduceTime(1e6, lone, kind), 0.0);
-        EXPECT_EQ(coll.allGatherTime(1e6, lone, kind), 0.0);
         EXPECT_EQ(coll.allReduceTime(0.0, pair, kind), 0.0);
         EXPECT_TRUE(
             coll.allReduceSchedule(1e6, lone, kind, "x").stages.empty());
@@ -76,11 +75,13 @@ TEST(Collective, SingleIslandGroupDegeneratesExactlyToFlatRing)
     for (const DeviceSet &group :
          {DeviceSet{0, 1, 2, 3, 4, 5, 6, 7}, DeviceSet{9, 11, 14},
           DeviceSet{2, 5}}) {
-        const double flat = coll.allReduceTime(4e8, group);
+        const double flat =
+            coll.allReduceTime(4e8, group, CollectiveKind::FlatRing);
         // Bitwise equality: identical formula over the identical
         // link class, not merely a close value.
-        EXPECT_EQ(flat, coll.allReduceTime(4e8, group,
-                                           CollectiveKind::FlatRing));
+        EXPECT_EQ(flat, CollectiveModel::ringAllReduce(
+                            4e8, static_cast<std::uint32_t>(group.size()),
+                            topo.intraLink(topo.islandOf(group[0]))));
         EXPECT_EQ(flat, coll.allReduceTime(4e8, group,
                                            CollectiveKind::Hierarchical));
         EXPECT_EQ(flat,
@@ -121,13 +122,48 @@ TEST(Collective, HierarchicalClosedForm)
     // class): 2 * 7/8 * 1200/100 + 14 * 2 = 21 + 28.
     EXPECT_DOUBLE_EQ(
         coll.allReduceTime(bytes, all, CollectiveKind::FlatRing), 49.0);
+}
 
-    // All-gather: leaders (1/2 * 1200/100 + 2 = 8), then intra 3.75.
-    EXPECT_DOUBLE_EQ(
-        coll.allGatherTime(bytes, all, CollectiveKind::Hierarchical),
-        8.0 + intra_phase);
-    EXPECT_DOUBLE_EQ(
-        coll.allGatherTime(bytes, all, CollectiveKind::FlatRing), 24.5);
+TEST(Collective, FlatRingAndLeaderStageShareOneBottleneckLink)
+{
+    // Pairs (0, 2) and (1, 2) tie on the bottleneck bandwidth but
+    // differ in latency, and island 0 holds higher device ids than
+    // island 1: a scan in device order meets pair (1, 2) first, the
+    // scan in island order meets (0, 2) first. The flat ring over a
+    // spanning group and the hierarchical leader stage must ride the
+    // same link, the island-order one.
+    ClusterConfig cfg;
+    cfg.islands.resize(3);
+    cfg.islands[0].devices = {4, 5};
+    cfg.islands[1].devices = {0, 1};
+    cfg.islands[2].devices = {2, 3};
+    cfg.intraIsland = {400.0, 0.5};
+    cfg.interIslandCollective = {400.0, 0.5};
+    cfg.islandLinks.push_back({0, 2, {}, {100.0, 1.0}});
+    cfg.islandLinks.push_back({1, 2, {}, {100.0, 3.0}});
+    ClusterTopology topo(cfg);
+    CollectiveModel coll(topo);
+    const LinkParams &bottleneck = topo.collectiveLink(0, 2);
+    ASSERT_EQ(bottleneck.latency, 1.0);
+
+    const DeviceSet all = {0, 1, 2, 3, 4, 5};
+    const double bytes = 1200;
+    // 2 * 5/6 * 1200/100 + 2 * 5 * 1.0 = 20 + 10.
+    const double flat =
+        coll.allReduceTime(bytes, all, CollectiveKind::FlatRing);
+    EXPECT_DOUBLE_EQ(flat, 30.0);
+    EXPECT_EQ(flat, CollectiveModel::ringAllReduce(bytes, 6, bottleneck));
+
+    // The leader stage (one ring over the three island leaders) is
+    // priced over the same link: 2 * 2/3 * 1200/100 + 2 * 2 * 1.0.
+    const CollectiveSchedule sched = coll.allReduceSchedule(
+        bytes, all, CollectiveKind::Hierarchical, "s");
+    ASSERT_EQ(sched.stages.size(), 3u);
+    ASSERT_EQ(sched.stages[1].size(), 1u);
+    EXPECT_EQ(sched.stages[1][0].devices, (DeviceSet{0, 2, 4}));
+    EXPECT_DOUBLE_EQ(sched.stages[1][0].seconds, 20.0);
+    EXPECT_EQ(sched.stages[1][0].seconds,
+              CollectiveModel::ringAllReduce(bytes, 3, bottleneck));
 }
 
 TEST(Collective, DecompositionHandlesPartialAndPermutedMembership)
@@ -283,7 +319,7 @@ railedTwoIslandTopo(std::uint32_t rails)
 TEST(Collective, ShardedDegeneratesByteExactAtRailsOne)
 {
     // On any rails == 1 fabric the sharded algorithm IS the
-    // hierarchical one: time, all-gather, resolveAuto and the full
+    // hierarchical one: time, resolveAuto and the full
     // phase schedule, bit for bit.
     ClusterTopology topo = twoIslandTopo();
     CollectiveModel coll(topo);
@@ -295,11 +331,6 @@ TEST(Collective, ShardedDegeneratesByteExactAtRailsOne)
                 coll.allReduceTime(bytes, group,
                                    CollectiveKind::ShardedHierarchical),
                 coll.allReduceTime(bytes, group,
-                                   CollectiveKind::Hierarchical));
-            EXPECT_EQ(
-                coll.allGatherTime(bytes, group,
-                                   CollectiveKind::ShardedHierarchical),
-                coll.allGatherTime(bytes, group,
                                    CollectiveKind::Hierarchical));
             const CollectiveSchedule sharded = coll.allReduceSchedule(
                 bytes, group, CollectiveKind::ShardedHierarchical, "s");
@@ -341,11 +372,6 @@ TEST(Collective, ShardedClosedFormAndRailSaturation)
         coll4.allReduceTime(bytes, all,
                             CollectiveKind::ShardedHierarchical),
         3.75 + 7.0 + 3.75);
-    // All-gather: sharded leaders 1/2 * 300/100 + 2 = 3.5, intra 3.75.
-    EXPECT_DOUBLE_EQ(
-        coll4.allGatherTime(bytes, all,
-                            CollectiveKind::ShardedHierarchical),
-        3.5 + 3.75);
 
     // rails >= slice size saturates at S = g_i: 8 rails price
     // byte-identically to 4 on 4-wide slices.

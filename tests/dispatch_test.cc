@@ -113,7 +113,8 @@ legacyLockstepRun(const HardwareModel &hw, const MetaGraph &graph,
     for (const ParamGroup &g : pool.groups()) {
         if (g.devices.size() < 2)
             continue;
-        const double dur = coll.allReduceTime(g.bytes, g.devices);
+        const double dur = coll.allReduceTime(g.bytes, g.devices,
+                                               CollectiveKind::FlatRing);
         double end = sim.occupy(g.devices, t_sync, dur, ExecKind::Sync,
                                 0, -1, "param_sync");
         sync_end = std::max(sync_end, end);

@@ -108,13 +108,21 @@ TEST(Topology, PerIslandAndPerPairLinkOverrides)
                      cfg.interIsland.bandwidth);
     EXPECT_DOUBLE_EQ(topo.interLink(0, 2).bandwidth, 25 * kGiga);
     EXPECT_DOUBLE_EQ(topo.collectiveLink(2, 0).bandwidth, 100 * kGiga);
-    // Group collectives bottleneck on the slowest spanned pair class.
-    EXPECT_DOUBLE_EQ(topo.groupLink({0, 4}).bandwidth, 100 * kGiga);
-    EXPECT_DOUBLE_EQ(topo.groupLink({0, 2}).bandwidth,
-                     cfg.interIslandCollective.bandwidth);
-    EXPECT_DOUBLE_EQ(topo.groupLink({0, 2, 4}).bandwidth, 100 * kGiga);
+    // Flat-ring collectives bottleneck on the slowest spanned pair
+    // class.
+    CollectiveModel coll(topo);
+    const auto flat = [&coll](const DeviceSet &group) {
+        return coll.allReduceTime(1e9, group, CollectiveKind::FlatRing);
+    };
+    const auto ring = [](std::uint32_t size, const LinkParams &link) {
+        return CollectiveModel::ringAllReduce(1e9, size, link);
+    };
+    const LinkParams pair02{100 * kGiga, 20 * kMicro};
+    EXPECT_EQ(flat({0, 4}), ring(2, pair02));
+    EXPECT_EQ(flat({0, 2}), ring(2, cfg.interIslandCollective));
+    EXPECT_EQ(flat({0, 2, 4}), ring(3, pair02));
     // Intra groups keep their island's class.
-    EXPECT_DOUBLE_EQ(topo.groupLink({2, 3}).bandwidth, 400 * kGiga);
+    EXPECT_EQ(flat({2, 3}), ring(2, {400 * kGiga, 1 * kMicro}));
 }
 
 // ===================================================================
@@ -426,7 +434,8 @@ TEST(Topology, LinkClasses)
     EXPECT_GT(topo.linkBetween(3, 4).bandwidth,
               topo.linkBetween(3, 12).bandwidth);
     // Cross-island collectives ride the rail-aggregated class.
-    EXPECT_GT(topo.groupLink({0, 8}).bandwidth,
+    EXPECT_GT(topo.collectiveLink(topo.islandOf(0), topo.islandOf(8))
+                  .bandwidth,
               topo.linkBetween(0, 8).bandwidth);
 }
 

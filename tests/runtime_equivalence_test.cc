@@ -142,7 +142,8 @@ frozenStrictFlatRun(const HardwareModel &hw, const MetaGraph &graph,
     for (const ParamGroup &g : pool.groups()) {
         if (g.devices.size() < 2)
             continue;
-        const double dur = coll.allReduceTime(g.bytes, g.devices);
+        const double dur = coll.allReduceTime(g.bytes, g.devices,
+                                               CollectiveKind::FlatRing);
         double end = sim.occupy(g.devices, t_sync, dur, ExecKind::Sync,
                                 0, -1, "param_sync");
         sync_end = std::max(sync_end, end);
@@ -245,7 +246,8 @@ expectOverlapSyncTailMatchesReference(const HardwareModel &hw,
     for (const ParamGroup &g : pool.groups()) {
         if (g.devices.size() < 2)
             continue;
-        const double dur = coll.allReduceTime(g.bytes, g.devices);
+        const double dur = coll.allReduceTime(g.bytes, g.devices,
+                                               CollectiveKind::FlatRing);
         whole_max = std::max(whole_max, dur);
         double start = 0;
         for (DeviceId d : g.devices)
@@ -506,7 +508,8 @@ TEST(RuntimeEquivalence, OverlapChargePinsClampedExposedSync)
     for (const ParamGroup &g : pool.groups())
         if (g.devices.size() >= 2)
             whole_max = std::max(
-                whole_max, coll.allReduceTime(g.bytes, g.devices));
+                whole_max, coll.allReduceTime(g.bytes, g.devices,
+                                              CollectiveKind::FlatRing));
     ASSERT_GT(whole_max, 0);
 
     double bwd_end = 0, sync_end = 0, sync_raw = 0;
