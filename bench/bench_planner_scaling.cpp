@@ -189,8 +189,7 @@ placementStress512(benchmark::State &state)
     }
     bool fell_back = false;
     for (double frac : {0.999, 0.95, 0.9, 0.85, 0.8, 0.75, 0.7}) {
-        cfg.device.memoryBytes =
-            peak * frac / PlacementOptions{}.memorySlack;
+        cfg.device.memoryBytes = peak * frac / kMemorySlack;
         ClusterTopology tight(cfg);
         HardwareModel hw(tight);
         PlannerOutput probe = ExecutionPlanner(hw, options).plan(meta);

@@ -2,18 +2,16 @@
  * @file
  * Striped-lock memo cache for pure-function lookups.
  *
- * The planner memoizes hot cost-model queries (ScalingCurve::inverse,
- * HardwareModel::bestConfig / validAllocations). Those memos used to
- * be plain unordered_maps — correct for one planner thread, racy once
- * PlanService workers plan concurrently against one HardwareModel.
- * StripedMemo shards the key space over a fixed set of
- * lock-protected stripes, keeping lookups thread-safe at any thread
- * count while staying *value-transparent*: the cached value of a key
- * is always exactly what the compute function returns for it, so a
- * hit is bit-identical to a miss. Concurrent misses on one key may
- * compute it twice — both computations of a pure function yield the
- * identical value, and each caller returns the value it computed, so
- * even the racing callers agree bit for bit.
+ * HardwareModel memoizes its hot cost-model queries (bestConfig /
+ * validAllocations), which PlanService workers call concurrently
+ * against one HardwareModel. StripedMemo shards the key space over a
+ * fixed set of lock-protected stripes, keeping lookups thread-safe at
+ * any thread count while staying *value-transparent*: the cached
+ * value of a key is always exactly what the compute function returns
+ * for it, so a hit is bit-identical to a miss. Concurrent misses on
+ * one key may compute it twice — both computations of a pure function
+ * yield the identical value, and each caller returns the value it
+ * computed, so even the racing callers agree bit for bit.
  *
  * Eviction keeps the historical wholesale-drop policy per stripe: a
  * stripe that reaches its entry bound is cleared before inserting.

@@ -21,8 +21,6 @@ ScalabilityEstimator::profilePoints(const MetaOp &m,
                                     std::uint32_t max_devices) const
 {
     std::vector<std::uint32_t> valid = hw_.validAllocations(m, max_devices);
-    if (options_.profileAllValid)
-        return valid;
 
     // Island-size boundaries: the TP cap (and hence the invoked
     // kernels) changes where an allocation first outgrows an island,

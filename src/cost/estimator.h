@@ -31,12 +31,6 @@ struct EstimatorOptions
      */
     bool piecewise = true;
 
-    /**
-     * Profile every valid allocation instead of only the power-of-
-     * two subset. More samples, exact knots, slower "profiling".
-     */
-    bool profileAllValid = false;
-
     /** Std-dev of multiplicative measurement noise (0 = exact). */
     double noiseStdFrac = 0.0;
 

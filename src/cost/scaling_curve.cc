@@ -1,7 +1,6 @@
 #include "cost/scaling_curve.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "common/logging.h"
@@ -78,33 +77,27 @@ ScalingCurve::inverse(double t) const
     // ended in panic("unreachable") for NaN; the binary search would
     // silently interpolate with it).
     panicIf(!(t > 0), "inverse: t must be positive");
-    const std::uint64_t key = std::bit_cast<std::uint64_t>(t);
-    return inverse_memo_.getOrCompute(key, [&] {
-        if (t >= times_.front()) {
-            // Slower than the smallest valid allocation: hyperbolic
-            // region, n = n_1 * T(n_1) / t (possibly < 1).
-            return static_cast<double>(ns_.front()) * times_.front() /
-                   t;
-        }
-        if (t <= times_.back())
-            return static_cast<double>(ns_.back());
-        // Find the grid segment with T(n_lo) >= t >= T(n_hi) and
-        // apply the linear combination of Eq. (11). times_ is
-        // non-increasing, so the first grid point with time <= t is
-        // a binary search (partition_point over "time > t").
-        auto seg = std::partition_point(
-            times_.begin() + 1, times_.end(),
-            [&](double grid_t) { return grid_t > t; });
-        panicIf(seg == times_.end(), "inverse: unreachable");
-        const std::size_t i =
-            static_cast<std::size_t>(seg - times_.begin());
-        const double n_lo = ns_[i - 1], n_hi = ns_[i];
-        const double t_lo = times_[i - 1], t_hi = times_[i];
-        if (t_lo == t_hi)
-            return n_lo;
-        return ((t_lo - t) * n_hi + (t - t_hi) * n_lo) /
-               (t_lo - t_hi);
-    });
+    if (t >= times_.front()) {
+        // Slower than the smallest valid allocation: hyperbolic
+        // region, n = n_1 * T(n_1) / t (possibly < 1).
+        return static_cast<double>(ns_.front()) * times_.front() / t;
+    }
+    if (t <= times_.back())
+        return static_cast<double>(ns_.back());
+    // Find the grid segment with T(n_lo) >= t >= T(n_hi) and apply
+    // the linear combination of Eq. (11). times_ is non-increasing, so
+    // the first grid point with time <= t is a binary search
+    // (partition_point over "time > t").
+    auto seg = std::partition_point(
+        times_.begin() + 1, times_.end(),
+        [&](double grid_t) { return grid_t > t; });
+    panicIf(seg == times_.end(), "inverse: unreachable");
+    const std::size_t i = static_cast<std::size_t>(seg - times_.begin());
+    const double n_lo = ns_[i - 1], n_hi = ns_[i];
+    const double t_lo = times_[i - 1], t_hi = times_[i];
+    if (t_lo == t_hi)
+        return n_lo;
+    return ((t_lo - t) * n_hi + (t - t_hi) * n_lo) / (t_lo - t_hi);
 }
 
 double

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/sharded_memo.h"
 #include "cost/alpha_beta.h"
 
 namespace spindle {
@@ -31,14 +30,9 @@ namespace spindle {
  *
  * Lookups are planner hot-path operations (placement and scheduling
  * query the same (MetaOp, n) pairs hundreds of times per plan), so
- * grid queries go through a dense n -> grid-index table and inverse()
- * keeps a small memo of recently inverted times. All caches are
- * value-transparent: a cached query returns the bit-identical double
- * the uncached code path would. Thread-safe for concurrent const
- * lookups: timeAt()/nextValidAbove()/eval() read only immutable
- * grids, and the inverse() memo is a striped-lock StripedMemo — the
- * parallel allocator bisects several MetaLevels at once against the
- * same curves.
+ * grid queries go through a dense n -> grid-index table. A curve is
+ * immutable after construction, so concurrent const lookups are
+ * thread-safe (the plan cache shares curves between planners).
  */
 class ScalingCurve
 {
@@ -96,10 +90,6 @@ class ScalingCurve
 
     /** Dense n -> index into ns_/times_ (-1 = not valid). */
     std::vector<std::int32_t> index_of_;
-
-    /** Memo of inverse() results keyed by the bit pattern of t
-     *  (striped-lock: concurrent planner lookups are safe). */
-    StripedMemo<std::uint64_t, double> inverse_memo_{1 << 13};
 };
 
 } // namespace spindle

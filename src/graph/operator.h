@@ -105,6 +105,22 @@ struct OperatorDesc
     ParamKey paramKey = kNoParam;
 };
 
+/**
+ * Dedup key of an operator's parameter storage: a shared set maps to
+ * its ParamKey, an unshared operator (kNoParam) to a unique negative
+ * key derived from its id. Placement's per-device memory maps, the
+ * engine's memory and sync groups and the plan-cache signature are
+ * all keyed by it, and placement's FP summation order follows its
+ * values.
+ */
+inline std::int64_t
+paramDedupKey(const OperatorDesc &op)
+{
+    if (op.paramKey != kNoParam)
+        return op.paramKey;
+    return -(static_cast<std::int64_t>(op.id) + 2);
+}
+
 } // namespace spindle
 
 #endif // SPINDLE_GRAPH_OPERATOR_H

@@ -64,6 +64,18 @@ enum class CollectiveKind : std::uint8_t
 /** Human-readable algorithm name ("FlatRing", ...). */
 const char *collectiveKindName(CollectiveKind kind);
 
+/**
+ * Bucketed gradient all-reduce overlapped with backward compute (as
+ * PyTorch DDP / Megatron do): the share of the backward span that can
+ * hide parameter sync, and the floor on the exposed sync cost as a
+ * share of the collective time (the unoverlappable tail).
+ * SyncExecutor charges them (runtime/sync_executor.h); they sit beside
+ * the collective oracle so that planner-side sync pricing can read the
+ * same values.
+ */
+inline constexpr double kSyncOverlapFraction = 0.5;
+inline constexpr double kMinSyncFraction = 0.25;
+
 /** One island's slice of a device group. */
 struct IslandGroup
 {

@@ -14,16 +14,6 @@ namespace spindle {
 
 namespace {
 
-/** Dedup key for parameter storage: shared keys map to themselves,
- *  unshared operators get a unique negative key. */
-std::int64_t
-paramDedupKey(const OperatorDesc &op)
-{
-    if (op.paramKey != kNoParam)
-        return op.paramKey;
-    return -(static_cast<std::int64_t>(op.id) + 2);
-}
-
 /**
  * Parameter signature of one member operator of a slice: the dedup
  * key plus the per-device share and raw bytes the scoring loops
@@ -283,8 +273,8 @@ interIslandShardFraction(const ClusterTopology &topo,
 struct EntryContext
 {
     EntryContext(const ClusterTopology &topo, const HardwareModel &hw,
-                 const MemoryModel &mem, double affinity_weight)
-        : topo(topo), hw(hw), mem(mem), affinity_weight(affinity_weight)
+                 const MemoryModel &mem)
+        : topo(topo), hw(hw), mem(mem)
     {
     }
 
@@ -308,7 +298,7 @@ struct EntryContext
                 if (sig_row[s] >= 0 &&
                     nonres[static_cast<std::size_t>(sig_row[s])])
                     non_resident_bytes += sig[s].bytes;
-        return affinity_weight * 2.0 * non_resident_bytes /
+        return 2.0 * non_resident_bytes /
                topo.config().interIslandCollective.bandwidth;
     }
 
@@ -349,7 +339,6 @@ struct EntryContext
     const ClusterTopology &topo;
     const HardwareModel &hw;
     const MemoryModel &mem;
-    const double affinity_weight;
 
     MetaOpId meta_op = 0;
     std::uint32_t n = 0;
@@ -399,7 +388,7 @@ EntryContext::build(const MetaGraph &graph, const WaveEntry &e,
         const OperatorDesc &op = graph.base().op(m.ops[e.opBegin + i]);
         const double shard = op.paramBytes / cfg.tp /
                              (mp.zeroShardParams ? cfg.dp : 1.0);
-        const double opt = op.paramBytes / cfg.tp * mp.optimizerFactor /
+        const double opt = op.paramBytes / cfg.tp * kOptimizerFactor /
                            (mp.zeroShardOptimizer ? cfg.dp : 1.0);
         sig.push_back({paramDedupKey(op), shard + opt, op.paramBytes});
     }
@@ -1517,7 +1506,7 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
     const bool sequential =
         options_.strategy == PlacementStrategy::Sequential;
     Attempt state(num_devices);
-    EntryContext ctx(topo_, hw_, mem_, options_.paramAffinityWeight);
+    EntryContext ctx(topo_, hw_, mem_);
 
     // Replay: recommit the feasible prefix (device choices and their
     // logged comm) without re-scoring it. The records replayed are
@@ -1537,7 +1526,7 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
 
     const Selection sel{
         topo_.device().memoryBytes, options_.memoryWeight,
-        topo_.device().memoryBytes * options_.memorySlack, memory_first};
+        topo_.device().memoryBytes * kMemorySlack, memory_first};
     WindowSweep sweep(topo_, generator(), options_.bandPruning,
                       num_devices);
     std::uint32_t seq_cursor = 0;

@@ -121,6 +121,13 @@ enum class PlacementStrategy : std::uint8_t
     Sequential, ///< consecutive-devices baseline (Fig. 10 ablation)
 };
 
+/**
+ * Usable fraction of device HBM before placement rejects an entry:
+ * the headroom left for what the memory model does not charge
+ * (framework buffers, fragmentation).
+ */
+inline constexpr double kMemorySlack = 0.92;
+
 /** Placement tunables. */
 struct PlacementOptions
 {
@@ -151,21 +158,9 @@ struct PlacementOptions
      */
     bool partialFallbackRestart = true;
 
-    /** Usable fraction of device HBM before an entry is rejected. */
-    double memorySlack = 0.92;
-
     /** Weight converting relative memory imbalance into seconds in
      *  the placement score (heuristic trade-off knob). */
     double memoryWeight = 1e-3;
-
-    /**
-     * Weight of the parameter-affinity bonus (§3.5: MetaOps sharing
-     * parameters are preferentially co-located, shrinking redundant
-     * storage and gradient-sync device groups). The bonus is the
-     * estimated all-reduce seconds saved by not growing the groups
-     * of parameters already resident on the candidate devices.
-     */
-    double paramAffinityWeight = 1.0;
 
     /**
      * Admissible pruning of the candidate sweep (see the file

@@ -22,22 +22,6 @@ mix(std::uint64_t h, double v)
     return mix(h, std::bit_cast<std::uint64_t>(v));
 }
 
-/**
- * Raw parameter dedup key, mirroring placement's: shared parameter
- * sets map to their ParamKey, unshared operators to a unique
- * negative key derived from the operator id. The raw values (not
- * just the sharing structure) go into the signature because
- * placement's per-device memory maps are keyed by them and its FP
- * summation order follows the key values.
- */
-std::int64_t
-rawParamKey(const OperatorDesc &op)
-{
-    if (op.paramKey != kNoParam)
-        return op.paramKey;
-    return -(static_cast<std::int64_t>(op.id) + 2);
-}
-
 std::uint64_t
 hashSignature(const GraphSignature &sig)
 {
@@ -115,7 +99,7 @@ signatureOf(const MetaGraph &graph)
             for (OpId op_id : m.ops) {
                 const OperatorDesc &op = graph.base().op(op_id);
                 s.memberParams.push_back(
-                    {rawParamKey(op), op.paramBytes});
+                    {paramDedupKey(op), op.paramBytes});
             }
             sig.levels[k].metaOps.push_back(std::move(s));
         }

@@ -81,13 +81,12 @@ struct MetaOpSignature
     std::int64_t numOps = 0;
 
     /**
-     * Per-member-operator (raw param dedup key, param bytes), in
-     * member order. Placement's per-device memory state is keyed by
-     * the RAW dedup key (shared sets by ParamKey, unshared operators
-     * by a unique negative key), and its floating-point summation
-     * order over that map depends on the raw key values — so byte
-     * identity requires the sequences to match exactly, not merely
-     * describe the same sharing structure.
+     * Per-member-operator (paramDedupKey, param bytes), in member
+     * order. Placement's per-device memory state is keyed by the raw
+     * paramDedupKey value (graph/operator.h), and its floating-point
+     * summation order over that map depends on the raw key values —
+     * so byte identity requires the sequences to match exactly, not
+     * merely describe the same sharing structure.
      */
     struct MemberParam
     {

@@ -48,7 +48,6 @@ optionsFingerprint(const PlannerOptions &o)
 {
     std::uint64_t h = 0xcbf29ce484222325ull;
     h = mix(h, static_cast<std::uint64_t>(o.estimator.piecewise));
-    h = mix(h, static_cast<std::uint64_t>(o.estimator.profileAllValid));
     h = mix(h, o.allocator.bisectionRelTol);
     h = mix(h, static_cast<std::uint64_t>(o.allocator.maxBisectionIters));
     h = mix(h, static_cast<std::uint64_t>(o.scheduler.extendResources));
@@ -56,13 +55,9 @@ optionsFingerprint(const PlannerOptions &o)
     h = mix(h, static_cast<std::uint64_t>(o.placement.windows));
     h = mix(h,
             static_cast<std::uint64_t>(o.placement.partialFallbackRestart));
-    h = mix(h, o.placement.memorySlack);
     h = mix(h, o.placement.memoryWeight);
-    h = mix(h, o.placement.paramAffinityWeight);
-    h = mix(h, o.memory.optimizerFactor);
     h = mix(h, static_cast<std::uint64_t>(o.memory.zeroShardOptimizer));
     h = mix(h, static_cast<std::uint64_t>(o.memory.zeroShardParams));
-    h = mix(h, o.memory.activationFactor);
     return h;
 }
 

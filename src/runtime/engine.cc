@@ -16,18 +16,6 @@ namespace spindle {
 
 namespace {
 
-/** Warn about and clamp an out-of-range option fraction. */
-void
-clampFraction(double &value, const char *name)
-{
-    if (value >= 0 && value <= 1)
-        return;
-    const double clamped = std::clamp(value, 0.0, 1.0);
-    warn(strCat("Engine: ", name, " = ", value,
-                " is outside [0, 1]; clamping to ", clamped));
-    value = clamped;
-}
-
 /**
  * Everything one plan needs to execute on a shared simulator. The
  * same bundle serves the base iteration and every mid-iteration
@@ -88,9 +76,6 @@ Engine::Engine(const HardwareModel &hw, MemoryParams mem_params,
                EngineOptions options)
     : hw_(hw), mem_(mem_params), options_(options)
 {
-    clampFraction(options_.syncOverlapFraction, "syncOverlapFraction");
-    clampFraction(options_.minSyncFraction, "minSyncFraction");
-
     RecoveryOptions &rec = options_.recovery;
     if (rec.detectionSeconds < 0) {
         warn(strCat("Engine: recovery.detectionSeconds = ",
@@ -107,6 +92,13 @@ Engine::Engine(const HardwareModel &hw, MemoryParams mem_params,
         warn("Engine: recovery.maxReplanAttempts = 0 — recovery needs "
              "at least one attempt; raising to 1");
         rec.maxReplanAttempts = 1;
+    }
+    if (rec.maxReplanAttempts > 3) {
+        warn(strCat("Engine: recovery.maxReplanAttempts = ",
+                    rec.maxReplanAttempts,
+                    " exceeds the three-rung replan cascade; clamping "
+                    "to 3"));
+        rec.maxReplanAttempts = 3;
     }
     if (rec.retryBackoff < 1) {
         warn(strCat("Engine: recovery.retryBackoff = ", rec.retryBackoff,
@@ -344,10 +336,7 @@ peakMemoryPerDevice(const MetaGraph &graph, const ExecutionPlan &plan,
                     graph.base().op(m.ops[e.opBegin + i]);
                 if (op.paramBytes <= 0)
                     continue;
-                const std::int64_t key =
-                    op.paramKey != kNoParam
-                        ? static_cast<std::int64_t>(op.paramKey)
-                        : -(static_cast<std::int64_t>(op.id) + 2);
+                const std::int64_t key = paramDedupKey(op);
                 group_of[key] = unionOf(group_of[key], e.devices);
             }
         }
@@ -371,18 +360,14 @@ peakMemoryPerDevice(const MetaGraph &graph, const ExecutionPlan &plan,
                         graph.base().op(m.ops[e.opBegin + i]);
                     if (op.paramBytes <= 0)
                         continue;
-                    const std::int64_t key =
-                        op.paramKey != kNoParam
-                            ? static_cast<std::int64_t>(op.paramKey)
-                            : -(static_cast<std::int64_t>(op.id) + 2);
+                    const std::int64_t key = paramDedupKey(op);
                     const double group_size =
                         static_cast<double>(group_of[key].size());
                     const double shard =
                         op.paramBytes / cfg.tp /
                         (mem.params().zeroShardParams ? cfg.dp : 1.0);
                     const double share =
-                        shard + op.paramBytes *
-                                    mem.params().optimizerFactor /
+                        shard + op.paramBytes * kOptimizerFactor /
                                     (mem.params().zeroShardOptimizer
                                          ? group_size
                                          : cfg.tp);

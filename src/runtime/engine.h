@@ -94,8 +94,8 @@ struct IterationResult
  * Failure-recovery tunables: what a fault costs beyond the lost
  * work, and how hard the recovery path tries before accepting a
  * degraded plan. Consumed by RecoveryCoordinator (runtime/recovery.h)
- * and validated by the Engine constructor (negative times and a zero
- * attempt budget warn and clamp, like the sync fractions below).
+ * and validated by the Engine constructor (out-of-range values warn
+ * and clamp).
  */
 struct RecoveryOptions
 {
@@ -117,7 +117,8 @@ struct RecoveryOptions
     /**
      * Attempts in the replan cascade (prefix-reusing replan -> cold
      * replan -> memory-first replan) before the best feasible plan
-     * so far is accepted. Zero is clamped to 1 with a warning.
+     * so far is accepted. The cascade has three rungs: zero is
+     * clamped to 1 and values above 3 to 3, each with a warning.
      */
     std::uint32_t maxReplanAttempts = 3;
 
@@ -139,27 +140,17 @@ enum class DispatchPolicyKind : std::uint8_t
     Overlap,
 };
 
-/** Engine tunables. */
+/** Fixed overhead charged at each wave boundary (host-side dispatch
+ *  of the next wave's kernels). */
+inline constexpr double kWaveBarrier = 5 * kMicro;
+
+/**
+ * Engine tunables. The bucketed sync-overlap fractions are constants
+ * shared with the collective oracle (kSyncOverlapFraction /
+ * kMinSyncFraction in hardware/collective.h).
+ */
 struct EngineOptions
 {
-    /** Fixed overhead charged at each wave boundary (host-side
-     *  dispatch of the next wave's kernels). */
-    double waveBarrier = 5 * kMicro;
-
-    /**
-     * Fraction of the backward span that can hide gradient
-     * synchronization (bucketed all-reduce overlapped with backward
-     * compute, as PyTorch DDP / Megatron do). The residual sync
-     * cost is what the iteration pays after the backward finishes.
-     * Out-of-range values are clamped to [0, 1] with a warning.
-     */
-    double syncOverlapFraction = 0.5;
-
-    /** Floor on the exposed sync cost as a fraction of the raw
-     *  collective time (the unoverlappable tail). Clamped to [0, 1]
-     *  with a warning when out of range. */
-    double minSyncFraction = 0.25;
-
     /** Admission order of the event-driven dispatcher. */
     DispatchPolicyKind dispatch = DispatchPolicyKind::StrictBarrier;
 

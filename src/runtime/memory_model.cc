@@ -4,13 +4,6 @@
 
 namespace spindle {
 
-MemoryModel::MemoryModel(MemoryParams params)
-    : params_(params)
-{
-    fatalIf(params_.optimizerFactor < 0 || params_.activationFactor < 0,
-            "MemoryModel: negative factors");
-}
-
 double
 MemoryModel::paramStateBytesPerDevice(const MetaOp &m, std::int64_t l,
                                       ParallelConfig cfg) const
@@ -20,8 +13,7 @@ MemoryModel::paramStateBytesPerDevice(const MetaOp &m, std::int64_t l,
     const double dp = cfg.dp;
     const double param_shard = m.paramBytesPerOp / tp /
                                (params_.zeroShardParams ? dp : 1.0);
-    const double opt_shard = m.paramBytesPerOp / tp *
-                             params_.optimizerFactor /
+    const double opt_shard = m.paramBytesPerOp / tp * kOptimizerFactor /
                              (params_.zeroShardOptimizer ? dp : 1.0);
     return static_cast<double>(l) * (param_shard + opt_shard);
 }
@@ -32,8 +24,7 @@ MemoryModel::activationBytesPerDevice(const MetaOp &m, std::int64_t l,
 {
     panicIf(l < 0, "activationBytesPerDevice: negative slice");
     const double n = cfg.devices();
-    return static_cast<double>(l) * m.activationBytes *
-           params_.activationFactor / n;
+    return static_cast<double>(l) * m.activationBytes / n;
 }
 
 double

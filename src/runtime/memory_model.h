@@ -6,9 +6,10 @@
  * A device hosting a MetaOp slice holds, for each member operator:
  * its parameter shard (divided by the TP degree), the attached
  * gradient/optimizer state, and the activations stashed for the
- * backward pass (divided across all devices of the slice). Optimizer
- * state may be sharded across DP ranks (ZeRO-1 style), which is how
- * the decoupled baselines survive whole-cluster replication.
+ * backward pass (all of them — no activation checkpointing — divided
+ * across all devices of the slice). Optimizer state may be sharded
+ * across DP ranks (ZeRO-1 style), which is how the decoupled
+ * baselines survive whole-cluster replication.
  */
 
 #ifndef SPINDLE_RUNTIME_MEMORY_MODEL_H
@@ -19,16 +20,16 @@
 
 namespace spindle {
 
-/** Memory model tunables. */
+/**
+ * Gradient + optimizer + master-weight bytes per parameter byte
+ * (fp16 params with Adam: 2B grad + 4B master + 8B moments over a 2B
+ * parameter = 7x).
+ */
+inline constexpr double kOptimizerFactor = 7.0;
+
+/** Memory regime: which state ZeRO shards across DP ranks. */
 struct MemoryParams
 {
-    /**
-     * Gradient + optimizer + master-weight bytes per parameter
-     * byte (fp16 params with Adam: 2B grad + 4B master + 8B moments
-     * over a 2B parameter = 7x).
-     */
-    double optimizerFactor = 7.0;
-
     /** Shard optimizer state across DP ranks (ZeRO-1). */
     bool zeroShardOptimizer = true;
 
@@ -38,17 +39,13 @@ struct MemoryParams
      * whose layers would otherwise replicate per DP rank.
      */
     bool zeroShardParams = false;
-
-    /** Fraction of activations stashed for backward (activation
-     *  checkpointing would lower this below 1). */
-    double activationFactor = 1.0;
 };
 
 /** Memory cost oracle for MetaOp slices. */
 class MemoryModel
 {
   public:
-    explicit MemoryModel(MemoryParams params = {});
+    explicit MemoryModel(MemoryParams params = {}) : params_(params) {}
 
     /**
      * Parameter + optimizer bytes per device for hosting @p l member

@@ -30,10 +30,7 @@ ParameterGroupPool::build(const MetaGraph &graph,
                     graph.base().op(m.ops[e.opBegin + i]);
                 if (op.paramBytes <= 0)
                     continue;
-                const std::int64_t key =
-                    op.paramKey != kNoParam
-                        ? static_cast<std::int64_t>(op.paramKey)
-                        : -(static_cast<std::int64_t>(op.id) + 2);
+                const std::int64_t key = paramDedupKey(op);
                 ParamInfo &info = params[key];
                 info.devices = unionOf(info.devices, e.devices);
                 info.bytes = std::max(info.bytes, op.paramBytes);

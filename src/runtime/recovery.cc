@@ -213,9 +213,8 @@ RecoveryCoordinator::run(const FaultPlan &faults,
         // candidate with a warning (degraded training beats none).
         PlannerOutput candidate;
         bool accepted = false;
-        const std::uint32_t rungs =
-            std::min(rec.maxReplanAttempts, std::uint32_t{3});
-        for (std::uint32_t a = 0; a < rungs && !accepted; ++a) {
+        for (std::uint32_t a = 0; a < rec.maxReplanAttempts && !accepted;
+             ++a) {
             ep.restartSeconds +=
                 rec.restartSeconds * std::pow(rec.retryBackoff, a);
             if (a == 0) {

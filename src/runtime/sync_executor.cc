@@ -51,32 +51,30 @@ SyncExecutor::execute(double fwd_end, double bwd_end)
     }
 
     // Bucketed all-reduce hides part of the exposed cost under the
-    // backward compute (syncOverlapFraction), down to the
-    // unoverlappable tail (minSyncFraction).
+    // backward compute (kSyncOverlapFraction), down to the
+    // unoverlappable tail (kMinSyncFraction).
     const double sync_raw = sync_end - bwd_end;
     double sync_eff;
     if (!overlap) {
         // Historical strict-barrier charge, frozen bit for bit: all
         // groups start at the barrier, so the whole collective makespan
         // is the exposed tail and the floor is a fraction of it.
-        sync_eff = std::clamp(
-            sync_raw - options_.syncOverlapFraction * bwd_span,
-            options_.minSyncFraction * sync_raw, sync_raw);
+        sync_eff = std::clamp(sync_raw - kSyncOverlapFraction * bwd_span,
+                              kMinSyncFraction * sync_raw, sync_raw);
     } else {
         // The event schedule already hid part of the slowest group's
         // collective under backward compute (early release). Charge
         // order: that hidden share consumes the bucketed credit first,
         // only the remainder may reduce the residual tail, and the
-        // unoverlappable floor is minSyncFraction of the *whole*
+        // unoverlappable floor is kMinSyncFraction of the *whole*
         // slowest all-reduce — not of the residual tail (charging the
         // bucket against the whole collective once more undercharged
         // the clamped exposed sync).
         const double hidden = std::max(0.0, whole_max - sync_raw);
-        const double credit = std::max(
-            0.0, options_.syncOverlapFraction * bwd_span - hidden);
-        sync_eff = std::min(
-            sync_raw, std::max(options_.minSyncFraction * whole_max,
-                               sync_raw - credit));
+        const double credit =
+            std::max(0.0, kSyncOverlapFraction * bwd_span - hidden);
+        sync_eff = std::min(sync_raw, std::max(kMinSyncFraction * whole_max,
+                                               sync_raw - credit));
     }
 
     SyncStats stats;

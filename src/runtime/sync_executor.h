@@ -20,8 +20,8 @@
  * are free for other work during the inter-island phase.
  *
  * Exposed-cost accounting: the bucketed all-reduce model hides
- * syncOverlapFraction of the backward span, down to the
- * unoverlappable minSyncFraction tail. Under the strict barrier the
+ * kSyncOverlapFraction of the backward span, down to the
+ * unoverlappable kMinSyncFraction tail (hardware/collective.h). Under the strict barrier the
  * historical formula is kept bit for bit. Under Overlap dispatch
  * the event schedule itself already hid part of the slowest group's
  * collective (groups start at their own devices' free time), so the
@@ -54,8 +54,8 @@ struct SyncStats
  * Executes the group-wise parameter synchronization on the
  * simulator: schedules each group's collective phases
  * (EngineOptions::collective) and models bucketed all-reduce overlap
- * with backward compute (EngineOptions::syncOverlapFraction /
- * minSyncFraction; see the file comment for the charge order).
+ * with backward compute (kSyncOverlapFraction / kMinSyncFraction;
+ * see the file comment for the charge order).
  */
 class SyncExecutor
 {

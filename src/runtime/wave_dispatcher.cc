@@ -160,7 +160,7 @@ WaveDispatcher::processStrict(const Wave &w, bool forward,
 
     const double wave_end = executeEntries(w, forward, t_start);
     phase_max_end_ = std::max(phase_max_end_, wave_end);
-    strict_clock_ = wave_end + options_.waveBarrier;
+    strict_clock_ = wave_end + kWaveBarrier;
 }
 
 // ---------------------------------------------------------------------
@@ -238,7 +238,7 @@ WaveDispatcher::processEventWave(bool forward, std::size_t i,
 
     const double wave_end = executeEntries(w, forward, t_start);
     phase_max_end_ = std::max(phase_max_end_, wave_end);
-    wave_end_[i] = wave_end + options_.waveBarrier;
+    wave_end_[i] = wave_end + kWaveBarrier;
 
     // Device-group availability fires the completion through the
     // event queue: consumers are released when the wave's end time

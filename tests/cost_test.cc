@@ -175,21 +175,6 @@ TEST(Estimator, GridCoversAllValidAllocations)
     EXPECT_EQ(curve.validNs(), hw.validAllocations(m, 16));
 }
 
-TEST(Estimator, ProfileAllValidUsesMoreProbes)
-{
-    ComputationGraph g = fig3Workload(/*batch=*/48);
-    MetaGraph meta = contractGraph(g);
-    ClusterTopology topo = smallCluster(2);
-    HardwareModel hw(topo);
-    ScalabilityEstimator sparse(hw);
-    EstimatorOptions all;
-    all.profileAllValid = true;
-    ScalabilityEstimator dense(hw, all);
-    sparse.estimateAll(meta, 16);
-    dense.estimateAll(meta, 16);
-    EXPECT_GT(dense.numProbes(), sparse.numProbes());
-}
-
 TEST(Estimator, NoiseIsDeterministicPerSeed)
 {
     ComputationGraph g = fig3Workload();

@@ -30,7 +30,7 @@ using testutil::smallCluster;
  */
 IterationResult
 legacyLockstepRun(const HardwareModel &hw, const MetaGraph &graph,
-                  const ExecutionPlan &plan, const EngineOptions &options)
+                  const ExecutionPlan &plan)
 {
     IterationResult result;
     if (plan.waves.empty())
@@ -98,7 +98,7 @@ legacyLockstepRun(const HardwareModel &hw, const MetaGraph &graph,
                                             forward ? "fwd" : "bwd");
                     wave_end = std::max(wave_end, end);
                 }
-                clock = wave_end + options.waveBarrier;
+                clock = wave_end + kWaveBarrier;
             }
         }
     };
@@ -120,9 +120,9 @@ legacyLockstepRun(const HardwareModel &hw, const MetaGraph &graph,
         sync_end = std::max(sync_end, end);
     }
     const double sync_raw = sync_end - t_sync;
-    const double sync_eff = std::clamp(
-        sync_raw - options.syncOverlapFraction * bwd_span,
-        options.minSyncFraction * sync_raw, sync_raw);
+    const double sync_eff =
+        std::clamp(sync_raw - kSyncOverlapFraction * bwd_span,
+                   kMinSyncFraction * sync_raw, sync_raw);
 
     result.iterationSeconds = t_sync + sync_eff;
     result.breakdown.sync = sync_eff;
@@ -182,11 +182,8 @@ struct DispatchFixture : public ::testing::Test
 
 TEST_F(DispatchFixture, StrictBarrierMatchesLegacyLockstepBitForBit)
 {
-    const EngineOptions options;
-    IterationResult legacy =
-        legacyLockstepRun(hw, meta, out.plan, options);
-    IterationResult now =
-        Engine(hw, MemoryParams{}, options).run(meta, out.plan);
+    IterationResult legacy = legacyLockstepRun(hw, meta, out.plan);
+    IterationResult now = Engine(hw).run(meta, out.plan);
 
     EXPECT_EQ(legacy.iterationSeconds, now.iterationSeconds);
     EXPECT_EQ(legacy.breakdown.fwdBwd, now.breakdown.fwdBwd);
@@ -204,10 +201,8 @@ TEST_F(DispatchFixture, StrictBarrierMatchesLegacyOnMultiStreamPlans)
     plan.annotateReadiness(meta);
     plan.validate(meta);
 
-    const EngineOptions options;
-    IterationResult legacy = legacyLockstepRun(hw, meta, plan, options);
-    IterationResult now =
-        Engine(hw, MemoryParams{}, options).run(meta, plan);
+    IterationResult legacy = legacyLockstepRun(hw, meta, plan);
+    IterationResult now = Engine(hw).run(meta, plan);
     EXPECT_EQ(legacy.iterationSeconds, now.iterationSeconds);
     expectIdenticalTimelines(legacy.timeline, now.timeline);
 }
@@ -401,31 +396,6 @@ TEST_F(DispatchFixture, ArrivalsWithEmptyBasePlanAreRejected)
         "empty base plan");
 }
 
-TEST(EngineOptionsClamp, WarnsAndClampsOutOfRangeFractions)
-{
-    ComputationGraph g = fig3Workload();
-    MetaGraph meta = contractGraph(g);
-    ClusterTopology topo = smallCluster(1);
-    HardwareModel hw(topo);
-    ExecutionPlanner planner(hw);
-    PlannerOutput out = planner.plan(meta);
-
-    EngineOptions bad;
-    bad.syncOverlapFraction = 1.7; // clamped to 1
-    bad.minSyncFraction = -0.3;    // clamped to 0
-    Engine clamped(hw, MemoryParams{}, bad);
-    EXPECT_EQ(clamped.options().syncOverlapFraction, 1.0);
-    EXPECT_EQ(clamped.options().minSyncFraction, 0.0);
-
-    EngineOptions edge;
-    edge.syncOverlapFraction = 1.0;
-    edge.minSyncFraction = 0.0;
-    Engine same(hw, MemoryParams{}, edge);
-    IterationResult a = clamped.run(meta, out.plan);
-    IterationResult b = same.run(meta, out.plan);
-    EXPECT_EQ(a.iterationSeconds, b.iterationSeconds);
-}
-
 TEST(EngineOptionsClamp, WarnsAndClampsRecoveryKnobs)
 {
     ClusterTopology topo = smallCluster(1);
@@ -441,6 +411,12 @@ TEST(EngineOptionsClamp, WarnsAndClampsRecoveryKnobs)
     EXPECT_EQ(clamped.options().recovery.restartSeconds, 0.0);
     EXPECT_EQ(clamped.options().recovery.maxReplanAttempts, 1u);
     EXPECT_EQ(clamped.options().recovery.retryBackoff, 1.0);
+
+    // The replan cascade has three rungs; a larger budget is capped.
+    EngineOptions deep;
+    deep.recovery.maxReplanAttempts = 5; // clamped to 3
+    Engine capped(hw, MemoryParams{}, deep);
+    EXPECT_EQ(capped.options().recovery.maxReplanAttempts, 3u);
 
     // In-range values pass through untouched.
     EngineOptions good;

@@ -162,8 +162,7 @@ TEST(Placement, MemoryFirstFallbackFlagAndValidity)
     bool fell_back = false;
     double capacity_bytes = 0;
     for (double frac : {0.999, 0.95, 0.9, 0.85, 0.8, 0.75}) {
-        cfg.device.memoryBytes =
-            peak * frac / PlacementOptions{}.memorySlack;
+        cfg.device.memoryBytes = peak * frac / kMemorySlack;
         ClusterTopology tight(cfg);
         HardwareModel hw(tight);
         MetaGraph fresh = contractGraph(g);
@@ -216,8 +215,7 @@ TEST(Placement, PartialFallbackRestartMatchesFullOnSeedLadder)
 
     bool exercised = false;
     for (double frac : {0.999, 0.95, 0.9, 0.85, 0.8, 0.75}) {
-        cfg.device.memoryBytes =
-            peak * frac / PlacementOptions{}.memorySlack;
+        cfg.device.memoryBytes = peak * frac / kMemorySlack;
         ClusterTopology tight(cfg);
         HardwareModel hw(tight);
 
@@ -275,8 +273,7 @@ TEST(Placement, PartialFallbackRestartFromLaterWave)
     for (double b : baseline.placement.peakBytes)
         peak = std::max(peak, b);
 
-    cfg.device.memoryBytes =
-        peak * 0.999 / PlacementOptions{}.memorySlack;
+    cfg.device.memoryBytes = peak * 0.999 / kMemorySlack;
     ClusterTopology tight(cfg);
     HardwareModel hw(tight);
 
@@ -330,8 +327,7 @@ TEST(Placement, MemoryFallback512GpuStress)
     bool fell_back = false;
     double capacity_bytes = 0;
     for (double frac : {0.999, 0.95, 0.9, 0.85, 0.8, 0.75, 0.7}) {
-        cfg.device.memoryBytes =
-            peak * frac / PlacementOptions{}.memorySlack;
+        cfg.device.memoryBytes = peak * frac / kMemorySlack;
         ClusterTopology tight(cfg);
         HardwareModel hw(tight);
         MetaGraph fresh = contractGraph(g);

@@ -242,7 +242,7 @@ tryPlace(const ClusterTopology &topo, const HardwareModel &hw,
          PlacementResult &result)
 {
     const std::uint32_t num_devices = plan.numDevices;
-    const double capacity = topo.device().memoryBytes * options.memorySlack;
+    const double capacity = topo.device().memoryBytes * kMemorySlack;
     const CollectiveModel &coll = hw.collectives();
 
     Attempt state;
@@ -254,7 +254,7 @@ tryPlace(const ClusterTopology &topo, const HardwareModel &hw,
             op.paramBytes / cfg.tp /
             (mem.params().zeroShardParams ? cfg.dp : 1.0);
         const double opt =
-            op.paramBytes / cfg.tp * mem.params().optimizerFactor /
+            op.paramBytes / cfg.tp * kOptimizerFactor /
             (mem.params().zeroShardOptimizer ? cfg.dp : 1.0);
         return shard + opt;
     };
@@ -337,7 +337,7 @@ tryPlace(const ClusterTopology &topo, const HardwareModel &hw,
                     for (std::int64_t i = 0; i < e.numOps; ++i) {
                         const OperatorDesc &op =
                             graph.base().op(m.ops[e.opBegin + i]);
-                        const std::int64_t key = paramDedupKey(op);
+                        const std::int64_t key = reference::paramDedupKey(op);
                         const double share = param_share(op, cfg);
                         auto it = state.params[d].find(key);
                         if (it == state.params[d].end())
@@ -380,7 +380,7 @@ tryPlace(const ClusterTopology &topo, const HardwareModel &hw,
                         graph.base().op(m.ops[e.opBegin + i]);
                     if (op.paramBytes <= 0)
                         continue;
-                    const std::int64_t key = paramDedupKey(op);
+                    const std::int64_t key = reference::paramDedupKey(op);
                     bool resident = false;
                     for (DeviceId d : win) {
                         if (state.params[d].count(key)) {
@@ -391,8 +391,7 @@ tryPlace(const ClusterTopology &topo, const HardwareModel &hw,
                     if (!resident)
                         non_resident_bytes += op.paramBytes;
                 }
-                comm += options.paramAffinityWeight * 2.0 *
-                        non_resident_bytes /
+                comm += 2.0 * non_resident_bytes /
                         topo.config().interIslandCollective.bandwidth;
 
                 if (cfg.tp > 1 && !topo.withinOneIsland(win)) {
@@ -433,7 +432,7 @@ tryPlace(const ClusterTopology &topo, const HardwareModel &hw,
                 for (std::int64_t i = 0; i < e.numOps; ++i) {
                     const OperatorDesc &op =
                         graph.base().op(m.ops[e.opBegin + i]);
-                    const std::int64_t key = paramDedupKey(op);
+                    const std::int64_t key = reference::paramDedupKey(op);
                     const double share = param_share(op, cfg);
                     auto [it, inserted] =
                         state.params[d].emplace(key, share);
@@ -1301,7 +1300,7 @@ TEST(PlannerEquivalence, MemoryFirstFallbackPass)
     // stay comfortably above.
     bool exercised = false;
     for (double frac : {0.999, 0.95, 0.9, 0.85, 0.8, 0.75}) {
-        cfg.device.memoryBytes = peak * frac / PlacementOptions{}.memorySlack;
+        cfg.device.memoryBytes = peak * frac / kMemorySlack;
         ClusterTopology tight(cfg);
         HardwareModel hw(tight);
         MetaGraph fresh = contractGraph(g);
@@ -1577,8 +1576,7 @@ TEST(PlannerEquivalence, ReplanMemoryFirstFallback)
     bool exercised = false;
     for (double frac : {0.999, 0.95, 0.9, 0.85, 0.8, 0.75}) {
         SCOPED_TRACE(strCat("frac=", frac));
-        cfg.device.memoryBytes =
-            peak * frac / PlacementOptions{}.memorySlack;
+        cfg.device.memoryBytes = peak * frac / kMemorySlack;
         ClusterTopology tight(cfg);
         HardwareModel hw(tight);
         MetaGraph fresh = contractGraph(g);

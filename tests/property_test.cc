@@ -436,5 +436,69 @@ TEST_P(RandomIslandGraph, FlowPricingInvariantUnderStripeRelabel)
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomIslandGraph,
                          ::testing::Range<std::uint64_t>(0, 16));
 
+// ---------------------------------------------------------------------
+// Placement's memory charge bounds what the engine charges.
+
+/** Every device's placement peak (optimizer state sharded over the
+ *  entry's DP width) is at least the engine's peak for the same plan
+ *  (sharded over the parameter's whole device group), so the
+ *  capacity check placement applies never admits a plan the engine
+ *  would find over the same limit. Exact comparison: on some
+ *  workloads the two are equal on the tightest device. */
+void
+expectPlacementBoundsEnginePeak(const ComputationGraph &graph,
+                                std::uint32_t num_nodes,
+                                const PlannerOptions &options = {})
+{
+    ClusterConfig cfg;
+    cfg.numNodes = num_nodes;
+    cfg.gpusPerNode = 8;
+    ClusterTopology topo(cfg);
+    HardwareModel hw(topo);
+    MetaGraph meta = contractGraph(graph);
+    PlannerOutput out = ExecutionPlanner(hw, options).plan(meta);
+    const std::vector<double> engine = peakMemoryPerDevice(
+        meta, out.plan, hw, MemoryModel(options.memory));
+    ASSERT_EQ(out.placement.peakBytes.size(), engine.size());
+    for (std::size_t d = 0; d < engine.size(); ++d)
+        EXPECT_GE(out.placement.peakBytes[d], engine[d]) << "device " << d;
+}
+
+TEST(PlacementMemoryBound, Fig8Workloads)
+{
+    for (std::uint32_t tasks : {4u, 7u, 10u}) {
+        ComputationGraph graph = buildMultitaskClip({.numTasks = tasks});
+        for (std::uint32_t nodes : {1u, 2u, 4u}) {
+            SCOPED_TRACE(strCat("Multitask-CLIP/", tasks, "T @ ", nodes,
+                                " nodes"));
+            expectPlacementBoundsEnginePeak(graph, nodes);
+        }
+    }
+    for (std::uint32_t tasks : {4u, 7u}) {
+        ComputationGraph graph = buildOfasys({.numTasks = tasks});
+        for (std::uint32_t nodes : {1u, 2u, 4u}) {
+            SCOPED_TRACE(strCat("OFASys/", tasks, "T @ ", nodes, " nodes"));
+            expectPlacementBoundsEnginePeak(graph, nodes);
+        }
+    }
+    ComputationGraph qwen = buildQwenVal({});
+    for (std::uint32_t nodes : {4u, 8u}) {
+        SCOPED_TRACE(strCat("QWen-VAL-9B @ ", nodes, " nodes"));
+        expectPlacementBoundsEnginePeak(qwen, nodes);
+    }
+}
+
+TEST(PlacementMemoryBound, Tab2LargerScaleZero3)
+{
+    PlannerOptions options;
+    options.memory.zeroShardParams = true;
+    for (QwenValConfig::Size size :
+         {QwenValConfig::Size::B30, QwenValConfig::Size::B70}) {
+        SCOPED_TRACE(size == QwenValConfig::Size::B30 ? "30B" : "70B");
+        expectPlacementBoundsEnginePeak(
+            buildQwenVal({.size = size, .batch = 128}), 32, options);
+    }
+}
+
 } // namespace
 } // namespace spindle

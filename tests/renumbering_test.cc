@@ -123,8 +123,7 @@ TEST(Renumbering, IslandAwareMemoryFirstPassIsEquivariant)
 
     bool exercised = false;
     for (double frac : {0.999, 0.95, 0.9, 0.85, 0.8, 0.75}) {
-        const double hbm =
-            peak * frac / PlacementOptions{}.memorySlack;
+        const double hbm = peak * frac / kMemorySlack;
         ClusterConfig ca = contiguousConfig();
         ClusterConfig cb = stripedConfig();
         ca.device.memoryBytes = hbm;

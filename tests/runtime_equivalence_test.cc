@@ -13,7 +13,7 @@
  *
  * Also pins the corrected overlap-mode bucketed-overlap charge
  * (regression: the credit used to be charged against the whole
- * all-reduce even when minSyncFraction clamping fired, undercharging
+ * all-reduce even when kMinSyncFraction clamping fired, undercharging
  * the clamped exposed sync).
  */
 
@@ -58,8 +58,7 @@ expectIdenticalTimelines(const Timeline &a, const Timeline &b)
  */
 IterationResult
 frozenStrictFlatRun(const HardwareModel &hw, const MetaGraph &graph,
-                    const ExecutionPlan &plan,
-                    const EngineOptions &options)
+                    const ExecutionPlan &plan)
 {
     IterationResult result;
     if (plan.waves.empty())
@@ -127,7 +126,7 @@ frozenStrictFlatRun(const HardwareModel &hw, const MetaGraph &graph,
                                             forward ? "fwd" : "bwd");
                     wave_end = std::max(wave_end, end);
                 }
-                clock = wave_end + options.waveBarrier;
+                clock = wave_end + kWaveBarrier;
             }
         }
     };
@@ -149,9 +148,9 @@ frozenStrictFlatRun(const HardwareModel &hw, const MetaGraph &graph,
         sync_end = std::max(sync_end, end);
     }
     const double sync_raw = sync_end - t_sync;
-    const double sync_eff = std::clamp(
-        sync_raw - options.syncOverlapFraction * bwd_span,
-        options.minSyncFraction * sync_raw, sync_raw);
+    const double sync_eff =
+        std::clamp(sync_raw - kSyncOverlapFraction * bwd_span,
+                   kMinSyncFraction * sync_raw, sync_raw);
 
     result.iterationSeconds = t_sync + sync_eff;
     result.breakdown.sync = sync_eff;
@@ -190,8 +189,7 @@ TEST(RuntimeEquivalence, FlatRingStrictBarrierMatchesFrozenReference)
 
             EngineOptions options;
             options.collective = CollectiveKind::FlatRing;
-            IterationResult frozen =
-                frozenStrictFlatRun(hw, meta, out.plan, options);
+            IterationResult frozen = frozenStrictFlatRun(hw, meta, out.plan);
             IterationResult now =
                 Engine(hw, MemoryParams{}, options).run(meta, out.plan);
 
@@ -217,7 +215,6 @@ void
 expectOverlapSyncTailMatchesReference(const HardwareModel &hw,
                                       const MetaGraph &graph,
                                       const ExecutionPlan &plan,
-                                      const EngineOptions &options,
                                       const IterationResult &run)
 {
     // Split the timeline: all sync records follow the fwd/bwd phase.
@@ -277,8 +274,7 @@ expectOverlapSyncTailMatchesReference(const HardwareModel &hw,
     EXPECT_EQ(run.iterationSeconds, bwd_end + run.breakdown.sync);
     EXPECT_LE(run.breakdown.sync, sync_raw + 1e-15);
     EXPECT_GE(run.breakdown.sync,
-              std::min(sync_raw,
-                       options.minSyncFraction * whole_max) -
+              std::min(sync_raw, kMinSyncFraction * whole_max) -
                   1e-15);
 }
 
@@ -296,8 +292,7 @@ TEST(RuntimeEquivalence, FlatRingOverlapSyncTailMatchesFrozenReference)
         options.collective = CollectiveKind::FlatRing;
         Engine engine(hw, MemoryParams{}, options);
         IterationResult run = engine.run(meta, out.plan);
-        expectOverlapSyncTailMatchesReference(hw, meta, out.plan,
-                                              options, run);
+        expectOverlapSyncTailMatchesReference(hw, meta, out.plan, run);
 
         // Determinism of the whole timeline, sync tail included.
         IterationResult again = engine.run(meta, out.plan);
@@ -484,9 +479,9 @@ TEST(RuntimeEquivalence, OverlapChargePinsClampedExposedSync)
 {
     // Regression (charge-order fix): under the overlap policy the
     // bucketed-overlap credit used to be charged against the whole
-    // all-reduce even when minSyncFraction clamping fired, pinning
-    // the clamped exposed sync to minSyncFraction * residual tail
-    // instead of minSyncFraction * the slowest whole all-reduce.
+    // all-reduce even when kMinSyncFraction clamping fired, pinning
+    // the clamped exposed sync to kMinSyncFraction * residual tail
+    // instead of kMinSyncFraction * the slowest whole all-reduce.
     ComputationGraph graph = fig3Workload();
     MetaGraph meta = contractGraph(graph);
     ClusterTopology topo = smallCluster(2);
@@ -496,8 +491,6 @@ TEST(RuntimeEquivalence, OverlapChargePinsClampedExposedSync)
     EngineOptions options;
     options.dispatch = DispatchPolicyKind::Overlap;
     options.collective = CollectiveKind::FlatRing;
-    options.syncOverlapFraction = 1.0; // whole bwd span as credit
-    options.minSyncFraction = 0.5;     // large unoverlappable tail
     Engine engine(hw, MemoryParams{}, options);
     IterationResult run = engine.run(meta, out.plan);
 
@@ -524,16 +517,14 @@ TEST(RuntimeEquivalence, OverlapChargePinsClampedExposedSync)
     // The whole backward span dwarfs the sync tail on this workload,
     // so the clamp fires; the pinned value is the floor over the
     // slowest *whole* collective (capped by the residual tail).
-    const double pinned =
-        std::min(sync_raw, options.minSyncFraction * whole_max);
+    const double pinned = std::min(sync_raw, kMinSyncFraction * whole_max);
     EXPECT_DOUBLE_EQ(run.breakdown.sync, pinned);
 
     // The fix must matter here: early release hid part of the
     // slowest collective, so the buggy floor (over the residual
     // tail) would have undercharged.
     ASSERT_LT(sync_raw, whole_max);
-    EXPECT_GT(run.breakdown.sync,
-              options.minSyncFraction * sync_raw);
+    EXPECT_GT(run.breakdown.sync, kMinSyncFraction * sync_raw);
 }
 
 } // namespace

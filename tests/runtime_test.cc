@@ -158,21 +158,9 @@ TEST_F(RuntimeFixture, PeakMemoryDedupsSharedParameters)
     // Total hosted parameter state cannot exceed a full replica per
     // device (the decoupled upper bound).
     double replica =
-        graph.totalUniqueParamBytes() * (1 + mem.params().optimizerFactor);
+        graph.totalUniqueParamBytes() * (1 + kOptimizerFactor);
     for (double b : peak)
         EXPECT_LE(b, replica);
-}
-
-TEST_F(RuntimeFixture, SyncOverlapReducesExposedCost)
-{
-    EngineOptions no_overlap;
-    no_overlap.syncOverlapFraction = 0.0;
-    no_overlap.minSyncFraction = 1.0;
-    Engine raw(hw, MemoryParams{}, no_overlap);
-    Engine overlapped(hw);
-    double t_raw = raw.run(meta, out.plan).breakdown.sync;
-    double t_ovl = overlapped.run(meta, out.plan).breakdown.sync;
-    EXPECT_LE(t_ovl, t_raw);
 }
 
 TEST_F(RuntimeFixture, OverlapPolicyBreakdownIsConsistent)
