@@ -16,8 +16,8 @@
  *    coordinator's shared PlanCache serves every recovery replan as a
  *    full hit; the mean full-hit recovery replan must beat a cold
  *    from-scratch plan() on the same surviving topology by >= 3x
- *    (gated in CI via check_bench_regression.py `recovery` mode
- *    against bench/baseline_recovery.json).
+ *    (gated in CI by scripts/check_bench_regression.py against
+ *    bench/baseline_recovery.json).
  *
  * Emits BENCH_recovery.json (override the path with the
  * SPINDLE_BENCH_JSON environment variable).

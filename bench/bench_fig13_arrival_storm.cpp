@@ -10,8 +10,8 @@
  * incremental path must (a) emit plans byte-identical to plan() —
  * checked here on sampled events, exhaustively in
  * planner_equivalence_test — and (b) beat from-scratch latency by
- * >= 10x at 256 GPUs (gated in CI via check_bench_regression.py
- * `replan` mode against bench/baseline_replan.json).
+ * >= 10x at 256 GPUs (gated in CI by check_bench_regression.py
+ * against bench/baseline_replan.json).
  *
  * Emits BENCH_replan.json (override the path with the
  * SPINDLE_BENCH_JSON environment variable).

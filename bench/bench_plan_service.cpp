@@ -16,7 +16,7 @@
  * Emits BENCH_service.json (override the path with SPINDLE_BENCH_JSON)
  * with requests / seconds / rps / full_hit_rate / mismatches /
  * speedup_vs_serial per worker count. CI gates, via
- * check_bench_regression.py `service` mode against
+ * scripts/check_bench_regression.py against
  * bench/baseline_service.json:
  *   - mismatches == 0 and the full-hit-rate floor, on any runner
  *     (deterministic values);

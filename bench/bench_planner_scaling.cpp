@@ -19,8 +19,7 @@
  * on the calling thread. Results are written as BENCH_planner.json
  * (path overridable via SPINDLE_BENCH_JSON) for trajectory tracking
  * and the CI perf smoke job — see scripts/check_bench_regression.py
- * (planner mode for the wall-clock budgets, planner-stress mode for
- * the 512-GPU fallback lane).
+ * (the wall-clock budgets and the 512-GPU fallback lane).
  */
 
 #include <benchmark/benchmark.h>
@@ -163,7 +162,7 @@ planAtScale(benchmark::State &state, const WorkloadCase &wl)
  * wall-clock benchmark. The record carries the fallback facts
  * (used_fallback, fallback_restart_wave) as value gates plus
  * plan_seconds for the wall-clock budget, all gated on every runner
- * (scripts/check_bench_regression.py, planner-stress mode).
+ * (scripts/check_bench_regression.py).
  */
 void
 placementStress512(benchmark::State &state)

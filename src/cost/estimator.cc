@@ -48,7 +48,6 @@ ScalabilityEstimator::profilePoints(const MetaOp &m,
 double
 ScalabilityEstimator::probe(const MetaOp &m, std::uint32_t n) const
 {
-    num_probes_.fetch_add(1, std::memory_order_relaxed);
     double t = hw_.metaOpTime(m, n);
     if (options_.noiseStdFrac > 0) {
         // Deterministic per-(MetaOp, n) noise stream so repeated

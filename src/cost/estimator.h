@@ -13,7 +13,6 @@
 #ifndef SPINDLE_COST_ESTIMATOR_H
 #define SPINDLE_COST_ESTIMATOR_H
 
-#include <atomic>
 #include <vector>
 
 #include "cost/scaling_curve.h"
@@ -69,9 +68,6 @@ class ScalabilityEstimator
     std::vector<std::uint32_t> profilePoints(const MetaOp &m,
                                              std::uint32_t max_devices) const;
 
-    /** Number of oracle probes issued so far (profiling cost proxy). */
-    std::uint64_t numProbes() const { return num_probes_.load(); }
-
     const HardwareModel &hardware() const { return hw_; }
     const EstimatorOptions &options() const { return options_; }
 
@@ -80,9 +76,6 @@ class ScalabilityEstimator
 
     const HardwareModel &hw_;
     EstimatorOptions options_;
-
-    /** Atomic: the planner estimates MetaOps from several lanes. */
-    mutable std::atomic<std::uint64_t> num_probes_{0};
 };
 
 } // namespace spindle

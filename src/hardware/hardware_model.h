@@ -165,8 +165,9 @@ class HardwareModel
 
     /** Memo of bestConfig() answers (planner hot path; placement
      *  asks for the same (MetaOp workload, n) hundreds of times).
-     *  Pure-function cache — never stale; striped-lock, so the
-     *  parallel estimator / placement lanes may query concurrently. */
+     *  Pure-function cache — never stale; striped-lock, so planners
+     *  running on concurrent PlanService workers may query it
+     *  concurrently. */
     StripedMemo<OpSignature, ParallelConfig, OpSignatureHash>
         best_config_memo_;
 

@@ -281,13 +281,4 @@ PlanCache::addStats(const Stats &delta)
     add(stats_.evictions, delta.evictions);
 }
 
-std::size_t
-PlanCache::numPlans(std::uint64_t ctx) const
-{
-    Stripe &s = stripeOf(ctx);
-    std::lock_guard<std::mutex> lk(s.mu);
-    auto it = s.contexts.find(ctx);
-    return it == s.contexts.end() ? 0 : it->second.plans.size();
-}
-
 } // namespace spindle

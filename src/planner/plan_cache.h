@@ -253,9 +253,6 @@ class PlanCache
      *  counters — how replan() publishes its per-call accounting. */
     void addStats(const Stats &delta);
 
-    /** Plans currently cached for @p ctx (tests/bench introspection). */
-    std::size_t numPlans(std::uint64_t ctx) const;
-
   private:
     struct Context
     {

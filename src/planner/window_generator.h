@@ -146,17 +146,6 @@ struct CandidateWindows
             scratch[i].clear();
     }
 
-    /** Move the last @p count extras back into the pool (used by
-     *  generators that emit-then-dedupe). */
-    void
-    dropLastExtras(std::size_t count)
-    {
-        for (std::size_t i = 0; i < count; ++i) {
-            pool_.push_back(std::move(extras.back()));
-            extras.pop_back();
-        }
-    }
-
   private:
     void
     recycle(std::vector<std::vector<std::uint32_t>> &from)

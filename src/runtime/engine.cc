@@ -93,12 +93,12 @@ Engine::Engine(const HardwareModel &hw, MemoryParams mem_params,
              "at least one attempt; raising to 1");
         rec.maxReplanAttempts = 1;
     }
-    if (rec.maxReplanAttempts > 3) {
+    if (rec.maxReplanAttempts > 2) {
         warn(strCat("Engine: recovery.maxReplanAttempts = ",
                     rec.maxReplanAttempts,
-                    " exceeds the three-rung replan cascade; clamping "
-                    "to 3"));
-        rec.maxReplanAttempts = 3;
+                    " exceeds the two-rung replan cascade; clamping "
+                    "to 2"));
+        rec.maxReplanAttempts = 2;
     }
     if (rec.retryBackoff < 1) {
         warn(strCat("Engine: recovery.retryBackoff = ", rec.retryBackoff,

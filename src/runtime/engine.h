@@ -115,12 +115,12 @@ struct RecoveryOptions
     double restartSeconds = 2.0;
 
     /**
-     * Attempts in the replan cascade (prefix-reusing replan -> cold
-     * replan -> memory-first replan) before the best feasible plan
-     * so far is accepted. The cascade has three rungs: zero is
-     * clamped to 1 and values above 3 to 3, each with a warning.
+     * Attempts in the replan cascade (prefix-reusing replan ->
+     * memory-first replan) before the final candidate is accepted.
+     * The cascade has two rungs: zero is clamped to 1 and values
+     * above 2 to 2, each with a warning.
      */
-    std::uint32_t maxReplanAttempts = 3;
+    std::uint32_t maxReplanAttempts = 2;
 
     /**
      * Multiplier on restartSeconds per extra attempt (exponential

@@ -207,10 +207,12 @@ RecoveryCoordinator::run(const FaultPlan &faults,
         ep.iterationSecondsBefore = before;
         ep.detectionSeconds = rec.detectionSeconds;
 
-        // Bounded retry cascade: prefix-reusing replan() -> cold
-        // plan() -> memory-first plan(). First candidate that fits
-        // device memory wins; an exhausted cascade accepts the final
-        // candidate with a warning (degraded training beats none).
+        // Bounded retry cascade: prefix-reusing replan() ->
+        // memory-first plan(). A cold plan() would re-plan the exact
+        // bytes replan() just produced (the two are byte-identical),
+        // so it is no rung. First candidate that fits device memory
+        // wins; an exhausted cascade accepts the final candidate
+        // with a warning (degraded training beats none).
         PlannerOutput candidate;
         bool accepted = false;
         for (std::uint32_t a = 0; a < rec.maxReplanAttempts && !accepted;
@@ -219,9 +221,6 @@ RecoveryCoordinator::run(const FaultPlan &faults,
                 rec.restartSeconds * std::pow(rec.retryBackoff, a);
             if (a == 0) {
                 candidate = ns.planner.replan(graph_);
-            } else if (a == 1) {
-                ep.usedColdPlan = true;
-                candidate = ns.planner.plan(graph_);
             } else {
                 ep.usedMemoryFallback = true;
                 PlannerOptions mopts = planner_options_;
@@ -256,7 +255,6 @@ RecoveryCoordinator::run(const FaultPlan &faults,
 
         stats_.episodes += 1;
         stats_.totalAttempts += ep.attempts;
-        stats_.coldReplans += ep.usedColdPlan ? 1 : 0;
         stats_.memoryFallbacks += ep.usedMemoryFallback ? 1 : 0;
         stats_.totalDetectionSeconds += ep.detectionSeconds;
         stats_.totalRestartSeconds += ep.restartSeconds;

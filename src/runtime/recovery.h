@@ -14,11 +14,11 @@
  *    derives the surviving island graph with
  *    ClusterTopology::withoutDevices(), charges the configured
  *    detection + restart penalties, and replans the workload through
- *    a bounded retry cascade: prefix-reusing replan() first, a cold
- *    plan() second, a memory-first plan() (placement memory weight
- *    boosted) last — accepting the first candidate that fits device
- *    memory, or the final candidate with a warning when the cascade
- *    exhausts (graceful degradation beats stopping training);
+ *    a bounded retry cascade: prefix-reusing replan() first, a
+ *    memory-first plan() (placement memory weight boosted) second —
+ *    accepting the first candidate that fits device memory, or the
+ *    final candidate with a warning when the cascade exhausts
+ *    (graceful degradation beats stopping training);
  *  - all shapes share one PlanCache: contexts are keyed by topology
  *    fingerprint, so a recurring degraded shape (flapping device,
  *    symmetric failure) is served as a cache full hit instead of a
@@ -69,9 +69,6 @@ struct RecoveryOutcome
     /** Replan attempts consumed (1 = first replan() fit). */
     std::uint32_t attempts = 0;
 
-    /** Cascade reached the cold plan() rung. */
-    bool usedColdPlan = false;
-
     /** Cascade reached the memory-first rung. */
     bool usedMemoryFallback = false;
 
@@ -115,7 +112,6 @@ struct RecoveryStats
 {
     std::uint32_t episodes = 0;
     std::uint32_t totalAttempts = 0;
-    std::uint32_t coldReplans = 0;      ///< episodes past the replan() rung
     std::uint32_t memoryFallbacks = 0;  ///< episodes on the last rung
     std::uint32_t degradedAccepts = 0;  ///< cascade exhausted, accepted anyway
     std::uint32_t rejoinedDevices = 0;  ///< boundary rejoin events applied

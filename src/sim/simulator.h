@@ -75,9 +75,6 @@ class Simulator
     /** All failed device ids, ascending. */
     DeviceSet failedDevices() const;
 
-    /** Number of failed devices. */
-    std::uint32_t numFailed() const { return num_failed_; }
-
     /**
      * Reserve @p group for @p duration seconds, starting at the
      * later of @p earliest and the group's free time. Total

@@ -283,7 +283,6 @@ TEST(Chaos, RecoveryStatsAddUp)
     // First attempt fit: exactly one restart charge, no backoff.
     EXPECT_EQ(ep.attempts, 1u);
     EXPECT_DOUBLE_EQ(ep.restartSeconds, 1.0);
-    EXPECT_FALSE(ep.usedColdPlan);
     EXPECT_FALSE(ep.usedMemoryFallback);
     EXPECT_TRUE(ep.fit);
     EXPECT_GT(ep.replanSeconds, 0);
@@ -301,6 +300,44 @@ TEST(Chaos, RecoveryStatsAddUp)
                             r.iterations[0].iterationSeconds +
                             r.iterations[1].iterationSeconds;
     EXPECT_NEAR(r.totalSeconds, expected, 1e-9);
+}
+
+TEST(Chaos, CascadeExhaustsAfterReplanAndMemoryFirstRungs)
+{
+    // Sequential placement has no capacity check, so on 1 MiB devices
+    // every candidate oversubscribes memory: the cascade runs both
+    // rungs (replan(), then the memory-first plan()), charges one
+    // backed-off restart per rung and accepts the last candidate.
+    ComputationGraph g = fig3Workload();
+    MetaGraph meta = contractGraph(g);
+    ClusterConfig cfg;
+    cfg.numNodes = 2;
+    cfg.gpusPerNode = 8;
+    cfg.device.memoryBytes = 1 << 20;
+    ClusterTopology topo(cfg);
+    HardwareModel hw(topo);
+
+    PlannerOptions popts;
+    popts.placement.strategy = PlacementStrategy::Sequential;
+    EngineOptions eopts;
+    eopts.recovery.restartSeconds = 1.0;
+    eopts.recovery.retryBackoff = 3.0;
+
+    FaultPlan faults;
+    for (DeviceId d = 0; d < 4; ++d)
+        faults.events.push_back({0, 0.4, FaultKind::DeviceFail, d});
+
+    RecoveryCoordinator coord(hw, meta, popts, {}, eopts);
+    const FaultedRunResult r = coord.run(faults, 1);
+    ASSERT_EQ(r.recovery.episodes, 1u);
+    const RecoveryOutcome &ep = r.recovery.outcomes[0];
+    EXPECT_EQ(ep.attempts, 2u);
+    EXPECT_TRUE(ep.usedMemoryFallback);
+    EXPECT_FALSE(ep.fit);
+    EXPECT_EQ(r.recovery.degradedAccepts, 1u);
+    EXPECT_EQ(r.recovery.memoryFallbacks, 1u);
+    // r * (1 + b): one restart per rung, the second backed off once.
+    EXPECT_DOUBLE_EQ(ep.restartSeconds, 1.0 * (1 + 3.0));
 }
 
 TEST(Chaos, ChaosInjectorIsDeterministicPerSeed)

@@ -412,11 +412,11 @@ TEST(EngineOptionsClamp, WarnsAndClampsRecoveryKnobs)
     EXPECT_EQ(clamped.options().recovery.maxReplanAttempts, 1u);
     EXPECT_EQ(clamped.options().recovery.retryBackoff, 1.0);
 
-    // The replan cascade has three rungs; a larger budget is capped.
+    // The replan cascade has two rungs; a larger budget is capped.
     EngineOptions deep;
-    deep.recovery.maxReplanAttempts = 5; // clamped to 3
+    deep.recovery.maxReplanAttempts = 5; // clamped to 2
     Engine capped(hw, MemoryParams{}, deep);
-    EXPECT_EQ(capped.options().recovery.maxReplanAttempts, 3u);
+    EXPECT_EQ(capped.options().recovery.maxReplanAttempts, 2u);
 
     // In-range values pass through untouched.
     EngineOptions good;

@@ -540,14 +540,6 @@ TEST(Placement, CandidateWindowPoolRecyclesCapacity)
     EXPECT_TRUE(band.empty());
     EXPECT_TRUE(extra.empty());
     EXPECT_EQ(band.capacity() + extra.capacity(), pooled_cap);
-
-    // dropLastExtras (the emit-then-dedupe path) also recycles: the
-    // dropped vector's storage resurfaces on the next append.
-    extra.assign(512, 2u);
-    const std::size_t dropped_cap = extra.capacity();
-    cw.dropLastExtras(1);
-    EXPECT_TRUE(cw.extras.empty());
-    EXPECT_EQ(cw.appendExtra().capacity(), dropped_cap);
 }
 
 TEST(Placement, SequentialStrategyIgnoresMemoryBalance)
