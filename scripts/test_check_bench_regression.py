@@ -60,6 +60,7 @@ PLAN256 = "CLIP-10/gpus=256"
 PLAN1024 = "CLIP-10/gpus=1024"
 PLAN2048 = "CLIP-10/gpus=2048"
 PLAN4096 = "CLIP-10/gpus=4096"
+HETERO2048 = "QWenVAL-70B-hetero/gpus=2048"
 STRESS = "QWenVAL-stress/gpus=512"
 COLL_FLAT = "Multitask-CLIP/4T/2Nodes(16GPUs)/strict"
 COLL_HETERO = "Multitask-CLIP/4T/hetero16(12+4,50G)/strict"
@@ -140,6 +141,10 @@ CASES = [
      scale("engine_seconds", 3), None, 1, {PLAN4096}, None),
     ("planner", "engine field missing", PLAN4096,
      drop("engine_seconds"), None, 1, {PLAN4096}, None),
+    ("planner", "ZeRO-3 engine over budget", HETERO2048,
+     scale("engine_seconds", 3), None, 1, {HETERO2048}, None),
+    ("planner", "ZeRO-3 engine field missing", HETERO2048,
+     drop("engine_seconds"), None, 1, {HETERO2048}, None),
     ("planner", "serial tail not a phase", PLAN2048,
      setf("serial_tail_phase", "lunch"), None, 1, {PLAN2048}, None),
     ("planner", "serial tail moved", PLAN1024,

@@ -26,19 +26,19 @@ GroupDecomposition
 decomposeByIsland(const ClusterTopology &topo, const DeviceSet &group)
 {
     GroupDecomposition out;
-    // Bucket members by island. Groups are canonical (ascending), so
-    // each bucket's devices come out ascending and the first member
-    // appended to a bucket is its lowest id — the elected leader.
+    // Bucket members by island, through a per-island bucket slot.
+    // Groups are canonical (ascending), so each bucket's devices come
+    // out ascending and the first member appended to a bucket is its
+    // lowest id — the elected leader.
+    constexpr std::size_t kNoBucket = ~std::size_t{0};
+    std::vector<std::size_t> bucket(topo.numIslands(), kNoBucket);
     for (DeviceId d : group) {
         const std::uint32_t island = topo.islandOf(d);
-        auto it = std::find_if(out.islands.begin(), out.islands.end(),
-                               [island](const IslandGroup &g) {
-                                   return g.island == island;
-                               });
-        if (it == out.islands.end()) {
+        if (bucket[island] == kNoBucket) {
+            bucket[island] = out.islands.size();
             out.islands.push_back({island, {d}, d});
         } else {
-            it->devices.push_back(d);
+            out.islands[bucket[island]].devices.push_back(d);
         }
     }
     std::sort(out.islands.begin(), out.islands.end(),

@@ -1,10 +1,9 @@
 #include "runtime/engine.h"
 
 #include <algorithm>
-#include <map>
+#include <chrono>
 #include <memory>
 #include <numeric>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -16,24 +15,57 @@ namespace spindle {
 
 namespace {
 
+using clock_type = std::chrono::steady_clock;
+
+/** Adds the seconds of its lifetime to @p acc on destruction. */
+class PhaseTimer
+{
+  public:
+    explicit PhaseTimer(double &acc) : acc_(acc) {}
+    ~PhaseTimer()
+    {
+        acc_ += std::chrono::duration<double>(clock_type::now() - start_)
+                    .count();
+    }
+
+  private:
+    double &acc_;
+    clock_type::time_point start_ = clock_type::now();
+};
+
 /**
  * Everything one plan needs to execute on a shared simulator. The
  * same bundle serves the base iteration and every mid-iteration
- * arrival, so all plans dispatch on an identical substrate.
+ * arrival, so all plans dispatch on an identical substrate. Its
+ * transmission and parameter-group builds are timed into @p phases.
  */
 struct PlanExecution
 {
     PlanExecution(Simulator &sim, const HardwareModel &hw,
                   const MetaGraph &graph, const ExecutionPlan &plan,
-                  const EngineOptions &options)
-        : trans(sim, hw.collectives(), graph, plan),
-          pool(ParameterGroupPool::build(graph, plan, &hw.topology())),
+                  const EngineOptions &options, EnginePhaseSeconds &phases)
+        // Each timed lambda returns a prvalue that initializes its
+        // member in place; its timer stops once the member is built.
+        : trans([&] {
+              PhaseTimer timer(phases.transmissions);
+              return TransmissionExecutor(sim, hw.collectives(), graph,
+                                          plan);
+          }()),
+          holders([&] {
+              PhaseTimer timer(phases.paramGroups);
+              return ParamHolderIndex::build(graph, plan);
+          }()),
+          pool([&] {
+              PhaseTimer timer(phases.paramGroups);
+              return ParameterGroupPool::build(holders, &hw.topology());
+          }()),
           dispatcher(sim, hw, graph, plan, options, trans),
           syncer(sim, hw.collectives(), pool, options)
     {
     }
 
     TransmissionExecutor trans;
+    ParamHolderIndex holders;
     ParameterGroupPool pool;
     WaveDispatcher dispatcher;
     SyncExecutor syncer;
@@ -131,8 +163,17 @@ Engine::runWithFaults(const MetaGraph &graph, const ExecutionPlan &plan,
                       const std::vector<TaskArrival> &arrivals,
                       std::vector<double> *arrival_end) const
 {
+    const clock_type::time_point run_start = clock_type::now();
     FaultedIterationResult out;
     IterationResult &result = out.result;
+    EnginePhaseSeconds &phases = result.phaseSeconds;
+    // Dispatch + sync is the remainder of the run's wall-clock.
+    const auto close_phases = [&] {
+        phases.dispatchSync =
+            std::chrono::duration<double>(clock_type::now() - run_start)
+                .count() -
+            phases.transmissions - phases.paramGroups - phases.memory;
+    };
     if (arrival_end)
         arrival_end->clear();
     if (plan.waves.empty()) {
@@ -142,12 +183,13 @@ Engine::runWithFaults(const MetaGraph &graph, const ExecutionPlan &plan,
                 "runDynamic: arrivals with an empty base plan");
         panicIf(!faults.empty(),
                 "runWithFaults: faults with an empty base plan");
+        close_phases();
         return out;
     }
 
     Simulator sim(plan.numDevices);
     // The base iteration registers its events immediately...
-    PlanExecution base(sim, hw_, graph, plan, options_);
+    PlanExecution base(sim, hw_, graph, plan, options_, phases);
     startExecution(base, 0.0);
     const DeviceSet base_devices = planDevices(plan);
 
@@ -206,7 +248,7 @@ Engine::runWithFaults(const MetaGraph &graph, const ExecutionPlan &plan,
         panicIf(a.plan->waves.empty(), "runDynamic: empty arrival plan");
         arrival_devices[idx] = planDevices(*a.plan);
         injected[idx] = std::make_unique<PlanExecution>(
-            sim, hw_, *a.graph, *a.plan, options_);
+            sim, hw_, *a.graph, *a.plan, options_, phases);
         PlanExecution *exec = injected[idx].get();
         const double at = a.time;
         sim.queue().schedule(at, [&out, &sim, &started, &arrival_devices,
@@ -235,7 +277,11 @@ Engine::runWithFaults(const MetaGraph &graph, const ExecutionPlan &plan,
 
     sim.queue().run();
     out.failedDevices = sim.failedDevices();
-    result.peakMemoryBytes = peakMemoryPerDevice(graph, plan, hw_, mem_);
+    {
+        PhaseTimer timer(phases.memory);
+        result.peakMemoryBytes =
+            peakMemoryPerDevice(base.holders, graph, hw_, mem_);
+    }
 
     if (!out.completed) {
         // A fault aborted the iteration: every started interval is
@@ -259,6 +305,7 @@ Engine::runWithFaults(const MetaGraph &graph, const ExecutionPlan &plan,
         }
         result.timeline = std::move(clipped);
         result.iterationSeconds = t_f;
+        close_phases();
         return out;
     }
 
@@ -315,6 +362,7 @@ Engine::runWithFaults(const MetaGraph &graph, const ExecutionPlan &plan,
 
     // sim is local and done: hand its timeline over without a copy.
     result.timeline = std::move(sim.timeline());
+    close_phases();
     return out;
 }
 
@@ -322,68 +370,71 @@ std::vector<double>
 peakMemoryPerDevice(const MetaGraph &graph, const ExecutionPlan &plan,
                     const HardwareModel &hw, const MemoryModel &mem)
 {
-    // Pass 1: the parameter device group of every key (the union of
-    // devices hosting it, §3.6 step 3) — ZeRO shards optimizer state
-    // across the *group*, not just one entry's DP width.
-    std::map<std::int64_t, DeviceSet> group_of;
-    for (const Wave &w : plan.waves) {
-        for (const WaveEntry &e : w.entries) {
-            panicIf(e.devices.empty(),
-                    "peakMemoryPerDevice: plan is not placed");
-            const MetaOp &m = graph.metaOp(e.metaOp);
-            for (std::int64_t i = 0; i < e.numOps; ++i) {
-                const OperatorDesc &op =
-                    graph.base().op(m.ops[e.opBegin + i]);
-                if (op.paramBytes <= 0)
-                    continue;
-                const std::int64_t key = paramDedupKey(op);
-                group_of[key] = unionOf(group_of[key], e.devices);
-            }
-        }
+    return peakMemoryPerDevice(ParamHolderIndex::build(graph, plan), graph,
+                               hw, mem);
+}
+
+std::vector<double>
+peakMemoryPerDevice(const ParamHolderIndex &index, const MetaGraph &graph,
+                    const HardwareModel &hw, const MemoryModel &mem)
+{
+    const std::vector<const WaveEntry *> &entries = index.entries;
+    std::vector<double> peak(index.numDevices, 0.0);
+
+    // Activations, stashed until the backward pass.
+    std::vector<ParallelConfig> cfg(entries.size());
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        const WaveEntry &e = *entries[i];
+        const MetaOp &m = graph.metaOp(e.metaOp);
+        cfg[i] = hw.bestConfig(memberDesc(m), e.n);
+        const double act = mem.activationBytesPerDevice(m, e.numOps, cfg[i]);
+        for (DeviceId d : e.devices)
+            peak[d] += act;
     }
 
-    // Pass 2: per device, parameter state deduplicated by key plus
-    // all activations stashed until the backward pass.
-    std::vector<std::unordered_map<std::int64_t, double>> params(
-        plan.numDevices);
-    std::vector<double> act(plan.numDevices, 0.0);
-    for (const Wave &w : plan.waves) {
-        for (const WaveEntry &e : w.entries) {
-            const MetaOp &m = graph.metaOp(e.metaOp);
-            const ParallelConfig cfg = hw.bestConfig(memberDesc(m), e.n);
-            const double act_share =
-                mem.activationBytesPerDevice(m, e.numOps, cfg);
-            for (DeviceId d : e.devices) {
-                act[d] += act_share;
-                for (std::int64_t i = 0; i < e.numOps; ++i) {
-                    const OperatorDesc &op =
-                        graph.base().op(m.ops[e.opBegin + i]);
-                    if (op.paramBytes <= 0)
-                        continue;
-                    const std::int64_t key = paramDedupKey(op);
-                    const double group_size =
-                        static_cast<double>(group_of[key].size());
-                    const double shard =
-                        op.paramBytes / cfg.tp /
-                        (mem.params().zeroShardParams ? cfg.dp : 1.0);
-                    const double share =
-                        shard + op.paramBytes * kOptimizerFactor /
-                                    (mem.params().zeroShardOptimizer
-                                         ? group_size
-                                         : cfg.tp);
-                    auto [it, inserted] = params[d].emplace(key, share);
-                    if (!inserted && share > it->second)
-                        it->second = share;
+    // Parameter state of keys held by one entry: the same share on
+    // each of its devices, so summed once per entry.
+    std::vector<double> entry_state(entries.size(), 0.0);
+    std::vector<std::size_t> shared;
+    for (std::size_t k = 0; k < index.holders.size(); ++k) {
+        const std::vector<ParamHolder> &hs = index.holders[k];
+        if (hs.size() > 1) {
+            shared.push_back(k);
+            continue;
+        }
+        entry_state[hs[0].entry] += mem.paramStateShareBytes(
+            hs[0].bytes, cfg[hs[0].entry], index.groupSize(k));
+    }
+    for (std::size_t i = 0; i < entries.size(); ++i)
+        if (entry_state[i] != 0)
+            for (DeviceId d : entries[i]->devices)
+                peak[d] += entry_state[i];
+
+    // Keys held by several entries: each device stores the largest
+    // share among the holders it belongs to, found with a per-key
+    // stamp instead of a per-device map.
+    std::vector<std::uint32_t> stamp(index.numDevices, 0);
+    std::vector<double> share(index.numDevices, 0.0);
+    std::vector<DeviceId> touched;
+    std::uint32_t tag = 0;
+    for (std::size_t k : shared) {
+        ++tag;
+        for (const ParamHolder &h : index.holders[k]) {
+            const double s = mem.paramStateShareBytes(h.bytes, cfg[h.entry],
+                                                      index.groupSize(k));
+            for (DeviceId d : entries[h.entry]->devices) {
+                if (stamp[d] != tag) {
+                    stamp[d] = tag;
+                    share[d] = s;
+                    touched.push_back(d);
+                } else if (s > share[d]) {
+                    share[d] = s;
                 }
             }
         }
-    }
-
-    std::vector<double> peak(plan.numDevices, 0.0);
-    for (std::uint32_t d = 0; d < plan.numDevices; ++d) {
-        peak[d] = act[d];
-        for (const auto &[key, bytes] : params[d])
-            peak[d] += bytes;
+        for (DeviceId d : touched)
+            peak[d] += share[d];
+        touched.clear();
     }
     return peak;
 }

@@ -5,8 +5,9 @@
  *
  * One training iteration is dispatched as a dependency graph of
  * events on the cluster simulator rather than a sequence of global
- * barriers: the engine builds transmissions and the parameter
- * device-group pool, then hands the placed plan to a WaveDispatcher
+ * barriers: the engine builds transmissions and one parameter-holder
+ * index per plan (which feeds both the device-group pool and the
+ * memory ledger), then hands the placed plan to a WaveDispatcher
  * that registers wave events on the discrete-event queue.
  * EngineOptions::dispatch selects the admission order —
  * StrictBarrier (default) reproduces lockstep wave-by-wave execution
@@ -59,7 +60,6 @@ struct TimeBreakdown
     double total() const { return fwdBwd + sync + sendRecv; }
 };
 
-/** Everything one simulated training iteration yields. */
 /** The worst device of a plan that does not fit device memory. */
 struct Oversubscription
 {
@@ -68,6 +68,27 @@ struct Oversubscription
     double capacityBytes = 0; ///< device HBM it exceeds
 };
 
+/**
+ * Wall-clock the engine spent in each phase of one run, seconds,
+ * summed over the base plan and every injected arrival. The phases
+ * partition the run: their sum is the wall time of the engine call.
+ */
+struct EnginePhaseSeconds
+{
+    double transmissions = 0; ///< §3.6 step 2: transmission build
+    double paramGroups = 0;   ///< holder index + group pool (step 3)
+    double memory = 0;        ///< per-device memory ledger
+    /** The rest: wave dispatch, the event-queue run executing
+     *  compute, transmissions and sync, and result assembly. */
+    double dispatchSync = 0;
+
+    double total() const
+    {
+        return transmissions + paramGroups + memory + dispatchSync;
+    }
+};
+
+/** Everything one simulated training iteration yields. */
 struct IterationResult
 {
     double iterationSeconds = 0;
@@ -88,6 +109,9 @@ struct IterationResult
     /** Set when some device's peak memory exceeds its HBM (a real
      *  run would OOM); empty when the plan fits. */
     std::optional<Oversubscription> oversubscribed;
+
+    /** Where the engine's own wall-clock went (not simulated time). */
+    EnginePhaseSeconds phaseSeconds;
 };
 
 /**
@@ -295,12 +319,25 @@ class Engine
 };
 
 /**
- * Peak memory per device of a placed plan: parameters deduplicated
- * by ParamKey per device, plus optimizer state and stashed
- * activations (Appendix G accounting).
+ * Peak memory per device of a placed plan (Appendix G accounting):
+ * the activations every entry stashes until the backward pass, plus
+ * each parameter set's state, deduplicated by key per device — a
+ * device hosting a key in several entries stores the largest share.
+ * A share is MemoryModel::paramStateShareBytes, so ZeRO shards
+ * optimizer state over the parameter's whole device group.
+ *
+ * The summation order is fixed: per device, activations in wave
+ * order, then the summed state of each entry's single-entry keys in
+ * wave order, then each multi-entry key in first-seen key order.
  */
 std::vector<double> peakMemoryPerDevice(const MetaGraph &graph,
                                         const ExecutionPlan &plan,
+                                        const HardwareModel &hw,
+                                        const MemoryModel &mem);
+
+/** The same ledger from an already built holder index. */
+std::vector<double> peakMemoryPerDevice(const ParamHolderIndex &index,
+                                        const MetaGraph &graph,
                                         const HardwareModel &hw,
                                         const MemoryModel &mem);
 

@@ -28,6 +28,18 @@ MemoryModel::activationBytesPerDevice(const MetaOp &m, std::int64_t l,
 }
 
 double
+MemoryModel::paramStateShareBytes(double param_bytes, ParallelConfig cfg,
+                                  std::size_t group_size) const
+{
+    const double shard = param_bytes / cfg.tp /
+                         (params_.zeroShardParams ? cfg.dp : 1.0);
+    return shard + param_bytes * kOptimizerFactor /
+                       (params_.zeroShardOptimizer
+                            ? static_cast<double>(group_size)
+                            : cfg.tp);
+}
+
+double
 MemoryModel::sliceBytesPerDevice(const MetaOp &m, std::int64_t l,
                                  ParallelConfig cfg) const
 {

@@ -10,6 +10,24 @@
  * across all devices of the slice). Optimizer state may be sharded
  * across DP ranks (ZeRO-1 style), which is how the decoupled
  * baselines survive whole-cluster replication.
+ *
+ * Two charges exist; placement's is a declared upper bound on the
+ * engine's:
+ *
+ * - The engine's ledger (peakMemoryPerDevice, runtime/engine.h)
+ *   charges paramStateShareBytes() with the final groups: ZeRO
+ *   shards a parameter's optimizer state over the parameter's whole
+ *   gradient-sync group (§3.6 step 3), the union of the devices of
+ *   every entry hosting it.
+ * - Placement commits entries before the final groups exist, so it
+ *   charges paramStateBytesPerDevice()'s regime per operator
+ *   (placement.cc's slice signature): optimizer state sharded over
+ *   the entry's own cfg.dp only. An entry's group holds at least its
+ *   own n = dp x tp devices, so that charge is an upper bound on the
+ *   engine's, and the capacity check placement applies never admits
+ *   a plan the engine finds over the same limit. The tests
+ *   PlacementMemoryBound.* pin the bound exactly (placement peak >=
+ *   engine peak on every device) on the Fig. 8 and Tab. 2 workloads.
  */
 
 #ifndef SPINDLE_RUNTIME_MEMORY_MODEL_H
@@ -65,6 +83,18 @@ class MemoryModel
     /** Sum of the two components above. */
     double sliceBytesPerDevice(const MetaOp &m, std::int64_t l,
                                ParallelConfig cfg) const;
+
+    /**
+     * Parameter + optimizer bytes one device stores for a parameter
+     * set of @p param_bytes hosted under @p cfg, when the set's
+     * gradient-sync group spans @p group_size devices: the parameter
+     * shard divides by the TP degree (and the DP degree under
+     * ZeRO-3); ZeRO-1 shards optimizer state over the whole group,
+     * otherwise it divides by the TP degree. The engine's ledger
+     * charges this share.
+     */
+    double paramStateShareBytes(double param_bytes, ParallelConfig cfg,
+                                std::size_t group_size) const;
 
     const MemoryParams &params() const { return params_; }
 

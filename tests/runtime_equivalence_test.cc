@@ -21,6 +21,8 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <unordered_map>
 
 #include "planner/planner.h"
 #include "test_util.h"
@@ -525,6 +527,433 @@ TEST(RuntimeEquivalence, OverlapChargePinsClampedExposedSync)
     // tail) would have undercharged.
     ASSERT_LT(sync_raw, whole_max);
     EXPECT_GT(run.breakdown.sync, kMinSyncFraction * sync_raw);
+}
+
+// ---------------------------------------------------------------------
+// The flat parameter-holder pass against the map-based passes it
+// replaced: the sync-group pool byte for byte, the memory ledger
+// within 1e-12 relative (its summation order is fixed now, where the
+// reference summed in hash-map order).
+
+namespace reference {
+
+/** FROZEN island decomposition: linear bucket search per member. */
+GroupDecomposition
+decomposeByIsland(const ClusterTopology &topo, const DeviceSet &group)
+{
+    GroupDecomposition out;
+    for (DeviceId d : group) {
+        const std::uint32_t island = topo.islandOf(d);
+        auto it = std::find_if(out.islands.begin(), out.islands.end(),
+                               [island](const IslandGroup &g) {
+                                   return g.island == island;
+                               });
+        if (it == out.islands.end()) {
+            out.islands.push_back({island, {d}, d});
+        } else {
+            it->devices.push_back(d);
+        }
+    }
+    std::sort(out.islands.begin(), out.islands.end(),
+              [](const IslandGroup &a, const IslandGroup &b) {
+                  return a.island < b.island;
+              });
+    out.leaders.reserve(out.islands.size());
+    for (const IslandGroup &g : out.islands)
+        out.leaders.push_back(g.leader);
+    canonicalize(out.leaders);
+    return out;
+}
+
+/** FROZEN ParameterGroupPool::build: a std::map of keys to their
+ *  unionOf device groups, a std::map of groups, then the fold. */
+std::vector<ParamGroup>
+parameterGroups(const MetaGraph &graph, const ExecutionPlan &plan,
+                const ClusterTopology *topo)
+{
+    struct ParamInfo
+    {
+        DeviceSet devices;
+        double bytes = 0;
+    };
+    std::map<std::int64_t, ParamInfo> params;
+
+    for (const Wave &w : plan.waves) {
+        for (const WaveEntry &e : w.entries) {
+            const MetaOp &m = graph.metaOp(e.metaOp);
+            for (std::int64_t i = 0; i < e.numOps; ++i) {
+                const OperatorDesc &op =
+                    graph.base().op(m.ops[e.opBegin + i]);
+                if (op.paramBytes <= 0)
+                    continue;
+                const std::int64_t key = paramDedupKey(op);
+                ParamInfo &info = params[key];
+                info.devices = unionOf(info.devices, e.devices);
+                info.bytes = std::max(info.bytes, op.paramBytes);
+            }
+        }
+    }
+
+    std::map<DeviceSet, ParamGroup> pool;
+    for (const auto &[key, info] : params) {
+        ParamGroup &g = pool[info.devices];
+        g.devices = info.devices;
+        g.bytes += info.bytes;
+        g.numParams += 1;
+    }
+
+    std::vector<ParamGroup> groups;
+    groups.reserve(pool.size());
+    for (auto &[devices, group] : pool)
+        groups.push_back(std::move(group));
+    std::sort(groups.begin(), groups.end(),
+              [](const ParamGroup &a, const ParamGroup &b) {
+                  if (a.devices.size() != b.devices.size())
+                      return a.devices.size() > b.devices.size();
+                  return a.devices < b.devices;
+              });
+    std::vector<ParamGroup> fused;
+    for (ParamGroup &g : groups) {
+        bool folded = false;
+        for (ParamGroup &host : fused) {
+            if (std::includes(host.devices.begin(), host.devices.end(),
+                              g.devices.begin(), g.devices.end())) {
+                host.bytes += g.bytes;
+                host.numParams += g.numParams;
+                folded = true;
+                break;
+            }
+        }
+        if (!folded)
+            fused.push_back(std::move(g));
+    }
+
+    if (topo != nullptr) {
+        for (ParamGroup &g : fused) {
+            g.decomp = reference::decomposeByIsland(*topo, g.devices);
+            g.has_decomp = true;
+        }
+    }
+    return fused;
+}
+
+/** FROZEN peakMemoryPerDevice: unionOf groups per key, then one
+ *  hash map of per-key shares per device. */
+std::vector<double>
+peakMemoryPerDevice(const MetaGraph &graph, const ExecutionPlan &plan,
+                    const HardwareModel &hw, const MemoryModel &mem)
+{
+    std::map<std::int64_t, DeviceSet> group_of;
+    for (const Wave &w : plan.waves) {
+        for (const WaveEntry &e : w.entries) {
+            const MetaOp &m = graph.metaOp(e.metaOp);
+            for (std::int64_t i = 0; i < e.numOps; ++i) {
+                const OperatorDesc &op =
+                    graph.base().op(m.ops[e.opBegin + i]);
+                if (op.paramBytes <= 0)
+                    continue;
+                const std::int64_t key = paramDedupKey(op);
+                group_of[key] = unionOf(group_of[key], e.devices);
+            }
+        }
+    }
+
+    std::vector<std::unordered_map<std::int64_t, double>> params(
+        plan.numDevices);
+    std::vector<double> act(plan.numDevices, 0.0);
+    for (const Wave &w : plan.waves) {
+        for (const WaveEntry &e : w.entries) {
+            const MetaOp &m = graph.metaOp(e.metaOp);
+            const ParallelConfig cfg = hw.bestConfig(memberDesc(m), e.n);
+            const double act_share =
+                mem.activationBytesPerDevice(m, e.numOps, cfg);
+            for (DeviceId d : e.devices) {
+                act[d] += act_share;
+                for (std::int64_t i = 0; i < e.numOps; ++i) {
+                    const OperatorDesc &op =
+                        graph.base().op(m.ops[e.opBegin + i]);
+                    if (op.paramBytes <= 0)
+                        continue;
+                    const std::int64_t key = paramDedupKey(op);
+                    const double group_size =
+                        static_cast<double>(group_of[key].size());
+                    const double shard =
+                        op.paramBytes / cfg.tp /
+                        (mem.params().zeroShardParams ? cfg.dp : 1.0);
+                    const double share =
+                        shard + op.paramBytes * kOptimizerFactor /
+                                    (mem.params().zeroShardOptimizer
+                                         ? group_size
+                                         : cfg.tp);
+                    auto [it, inserted] = params[d].emplace(key, share);
+                    if (!inserted && share > it->second)
+                        it->second = share;
+                }
+            }
+        }
+    }
+
+    std::vector<double> peak(plan.numDevices, 0.0);
+    for (std::uint32_t d = 0; d < plan.numDevices; ++d) {
+        peak[d] = act[d];
+        for (const auto &[key, bytes] : params[d])
+            peak[d] += bytes;
+    }
+    return peak;
+}
+
+} // namespace reference
+
+/** What one plan exercised, summed over the plans a test checks. */
+struct HolderCoverage
+{
+    std::size_t plans = 0;
+    std::size_t multiHolderKeys = 0; ///< keys hosted by > 1 entry
+    std::size_t privateKeys = 0;     ///< per-operator (negative) keys
+};
+
+/**
+ * The pool of @p plan equals the frozen one byte for byte (devices,
+ * bytes, numParams, island decomposition), and its memory ledger the
+ * frozen one within 1e-12 relative on every device.
+ */
+void
+expectHolderPassesMatchReference(const HardwareModel &hw,
+                                 const MetaGraph &graph,
+                                 const ExecutionPlan &plan,
+                                 const MemoryParams &mem_params,
+                                 HolderCoverage &coverage)
+{
+    const ClusterTopology &topo = hw.topology();
+    const std::vector<ParamGroup> want =
+        reference::parameterGroups(graph, plan, &topo);
+    const ParameterGroupPool got =
+        ParameterGroupPool::build(graph, plan, &topo);
+    ASSERT_EQ(got.groups().size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        SCOPED_TRACE(strCat("group ", i));
+        const ParamGroup &a = want[i];
+        const ParamGroup &b = got.groups()[i];
+        EXPECT_EQ(a.devices, b.devices);
+        EXPECT_EQ(a.bytes, b.bytes);
+        EXPECT_EQ(a.numParams, b.numParams);
+        ASSERT_NE(b.decomposition(), nullptr);
+        EXPECT_EQ(a.decomp.leaders, b.decomp.leaders);
+        ASSERT_EQ(a.decomp.islands.size(), b.decomp.islands.size());
+        for (std::size_t k = 0; k < a.decomp.islands.size(); ++k) {
+            EXPECT_EQ(a.decomp.islands[k].island, b.decomp.islands[k].island);
+            EXPECT_EQ(a.decomp.islands[k].devices,
+                      b.decomp.islands[k].devices);
+            EXPECT_EQ(a.decomp.islands[k].leader, b.decomp.islands[k].leader);
+        }
+    }
+
+    const MemoryModel mem(mem_params);
+    const std::vector<double> ref =
+        reference::peakMemoryPerDevice(graph, plan, hw, mem);
+    const std::vector<double> now = peakMemoryPerDevice(graph, plan, hw, mem);
+    ASSERT_EQ(now.size(), ref.size());
+    for (std::size_t d = 0; d < ref.size(); ++d)
+        EXPECT_NEAR(now[d], ref[d], 1e-12 * ref[d]) << "device " << d;
+
+    const ParamHolderIndex index = ParamHolderIndex::build(graph, plan);
+    ++coverage.plans;
+    for (std::size_t k = 0; k < index.rawKey.size(); ++k) {
+        coverage.multiHolderKeys += index.holders[k].size() > 1;
+        coverage.privateKeys += index.rawKey[k] < 0;
+    }
+}
+
+/** The five systems of Fig. 8, in the paper's legend order. */
+std::vector<std::unique_ptr<System>>
+fig8Systems(const HardwareModel &hw)
+{
+    std::vector<std::unique_ptr<System>> systems;
+    systems.push_back(std::make_unique<SpindleSystem>(hw));
+    systems.push_back(std::make_unique<SpindleOptimusSystem>(hw));
+    systems.push_back(std::make_unique<DistMMMTSystem>(hw));
+    systems.push_back(
+        std::make_unique<SequentialSystem>(hw, SequentialMode::Megatron));
+    systems.push_back(
+        std::make_unique<SequentialSystem>(hw, SequentialMode::DeepSpeed));
+    return systems;
+}
+
+TEST(HolderIndexEquivalence, Fig8PointsEverySystem)
+{
+    // Every Fig. 8 point, under each of the five systems' plans —
+    // DeepSpeed's whole-cluster replication among them.
+    std::vector<std::pair<std::string, ComputationGraph>> workloads;
+    for (std::uint32_t tasks : {4u, 7u, 10u})
+        workloads.emplace_back(strCat("Multitask-CLIP/", tasks, "T"),
+                               buildMultitaskClip({.numTasks = tasks}));
+    for (std::uint32_t tasks : {4u, 7u})
+        workloads.emplace_back(strCat("OFASys/", tasks, "T"),
+                               buildOfasys({.numTasks = tasks}));
+    workloads.emplace_back("QWen-VAL-9B", buildQwenVal({}));
+
+    HolderCoverage coverage;
+    for (const auto &[name, graph] : workloads) {
+        MetaGraph meta = contractGraph(graph);
+        const bool qwen = name == "QWen-VAL-9B";
+        for (std::uint32_t nodes : qwen ? std::vector<std::uint32_t>{4, 8}
+                                        : std::vector<std::uint32_t>{1, 2, 4}) {
+            ClusterTopology topo = smallCluster(nodes);
+            HardwareModel hw(topo);
+            for (const auto &sys : fig8Systems(hw)) {
+                SCOPED_TRACE(strCat(name, " @ ", nodes, " nodes, ",
+                                    sys->name()));
+                expectHolderPassesMatchReference(hw, meta,
+                                                 sys->buildPlan(meta),
+                                                 sys->memoryParams(),
+                                                 coverage);
+            }
+        }
+    }
+    EXPECT_EQ(coverage.plans, 17u * 5u);
+    EXPECT_GT(coverage.multiHolderKeys, 0u);
+    EXPECT_GT(coverage.privateKeys, 0u);
+}
+
+TEST(HolderIndexEquivalence, Tab2Zero3AndIslandAware70B)
+{
+    PlannerOptions zero3;
+    zero3.memory.zeroShardParams = true;
+    HolderCoverage coverage;
+
+    // Tab. 2: 30B and 70B QWen-VAL under ZeRO-3 on 256 GPUs.
+    ClusterTopology homogeneous = smallCluster(32);
+    HardwareModel hw(homogeneous);
+    for (QwenValConfig::Size size :
+         {QwenValConfig::Size::B30, QwenValConfig::Size::B70}) {
+        SCOPED_TRACE(size == QwenValConfig::Size::B30 ? "30B" : "70B");
+        ComputationGraph graph = buildQwenVal({.size = size, .batch = 128});
+        MetaGraph meta = contractGraph(graph);
+        PlannerOutput out = ExecutionPlanner(hw, zero3).plan(meta);
+        expectHolderPassesMatchReference(hw, meta, out.plan, zero3.memory,
+                                         coverage);
+    }
+
+    // The 70B model with IslandAware windows on 128 GPUs of mixed
+    // 12- and 4-GPU islands: sync groups span uneven islands.
+    ClusterConfig cfg;
+    DeviceId next = 0;
+    for (int pair = 0; pair < 8; ++pair) {
+        for (std::uint32_t size : {12u, 4u}) {
+            IslandSpec island;
+            for (std::uint32_t i = 0; i < size; ++i)
+                island.devices.push_back(next++);
+            cfg.islands.push_back(std::move(island));
+        }
+    }
+    ClusterTopology islands(cfg);
+    HardwareModel island_hw(islands);
+    PlannerOptions aware = zero3;
+    aware.placement.windows = WindowPolicy::IslandAware;
+    ComputationGraph graph =
+        buildQwenVal({.size = QwenValConfig::Size::B70, .batch = 128});
+    MetaGraph meta = contractGraph(graph);
+    PlannerOutput out = ExecutionPlanner(island_hw, aware).plan(meta);
+    {
+        SCOPED_TRACE("70B IslandAware on 8 x (12 + 4)");
+        expectHolderPassesMatchReference(island_hw, meta, out.plan,
+                                         aware.memory, coverage);
+    }
+    EXPECT_GT(coverage.multiHolderKeys, 0u);
+}
+
+/**
+ * A hand-built plan on 8 devices over the Fig. 3 workload, whose
+ * MetaOps 1 and 3 carry the shared text keys, 4 and 5 the shared LM
+ * keys, and 0 and 2 private keys. Shared keys land in entries of
+ * different widths on overlapping devices, so a device holds one key
+ * at two different shares (the max-dedupe path).
+ */
+ExecutionPlan
+overlappingHolderPlan(const MetaGraph &meta)
+{
+    ExecutionPlan plan;
+    plan.numDevices = 8;
+    const auto entry = [&meta](MetaOpId m, std::int64_t begin,
+                               std::int64_t end, DeviceSet devices) {
+        WaveEntry e;
+        e.metaOp = m;
+        e.opBegin = begin;
+        e.numOps = end < 0 ? static_cast<std::int64_t>(
+                                 meta.metaOp(m).ops.size()) - begin
+                           : end - begin;
+        e.n = static_cast<std::uint32_t>(devices.size());
+        e.devices = std::move(devices);
+        return e;
+    };
+    const std::vector<std::vector<WaveEntry>> waves = {
+        {entry(0, 0, -1, {0, 1}), entry(2, 0, -1, {2, 3, 4, 5})},
+        {entry(1, 0, -1, {0, 1}), entry(3, 0, 2, {4, 5, 6, 7})},
+        {entry(3, 2, -1, {1, 2, 3, 4})},
+        {entry(4, 0, 3, {4, 5, 6, 7}), entry(5, 0, -1, {0, 1})},
+        {entry(4, 3, -1, {6, 7}), entry(5, 0, -1, {0, 1, 2, 3})},
+    };
+    for (const auto &entries : waves) {
+        Wave w;
+        w.index = static_cast<std::int32_t>(plan.waves.size());
+        w.entries = entries;
+        plan.waves.push_back(std::move(w));
+    }
+    return plan;
+}
+
+TEST(HolderIndexEquivalence, HandBuiltOverlappingHolders)
+{
+    ComputationGraph graph = fig3Workload();
+    MetaGraph meta = contractGraph(graph);
+    ClusterTopology topo = smallCluster(1);
+    HardwareModel hw(topo);
+    const ExecutionPlan plan = overlappingHolderPlan(meta);
+
+    // The scenario must hold a shared key at two different shares on
+    // one device, and private keys too.
+    const ParamHolderIndex index = ParamHolderIndex::build(meta, plan);
+    bool overlap = false;
+    for (const std::vector<ParamHolder> &hs : index.holders) {
+        for (std::size_t i = 0; i < hs.size(); ++i) {
+            for (std::size_t j = i + 1; j < hs.size(); ++j) {
+                const WaveEntry &a = *index.entries[hs[i].entry];
+                const WaveEntry &b = *index.entries[hs[j].entry];
+                overlap |= a.n != b.n && intersects(a.devices, b.devices);
+            }
+        }
+    }
+    ASSERT_TRUE(overlap) << "no key held at two widths on one device";
+
+    HolderCoverage coverage;
+    for (bool shard_params : {false, true}) {
+        for (bool shard_optimizer : {false, true}) {
+            SCOPED_TRACE(strCat("zeroShardParams=", shard_params,
+                                " zeroShardOptimizer=", shard_optimizer));
+            MemoryParams mp;
+            mp.zeroShardParams = shard_params;
+            mp.zeroShardOptimizer = shard_optimizer;
+            expectHolderPassesMatchReference(hw, meta, plan, mp, coverage);
+        }
+    }
+    EXPECT_GT(coverage.multiHolderKeys, 0u);
+    EXPECT_GT(coverage.privateKeys, 0u);
+}
+
+TEST(HolderIndexEquivalence, OutOfRangeDeviceIsNotPlaced)
+{
+    // The flat passes index per-device arrays by entry device ids, so
+    // an id past the cluster panics instead of writing out of bounds.
+    ComputationGraph graph = fig3Workload();
+    MetaGraph meta = contractGraph(graph);
+    ClusterTopology topo = smallCluster(1);
+    HardwareModel hw(topo);
+    ExecutionPlan plan = overlappingHolderPlan(meta);
+    plan.waves.back().entries.back().devices = {0, 1, 2, 8};
+    EXPECT_DEATH(peakMemoryPerDevice(meta, plan, hw, MemoryModel()),
+                 "plan is not placed");
+    EXPECT_DEATH(ParameterGroupPool::build(meta, plan, &topo),
+                 "plan is not placed");
 }
 
 } // namespace

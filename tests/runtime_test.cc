@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 
 #include "common/math_util.h"
 #include "planner/planner.h"
@@ -161,6 +162,32 @@ TEST_F(RuntimeFixture, PeakMemoryDedupsSharedParameters)
         graph.totalUniqueParamBytes() * (1 + kOptimizerFactor);
     for (double b : peak)
         EXPECT_LE(b, replica);
+}
+
+TEST_F(RuntimeFixture, EnginePhasesPartitionTheRunWallClock)
+{
+    // The engine attributes its own wall-clock: every phase is
+    // non-negative, and together they take no longer than the call.
+    Engine engine(hw);
+    for (bool with_arrival : {false, true}) {
+        SCOPED_TRACE(with_arrival ? "with an arrival" : "base plan only");
+        std::vector<TaskArrival> arrivals;
+        if (with_arrival)
+            arrivals.push_back({0.0, &meta, &out.plan});
+        const auto start = std::chrono::steady_clock::now();
+        IterationResult r = with_arrival
+                                 ? engine.runDynamic(meta, out.plan, arrivals)
+                                 : engine.run(meta, out.plan);
+        const double wall = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+        const EnginePhaseSeconds &p = r.phaseSeconds;
+        EXPECT_GE(p.transmissions, 0);
+        EXPECT_GE(p.paramGroups, 0);
+        EXPECT_GE(p.memory, 0);
+        EXPECT_GE(p.dispatchSync, 0);
+        EXPECT_LE(p.total(), wall);
+    }
 }
 
 TEST_F(RuntimeFixture, OverlapPolicyBreakdownIsConsistent)
