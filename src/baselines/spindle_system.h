@@ -24,9 +24,8 @@ namespace spindle {
  * parallelism belongs *across requests* behind a PlanService
  * (service/plan_service.h), not across threads sharing one
  * SpindleSystem. An atomic in-use guard panics with an actionable
- * message on that misuse (overlapping buildPlan calls — including
- * re-entry from a placement window-generator callback — are
- * detected, not raced).
+ * message on that misuse (overlapping buildPlan calls are detected,
+ * not raced).
  */
 class SpindleSystem : public System
 {

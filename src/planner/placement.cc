@@ -792,14 +792,14 @@ sequentialWindow(const EntryContext &ctx, Attempt &state,
 
 /**
  * Stages 2-4 of the Spindle strategy: the candidate-window search of
- * one entry. Candidate windows come from the configured generator:
- * bands (every length-n contiguous subsequence of an ordered position
- * sequence) and explicit extras. Every window score derives from
- * per-device quantities computed once per entry (stage 2); the band
- * sweeps combine them with prefix/extremum queries over per-band
- * state (stage 3) that reproduce a full rescan bit for bit. The sweep
- * itself (stage 4) is a chunked scan in enumeration order — see
- * struct Candidate.
+ * one entry. Candidate windows come from generateWindows() under the
+ * configured WindowPolicy: bands (every length-n contiguous
+ * subsequence of an ordered position sequence) and explicit extras.
+ * Every window score derives from per-device quantities computed
+ * once per entry (stage 2); the band sweeps combine them with
+ * prefix/extremum queries over per-band state (stage 3) that
+ * reproduce a full rescan bit for bit. The sweep itself (stage 4) is
+ * a chunked scan in enumeration order — see struct Candidate.
  *
  * Scratch buffers live across entries and only grow: the elements an
  * entry reads are exactly the elements it wrote, so stale capacity
@@ -808,9 +808,9 @@ sequentialWindow(const EntryContext &ctx, Attempt &state,
 class WindowSweep
 {
   public:
-    WindowSweep(const ClusterTopology &topo, const WindowGenerator &gen,
+    WindowSweep(const ClusterTopology &topo, WindowPolicy policy,
                 bool prune, std::uint32_t num_devices)
-        : topo_(topo), gen_(gen), prune_(prune),
+        : topo_(topo), policy_(policy), prune_(prune),
           affected_epoch_(num_devices, 0), pos_of_(num_devices, 0),
           pos_epoch_(num_devices, 0)
     {
@@ -854,7 +854,7 @@ class WindowSweep
     }
 
     const ClusterTopology &topo_;
-    const WindowGenerator &gen_;
+    const WindowPolicy policy_;
     const bool prune_;
 
     // The entry being placed.
@@ -874,7 +874,7 @@ class WindowSweep
     std::vector<std::vector<std::uint32_t>> row_pos_;
     std::vector<std::uint32_t> pos_row_off_, row_at_; ///< row_pos_ transposed
     std::vector<BandState> band_states_; ///< per-band prefix state
-    CandidateWindows cand_windows_;      ///< generator output
+    CandidateWindows cand_windows_;      ///< generateWindows() output
     // Sweep scratch: the sliding-maximum deque, residency row
     // pointers and non-resident row flags.
     std::vector<std::size_t> dq_;
@@ -904,7 +904,7 @@ WindowSweep::choose(EntryContext &ctx, Attempt &state,
     ctx_ = &ctx;
     sel_ = &sel;
     free_ = &free;
-    gen_.generate({topo_, free, ctx.n}, cand_windows_);
+    generateWindows(policy_, topo_, free, ctx.n, cand_windows_);
     positionPass(state);
     buildBands();
     const Candidate best = sweep();
@@ -1100,19 +1100,10 @@ WindowSweep::buildBandShared(std::size_t b)
     const std::size_t n = ctx_->n;
     // The minimum load along the band: the admissible bound for the
     // memory term (every window's maximum is >= the band-wide minimum)
-    // and the whole-band capacity skip. Its loop visits every position
-    // first, so it also enforces the generator contract (positions
-    // ascend strictly inside the free list) before anything indexes
-    // by them.
-    const std::size_t F = free_->size();
+    // and the whole-band capacity skip.
     double mn = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < B; ++i) {
-        const std::uint32_t p = band[i];
-        fatalIf(p >= F || (i > 0 && p <= band[i - 1]),
-                "tryPlace: generator emitted band position ", p,
-                " out of order or beyond the ", F, " free devices");
+    for (std::uint32_t p : band)
         mn = std::min(mn, cand_total_[p]);
-    }
     bs.minTotal = mn;
 
     // Bands ascend, so first position 0 and last B-1 force the
@@ -1169,7 +1160,7 @@ WindowSweep::buildBandShared(std::size_t b)
 }
 
 /** Resident band indices of one row along one band: intersect the
- *  band (ascending positions, per the generator contract) with the
+ *  band (ascending positions, see window_generator.h) with the
  *  row's holder-position list. O(holders · log B) instead of O(B). */
 void
 WindowSweep::buildBandRow(std::size_t b, std::size_t row)
@@ -1355,19 +1346,9 @@ WindowSweep::scoreExtra(std::size_t ei, Candidate &best)
 {
     const EntryContext &ctx = *ctx_;
     const auto &win_pos = cand_windows_.extras[ei];
-    fatalIf(win_pos.size() != ctx.n,
-            "tryPlace: generator emitted a window of the wrong size");
-    // The generator contract, enforced in the loop that visits every
-    // position first: positions ascend strictly inside the free list.
-    const std::size_t F = free_->size();
     double max_total = 0;
-    for (std::size_t i = 0; i < win_pos.size(); ++i) {
-        const std::uint32_t p = win_pos[i];
-        fatalIf(p >= F || (i > 0 && p <= win_pos[i - 1]),
-                "tryPlace: generator emitted window position ", p,
-                " out of order or beyond the ", F, " free devices");
+    for (std::uint32_t p : win_pos)
         max_total = std::max(max_total, cand_total_[p]);
-    }
     if (max_total > sel_->capacity)
         return;
 
@@ -1424,14 +1405,6 @@ DevicePlacement::DevicePlacement(const ClusterTopology &topo,
                                  PlacementOptions options)
     : topo_(topo), hw_(hw), mem_(mem), options_(options)
 {
-}
-
-const WindowGenerator &
-DevicePlacement::generator() const
-{
-    if (options_.generator != nullptr)
-        return *options_.generator;
-    return builtinWindowGenerator(options_.windows);
 }
 
 PlacementResult
@@ -1527,7 +1500,7 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
     const Selection sel{
         topo_.device().memoryBytes, options_.memoryWeight,
         topo_.device().memoryBytes * kMemorySlack, memory_first};
-    WindowSweep sweep(topo_, generator(), options_.bandPruning,
+    WindowSweep sweep(topo_, options_.windows, options_.bandPruning,
                       num_devices);
     std::uint32_t seq_cursor = 0;
     std::vector<char> seq_nonres;

@@ -43,14 +43,11 @@
  * The Sequential strategy replaces stages 2–4 by its one window.
  * Replaying a logged prefix builds the same entry setup and calls the
  * same commit, then adds the logged comm; place() is placeWithPrefix
- * with an empty prefix, so the fallback cascade exists once. Every
- * stage runs on the calling thread, so a fatal() it raises (say, a
- * custom generator breaking its contract) honors that thread's
- * RecoverableScope.
+ * with an empty prefix, so the fallback cascade exists once.
  *
- * Candidate generation is pluggable (see window_generator.h): the
- * placer scores whatever windows the configured WindowGenerator
- * emits, using incremental per-band state (link-rank / residency /
+ * Candidate windows come from generateWindows() under the configured
+ * WindowPolicy (see window_generator.h). The placer scores them
+ * using incremental per-band state (link-rank / residency /
  * island-change prefix counts and a sliding-window maximum over
  * per-device loads) so scoring stays O(1) per window after an
  * O(free-list) setup per entry. `ContiguousRuns` reproduces the
@@ -140,15 +137,6 @@ struct PlacementOptions
      * right choice on heterogeneous or permuted-numbering clusters.
      */
     WindowPolicy windows = WindowPolicy::ContiguousRuns;
-
-    /**
-     * Custom window generator (non-owning; must outlive placement).
-     * Overrides `windows` when set. A window that breaks the
-     * generator contract (an extra of the wrong size, or a position
-     * that is out of range or not strictly ascending) is a fatal()
-     * user error.
-     */
-    const WindowGenerator *generator = nullptr;
 
     /**
      * Restart the memory-first fallback from the first infeasible
@@ -277,8 +265,6 @@ class DevicePlacement
                   const std::vector<CommitRecord> &replay,
                   std::vector<CommitRecord> *log,
                   std::size_t *fail_wave) const;
-
-    const WindowGenerator &generator() const;
 
     const ClusterTopology &topo_;
     const HardwareModel &hw_;

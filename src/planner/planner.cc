@@ -178,13 +178,10 @@ ExecutionPlanner::plan(const MetaGraph &graph) const
 PlannerOutput
 ExecutionPlanner::replan(const MetaGraph &graph) const
 {
-    // Value transparency has two preconditions: estimation must be
-    // noise-free (noise draws are seeded per MetaOp id, invisible to
-    // positional signatures) and the placement configuration must be
-    // fingerprintable (a custom generator is an opaque pointer).
-    const bool opaque = options_.estimator.noiseStdFrac > 0 ||
-                        options_.placement.generator != nullptr;
-    return pipeline(graph, opaque ? nullptr : &planCache());
+    // Value transparency needs noise-free estimation: noise draws are
+    // seeded per MetaOp id, invisible to positional signatures.
+    const bool noisy = options_.estimator.noiseStdFrac > 0;
+    return pipeline(graph, noisy ? nullptr : &planCache());
 }
 
 PlannerOutput

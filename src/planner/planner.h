@@ -179,9 +179,7 @@ class ExecutionPlanner
      * licenses (see the file comment). Byte-identical to plan() on
      * the same graph. Falls back to plan() outright when estimator
      * noise is enabled (noise draws are seeded per MetaOp id, which
-     * value signatures deliberately ignore) or a custom window
-     * generator is installed (an opaque pointer the options
-     * fingerprint cannot capture).
+     * value signatures deliberately ignore).
      */
     PlannerOutput replan(const MetaGraph &graph) const;
 

@@ -7,19 +7,16 @@
 
 namespace spindle {
 
+namespace {
+
+/** ContiguousRuns: one band over every free position. */
 void
-ContiguousRunsGenerator::generate(const WindowGenContext &ctx,
-                                  CandidateWindows &out) const
+contiguousRuns(std::size_t F, CandidateWindows &out)
 {
-    out.clear();
-    panicIf(ctx.n == 0 || ctx.n > ctx.free.size(),
-            "ContiguousRuns: entry size exceeds free devices");
     std::vector<std::uint32_t> &band = out.appendBand();
-    band.resize(ctx.free.size());
+    band.resize(F);
     std::iota(band.begin(), band.end(), 0u);
 }
-
-namespace {
 
 using Variant = CandidateWindows::CatchAllScratch::Variant;
 
@@ -37,8 +34,8 @@ mergedPrefix(const std::vector<std::uint32_t> &a, std::size_t take_a,
 }
 
 /**
- * Step 3 of IslandAwareGenerator::generate, the greedy catch-all
- * (see the class comment), for n above every island's free count.
+ * Step 3 of islandAware(), the greedy catch-all (see
+ * WindowPolicy::IslandAware), for n above every island's free count.
  * @p isl holds the free positions per island and cw.catchAll.byFirst
  * the non-empty islands by first free position.
  */
@@ -142,17 +139,12 @@ greedyCatchAll(const std::vector<std::vector<std::uint32_t>> &isl,
     }
 }
 
-} // namespace
-
+/** IslandAware: per-island bands, pair unions, greedy catch-all. */
 void
-IslandAwareGenerator::generate(const WindowGenContext &ctx,
-                               CandidateWindows &out) const
+islandAware(const ClusterTopology &topo, const DeviceSet &free,
+            std::uint32_t n, CandidateWindows &out)
 {
-    out.clear();
-    const std::size_t F = ctx.free.size();
-    const std::uint32_t n = ctx.n;
-    panicIf(n == 0 || n > F,
-            "IslandAware: entry size exceeds free devices");
+    const std::size_t F = free.size();
 
     // Free positions per island, island-id order. Positions ascend
     // within each island because the free list ascends. Built in the
@@ -161,13 +153,13 @@ IslandAwareGenerator::generate(const WindowGenContext &ctx,
     // than num_isl from an earlier call; only [0, num_isl) is live.)
     // The same scan lists the non-empty islands by first free
     // position, for the catch-all.
-    const std::size_t num_isl = ctx.topo.numIslands();
+    const std::size_t num_isl = topo.numIslands();
     out.prepareScratch(num_isl);
     std::vector<std::vector<std::uint32_t>> &isl = out.scratch;
     std::vector<std::uint32_t> &by_first = out.catchAll.byFirst;
     by_first.clear();
     for (std::size_t pos = 0; pos < F; ++pos) {
-        const std::uint32_t k = ctx.topo.islandOf(ctx.free[pos]);
+        const std::uint32_t k = topo.islandOf(free[pos]);
         if (isl[k].empty())
             by_first.push_back(k);
         isl[k].push_back(static_cast<std::uint32_t>(pos));
@@ -237,16 +229,23 @@ IslandAwareGenerator::generate(const WindowGenContext &ctx,
         greedyCatchAll(isl, n, out);
 }
 
-const WindowGenerator &
-builtinWindowGenerator(WindowPolicy policy)
+} // namespace
+
+void
+generateWindows(WindowPolicy policy, const ClusterTopology &topo,
+                const DeviceSet &free, std::uint32_t n,
+                CandidateWindows &out)
 {
-    static const ContiguousRunsGenerator contiguous;
-    static const IslandAwareGenerator island_aware;
+    out.clear();
+    panicIf(n == 0 || n > free.size(),
+            "generateWindows: entry size exceeds free devices");
     switch (policy) {
-      case WindowPolicy::ContiguousRuns: return contiguous;
-      case WindowPolicy::IslandAware: return island_aware;
+      case WindowPolicy::ContiguousRuns:
+        return contiguousRuns(free.size(), out);
+      case WindowPolicy::IslandAware:
+        return islandAware(topo, free, n, out);
     }
-    panic("builtinWindowGenerator: unknown policy");
+    panic("generateWindows: unknown policy");
 }
 
 } // namespace spindle

@@ -1,17 +1,17 @@
 /**
  * @file
- * Pluggable placement-window generation (paper §3.5).
+ * Placement-window generation (paper §3.5).
  *
  * Device placement scores *candidate windows* — device sets an entry
  * could land on. What those candidates are used to be welded into
  * the placer's scoring loop (every contiguous run of the free-device
  * list), which coupled window shape to device numbering: on a
  * cluster whose ids interleave islands, every "contiguous" window
- * straddled the fabric. This layer makes candidate generation a
- * strategy object the placer consumes.
+ * straddled the fabric. This layer makes the window shape a
+ * WindowPolicy the placer picks, out of a closed set.
  *
- * A generator emits two kinds of candidates over the (ascending)
- * free-device list:
+ * generateWindows() emits two kinds of candidates over the
+ * (ascending) free-device list:
  *
  *  - **bands** — ordered sequences of free-list positions; every
  *    length-n contiguous subsequence of a band is a candidate
@@ -24,19 +24,15 @@
  *    position list of exactly n entries), for deliberate shapes
  *    that are not runs of any band, e.g. cross-island unions.
  *
- * Provided strategies:
- *  - `ContiguousRunsGenerator` — one band covering the whole free
- *    list: exactly the historical candidate set, proven bit-identical
- *    to the pre-refactor placer by planner_equivalence_test.
- *  - `IslandAwareGenerator` — one band per island (runs never cross
- *    an island by accident, regardless of device numbering) plus
- *    deliberate cross-island unions for entries that outgrow any
- *    single island or want to straddle on purpose.
+ * Both policies hold the placer's contract by construction: every
+ * band and extra ascends strictly, every position is below the
+ * free-list size, and every extra has exactly n positions
+ * (planner_equivalence_test checks it over random free lists).
  *
  * Extras order is part of the byte-identity contract: the placer
  * scans candidates in order (bands, then `extras` by index) and keeps
- * the first of equally scored ones. A generator that emits the same
- * windows in another order can commit a different plan.
+ * the first of equally scored ones. Emitting the same windows in
+ * another order can commit a different plan.
  */
 
 #ifndef SPINDLE_PLANNER_WINDOW_GENERATOR_H
@@ -48,27 +44,18 @@
 
 namespace spindle {
 
-/** Everything a generator may consult for one wave entry. */
-struct WindowGenContext
-{
-    const ClusterTopology &topo;
-    const DeviceSet &free; ///< free device ids, ascending
-    std::uint32_t n = 0;   ///< devices the entry needs (<= free.size())
-};
-
 /**
- * Candidate windows for one entry. Positions index into
- * WindowGenContext::free; all position sequences ascend, so every
- * realized window is automatically a canonical DeviceSet.
+ * Candidate windows for one entry. Positions index into the free
+ * list; all position sequences ascend, so every realized window is
+ * automatically a canonical DeviceSet.
  *
  * The struct is designed to be reused across entries without
  * allocating: clear() recycles the inner vectors into a pool instead
- * of freeing them, and generators obtain recycled (empty, capacity
- * retained) vectors through appendBand()/appendExtra(). At 4096
- * devices the placer calls a generator once per wave entry, so
+ * of freeing them, and generateWindows() obtains recycled (empty,
+ * capacity retained) vectors through appendBand()/appendExtra(). At
+ * 4096 devices the placer generates windows once per wave entry, so
  * per-entry band emission must not hit the allocator in steady
- * state. Generators that push fresh vectors directly (tests do)
- * still work — they just skip the pool on the way in.
+ * state.
  */
 struct CandidateWindows
 {
@@ -82,15 +69,14 @@ struct CandidateWindows
     std::vector<std::vector<std::uint32_t>> extras;
 
     /**
-     * Generator workspace (e.g. IslandAware's per-island position
-     * lists). Owned here rather than by the generator because the
-     * built-in generators are shared immutable singletons that may
-     * be invoked concurrently from several planners; the caller's
+     * Generation workspace (IslandAware's per-island position
+     * lists). generateWindows() keeps no state of its own, so
+     * several planners may call it concurrently; the caller's
      * CandidateWindows is the only per-sweep mutable state.
      */
     std::vector<std::vector<std::uint32_t>> scratch;
 
-    /** IslandAware's catch-all workspace (see IslandAwareGenerator),
+    /** IslandAware's catch-all workspace (see WindowPolicy),
      *  caller-owned for the same reason as scratch. */
     struct CatchAllScratch
     {
@@ -172,78 +158,59 @@ struct CandidateWindows
     std::vector<std::vector<std::uint32_t>> pool_;
 };
 
-/** Window-generation strategy interface. */
-class WindowGenerator
+/** Built-in window shapes, a closed set (PlacementOptions::windows). */
+enum class WindowPolicy : std::uint8_t
 {
-  public:
-    virtual ~WindowGenerator() = default;
-
-    virtual const char *name() const = 0;
+    /** One band covering the whole free list: every contiguous run,
+     *  the historical candidate set, proven bit-identical to the
+     *  pre-refactor placer by planner_equivalence_test.
+     *  Numbering-coupled. */
+    ContiguousRuns,
 
     /**
-     * Emit the candidate windows for one entry into @p out
-     * (cleared first). Must emit at least one candidate of size
-     * ctx.n whenever ctx.n <= ctx.free.size().
+     * One band per island (runs never cross an island by accident,
+     * whatever the device numbering) plus deliberate cross-island
+     * unions. Every extra takes the lowest free positions of each
+     * island it touches. Extras are emitted in two groups:
+     *
+     *  1. **Pair unions**, for n that at least one island of the
+     *     pair cannot host alone but the two together can: per
+     *     unordered island pair (i < j), the i-heavy, balanced and
+     *     j-heavy splits, equal splits once. Skipped outright when n
+     *     exceeds the two largest free counts combined, since then
+     *     no pair can host.
+     *  2. **Greedy catch-all**, when n exceeds every island's free
+     *     count. The fill order lists the non-empty islands by free
+     *     count, descending, ties by island id. The variant started
+     *     at island s takes all of s, then fills from the fill order
+     *     (skipping s) until it holds n devices. There is one
+     *     variant per non-empty island, with duplicates removed:
+     *     every start in the fully taken prefix of the *base*
+     *     variant (the one started at the head of the fill order)
+     *     yields exactly the base window, and every other start
+     *     yields a window of its own. The survivors are emitted in
+     *     ascending lexicographic order of their position lists.
+     *
+     * The catch-all never sorts positions or compares windows: a
+     * variant is kept as its island takes, two variants compare by
+     * the smallest position in their symmetric difference (which
+     * belongs to the one taking more of that island), and each
+     * window is the concatenation of its islands' position prefixes
+     * in order of first free position, merged only where islands
+     * interleave.
      */
-    virtual void generate(const WindowGenContext &ctx,
-                          CandidateWindows &out) const = 0;
-};
-
-/** The historical candidate set: all runs of the free list. */
-class ContiguousRunsGenerator final : public WindowGenerator
-{
-  public:
-    const char *name() const override { return "ContiguousRuns"; }
-    void generate(const WindowGenContext &ctx,
-                  CandidateWindows &out) const override;
+    IslandAware,
 };
 
 /**
- * Per-island runs plus deliberate cross-island unions. Every extra
- * takes the lowest free positions of each island it touches. Extras
- * are emitted in two groups:
- *
- *  1. **Pair unions**, for n that at least one island of the pair
- *     cannot host alone but the two together can: per unordered
- *     island pair (i < j), the i-heavy, balanced and j-heavy splits,
- *     equal splits once. Skipped outright when n exceeds the two
- *     largest free counts combined, since then no pair can host.
- *  2. **Greedy catch-all**, when n exceeds every island's free
- *     count. The fill order lists the non-empty islands by free
- *     count, descending, ties by island id. The variant started at
- *     island s takes all of s, then fills from the fill order
- *     (skipping s) until it holds n devices. There is one variant
- *     per non-empty island, with duplicates removed: every start in
- *     the fully taken prefix of the *base* variant (the one started
- *     at the head of the fill order) yields exactly the base window,
- *     and every other start yields a window of its own. The
- *     survivors are emitted in ascending lexicographic order of
- *     their position lists.
- *
- * The catch-all never sorts positions or compares windows: a
- * variant is kept as its island takes, two variants compare by the
- * smallest position in their symmetric difference (which belongs to
- * the one taking more of that island), and each window is the
- * concatenation of its islands' position prefixes in order of first
- * free position, merged only where islands interleave.
+ * Emit the @p policy candidate windows of an entry needing @p n
+ * devices (0 < n <= free.size()) over the ascending free-device list
+ * @p free into @p out (cleared first). At least one candidate is
+ * emitted.
  */
-class IslandAwareGenerator final : public WindowGenerator
-{
-  public:
-    const char *name() const override { return "IslandAware"; }
-    void generate(const WindowGenContext &ctx,
-                  CandidateWindows &out) const override;
-};
-
-/** Built-in strategy selector (PlacementOptions::windows). */
-enum class WindowPolicy : std::uint8_t
-{
-    ContiguousRuns, ///< historical behaviour, numbering-coupled
-    IslandAware,    ///< island-graph aware (heterogeneous / permuted)
-};
-
-/** Instantiate the built-in generator for @p policy. */
-const WindowGenerator &builtinWindowGenerator(WindowPolicy policy);
+void generateWindows(WindowPolicy policy, const ClusterTopology &topo,
+                     const DeviceSet &free, std::uint32_t n,
+                     CandidateWindows &out);
 
 } // namespace spindle
 

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <numeric>
 
 #include "planner/planner.h"
 #include "test_util.h"
@@ -363,165 +362,9 @@ TEST(Placement, MemoryFallback512GpuStress)
     }
 }
 
-namespace {
-
-/** Test generator: exactly one candidate — the last n free devices. */
-class SuffixWindowOnly final : public WindowGenerator
-{
-  public:
-    const char *name() const override { return "SuffixWindowOnly"; }
-
-    void
-    generate(const WindowGenContext &ctx,
-             CandidateWindows &out) const override
-    {
-        out.clear();
-        std::vector<std::uint32_t> win(ctx.n);
-        const std::size_t first = ctx.free.size() - ctx.n;
-        for (std::uint32_t i = 0; i < ctx.n; ++i)
-            win[i] = static_cast<std::uint32_t>(first + i);
-        out.extras.push_back(std::move(win));
-    }
-};
-
-} // namespace
-
-TEST(Placement, CustomWindowGeneratorIsConsumed)
-{
-    // A custom generator plugged through PlacementOptions fully
-    // determines the candidate set: offering only the
-    // highest-free-devices window forces every wave to occupy the
-    // top of the id space.
-    ComputationGraph g = testutil::fig3Workload();
-    MetaGraph meta = contractGraph(g);
-    ClusterTopology topo = smallCluster(2);
-    HardwareModel hw(topo);
-
-    SuffixWindowOnly suffix_only;
-    PlannerOptions options;
-    options.placement.generator = &suffix_only;
-    PlannerOutput out = ExecutionPlanner(hw, options).plan(meta);
-    out.plan.validate(meta);
-    for (const Wave &w : out.plan.waves) {
-        DeviceSet used;
-        std::uint32_t total = 0;
-        for (const WaveEntry &e : w.entries) {
-            used = unionOf(used, e.devices);
-            total += e.n;
-        }
-        // The union of the wave's windows is the top `total` ids.
-        DeviceSet expect(total);
-        std::iota(expect.begin(), expect.end(),
-                  topo.numDevices() - total);
-        EXPECT_EQ(used, expect);
-    }
-}
-
-namespace {
-
-/** Test generator breaking the generator contract in one way. */
-class BrokenWindowGenerator final : public WindowGenerator
-{
-  public:
-    enum class Fault
-    {
-        ExtraWrongSize,
-        ExtraBeyondFree,
-        ExtraDescending,
-        BandBeyondFree,
-        BandDescending,
-    };
-
-    explicit BrokenWindowGenerator(Fault fault) : fault_(fault) {}
-
-    const char *name() const override { return "BrokenWindowGenerator"; }
-
-    void
-    generate(const WindowGenContext &ctx,
-             CandidateWindows &out) const override
-    {
-        out.clear();
-        const auto F = static_cast<std::uint32_t>(ctx.free.size());
-        // A valid band over every free position first, so the broken
-        // extras are reached after a full band of scored windows.
-        std::vector<std::uint32_t> all(F);
-        std::iota(all.begin(), all.end(), 0u);
-        out.bands.push_back(all);
-        std::vector<std::uint32_t> win;
-        switch (fault_) {
-          case Fault::ExtraWrongSize: // n + 1 positions
-            for (std::uint32_t p = 0; p <= ctx.n; ++p)
-                win.push_back(p);
-            out.extras.push_back(std::move(win));
-            break;
-          case Fault::ExtraBeyondFree: // the last n positions, shifted by one
-            for (std::uint32_t p = F - ctx.n + 1; p <= F; ++p)
-                win.push_back(p);
-            out.extras.push_back(std::move(win));
-            break;
-          case Fault::ExtraDescending: // the first n positions, reversed
-            for (std::uint32_t p = ctx.n; p-- > 0;)
-                win.push_back(p);
-            out.extras.push_back(std::move(win));
-            break;
-          case Fault::BandBeyondFree: // every position, plus F
-            out.bands.back().push_back(F);
-            break;
-          case Fault::BandDescending: // every position, reversed
-            std::reverse(out.bands.back().begin(),
-                         out.bands.back().end());
-            break;
-        }
-    }
-
-  private:
-    Fault fault_;
-};
-
-} // namespace
-
-TEST(Placement, GeneratorContractViolationIsRecoverable)
-{
-    // A custom generator is caller code: a window of the wrong size,
-    // a position past the free list, or positions that do not ascend
-    // strictly must fail as a user error (recoverable in scope)
-    // before placement indexes by them, not read out of bounds or
-    // commit a non-canonical window. At 4096 GPUs the first entry
-    // sees 4096 free devices, so the band build and the sweep over
-    // thousands of band windows run at full size before the fault
-    // is reached; the error must still surface on the planning
-    // thread, inside its scope.
-    ComputationGraph g = fig3Workload();
-    MetaGraph meta = contractGraph(g);
-    using Fault = BrokenWindowGenerator::Fault;
-    for (std::uint32_t nodes : {2u, 512u}) {
-        ClusterTopology topo = smallCluster(nodes);
-        HardwareModel hw(topo);
-        for (Fault fault : {Fault::ExtraWrongSize, Fault::ExtraBeyondFree,
-                            Fault::ExtraDescending, Fault::BandBeyondFree,
-                            Fault::BandDescending}) {
-            SCOPED_TRACE(strCat("nodes=", nodes, " fault=",
-                                static_cast<int>(fault)));
-            BrokenWindowGenerator broken(fault);
-            PlannerOptions options;
-            options.placement.generator = &broken;
-            RecoverableScope scope;
-            try {
-                ExecutionPlanner(hw, options).plan(meta);
-                ADD_FAILURE()
-                    << "a contract-breaking generator was accepted";
-            } catch (const RecoverableError &e) {
-                EXPECT_NE(std::string(e.what()).find("generator emitted"),
-                          std::string::npos)
-                    << e.what();
-            }
-        }
-    }
-}
-
 TEST(Placement, CandidateWindowPoolRecyclesCapacity)
 {
-    // The placer calls the window generator once per wave entry; at
+    // The placer generates windows once per wave entry; at
     // 4096 devices the emitted bands are large, so clear() must
     // recycle the inner vectors (capacity intact) instead of freeing
     // them — steady-state generation may not hit the allocator.

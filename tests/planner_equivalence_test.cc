@@ -12,7 +12,7 @@
  *
  * A determinism case re-runs the planner to catch accidental
  * dependence on hash or sharded-memo iteration order, and concurrent
- * planners sharing one generator must match a serial run.
+ * planners generating windows at once must match a serial run.
  *
  * If an intentional scoring change ever lands, these reference
  * copies must be updated alongside it (and the change called out as
@@ -235,6 +235,9 @@ struct Attempt
     }
 };
 
+void islandAwareGenerate(const ClusterTopology &topo, const DeviceSet &free,
+                         std::uint32_t n, CandidateWindows &out);
+
 bool
 tryPlace(const ClusterTopology &topo, const HardwareModel &hw,
          const MemoryModel &mem, const PlacementOptions &options,
@@ -317,6 +320,23 @@ tryPlace(const ClusterTopology &topo, const HardwareModel &hw,
                 canonicalize(win);
                 seq_cursor = (seq_cursor + e.n) % num_devices;
                 windows.push_back(std::move(win));
+            } else if (options.windows == WindowPolicy::IslandAware) {
+                // Every length-n run of each band, then each extra,
+                // in emission order: the sweep keeps the first of
+                // equally scored windows.
+                CandidateWindows cw;
+                islandAwareGenerate(topo, free, e.n, cw);
+                const auto realize = [&](const std::uint32_t *pos) {
+                    DeviceSet win(e.n);
+                    for (std::uint32_t j = 0; j < e.n; ++j)
+                        win[j] = free[pos[j]];
+                    windows.push_back(std::move(win));
+                };
+                for (const auto &band : cw.bands)
+                    for (std::size_t s = 0; s + e.n <= band.size(); ++s)
+                        realize(band.data() + s);
+                for (const auto &extra : cw.extras)
+                    realize(extra.data());
             } else {
                 for (std::size_t s = 0; s + e.n <= free.size(); ++s)
                     windows.emplace_back(free.begin() + s,
@@ -512,23 +532,24 @@ plan(const HardwareModel &hw, const PlannerOptions &options,
 }
 
 /**
- * IslandAwareGenerator as it was before the catch-all learned to work
- * from island takes, frozen: per-island bands, pair unions, then the
- * greedy catch-all built by materializing one variant per start
- * island, sorting each, sorting the variants lexicographically and
- * deduping. Its extras (content and order) are the contract.
+ * IslandAware window generation as it was before the catch-all
+ * learned to work from island takes, frozen: per-island bands, pair
+ * unions, then the greedy catch-all built by materializing one
+ * variant per start island, sorting each, sorting the variants
+ * lexicographically and deduping. Its extras (content and order) are
+ * the contract.
  */
 void
-islandAwareGenerate(const WindowGenContext &ctx, CandidateWindows &out)
+islandAwareGenerate(const ClusterTopology &topo, const DeviceSet &free,
+                    std::uint32_t n, CandidateWindows &out)
 {
     out.bands.clear();
     out.extras.clear();
-    const std::size_t F = ctx.free.size();
-    const std::uint32_t n = ctx.n;
-    const std::size_t num_isl = ctx.topo.numIslands();
+    const std::size_t F = free.size();
+    const std::size_t num_isl = topo.numIslands();
     std::vector<std::vector<std::uint32_t>> isl(num_isl);
     for (std::size_t pos = 0; pos < F; ++pos)
-        isl[ctx.topo.islandOf(ctx.free[pos])].push_back(
+        isl[topo.islandOf(free[pos])].push_back(
             static_cast<std::uint32_t>(pos));
 
     std::size_t largest = 0;
@@ -1018,11 +1039,40 @@ TEST(PlannerEquivalence, IslandAwareFirstWaveStaysIntraIsland)
 }
 
 /**
- * The built-in IslandAware candidates on one free list, for each n in
- * @p ns, byte-compared with the frozen reference: bands, then extras
- * in content *and* order (the sweep keeps the first of equally scored
- * extras). @p got is reused across calls, the way the placer reuses
- * its CandidateWindows across entries, so stale workspace shows.
+ * The placer's contract on one emission over a free list of @p F
+ * devices for an entry of @p n: at least one candidate, every band
+ * and extra strictly ascending with positions below F, every band at
+ * least n long and every extra exactly n.
+ */
+void
+expectWindowContract(const CandidateWindows &cw, std::size_t F,
+                     std::uint32_t n)
+{
+    ASSERT_FALSE(cw.bands.empty() && cw.extras.empty());
+    const auto valid = [F](const std::vector<std::uint32_t> &pos) {
+        for (std::size_t i = 0; i < pos.size(); ++i)
+            if (pos[i] >= F || (i > 0 && pos[i] <= pos[i - 1]))
+                return false;
+        return true;
+    };
+    for (const auto &band : cw.bands) {
+        ASSERT_TRUE(valid(band));
+        ASSERT_GE(band.size(), n);
+    }
+    for (const auto &extra : cw.extras) {
+        ASSERT_TRUE(valid(extra));
+        ASSERT_EQ(extra.size(), n);
+    }
+}
+
+/**
+ * The IslandAware candidates on one free list, for each n in @p ns,
+ * byte-compared with the frozen reference: bands, then extras in
+ * content *and* order (the sweep keeps the first of equally scored
+ * extras). Both policies' emissions must also keep the placer's
+ * contract, which placement relies on without checking. @p got is
+ * reused across calls, the way the placer reuses its
+ * CandidateWindows across entries, so stale workspace shows.
  */
 void
 expectIslandAwareMatchesReference(const ClusterTopology &topo,
@@ -1030,16 +1080,16 @@ expectIslandAwareMatchesReference(const ClusterTopology &topo,
                                   const std::vector<std::uint32_t> &ns,
                                   CandidateWindows &got)
 {
-    const WindowGenerator &gen =
-        builtinWindowGenerator(WindowPolicy::IslandAware);
     CandidateWindows want;
     for (std::uint32_t n : ns) {
         SCOPED_TRACE(strCat("n=", n, " of ", free.size(), " free"));
-        const WindowGenContext ctx{topo, free, n};
-        gen.generate(ctx, got);
-        reference::islandAwareGenerate(ctx, want);
+        generateWindows(WindowPolicy::IslandAware, topo, free, n, got);
+        reference::islandAwareGenerate(topo, free, n, want);
         ASSERT_EQ(got.bands, want.bands);
         ASSERT_EQ(got.extras, want.extras);
+        expectWindowContract(got, free.size(), n);
+        generateWindows(WindowPolicy::ContiguousRuns, topo, free, n, got);
+        expectWindowContract(got, free.size(), n);
     }
 }
 
@@ -1149,9 +1199,9 @@ TEST(PlannerEquivalence, IslandAwareCandidatesMatchFrozenReference)
 
 TEST(PlannerEquivalence, IslandAwareConcurrentPlansMatchSerial)
 {
-    // The built-in generators are shared immutable singletons: two
-    // planners on two threads run the one IslandAware instance at
-    // once, each through its own CandidateWindows workspace. Both
+    // Window generation keeps no state of its own: two planners on
+    // two threads generate IslandAware windows at once, each through
+    // its own CandidateWindows workspace. Both
     // must plan byte-identically to a serial run (and race-free
     // under TSan). Entries outgrow every island, so the greedy
     // catch-all runs.
@@ -1180,7 +1230,7 @@ TEST(PlannerEquivalence, IslandAwareConcurrentPlansMatchSerial)
     ASSERT_TRUE(outgrows) << "no entry reaches the catch-all";
 
     // Each thread plans both graphs, in opposite orders, several
-    // times, so the two threads overlap on the same generator.
+    // times, so the two threads overlap in window generation.
     PlannerOutput concurrent[2][2];
     auto worker = [&](int t) {
         for (int rep = 0; rep < 3; ++rep)
@@ -1207,36 +1257,17 @@ TEST(PlannerEquivalence, IslandAwareConcurrentPlansMatchSerial)
 // ===================================================================
 
 /**
- * ContiguousRuns' candidate set emitted as explicit extras, no bands:
- * every length-n run of the free list, in order. Extras are scored
- * window by window instead of from band prefix state, so this pins
- * their pricing — the path IslandAware's cross-island unions take —
- * to the frozen reference.
+ * IslandAware placement against the reference's brute-force scorer
+ * over the frozen IslandAware windows. Extras are scored window by
+ * window instead of from band prefix state, so this pins their
+ * pricing of flows and residency to the reference, on every fabric
+ * the link ranks distinguish. CLIP-10 has no TP > 1 entry; the TP
+ * island penalty has its own case below.
  */
-class RunsAsExtrasGenerator final : public WindowGenerator
-{
-  public:
-    const char *name() const override { return "RunsAsExtras"; }
-
-    void
-    generate(const WindowGenContext &ctx,
-             CandidateWindows &out) const override
-    {
-        out.clear();
-        const std::size_t runs = ctx.free.size() - ctx.n + 1;
-        for (std::size_t start = 0; start < runs; ++start) {
-            std::vector<std::uint32_t> &win = out.appendExtra();
-            for (std::uint32_t j = 0; j < ctx.n; ++j)
-                win.push_back(static_cast<std::uint32_t>(start + j));
-        }
-    }
-};
-
 TEST(PlannerEquivalence, ExtrasMatchReferenceOnEveryFabric)
 {
-    const RunsAsExtrasGenerator extras;
     PlannerOptions options;
-    options.placement.generator = &extras;
+    options.placement.windows = WindowPolicy::IslandAware;
 
     auto nodes = [](ClusterConfig cfg, std::uint32_t num_nodes) {
         cfg.numNodes = num_nodes;
@@ -1268,6 +1299,36 @@ TEST(PlannerEquivalence, ExtrasMatchReferenceOnEveryFabric)
     const ComputationGraph g = buildMultitaskClip({.numTasks = 10});
     for (const auto &[name, cfg] : fabrics) {
         SCOPED_TRACE(name);
+        expectEquivalentOn(g, cfg, options);
+    }
+}
+
+TEST(PlannerEquivalence, ExtrasPriceTheTpIslandPenalty)
+{
+    // A batch below the entry size forces TP > 1, so extras that span
+    // islands pay the TP island penalty; CLIP-10 above never gets
+    // TP > 1. ZeRO-3 keeps the 9B model inside device memory.
+    PlannerOptions options;
+    options.placement.windows = WindowPolicy::IslandAware;
+    options.memory.zeroShardParams = true;
+    const ComputationGraph g = buildQwenVal({.batch = 2});
+    for (const ClusterConfig &cfg :
+         {heteroCluster({12, 4, 12, 4}), heteroCluster({6, 10})}) {
+        SCOPED_TRACE(strCat(cfg.islands.size(), " islands"));
+        // The case must reach the penalty: TP > 1 entries whose
+        // committed window spans islands.
+        ClusterTopology topo(cfg);
+        HardwareModel hw(topo);
+        MetaGraph meta = contractGraph(g);
+        const PlannerOutput out = ExecutionPlanner(hw, options).plan(meta);
+        std::size_t spanning_tp = 0;
+        for (const Wave &w : out.plan.waves)
+            for (const WaveEntry &e : w.entries)
+                spanning_tp +=
+                    hw.bestConfig(memberDesc(meta.metaOp(e.metaOp)), e.n)
+                            .tp > 1 &&
+                    !topo.withinOneIsland(e.devices);
+        EXPECT_GT(spanning_tp, 0u);
         expectEquivalentOn(g, cfg, options);
     }
 }

@@ -14,11 +14,11 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <thread>
 #include <vector>
 
 #include "baselines/spindle_system.h"
-#include "planner/window_generator.h"
 #include "service/plan_service.h"
 #include "test_util.h"
 
@@ -489,36 +489,16 @@ TEST(PlanService, PerRequestPlannersUseTheSharedCache)
 }
 
 // ===================================================================
-// SpindleSystem::buildPlan re-entrancy tripwire (satellite bugfix)
+// SpindleSystem::buildPlan overlapping-call tripwire
 // ===================================================================
-
-/** A hostile window generator that re-enters buildPlan on the same
- *  SpindleSystem from inside placement — the exact overlapping use
- *  the atomic in-use guard exists to catch. Late-bound because the
- *  system is constructed with options that already reference it. */
-class ReentrantGenerator final : public WindowGenerator
-{
-  public:
-    const SpindleSystem *sys = nullptr;
-    const MetaGraph *meta = nullptr;
-
-    const char *name() const override { return "Reentrant"; }
-
-    void
-    generate(const WindowGenContext &ctx, CandidateWindows &out) const
-        override
-    {
-        (void)sys->buildPlan(*meta); // must panic: overlapping call
-        ContiguousRunsGenerator fallback;
-        fallback.generate(ctx, out);
-    }
-};
 
 TEST(PlanServiceDeathTest, BuildPlanReentryPanicsWithActionableMessage)
 {
-    // Deterministic single-threaded re-entry: placement calls the
-    // generator, the generator calls buildPlan on the same system.
-    // Before the guard this silently raced on the cached planner.
+    // Two threads loop buildPlan on one SpindleSystem, so one call
+    // soon starts while the other is inside: the exact overlapping
+    // use the atomic in-use guard exists to catch. Before the guard
+    // this silently raced on the cached planner. The loops are
+    // bounded so that a missing guard fails the test, not hangs it.
     ComputationGraph g = fig3Workload();
     MetaGraph meta = contractGraph(g);
     ClusterTopology topo = smallCluster(1);
@@ -526,13 +506,17 @@ TEST(PlanServiceDeathTest, BuildPlanReentryPanicsWithActionableMessage)
 
     EXPECT_DEATH(
         {
-            ReentrantGenerator evil;
-            PlannerOptions options;
-            options.placement.generator = &evil;
-            SpindleSystem sys(hw, options);
-            evil.sys = &sys;
-            evil.meta = &meta;
-            (void)sys.buildPlan(meta);
+            SpindleSystem sys(hw);
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(30);
+            auto loop = [&] {
+                while (std::chrono::steady_clock::now() < deadline)
+                    (void)sys.buildPlan(meta);
+            };
+            std::thread a(loop);
+            std::thread b(loop);
+            a.join();
+            b.join();
         },
         "overlapping call");
 }
