@@ -345,14 +345,18 @@ struct EntryContext
     ParallelConfig cfg;
     double act_share = 0;                ///< activation bytes per device
     std::vector<SliceParam> sig;         ///< slice param signature
-    std::vector<std::int64_t> uniq_keys; ///< distinct sig keys, sorted
-    std::vector<double> uniq_vals;       ///< per uniq key: max sig share
-    /** (key, max share) in first-occurrence sig order — the commit
-     *  loop's working set. Multi-task slices repeat shared keys many
-     *  times; committing each distinct key once with the strict-max
-     *  share leaves the map byte-identical (same distinct-insertion
-     *  sequence, so the same bucket layout deviceTotal() walks, and
-     *  strict-max folding is order-independent selection). */
+    /**
+     * The distinct sig keys, each with its max share, in
+     * first-occurrence sig order: the key list of the commit, of the
+     * holder upkeep and of the affected set. A slice can repeat a
+     * shared key; committing each distinct key once with the
+     * strict-max share leaves the map byte-identical (same
+     * distinct-insertion sequence, so the same bucket layout
+     * deviceTotal() walks, and strict-max folding is order-independent
+     * selection). Zero-byte keys are included on purpose: they still
+     * sit in the device maps, so a device holding one is "affected" —
+     * its probe loop takes the hit branch.
+     */
     std::vector<std::pair<std::int64_t, double>> commit_keys;
     /** Inter-wave data sources, (bytes, source set), in the order the
      *  score accumulates them, and one flow resolver per source. */
@@ -364,8 +368,14 @@ struct EntryContext
     std::vector<std::int64_t> row_key; ///< row -> param key
 
   private:
-    std::vector<char> key_seen; ///< per uniq key, per entry
-    std::unordered_map<std::int64_t, std::int32_t> row_of;
+    /** Per distinct key: its commit_keys index and residency row
+     *  (-1 = none yet). */
+    struct KeySlot
+    {
+        std::size_t commit = 0;
+        std::int32_t row = -1;
+    };
+    std::unordered_map<std::int64_t, KeySlot> key_slot_;
 };
 
 void
@@ -393,41 +403,30 @@ EntryContext::build(const MetaGraph &graph, const WaveEntry &e,
         sig.push_back({paramDedupKey(op), shard + opt, op.paramBytes});
     }
 
-    // Distinct keys of the slice (affected-set derivation and
-    // reverse-index upkeep at commit). Zero-byte keys are included on
-    // purpose: they still sit in the device maps, so a device holding
-    // one is "affected" — its probe loop takes the hit branch.
-    uniq_keys.clear();
-    for (const SliceParam &sp : sig)
-        uniq_keys.push_back(sp.key);
-    std::sort(uniq_keys.begin(), uniq_keys.end());
-    uniq_keys.erase(std::unique(uniq_keys.begin(), uniq_keys.end()),
-                    uniq_keys.end());
-    // Max share per distinct key (the value a device that held
-    // nothing ends up storing — mergeFlat strict-max folds it into the
-    // mirror at commit) and the distinct keys in first-occurrence
-    // order (see commit_keys).
-    const auto uniq_index = [this](std::int64_t key) {
-        return static_cast<std::size_t>(
-            std::lower_bound(uniq_keys.begin(), uniq_keys.end(), key) -
-            uniq_keys.begin());
-    };
-    uniq_vals.assign(uniq_keys.size(),
-                     -std::numeric_limits<double>::infinity());
-    key_seen.assign(uniq_keys.size(), 0);
+    // One first-occurrence pass: the distinct keys with their max
+    // shares (commit_keys), and the residency rows — one per distinct
+    // key carried by the slice with bytes (affinity scoring).
     commit_keys.clear();
-    for (const SliceParam &sp : sig) {
-        const std::size_t i = uniq_index(sp.key);
-        if (sp.share > uniq_vals[i])
-            uniq_vals[i] = sp.share;
-        if (!key_seen[i]) {
-            key_seen[i] = 1;
-            commit_keys.emplace_back(sp.key, 0.0);
+    row_key.clear();
+    sig_row.assign(sig.size(), -1);
+    key_slot_.clear();
+    for (std::size_t i = 0; i < sig.size(); ++i) {
+        const SliceParam &sp = sig[i];
+        const auto [it, inserted] =
+            key_slot_.try_emplace(sp.key, KeySlot{commit_keys.size()});
+        KeySlot &slot = it->second;
+        if (inserted)
+            commit_keys.emplace_back(sp.key, sp.share);
+        else if (sp.share > commit_keys[slot.commit].second)
+            commit_keys[slot.commit].second = sp.share;
+        if (sp.bytes <= 0)
+            continue;
+        if (slot.row < 0) {
+            slot.row = static_cast<std::int32_t>(row_key.size());
+            row_key.push_back(sp.key);
         }
+        sig_row[i] = slot.row;
     }
-    // Resolve the shares once every occurrence is folded.
-    for (auto &kv : commit_keys)
-        kv.second = uniq_vals[uniq_index(kv.first)];
 
     // Inter-wave data sources feeding this entry, in the edge order
     // the score accumulates them: first slices pull from predecessor
@@ -464,21 +463,6 @@ EntryContext::build(const MetaGraph &graph, const WaveEntry &e,
             shard, cfg.tp, topo.config().intraIsland);
         island_penalty =
             2.0 * static_cast<double>(e.numOps) * (slow - fast);
-    }
-
-    // Residency rows: one per distinct parameter key carried by the
-    // slice with bytes (affinity scoring).
-    sig_row.assign(sig.size(), -1);
-    row_of.clear();
-    row_key.clear();
-    for (std::size_t i = 0; i < sig.size(); ++i) {
-        if (sig[i].bytes <= 0)
-            continue;
-        auto [it, inserted] = row_of.emplace(
-            sig[i].key, static_cast<std::int32_t>(row_key.size()));
-        if (inserted)
-            row_key.push_back(sig[i].key);
-        sig_row[i] = it->second;
     }
 }
 
@@ -556,36 +540,15 @@ entryOrder(const MetaGraph &graph, const Wave &wave,
     return order;
 }
 
-/**
- * Mutable state of one placement attempt.
- *
- * Per-device totals are cached: the former deviceTotal() walked the
- * whole parameter map on every candidate window of every entry
- * (quadratic in practice). The cache is refreshed lazily after a
- * commit dirties a device, by replaying the exact walk the uncached
- * code performed — cached reads are bit-identical, and each device
- * is re-walked at most once per committed entry instead of once per
- * candidate window.
- */
+/** Mutable state of one placement attempt. */
 struct Attempt
 {
     /**
-     * Per-device stored parameter state, deduplicated by key. The
-     * map stays the owner: deviceTotal() walks it in bucket order,
-     * and that accumulation order is pinned by the byte-identity
-     * contract.
+     * Per-device stored parameter state, deduplicated by key.
+     * deviceTotal() walks it in bucket order, and that accumulation
+     * order is pinned by the byte-identity contract.
      */
     std::vector<std::unordered_map<std::int64_t, double>> params;
-
-    /**
-     * Sorted-by-key mirror of params, one vector per device, probed
-     * by the candidate sweep with binary searches instead of map
-     * lookups. The values are the exact doubles the map holds, so a
-     * mirror probe feeds the scoring arithmetic the same bits a map
-     * probe would. Re-derived per committed device (a device's
-     * parameter set changes only when an entry commits to it).
-     */
-    std::vector<std::vector<std::pair<std::int64_t, double>>> flat;
 
     /**
      * Reverse index: parameter key -> devices holding it. Lists are
@@ -603,102 +566,27 @@ struct Attempt
     /** Most recent device set of each MetaOp (last placed slice). */
     std::map<MetaOpId, DeviceSet> lastSlice;
 
-    /** Lazily refreshed deviceTotal() cache (see class comment). */
+    /**
+     * deviceTotal() cache. A device's total changes only when an
+     * entry commits to it, so the map walk runs at most once per
+     * commit instead of once per candidate window; it is the exact
+     * walk, so cached reads are bit-identical.
+     */
     std::vector<double> total_cache;
     std::vector<char> total_dirty;
 
-    /** Lazy-refresh bits for the flat mirror: a rebuild is pending
-     *  when set. */
-    std::vector<char> flat_dirty;
-
     explicit Attempt(std::uint32_t num_devices)
-        : params(num_devices), flat(num_devices),
-          activations(num_devices, 0.0), total_cache(num_devices, 0.0),
-          total_dirty(num_devices, 1), flat_dirty(num_devices, 0)
+        : params(num_devices), activations(num_devices, 0.0),
+          total_cache(num_devices, 0.0), total_dirty(num_devices, 1)
     {
     }
 
-    /** Re-derive flat[d] from params[d]. Sorting by key makes the
-     *  mirror independent of the map's bucket order. */
-    void
-    refreshFlat(DeviceId d)
-    {
-        auto &fv = flat[d];
-        fv.clear();
-        fv.reserve(params[d].size());
-        for (const auto &kv : params[d])
-            fv.push_back(kv);
-        std::sort(fv.begin(), fv.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first < b.first;
-                  });
-        flat_dirty[d] = 0;
-    }
-
-    /**
-     * Fold a committed slice into flat[d] incrementally: every key
-     * of @p keys (sorted, deduplicated) takes its value from the
-     * already-updated map — existing entries in place, new keys
-     * appended (ascending, since @p keys ascend) and merged. O(K)
-     * per device instead of refreshFlat's O(K log K) rebuild, which
-     * matters because commits are the only steady-state writer.
-     */
-    void
-    mergeFlat(DeviceId d, const std::vector<std::int64_t> &keys,
-              const std::vector<double> &shares)
-    {
-        if (flat_dirty[d]) {
-            refreshFlat(d); // map changed behind the mirror: rebuild
-            return;
-        }
-        auto &fv = flat[d];
-        const std::size_t old = fv.size();
-        for (std::size_t i = 0; i < keys.size(); ++i) {
-            const auto begin = fv.begin();
-            const auto it = std::lower_bound(
-                begin, begin + static_cast<std::ptrdiff_t>(old),
-                keys[i], [](const auto &a, std::int64_t k) {
-                    return a.first < k;
-                });
-            // The committed value is the strict-max fold of the
-            // existing share (exact in the clean mirror) with the
-            // slice's maximum share — no map lookup needed.
-            if (it != begin + static_cast<std::ptrdiff_t>(old) &&
-                it->first == keys[i]) {
-                if (shares[i] > it->second)
-                    it->second = shares[i];
-            } else {
-                fv.emplace_back(keys[i], shares[i]);
-            }
-        }
-        // Slice keys usually all sort above the device's existing
-        // keys (fresh parameters get fresh dedup keys), leaving the
-        // append already in order — skip the merge (and its internal
-        // temp buffer) then.
-        if (fv.size() == old || old == 0 ||
-            fv[old - 1].first < fv[old].first)
-            return;
-        std::inplace_merge(
-            fv.begin(), fv.begin() + static_cast<std::ptrdiff_t>(old),
-            fv.end(), [](const auto &a, const auto &b) {
-                return a.first < b.first;
-            });
-    }
-
-    /** Binary-search flat[d] for @p key; nullptr when absent.
-     *  Refreshes a stale mirror first (see flat_dirty). */
+    /** The share device @p d stores for @p key; nullptr when absent. */
     const double *
-    findFlat(DeviceId d, std::int64_t key)
+    held(DeviceId d, std::int64_t key) const
     {
-        if (flat_dirty[d])
-            refreshFlat(d);
-        const auto &fv = flat[d];
-        const auto it = std::lower_bound(
-            fv.begin(), fv.end(), key,
-            [](const auto &a, std::int64_t k) { return a.first < k; });
-        if (it == fv.end() || it->first != key)
-            return nullptr;
-        return &it->second;
+        const auto it = params[d].find(key);
+        return it == params[d].end() ? nullptr : &it->second;
     }
 
     double
@@ -719,35 +607,22 @@ struct Attempt
 
 /**
  * Stage 5, commit: fold the entry of @p ctx into the attempt state on
- * @p window — the one path for scored and replayed entries alike.
+ * @p window — the one path for scored and replayed entries alike. A
+ * key joins the holder list of exactly the window devices it lands
+ * on fresh, in window order.
  */
 void
 Attempt::commit(const EntryContext &ctx, const DeviceSet &window)
 {
-    // Reverse-index upkeep, before any device mutates: a key gains
-    // exactly the window devices that do not yet hold it
-    // (probed against the still-pre-commit flat mirror), in window
-    // order. uniq_keys is deduplicated, so no device is appended
-    // twice for one key, keeping holder lists exact.
-    for (std::int64_t key : ctx.uniq_keys) {
-        std::vector<DeviceId> *hv = nullptr;
-        for (DeviceId d : window) {
-            if (findFlat(d, key) != nullptr)
-                continue;
-            if (hv == nullptr)
-                hv = &holders[key];
-            hv->push_back(d);
-        }
-    }
-
     for (DeviceId d : window) {
         activations[d] += ctx.act_share;
         for (const auto &[key, share] : ctx.commit_keys) {
-            auto [it, inserted] = params[d].emplace(key, share);
-            if (!inserted && share > it->second)
+            const auto [it, inserted] = params[d].try_emplace(key, share);
+            if (inserted)
+                holders[key].push_back(d);
+            else if (share > it->second)
                 it->second = share;
         }
-        mergeFlat(d, ctx.uniq_keys, ctx.uniq_vals);
         total_dirty[d] = 1;
     }
     lastSlice[ctx.meta_op] = window;
@@ -762,7 +637,7 @@ Attempt::commit(const EntryContext &ctx, const DeviceSet &window)
  * check never rejects in this ablation.
  */
 DeviceSet
-sequentialWindow(const EntryContext &ctx, Attempt &state,
+sequentialWindow(const EntryContext &ctx, const Attempt &state,
                  const CollectiveModel &coll, std::uint32_t num_devices,
                  std::uint32_t &cursor, std::vector<char> &nonres,
                  double &comm)
@@ -781,7 +656,7 @@ sequentialWindow(const EntryContext &ctx, Attempt &state,
     nonres.assign(ctx.row_key.size(), 1);
     for (std::size_t r = 0; r < ctx.row_key.size(); ++r)
         for (DeviceId d : win)
-            if (state.findFlat(d, ctx.row_key[r]) != nullptr) {
+            if (state.held(d, ctx.row_key[r]) != nullptr) {
                 nonres[r] = 0;
                 break;
             }
@@ -974,8 +849,8 @@ WindowSweep::positionPass(Attempt &state)
     for (const SliceParam &sp : ctx.sig)
         sig_base += sp.share;
     ++entry_epoch_;
-    for (std::int64_t key : ctx.uniq_keys) {
-        const auto hit = state.holders.find(key);
+    for (const auto &kv : ctx.commit_keys) {
+        const auto hit = state.holders.find(kv.first);
         if (hit == state.holders.end())
             continue;
         for (DeviceId d : hit->second)
@@ -1031,7 +906,7 @@ WindowSweep::position(Attempt &state, std::size_t pos, double sig_base)
     } else {
         add = ctx.act_share;
         for (const SliceParam &sp : ctx.sig) {
-            const double *held = state.findFlat(d, sp.key);
+            const double *held = state.held(d, sp.key);
             if (held == nullptr)
                 add += sp.share;
             else if (sp.share > *held)

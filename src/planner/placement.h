@@ -25,10 +25,10 @@
  * short loop over named stages in placement.cc:
  *  1. *Entry setup* (EntryContext): built once per entry — its
  *     parallel config and activation share, the slice's parameter
- *     signature, distinct keys with their max shares and commit
- *     order, the inflows with one FlowSource each, the TP island
- *     penalty and the residency rows. It also owns the score terms
- *     (parameter affinity, island penalty), each written once.
+ *     signature, its distinct keys with their max shares in
+ *     first-seen order, the inflows with one FlowSource each, the TP
+ *     island penalty and the residency rows. It also owns the score
+ *     terms (parameter affinity, island penalty), each written once.
  *  2. *Position pass*: per-inflow link ranks, then per free position
  *     the device's would-be load, island and rank-counter addends,
  *     then each residency row's holder positions.
@@ -38,8 +38,8 @@
  *     then explicit extras are scored under one selection rule
  *     (Selection: comm plus weighted memory pressure, or memory first
  *     in the fallback) and reduced to the winner.
- *  5. *Commit* (Attempt::commit): reverse-index upkeep, per-device
- *     maps and flat mirrors, and the MetaOp's last slice.
+ *  5. *Commit* (Attempt::commit): per-device parameter maps,
+ *     reverse-index upkeep and the MetaOp's last slice.
  * The Sequential strategy replaces stages 2–4 by its one window.
  * Replaying a logged prefix builds the same entry setup and calls the
  * same commit, then adds the logged comm; place() is placeWithPrefix
@@ -62,10 +62,8 @@
  * which prices the committed flows' inter-island attribution.
  *
  * **Incremental per-entry setup (4096-GPU scaling).** The attempt
- * state keeps, besides the per-device parameter maps, a sorted flat
- * mirror of each map (binary-search probes in the hot loops, same
- * stored doubles, so identical arithmetic) and a reverse index from
- * parameter key to the devices holding it. An entry's would-be
+ * state keeps, besides the per-device parameter maps, a reverse index
+ * from parameter key to the devices holding it. An entry's would-be
  * per-device load then splits into one shared "all-miss" base —
  * activation share plus every signature share, accumulated once in
  * the exact order the probe loop would have — and sparse overrides

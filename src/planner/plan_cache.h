@@ -14,11 +14,12 @@
  *    their MetaOp ids or task names differ (e.g. the same task mix
  *    rebuilt after a departure).
  *  - **PlanCache** stores three tiers per (topology fingerprint,
- *    planner-options fingerprint) context: scaling curves per
- *    workload shape (§3.2), level allocations per LevelSignature
- *    (§3.3), and whole placed plans per GraphSignature, whose
- *    comm-first placement commit logs double as replayable prefixes
- *    for the PR-3 partial-restart machinery (§3.5).
+ *    HardwareParams fingerprint, planner-options fingerprint)
+ *    context: scaling curves per workload shape (§3.2), level
+ *    allocations per LevelSignature (§3.3), and whole placed plans
+ *    per GraphSignature, whose comm-first placement commit logs
+ *    double as replayable prefixes for the partial-restart
+ *    machinery (§3.5).
  *
  * Everything cached is value-transparent: a hit returns bits the
  * uncached pipeline would also have produced, which is what lets
@@ -143,9 +144,9 @@ GraphSignature signatureOf(const MetaGraph &graph);
 
 /**
  * Multi-tier cache of planning results, partitioned by context
- * fingerprint (topology fingerprint mixed with a fingerprint of the
- * planning options). See the file comment for the tiers and the
- * value-transparency contract.
+ * fingerprint (topology fingerprint mixed with fingerprints of the
+ * HardwareParams and of the planning options). See the file comment
+ * for the tiers and the value-transparency contract.
  */
 class PlanCache
 {

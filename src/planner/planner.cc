@@ -61,6 +61,24 @@ optionsFingerprint(const PlannerOptions &o)
     return h;
 }
 
+/** Fingerprint of every HardwareParams field: each one prices the
+ *  curves, hence the plan. */
+std::uint64_t
+paramsFingerprint(const HardwareParams &p)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    h = mix(h, p.bwdFlopsFactor);
+    h = mix(h, p.kernelLaunch);
+    h = mix(h, p.halfEffFlops);
+    h = mix(h, p.smallKernelFlops);
+    h = mix(h, p.smallKernelFactor);
+    h = mix(h, p.tinyKernelFlops);
+    h = mix(h, p.tinyKernelFactor);
+    h = mix(h, p.minEfficiency);
+    h = mix(h, static_cast<std::uint64_t>(p.maxTpDegree));
+    return h;
+}
+
 /** Curve-memo key of one MetaOp (§3.2 reads nothing else from it). */
 PlanCache::CurveKey
 curveKeyOf(const MetaOp &m, std::uint32_t max_devices)
@@ -112,8 +130,9 @@ ExecutionPlanner::ExecutionPlanner(const HardwareModel &hw,
                                    PlannerOptions options)
     : hw_(hw), options_(options)
 {
-    cache_context_ =
-        mix(hw.topology().fingerprint(), optionsFingerprint(options_));
+    cache_context_ = mix(
+        mix(hw.topology().fingerprint(), paramsFingerprint(hw.params())),
+        optionsFingerprint(options_));
 }
 
 PlanCache &

@@ -16,13 +16,13 @@
  *  - replan() serves dynamic arrivals/departures (Fig. 13) by
  *    running the pipeline with the planner's PlanCache. A workload
  *    whose value signature was planned before in the same
- *    (topology, options) context skips the stages and is returned
- *    with its MetaOp ids remapped; on a miss the stages reuse cached
- *    scaling curves, level allocations, and the committed placement
- *    prefix of the best cached neighbor — so replan cost scales with
- *    the perturbation, not the cluster. replan() output is
- *    byte-identical to plan() on the same graph (pinned by
- *    planner_equivalence_test).
+ *    (topology, hardware params, options) context skips the stages
+ *    and is returned with its MetaOp ids remapped; on a miss the
+ *    stages reuse cached scaling curves, level allocations, and the
+ *    committed placement prefix of the best cached neighbor — so
+ *    replan cost scales with the perturbation, not the cluster.
+ *    replan() output is byte-identical to plan() on the same graph
+ *    (pinned by planner_equivalence_test).
  *
  * Every stage runs serially on the calling thread. Planning
  * parallelism lives across requests: PlanService
@@ -60,11 +60,12 @@ struct PlannerOptions
      * cache. Sharing one cache between planners is safe, including
      * planners replanning concurrently on different threads —
      * PlanCache is internally synchronized (striped locks), and
-     * entries are keyed by a (topology fingerprint, options
-     * fingerprint) context, so near-identical workloads from
-     * different tenants dedupe into full hits while different
-     * contexts never collide. Excluded from the context fingerprint
-     * itself.
+     * entries are keyed by a (topology fingerprint, HardwareParams
+     * fingerprint, options fingerprint) context, so near-identical
+     * workloads from different tenants dedupe into full hits while
+     * different contexts — including one cluster under different
+     * HardwareParams — never collide. Excluded from the context
+     * fingerprint itself.
      */
     PlanCache *cache = nullptr;
 };
@@ -208,7 +209,8 @@ class ExecutionPlanner
      *  independent of cache state). */
     mutable std::unique_ptr<PlanCache> owned_cache_;
 
-    /** Cache context: topology fingerprint ⊕ options fingerprint. */
+    /** Cache context: topology ⊕ HardwareParams ⊕ options
+     *  fingerprints. */
     std::uint64_t cache_context_ = 0;
 };
 

@@ -12,7 +12,8 @@
  * Each request plans through ExecutionPlanner::replan() against the
  * shared cache, so near-identical workloads from different tenants
  * dedupe into full hits: the cache keys by value (GraphSignature ×
- * topology/options fingerprint), never by tenant, name, or id.
+ * topology/HardwareParams/options fingerprint), never by tenant,
+ * name, or id.
  *
  * **Equivalence discipline.** Every response is byte-identical to a
  * serial ExecutionPlanner::plan() on the same (graph, hardware):

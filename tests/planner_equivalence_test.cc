@@ -1337,11 +1337,12 @@ TEST(PlannerEquivalence, ExtrasPriceTheTpIslandPenalty)
 // Memory-first fallback pass
 // ===================================================================
 
-TEST(PlannerEquivalence, MemoryFirstFallbackPass)
+/** Shrink HBM until comm-first placement of @p g fails, then
+ *  byte-compare the memory-first fallback plans of both
+ *  implementations. */
+void
+expectFallbackEquivalent(const ComputationGraph &g)
 {
-    // Shrink HBM until comm-first placement fails, then byte-compare
-    // the memory-first fallback plans of both implementations.
-    ComputationGraph g = buildMultitaskClip({.numTasks = 4});
     MetaGraph meta = contractGraph(g);
 
     ClusterConfig cfg;
@@ -1386,6 +1387,20 @@ TEST(PlannerEquivalence, MemoryFirstFallbackPass)
     EXPECT_TRUE(exercised)
         << "memory pressure ladder never triggered the fallback pass; "
            "tighten the fractions";
+}
+
+TEST(PlannerEquivalence, MemoryFirstFallbackPass)
+{
+    {
+        SCOPED_TRACE("CLIP-4");
+        expectFallbackEquivalent(buildMultitaskClip({.numTasks = 4}));
+    }
+    // OFASys commits shared parameter keys at different shares on
+    // overlapping devices, so a device already holding a key at a
+    // smaller share is charged only the difference (the partial-hit
+    // probe); under memory-first scoring that charge picks windows.
+    SCOPED_TRACE("OFASys-4");
+    expectFallbackEquivalent(buildOfasys({.numTasks = 4}));
 }
 
 // ===================================================================

@@ -207,9 +207,10 @@ TEST(Planner, TopologyFingerprintHashesResolvedState)
 TEST(Planner, PlanCacheInvalidatedByTopologyContext)
 {
     // One externally owned cache shared by planners on three
-    // topologies: results cached on one cluster must never leak
-    // into another's context, and foreign contexts must not evict
-    // the original entry.
+    // topologies, and on cluster A under other HardwareParams (what
+    // PlanService::submitWithCluster does across tenants): results
+    // cached in one context must never leak into another, and
+    // foreign contexts must not evict the original entry.
     ComputationGraph g = buildMultitaskClip({.numTasks = 4});
     MetaGraph meta = contractGraph(g);
 
@@ -234,19 +235,26 @@ TEST(Planner, PlanCacheInvalidatedByTopologyContext)
     ExecutionPlanner pa(hw_a, options);
     ExecutionPlanner pb(hw_b, options);
     ExecutionPlanner pc(hw_c, options);
+    HardwareParams slow;
+    slow.kernelLaunch *= 100;
+    HardwareModel hw_slow(topo_a, slow);
+    ExecutionPlanner pd(hw_slow, options);
 
     EXPECT_FALSE(pa.replan(meta).replan.fullHit); // cold
     EXPECT_TRUE(pa.replan(meta).replan.fullHit);  // warm on A
 
     EXPECT_FALSE(pb.replan(meta).replan.fullHit); // other split
     EXPECT_FALSE(pc.replan(meta).replan.fullHit); // link override
+    PlannerOutput on_slow = pd.replan(meta);      // A, other params
+    EXPECT_FALSE(on_slow.replan.fullHit);
+    expectSameBytes(pd.plan(meta), on_slow);
 
     PlannerOutput warm = pa.replan(meta); // A's entry survived
     EXPECT_TRUE(warm.replan.fullHit);
     expectSameBytes(pa.plan(meta), warm);
 
     EXPECT_EQ(cache.stats().fullHits, 2u);
-    EXPECT_EQ(cache.stats().misses, 3u);
+    EXPECT_EQ(cache.stats().misses, 4u);
 }
 
 TEST(Planner, PlanCacheHitsOnPermutedEquivalentWorkload)
