@@ -146,8 +146,8 @@ CollectiveModel::decompose(const DeviceSet &group) const
 double
 CollectiveModel::allReduce(double bytes, const DeviceSet &group,
                            const GroupDecomposition &decomp,
-                           CollectiveKind kind, CollectiveSchedule *sched,
-                           const std::string &label) const
+                           CollectiveKind kind,
+                           CollectiveSchedule *sched) const
 {
     if (!decomp.spansIslands() || kind == CollectiveKind::FlatRing) {
         // One ring over the whole group: every algorithm degenerates
@@ -158,7 +158,7 @@ CollectiveModel::allReduce(double bytes, const DeviceSet &group,
                 ? interBottleneck(topo_, decomp)
                 : topo_.intraLink(decomp.islands.front().island));
         if (sched != nullptr)
-            sched->stages.push_back({{group, t, label}});
+            sched->stages.push_back({{group, t, "param_sync"}});
         return t;
     }
 
@@ -178,8 +178,8 @@ CollectiveModel::allReduce(double bytes, const DeviceSet &group,
         ag_max = std::max(ag_max, ag_t);
         if (sched != nullptr && g.size() > 1) {
             // Singleton island slices have no intra phase.
-            rs.push_back({g.devices, rs_t, label + "_rs"});
-            ag.push_back({g.devices, ag_t, label + "_ag"});
+            rs.push_back({g.devices, rs_t, "param_sync_rs"});
+            ag.push_back({g.devices, ag_t, "param_sync_ag"});
         }
     }
     const LinkParams &inter_link = interBottleneck(topo_, decomp);
@@ -203,7 +203,7 @@ CollectiveModel::allReduce(double bytes, const DeviceSet &group,
             for (const IslandGroup &g : decomp.islands)
                 ring.push_back(g.devices[r]);
             canonicalize(ring);
-            rings.push_back({std::move(ring), inter, label + "_xr"});
+            rings.push_back({std::move(ring), inter, "param_sync_xr"});
         }
         sched->stages.push_back(std::move(rings));
         if (!ag.empty())
@@ -262,7 +262,6 @@ CollectiveModel::resolveAuto(double bytes, const DeviceSet &group,
 CollectiveSchedule
 CollectiveModel::allReduceSchedule(double bytes, const DeviceSet &group,
                                    CollectiveKind kind,
-                                   const std::string &label,
                                    const GroupDecomposition *decomp) const
 {
     CollectiveSchedule sched;
@@ -274,7 +273,7 @@ CollectiveModel::allReduceSchedule(double bytes, const DeviceSet &group,
         decomp = &local;
     }
     allReduce(bytes, group, *decomp,
-              resolveAuto(bytes, group, kind, decomp), &sched, label);
+              resolveAuto(bytes, group, kind, decomp), &sched);
     return sched;
 }
 

@@ -45,7 +45,6 @@
 #define SPINDLE_HARDWARE_COLLECTIVE_H
 
 #include <algorithm>
-#include <string>
 #include <vector>
 
 #include "hardware/topology.h"
@@ -124,12 +123,17 @@ struct GroupDecomposition
 GroupDecomposition decomposeByIsland(const ClusterTopology &topo,
                                      const DeviceSet &group);
 
-/** One simulator reservation of a collective schedule. */
+/**
+ * One simulator reservation of a collective schedule. The label is
+ * the static trace literal of the step's phase: "param_sync" for the
+ * flat ring, "param_sync_rs" / "param_sync_xr" / "param_sync_ag" for
+ * the intra reduce-scatter, inter-island ring(s) and intra all-gather.
+ */
 struct CollectiveStep
 {
-    DeviceSet devices;  ///< devices the step occupies
-    double seconds = 0; ///< analytic duration of the step
-    std::string label;  ///< trace label ("param_sync", "..._rs", ...)
+    DeviceSet devices;      ///< devices the step occupies
+    double seconds = 0;     ///< analytic duration of the step
+    const char *label = ""; ///< phase literal (see above)
 };
 
 /**
@@ -265,13 +269,14 @@ class CollectiveModel
                 const GroupDecomposition *decomp = nullptr) const;
 
     /**
-     * Phase schedule of the selected algorithm's all-reduce (Auto:
-     * of the per-call winner); step labels derive from @p label.
-     * seconds() equals allReduceTime() of the same call.
+     * Phase schedule of the selected algorithm's gradient all-reduce
+     * (Auto: of the per-call winner), each step labelled with its
+     * phase (CollectiveStep). seconds() equals allReduceTime() of
+     * the same call.
      */
     CollectiveSchedule
     allReduceSchedule(double bytes, const DeviceSet &group,
-                      CollectiveKind kind, const std::string &label,
+                      CollectiveKind kind,
                       const GroupDecomposition *decomp = nullptr) const;
 
     /** Island decomposition of @p group (decomposeByIsland). */
@@ -319,13 +324,11 @@ class CollectiveModel
     /**
      * The one all-reduce routine: the price of a resolved (non-Auto)
      * @p kind over a group of at least two devices, appending the
-     * phase schedule to @p sched (steps labelled from @p label) when
-     * it is given.
+     * phase-labelled schedule to @p sched when it is given.
      */
     double allReduce(double bytes, const DeviceSet &group,
                      const GroupDecomposition &decomp, CollectiveKind kind,
-                     CollectiveSchedule *sched = nullptr,
-                     const std::string &label = {}) const;
+                     CollectiveSchedule *sched = nullptr) const;
 
     const ClusterTopology &topo_;
 };

@@ -86,6 +86,28 @@ startExecution(PlanExecution &exec, double earliest)
     });
 }
 
+/**
+ * Upper bound on the timeline records one execution of @p plan
+ * appends: each wave entry and each flow runs once per phase, and a
+ * sync group occupies each device in at most three collective phases
+ * (reduce-scatter, inter-island ring, all-gather).
+ */
+std::size_t
+recordBound(const ExecutionPlan &plan, const TransmissionExecutor &trans,
+            const ParameterGroupPool &pool)
+{
+    std::size_t n = 0;
+    for (const Wave &w : plan.waves) {
+        for (const WaveEntry &e : w.entries)
+            n += 2 * e.devices.size();
+        for (const TransmissionOp *t : trans.flowsInto(w.index, true))
+            n += 2 * (t->srcDevices.size() + t->dstDevices.size());
+    }
+    for (const ParamGroup &g : pool.groups())
+        n += 3 * g.devices.size();
+    return n;
+}
+
 /** Every device a placed plan reserves, ascending. */
 DeviceSet
 planDevices(const ExecutionPlan &plan)
@@ -190,6 +212,11 @@ Engine::runWithFaults(const MetaGraph &graph, const ExecutionPlan &plan,
     Simulator sim(plan.numDevices);
     // The base iteration registers its events immediately...
     PlanExecution base(sim, hw_, graph, plan, options_, phases);
+    // Room for all of its records in one allocation: grown by
+    // doubling, the timeline frees about twice its final size per
+    // run, which glibc may hand back to the OS for the next run to
+    // fault in again.
+    sim.timeline().reserve(recordBound(plan, base.trans, base.pool));
     startExecution(base, 0.0);
     const DeviceSet base_devices = planDevices(plan);
 

@@ -25,8 +25,7 @@ SyncExecutor::execute(double fwd_end, double bwd_end)
         if (g.devices.size() < 2)
             continue;
         const CollectiveSchedule sched = coll_.allReduceSchedule(
-            g.bytes, g.devices, options_.collective, "param_sync",
-            g.decomposition());
+            g.bytes, g.devices, options_.collective, g.decomposition());
         whole_max = std::max(whole_max, sched.seconds());
         // Strict: every group waits for the global backward barrier.
         // Overlap: the group starts at its own devices' free time —

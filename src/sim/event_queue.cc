@@ -1,5 +1,7 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace spindle {
@@ -9,24 +11,17 @@ EventQueue::schedule(SimTime when, Action action)
 {
     panicIf(when < now_, "EventQueue: scheduling into the past");
     panicIf(!action, "EventQueue: null action");
-    heap_.push({when, next_seq_++, std::move(action)});
-}
-
-void
-EventQueue::scheduleAfter(SimTime delay, Action action)
-{
-    panicIf(delay < 0, "EventQueue: negative delay");
-    schedule(now_ + delay, std::move(action));
+    heap_.push_back({when, next_seq_++, std::move(action)});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 void
 EventQueue::step()
 {
     panicIf(heap_.empty(), "EventQueue: step on empty queue");
-    // priority_queue::top() is const; move out via const_cast-free
-    // copy of the handle then pop.
-    Item item = heap_.top();
-    heap_.pop();
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Item item = std::move(heap_.back());
+    heap_.pop_back();
     now_ = item.time;
     item.action();
 }
@@ -36,16 +31,6 @@ EventQueue::run()
 {
     while (!heap_.empty() && !halted_)
         step();
-}
-
-void
-EventQueue::reset()
-{
-    while (!heap_.empty())
-        heap_.pop();
-    now_ = 0;
-    next_seq_ = 0;
-    halted_ = false;
 }
 
 } // namespace spindle

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace spindle {
@@ -34,11 +33,7 @@ class EventQueue
     /** Schedule @p action at absolute time @p when (>= now). */
     void schedule(SimTime when, Action action);
 
-    /** Schedule @p action @p delay seconds from now (delay >= 0). */
-    void scheduleAfter(SimTime delay, Action action);
-
     bool empty() const { return heap_.empty(); }
-    std::size_t numPending() const { return heap_.size(); }
 
     /** Advance to the earliest event and dispatch it. */
     void step();
@@ -47,19 +42,13 @@ class EventQueue
     void run();
 
     /**
-     * Stop dispatching: run() returns before the next event. Called
-     * from inside an event handler (the fault-injection path aborts
-     * an iteration this way); pending events stay queued so the
-     * caller can inspect what was abandoned. reset() clears the
-     * halt.
+     * Stop dispatching for good: run() returns before the next
+     * event. Called from inside an event handler (the
+     * fault-injection path aborts an iteration this way); pending
+     * events stay queued so the caller can inspect what was
+     * abandoned.
      */
     void halt() { halted_ = true; }
-
-    /** True after halt() until the next reset(). */
-    bool halted() const { return halted_; }
-
-    /** Drop all pending events and rewind the clock to zero. */
-    void reset();
 
   private:
     struct Item
@@ -80,7 +69,9 @@ class EventQueue
         }
     };
 
-    std::priority_queue<Item, std::vector<Item>, Later> heap_;
+    /** Binary min-heap on (time, seq), kept by std::push_heap /
+     *  std::pop_heap so step() can move the action out. */
+    std::vector<Item> heap_;
     SimTime now_ = 0;
     std::uint64_t next_seq_ = 0;
     bool halted_ = false;

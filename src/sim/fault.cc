@@ -22,15 +22,6 @@ FaultPlan::forIteration(std::uint32_t iteration) const
     return out;
 }
 
-std::uint32_t
-FaultPlan::lastIteration() const
-{
-    std::uint32_t last = 0;
-    for (const FaultEvent &ev : events)
-        last = std::max(last, ev.iteration);
-    return last;
-}
-
 FaultInjector::FaultInjector(Simulator &sim,
                              std::vector<InjectedFault> faults)
     : sim_(sim), faults_(std::move(faults))

@@ -68,9 +68,6 @@ struct FaultPlan
 
     /** Events striking @p iteration, ordered by fraction (stable). */
     std::vector<FaultEvent> forIteration(std::uint32_t iteration) const;
-
-    /** Largest iteration index referenced, 0 when empty. */
-    std::uint32_t lastIteration() const;
 };
 
 /**
@@ -110,16 +107,11 @@ class FaultInjector
     FaultInjector(Simulator &sim, std::vector<InjectedFault> faults);
 
     /**
-     * Schedule every batch on the simulator's queue. Call after the
-     * simulator is reset and before run(); batches whose devices are
-     * all already failed are skipped.
+     * Schedule every batch on the simulator's queue. Call on a fresh
+     * simulator, before run(); batches whose devices are all already
+     * failed are skipped.
      */
     void arm(OnFailure on_failure);
-
-    std::uint32_t numFaults() const
-    {
-        return static_cast<std::uint32_t>(faults_.size());
-    }
 
   private:
     Simulator &sim_;

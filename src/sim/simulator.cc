@@ -76,7 +76,7 @@ Simulator::groupFree(const DeviceSet &group) const
 double
 Simulator::occupy(const DeviceSet &group, double earliest,
                   double duration, ExecKind kind, double flops,
-                  std::int32_t meta_op, const std::string &label)
+                  std::int32_t meta_op, const char *label)
 {
     panicIf(group.empty(), "occupy: empty group");
     panicIf(duration < 0, "occupy: negative duration");
@@ -103,33 +103,10 @@ Simulator::occupy(const DeviceSet &group, double earliest,
     return end;
 }
 
-double
-Simulator::request(const DeviceSet &group, double earliest,
-                   double duration, ExecKind kind, double flops,
-                   std::int32_t meta_op, const std::string &label,
-                   Completion on_done)
-{
-    panicIf(!on_done, "request: null completion");
-    const double end =
-        occupy(group, earliest, duration, kind, flops, meta_op, label);
-    notifyAt(end, [on_done = std::move(on_done), end] { on_done(end); });
-    return end;
-}
-
 void
 Simulator::notifyAt(double when, EventQueue::Action action)
 {
     queue_.schedule(std::max(when, queue_.now()), std::move(action));
-}
-
-void
-Simulator::reset()
-{
-    queue_.reset();
-    timeline_ = Timeline();
-    std::fill(free_at_.begin(), free_at_.end(), 0.0);
-    std::fill(failed_.begin(), failed_.end(), false);
-    num_failed_ = 0;
 }
 
 } // namespace spindle

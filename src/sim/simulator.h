@@ -6,21 +6,15 @@
  * their schedules through this facade, so every system is measured
  * on an identical substrate.
  *
- * Two styles of use coexist:
- *  - occupy() reserves a device group synchronously and returns the
- *    completion time (the resource ledger primitive); the runtime's
- *    WaveDispatcher builds its wave events from occupy() plus
- *    notifyAt() completions, since a wave completes at the max over
- *    several reservations;
- *  - request() is the single-reservation composite: the same
- *    occupy(), with the completion delivered via notifyAt() — for
- *    handlers driven by one reservation's end.
+ * One resource primitive plus one event hook: occupy() reserves a
+ * device group synchronously and returns the completion time, and
+ * notifyAt() schedules a handler no earlier than the queue's clock.
+ * The runtime's WaveDispatcher builds its wave events from the two,
+ * since a wave completes at the max over several reservations.
  */
 
 #ifndef SPINDLE_SIM_SIMULATOR_H
 #define SPINDLE_SIM_SIMULATOR_H
-
-#include <functional>
 
 #include "hardware/device.h"
 #include "sim/event_queue.h"
@@ -35,15 +29,12 @@ namespace spindle {
  * group for a duration no earlier than a requested start, records
  * the interval in the timeline, and returns the completion time.
  * Wave dispatch, transmissions, and parameter sync all reduce to
- * sequences of occupy()/request() calls; the event queue orders the
- * dispatch deterministically.
+ * sequences of occupy() calls; the event queue orders the dispatch
+ * deterministically.
  */
 class Simulator
 {
   public:
-    /** Completion callback of request(): receives the end time. */
-    using Completion = std::function<void(double end)>;
-
     explicit Simulator(std::uint32_t num_devices);
 
     std::uint32_t numDevices() const { return num_devices_; }
@@ -59,10 +50,10 @@ class Simulator
 
     /**
      * Mark every device of @p devices as failed (idempotent): from
-     * now on, occupy()/request() reject any reservation touching
-     * them (the FaultInjector calls this when a fault event fires,
-     * then decides whether the iteration must abort). Device ids
-     * must be in range.
+     * now on, occupy() rejects any reservation touching them (the
+     * FaultInjector calls this when a fault event fires, then
+     * decides whether the iteration must abort). Device ids must be
+     * in range.
      */
     void failDevices(const DeviceSet &devices);
 
@@ -88,35 +79,20 @@ class Simulator
      * dead devices), so reaching occupy() with one is an internal
      * error.
      *
+     * @p label must be a static string literal (ExecRecord::label).
+     *
      * @return the completion time of the interval
      */
     double occupy(const DeviceSet &group, double earliest,
                   double duration, ExecKind kind, double flops,
-                  std::int32_t meta_op, const std::string &label);
-
-    /**
-     * Event-driven occupy: reserve like occupy(), then deliver the
-     * completion through the event queue — @p on_done fires as an
-     * event at the interval's end time (never earlier than the
-     * queue's current time), so handlers chain deterministically.
-     *
-     * @return the completion time of the interval
-     */
-    double request(const DeviceSet &group, double earliest,
-                   double duration, ExecKind kind, double flops,
-                   std::int32_t meta_op, const std::string &label,
-                   Completion on_done);
+                  std::int32_t meta_op, const char *label);
 
     /**
      * Schedule @p action at the later of @p when and the queue's
      * current time — the monotone-clamped scheduling every event
-     * handler (wave completions, chained dispatch, request()
-     * deliveries) is built on.
+     * handler (wave completions, chained dispatch) is built on.
      */
     void notifyAt(double when, EventQueue::Action action);
-
-    /** Reset clock, queue, timeline and availability to zero. */
-    void reset();
 
   private:
     std::uint32_t num_devices_;

@@ -13,7 +13,7 @@ Timeline::record(ExecRecord rec)
     panicIf(rec.end < rec.start, "Timeline: negative interval");
     makespan_ = std::max(makespan_, rec.end);
     total_flops_ += rec.flops;
-    records_.push_back(std::move(rec));
+    records_.push_back(rec);
 }
 
 std::vector<double>
@@ -57,21 +57,6 @@ Timeline::deviceBusyFraction(std::uint32_t num_devices) const
     for (double &b : busy)
         b /= makespan_;
     return busy;
-}
-
-std::vector<double>
-Timeline::deviceFlopsRate(std::uint32_t num_devices) const
-{
-    std::vector<double> rate(num_devices, 0.0);
-    if (makespan_ <= 0)
-        return rate;
-    for (const ExecRecord &r : records_) {
-        panicIf(r.device >= num_devices, "deviceFlopsRate: bad device");
-        rate[r.device] += r.flops;
-    }
-    for (double &v : rate)
-        v /= makespan_;
-    return rate;
 }
 
 double

@@ -9,7 +9,7 @@
 #ifndef SPINDLE_SIM_TRACE_H
 #define SPINDLE_SIM_TRACE_H
 
-#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "hardware/device.h"
@@ -38,8 +38,19 @@ struct ExecRecord
     /** MetaOp id this interval belongs to; -1 if not applicable. */
     std::int32_t metaOp = -1;
 
-    std::string label;
+    /**
+     * Static string literal naming the work, owned by the code that
+     * emits the record (never null, never freed):
+     *  - "fwd", "bwd": WaveDispatcher compute;
+     *  - "send_recv": TransmissionExecutor;
+     *  - "param_sync" (flat ring), "param_sync_rs", "param_sync_xr",
+     *    "param_sync_ag" (hierarchical phases): the CollectiveModel
+     *    schedule the SyncExecutor replays.
+     */
+    const char *label = "";
 };
+
+static_assert(std::is_trivially_copyable_v<ExecRecord>);
 
 /**
  * Append-only execution trace with the aggregations the paper plots.
@@ -48,6 +59,9 @@ class Timeline
 {
   public:
     void record(ExecRecord rec);
+
+    /** Capacity for @p n records, so recording does not reallocate. */
+    void reserve(std::size_t n) { records_.reserve(n); }
 
     const std::vector<ExecRecord> &records() const { return records_; }
     bool empty() const { return records_.empty(); }
@@ -69,9 +83,6 @@ class Timeline
      * of any kind (Fig. 9b left; size = @p num_devices).
      */
     std::vector<double> deviceBusyFraction(std::uint32_t num_devices) const;
-
-    /** Per-device achieved FLOPs/s over the makespan. */
-    std::vector<double> deviceFlopsRate(std::uint32_t num_devices) const;
 
     /**
      * Achieved compute utilization of one MetaOp: its FLOPs divided

@@ -64,7 +64,7 @@ TEST(Collective, TrivialGroupsAreFree)
         EXPECT_EQ(coll.allReduceTime(1e6, lone, kind), 0.0);
         EXPECT_EQ(coll.allReduceTime(0.0, pair, kind), 0.0);
         EXPECT_TRUE(
-            coll.allReduceSchedule(1e6, lone, kind, "x").stages.empty());
+            coll.allReduceSchedule(1e6, lone, kind).stages.empty());
     }
 }
 
@@ -94,12 +94,12 @@ TEST(Collective, SingleIslandGroupDegeneratesExactlyToFlatRing)
 
         // The hierarchical schedule is the flat single step as well.
         const CollectiveSchedule sched = coll.allReduceSchedule(
-            4e8, group, CollectiveKind::Hierarchical, "param_sync");
+            4e8, group, CollectiveKind::Hierarchical);
         ASSERT_EQ(sched.stages.size(), 1u);
         ASSERT_EQ(sched.stages[0].size(), 1u);
         EXPECT_EQ(sched.stages[0][0].devices, group);
         EXPECT_EQ(sched.stages[0][0].seconds, flat);
-        EXPECT_EQ(sched.stages[0][0].label, "param_sync");
+        EXPECT_STREQ(sched.stages[0][0].label, "param_sync");
     }
 }
 
@@ -157,7 +157,7 @@ TEST(Collective, FlatRingAndLeaderStageShareOneBottleneckLink)
     // The leader stage (one ring over the three island leaders) is
     // priced over the same link: 2 * 2/3 * 1200/100 + 2 * 2 * 1.0.
     const CollectiveSchedule sched = coll.allReduceSchedule(
-        bytes, all, CollectiveKind::Hierarchical, "s");
+        bytes, all, CollectiveKind::Hierarchical);
     ASSERT_EQ(sched.stages.size(), 3u);
     ASSERT_EQ(sched.stages[1].size(), 1u);
     EXPECT_EQ(sched.stages[1][0].devices, (DeviceSet{0, 2, 4}));
@@ -270,17 +270,17 @@ TEST(Collective, HierarchicalScheduleShape)
     // singleton island slice has no intra phase.
     const DeviceSet group = {0, 2, 3, 6};
     const CollectiveSchedule sched = coll.allReduceSchedule(
-        900, group, CollectiveKind::Hierarchical, "param_sync");
+        900, group, CollectiveKind::Hierarchical);
     ASSERT_EQ(sched.stages.size(), 3u);
     ASSERT_EQ(sched.stages[0].size(), 1u); // reduce-scatter: island 0
     EXPECT_EQ(sched.stages[0][0].devices, (DeviceSet{0, 2, 3}));
-    EXPECT_EQ(sched.stages[0][0].label, "param_sync_rs");
+    EXPECT_STREQ(sched.stages[0][0].label, "param_sync_rs");
     ASSERT_EQ(sched.stages[1].size(), 1u); // leader ring
     EXPECT_EQ(sched.stages[1][0].devices, (DeviceSet{0, 6}));
-    EXPECT_EQ(sched.stages[1][0].label, "param_sync_xr");
+    EXPECT_STREQ(sched.stages[1][0].label, "param_sync_xr");
     ASSERT_EQ(sched.stages[2].size(), 1u); // all-gather: island 0
     EXPECT_EQ(sched.stages[2][0].devices, (DeviceSet{0, 2, 3}));
-    EXPECT_EQ(sched.stages[2][0].label, "param_sync_ag");
+    EXPECT_STREQ(sched.stages[2][0].label, "param_sync_ag");
 
     // The schedule's analytic total is the algorithm's price.
     EXPECT_EQ(sched.seconds(),
@@ -291,7 +291,7 @@ TEST(Collective, HierarchicalScheduleShape)
     // hierarchical price collapses to the flat ring's.
     const DeviceSet leaders_only = {1, 5};
     const CollectiveSchedule xr_only = coll.allReduceSchedule(
-        900, leaders_only, CollectiveKind::Hierarchical, "param_sync");
+        900, leaders_only, CollectiveKind::Hierarchical);
     ASSERT_EQ(xr_only.stages.size(), 1u);
     ASSERT_EQ(xr_only.stages[0].size(), 1u);
     EXPECT_EQ(xr_only.stages[0][0].devices, leaders_only);
@@ -333,9 +333,9 @@ TEST(Collective, ShardedDegeneratesByteExactAtRailsOne)
                 coll.allReduceTime(bytes, group,
                                    CollectiveKind::Hierarchical));
             const CollectiveSchedule sharded = coll.allReduceSchedule(
-                bytes, group, CollectiveKind::ShardedHierarchical, "s");
+                bytes, group, CollectiveKind::ShardedHierarchical);
             const CollectiveSchedule hier = coll.allReduceSchedule(
-                bytes, group, CollectiveKind::Hierarchical, "s");
+                bytes, group, CollectiveKind::Hierarchical);
             ASSERT_EQ(sharded.stages.size(), hier.stages.size());
             for (std::size_t st = 0; st < hier.stages.size(); ++st) {
                 ASSERT_EQ(sharded.stages[st].size(),
@@ -346,8 +346,8 @@ TEST(Collective, ShardedDegeneratesByteExactAtRailsOne)
                               hier.stages[st][i].devices);
                     EXPECT_EQ(sharded.stages[st][i].seconds,
                               hier.stages[st][i].seconds);
-                    EXPECT_EQ(sharded.stages[st][i].label,
-                              hier.stages[st][i].label);
+                    EXPECT_STREQ(sharded.stages[st][i].label,
+                                 hier.stages[st][i].label);
                 }
             }
         }
@@ -455,24 +455,24 @@ TEST(Collective, ShardedScheduleShape)
     CollectiveModel coll(topo);
     const DeviceSet all = {0, 1, 2, 3, 4, 5, 6, 7};
     const CollectiveSchedule sched = coll.allReduceSchedule(
-        1200, all, CollectiveKind::ShardedHierarchical, "param_sync");
+        1200, all, CollectiveKind::ShardedHierarchical);
 
     // [rs x2 islands] -> [4 disjoint per-rail rings] -> [ag x2].
     ASSERT_EQ(sched.stages.size(), 3u);
     ASSERT_EQ(sched.stages[0].size(), 2u);
-    EXPECT_EQ(sched.stages[0][0].label, "param_sync_rs");
+    EXPECT_STREQ(sched.stages[0][0].label, "param_sync_rs");
     ASSERT_EQ(sched.stages[1].size(), 4u);
     for (std::uint32_t r = 0; r < 4; ++r) {
         const CollectiveStep &step = sched.stages[1][r];
         EXPECT_EQ(step.devices, (DeviceSet{r, r + 4}));
-        EXPECT_EQ(step.label, "param_sync_xr");
+        EXPECT_STREQ(step.label, "param_sync_xr");
         EXPECT_EQ(step.seconds, sched.stages[1][0].seconds);
     }
     // Ring 0 is exactly the leader set.
     EXPECT_EQ(sched.stages[1][0].devices,
               decomposeByIsland(topo, all).leaders);
     ASSERT_EQ(sched.stages[2].size(), 2u);
-    EXPECT_EQ(sched.stages[2][0].label, "param_sync_ag");
+    EXPECT_STREQ(sched.stages[2][0].label, "param_sync_ag");
 
     // The schedule's analytic total is the algorithm's price.
     EXPECT_EQ(sched.seconds(),

@@ -151,7 +151,7 @@ expectIdenticalTimelines(const Timeline &a, const Timeline &b)
         EXPECT_EQ(ra.kind, rb.kind) << "record " << i;
         EXPECT_EQ(ra.flops, rb.flops) << "record " << i;
         EXPECT_EQ(ra.metaOp, rb.metaOp) << "record " << i;
-        EXPECT_EQ(ra.label, rb.label) << "record " << i;
+        EXPECT_STREQ(ra.label, rb.label) << "record " << i;
     }
 }
 

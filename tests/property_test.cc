@@ -282,7 +282,7 @@ TEST_P(RandomIslandGraph, AutoIsNeverSlowerThanFlatRing)
               std::pair{CollectiveKind::Hierarchical, hier},
               std::pair{CollectiveKind::ShardedHierarchical, sharded},
               std::pair{CollectiveKind::Auto, aut}})
-            EXPECT_EQ(coll.allReduceSchedule(bytes, group, kind, "s")
+            EXPECT_EQ(coll.allReduceSchedule(bytes, group, kind)
                           .seconds(),
                       t)
                 << collectiveKindName(kind);

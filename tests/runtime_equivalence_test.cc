@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <string_view>
 #include <unordered_map>
 
 #include "planner/planner.h"
@@ -47,7 +48,7 @@ expectIdenticalTimelines(const Timeline &a, const Timeline &b)
         EXPECT_EQ(ra.kind, rb.kind) << "record " << i;
         EXPECT_EQ(ra.flops, rb.flops) << "record " << i;
         EXPECT_EQ(ra.metaOp, rb.metaOp) << "record " << i;
-        EXPECT_EQ(ra.label, rb.label) << "record " << i;
+        EXPECT_STREQ(ra.label, rb.label) << "record " << i;
     }
 }
 
@@ -258,7 +259,7 @@ expectOverlapSyncTailMatchesReference(const HardwareModel &hw,
             EXPECT_EQ(r.device, d);
             EXPECT_EQ(r.start, start);
             EXPECT_EQ(r.end, end);
-            EXPECT_EQ(r.label, "param_sync");
+            EXPECT_STREQ(r.label, "param_sync");
             free_at[d] = end;
         }
         sync_end = std::max(sync_end, end);
@@ -338,10 +339,10 @@ TEST(RuntimeEquivalence, HierarchicalDegeneratesOnSingleIslandClusters)
 /**
  * Mixed-size island fabric that rewards hierarchy: a 12-GPU island
  * next to a 4-GPU island, with a rail-constrained inter-island
- * collective class (one 50 GB/s rail) slower than NVLink.
+ * collective class (@p rails 50 GB/s rails) slower than NVLink.
  */
 ClusterTopology
-mixedIslandTopo()
+mixedIslandTopo(std::uint32_t rails = 1)
 {
     ClusterConfig cfg;
     cfg.islands.resize(2);
@@ -349,7 +350,7 @@ mixedIslandTopo()
         cfg.islands[0].devices.push_back(d);
     for (std::uint32_t d = 12; d < 16; ++d)
         cfg.islands[1].devices.push_back(d);
-    cfg.interIslandCollective = {50 * kGiga, 10 * kMicro};
+    cfg.interIslandCollective = {50 * kGiga, 10 * kMicro, rails};
     return ClusterTopology(cfg);
 }
 
@@ -475,6 +476,101 @@ TEST(RuntimeEquivalence, ShardedStrictlyLowersExposedSyncOnRails)
         expectIdenticalTimelines(a.timeline, b.timeline);
     }
     EXPECT_EQ(improved, 2u);
+}
+
+/** Phase rank of a hierarchical sync label; -1 for any other. */
+int
+syncPhaseRank(const char *label)
+{
+    const char *phases[] = {"param_sync_rs", "param_sync_xr",
+                            "param_sync_ag"};
+    for (int r = 0; r < 3; ++r)
+        if (std::string_view(label) == phases[r])
+            return r;
+    return -1;
+}
+
+TEST(RuntimeEquivalence, SyncPhaseLabelsReachTheTimelineInStageOrder)
+{
+    // Each cross-island group's sync records carry their phase label
+    // and come in stage order, in record order and in time:
+    // reduce-scatter -> inter-island ring(s) -> all-gather. Groups
+    // inside one island stay one flat "param_sync" step.
+    ClusterTopology topo = mixedIslandTopo(/*rails=*/4);
+    HardwareModel hw(topo);
+    ComputationGraph graph = buildMultitaskClip({.numTasks = 4});
+    MetaGraph meta = contractGraph(graph);
+    PlannerOutput out = ExecutionPlanner(hw).plan(meta);
+    ParameterGroupPool pool =
+        ParameterGroupPool::build(meta, out.plan, &topo);
+
+    for (CollectiveKind kind : {CollectiveKind::Hierarchical,
+                                CollectiveKind::ShardedHierarchical}) {
+        SCOPED_TRACE(collectiveKindName(kind));
+        EngineOptions options;
+        options.collective = kind;
+        IterationResult run =
+            Engine(hw, MemoryParams{}, options).run(meta, out.plan);
+        std::vector<const ExecRecord *> sync;
+        for (const ExecRecord &r : run.timeline.records())
+            if (r.kind == ExecKind::Sync)
+                sync.push_back(&r);
+
+        std::size_t next = 0, spanning = 0, max_rings = 0;
+        for (const ParamGroup &g : pool.groups()) {
+            if (g.devices.size() < 2)
+                continue;
+            std::size_t count = 0;
+            for (const auto &stage :
+                 hw.collectives()
+                     .allReduceSchedule(g.bytes, g.devices, kind,
+                                        g.decomposition())
+                     .stages)
+                for (const CollectiveStep &step : stage)
+                    count += step.devices.size();
+            ASSERT_LE(next + count, sync.size());
+            const ExecRecord *const *recs = sync.data() + next;
+            next += count;
+
+            const GroupDecomposition *decomp = g.decomposition();
+            ASSERT_NE(decomp, nullptr);
+            if (!decomp->spansIslands()) {
+                for (std::size_t i = 0; i < count; ++i)
+                    EXPECT_STREQ(recs[i]->label, "param_sync");
+                continue;
+            }
+            ++spanning;
+            bool intra = false;
+            for (const IslandGroup &slice : decomp->islands)
+                intra = intra || slice.size() > 1;
+            // Last end seen per phase, and records per phase.
+            double phase_end[3] = {0, 0, 0};
+            std::size_t per_phase[3] = {0, 0, 0};
+            int prev = 0;
+            for (std::size_t i = 0; i < count; ++i) {
+                const int rank = syncPhaseRank(recs[i]->label);
+                ASSERT_GE(rank, 0) << "label " << recs[i]->label;
+                EXPECT_GE(rank, prev) << "record " << i;
+                for (int earlier = 0; earlier < rank; ++earlier)
+                    EXPECT_LE(phase_end[earlier], recs[i]->start);
+                phase_end[rank] = std::max(phase_end[rank], recs[i]->end);
+                ++per_phase[rank];
+                prev = rank;
+            }
+            EXPECT_EQ(per_phase[0] > 0, intra);
+            EXPECT_EQ(per_phase[2], per_phase[0]);
+            ASSERT_GT(per_phase[1], 0u);
+            EXPECT_EQ(per_phase[1] % decomp->numIslands(), 0u);
+            max_rings = std::max(max_rings,
+                                 per_phase[1] / decomp->numIslands());
+        }
+        EXPECT_EQ(next, sync.size()) << "unaccounted sync records";
+        ASSERT_GT(spanning, 0u) << "no group spans islands; vacuous";
+        if (kind == CollectiveKind::ShardedHierarchical)
+            EXPECT_GT(max_rings, 1u) << "no group sharded its ring";
+        else
+            EXPECT_EQ(max_rings, 1u);
+    }
 }
 
 TEST(RuntimeEquivalence, OverlapChargePinsClampedExposedSync)
