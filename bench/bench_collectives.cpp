@@ -2,8 +2,8 @@
  * @file
  * Runtime-collective comparison: for each seed workload over
  * homogeneous and mixed-size island topologies, plan once and run
- * the identical placed plan with the FlatRing, Hierarchical and
- * Auto collective algorithms under both dispatch policies. Reports
+ * the identical placed plan with the FlatRing, Hierarchical,
+ * ShardedHierarchical and Auto collective algorithms. Reports
  * exposed sync seconds per algorithm and the flat-vs-Auto delta —
  * the quantity the island-aware placements are rewarded with at
  * runtime — and emits the records into BENCH_collectives.json
@@ -55,11 +55,9 @@ struct KindRun
 
 KindRun
 runKind(const HardwareModel &hw, const MetaGraph &meta,
-        const ExecutionPlan &plan, DispatchPolicyKind dispatch,
-        CollectiveKind kind)
+        const ExecutionPlan &plan, CollectiveKind kind)
 {
     EngineOptions options;
-    options.dispatch = dispatch;
     options.collective = kind;
     IterationResult r =
         Engine(hw, MemoryParams{}, options).run(meta, plan);
@@ -75,52 +73,32 @@ sweep(const std::string &workload, const ComputationGraph &graph,
     MetaGraph meta = contractGraph(graph);
     PlannerOutput out = ExecutionPlanner(hw).plan(meta);
 
-    for (DispatchPolicyKind dispatch :
-         {DispatchPolicyKind::StrictBarrier,
-          DispatchPolicyKind::Overlap}) {
-        const bool strict =
-            dispatch == DispatchPolicyKind::StrictBarrier;
-        const KindRun flat =
-            runKind(hw, meta, out.plan, dispatch,
-                    CollectiveKind::FlatRing);
-        const KindRun hier =
-            runKind(hw, meta, out.plan, dispatch,
-                    CollectiveKind::Hierarchical);
-        const KindRun sharded =
-            runKind(hw, meta, out.plan, dispatch,
-                    CollectiveKind::ShardedHierarchical);
-        const KindRun aut =
-            runKind(hw, meta, out.plan, dispatch,
-                    CollectiveKind::Auto);
+    const KindRun flat =
+        runKind(hw, meta, out.plan, CollectiveKind::FlatRing);
+    const KindRun hier =
+        runKind(hw, meta, out.plan, CollectiveKind::Hierarchical);
+    const KindRun sharded =
+        runKind(hw, meta, out.plan, CollectiveKind::ShardedHierarchical);
+    const KindRun aut = runKind(hw, meta, out.plan, CollectiveKind::Auto);
 
-        const std::string name = strCat(workload, "/", cluster, "/",
-                                        strict ? "strict" : "overlap");
-        table.addRow({workload, cluster,
-                      strict ? "StrictBarrier" : "Overlap",
-                      Table::fmt(toMs(flat.syncSeconds), 3),
-                      Table::fmt(toMs(hier.syncSeconds), 3),
-                      Table::fmt(toMs(sharded.syncSeconds), 3),
-                      Table::fmt(toMs(aut.syncSeconds), 3),
-                      Table::fmt(toMs(flat.syncSeconds -
-                                      aut.syncSeconds),
-                                 3),
-                      Table::fmt(toMs(aut.iterSeconds), 2)});
-        json.record(
-            name,
-            {{"gpus", double(topo.numDevices())},
-             {"islands", double(topo.numIslands())},
-             {"rails",
-              double(topo.config().interIslandCollective.rails)},
-             {"flat_sync_s", flat.syncSeconds},
-             {"hier_sync_s", hier.syncSeconds},
-             {"sharded_sync_s", sharded.syncSeconds},
-             {"auto_sync_s", aut.syncSeconds},
-             {"sync_delta_s", flat.syncSeconds - aut.syncSeconds},
-             {"sharded_delta_s",
-              hier.syncSeconds - sharded.syncSeconds},
-             {"flat_iter_s", flat.iterSeconds},
-             {"auto_iter_s", aut.iterSeconds}});
-    }
+    table.addRow({workload, cluster, Table::fmt(toMs(flat.syncSeconds), 3),
+                  Table::fmt(toMs(hier.syncSeconds), 3),
+                  Table::fmt(toMs(sharded.syncSeconds), 3),
+                  Table::fmt(toMs(aut.syncSeconds), 3),
+                  Table::fmt(toMs(flat.syncSeconds - aut.syncSeconds), 3),
+                  Table::fmt(toMs(aut.iterSeconds), 2)});
+    json.record(strCat(workload, "/", cluster),
+                {{"gpus", double(topo.numDevices())},
+                 {"islands", double(topo.numIslands())},
+                 {"rails", double(topo.config().interIslandCollective.rails)},
+                 {"flat_sync_s", flat.syncSeconds},
+                 {"hier_sync_s", hier.syncSeconds},
+                 {"sharded_sync_s", sharded.syncSeconds},
+                 {"auto_sync_s", aut.syncSeconds},
+                 {"sync_delta_s", flat.syncSeconds - aut.syncSeconds},
+                 {"sharded_delta_s", hier.syncSeconds - sharded.syncSeconds},
+                 {"flat_iter_s", flat.iterSeconds},
+                 {"auto_iter_s", aut.iterSeconds}});
 }
 
 } // namespace
@@ -130,7 +108,7 @@ main()
 {
     std::cout << "=== Runtime collectives: exposed sync by algorithm "
                  "===\n";
-    Table table({"workload", "cluster", "policy", "flat_sync_ms",
+    Table table({"workload", "cluster", "flat_sync_ms",
                  "hier_sync_ms", "sharded_sync_ms", "auto_sync_ms",
                  "delta_ms", "auto_iter_ms"});
     BenchJsonWriter json;

@@ -64,7 +64,7 @@ main()
     table.printAligned(std::cout);
 
     // Exposed-sync delta of the collective-algorithm selector on the
-    // paper's homogeneous clusters (Spindle plan, strict barrier):
+    // paper's homogeneous clusters (Spindle plan):
     // Auto may only match or beat the flat ring. Records merge into
     // BENCH_collectives.json next to bench_collectives' topologies.
     std::cout << "\n=== Exposed sync: FlatRing vs Auto collectives "

@@ -43,8 +43,6 @@ main()
                  "fwd_bwd_ms", "send_recv_ms", "total_ms",
                  "send_recv_pct"});
     Table ablation({"workload", "cluster", "comm_inflation_SpStar_vs_Sp"});
-    Table dispatch({"workload", "cluster", "exposed_strict_ms",
-                    "exposed_overlap_ms", "reduction_pct"});
 
     struct Case
     {
@@ -82,27 +80,6 @@ main()
                     : 0.0;
             ablation.addRow({c.name, clusterLabel(nodes),
                              Table::fmt(inflation, 2)});
-
-            // Dispatch-policy ablation: exposed send/recv + sync of
-            // Spindle under lockstep barriers vs the dependency-
-            // driven overlap policy (same plan, same substrate).
-            EngineOptions overlap_opts;
-            overlap_opts.dispatch = DispatchPolicyKind::Overlap;
-            sp.setEngineOptions(overlap_opts);
-            SystemResult r_ovl = sp.runIteration(meta);
-            const double exp_strict =
-                r_sp.breakdown.sendRecv + r_sp.breakdown.sync;
-            const double exp_ovl =
-                r_ovl.breakdown.sendRecv + r_ovl.breakdown.sync;
-            dispatch.addRow(
-                {c.name, clusterLabel(nodes),
-                 Table::fmt(toMs(exp_strict), 3),
-                 Table::fmt(toMs(exp_ovl), 3),
-                 Table::fmt(
-                     exp_strict > 0
-                         ? 100 * (exp_strict - exp_ovl) / exp_strict
-                         : 0.0,
-                     2)});
         }
     }
 
@@ -110,8 +87,5 @@ main()
     std::cout << "\nablation: inter-wave comm inflation of sequential "
                  "placement (Sp*) over Spindle placement (Sp):\n";
     ablation.printAligned(std::cout);
-    std::cout << "\ndispatch policy: exposed send/recv + sync of "
-                 "Spindle, strict-barrier vs dependency overlap:\n";
-    dispatch.printAligned(std::cout);
     return 0;
 }

@@ -7,8 +7,7 @@
  * waves contend for devices with the in-flight iteration instead of
  * waiting for a full replan. Reported per cluster size and arrival
  * time: the arriving task's completion when injected immediately vs
- * deferred to the iteration boundary (the lockstep alternative),
- * under both dispatch policies.
+ * deferred to the iteration boundary.
  */
 
 #include <iostream>
@@ -33,36 +32,25 @@ runCluster(std::uint32_t nodes, Table &table)
     ArrivalScenario scenario(planner, /*base_tasks=*/4,
                              /*arrival_tasks=*/1);
 
-    for (DispatchPolicyKind kind : {DispatchPolicyKind::StrictBarrier,
-                                    DispatchPolicyKind::Overlap}) {
-        EngineOptions options;
-        options.dispatch = kind;
-        Engine engine(hw, MemoryParams{}, options);
-        const std::string policy =
-            kind == DispatchPolicyKind::StrictBarrier ? "strict"
-                                                      : "overlap";
-
-        const double iter =
-            engine.run(scenario.base, scenario.baseOut.plan)
-                .iterationSeconds;
-        for (double frac : {0.1, 0.3, 0.5, 0.7}) {
-            std::vector<double> injected, deferred;
-            engine.runDynamic(scenario.base, scenario.baseOut.plan,
-                              {{frac * iter, &scenario.arrival,
-                                &scenario.arrivalOut.plan}},
-                              &injected);
-            // Lockstep alternative: the arrival waits for the
-            // iteration boundary.
-            engine.runDynamic(scenario.base, scenario.baseOut.plan,
-                              {{iter, &scenario.arrival,
-                                &scenario.arrivalOut.plan}},
-                              &deferred);
-            table.addRow({clusterLabel(nodes), policy,
-                          Table::fmt(100 * frac, 0),
-                          Table::fmt(toMs(injected[0]), 2),
-                          Table::fmt(toMs(deferred[0]), 2),
-                          Table::fmt(deferred[0] / injected[0], 2)});
-        }
+    Engine engine(hw);
+    const double iter =
+        engine.run(scenario.base, scenario.baseOut.plan).iterationSeconds;
+    for (double frac : {0.1, 0.3, 0.5, 0.7}) {
+        std::vector<double> injected, deferred;
+        engine.runDynamic(scenario.base, scenario.baseOut.plan,
+                          {{frac * iter, &scenario.arrival,
+                            &scenario.arrivalOut.plan}},
+                          &injected);
+        // The alternative: the arrival waits for the iteration
+        // boundary.
+        engine.runDynamic(scenario.base, scenario.baseOut.plan,
+                          {{iter, &scenario.arrival,
+                            &scenario.arrivalOut.plan}},
+                          &deferred);
+        table.addRow({clusterLabel(nodes), Table::fmt(100 * frac, 0),
+                      Table::fmt(toMs(injected[0]), 2),
+                      Table::fmt(toMs(deferred[0]), 2),
+                      Table::fmt(deferred[0] / injected[0], 2)});
     }
 }
 
@@ -84,7 +72,7 @@ main(int argc, char **argv)
                 std::strtoul(argv[i], nullptr, 10)));
     }
 
-    Table table({"cluster", "policy", "arrival_at_pct", "inject_done_ms",
+    Table table({"cluster", "arrival_at_pct", "inject_done_ms",
                  "deferred_done_ms", "speedup"});
     for (std::uint32_t nodes : node_counts)
         runCluster(nodes, table);

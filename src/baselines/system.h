@@ -50,8 +50,8 @@ struct SystemResult
  * Execution is shared: every system's plan is annotated with
  * readiness edges and dispatched through the same event-driven
  * engine (WaveDispatcher / TransmissionExecutor / SyncExecutor), so
- * an EngineOptions::dispatch or ::collective change applies uniformly
- * to all systems under comparison.
+ * an EngineOptions change applies uniformly to all systems under
+ * comparison.
  */
 class System
 {
@@ -82,9 +82,9 @@ class System
      */
     SystemResult runIteration(const MetaGraph &graph) const;
 
-    /** Engine tunables — e.g. the dispatch policy or the collective
-     *  algorithm selector (EngineOptions::collective) — used by
-     *  every subsequent runIteration(). */
+    /** Engine tunables — e.g. the collective algorithm selector
+     *  (EngineOptions::collective) — used by every subsequent
+     *  runIteration(). */
     void setEngineOptions(const EngineOptions &options)
     {
         engine_options_ = options;

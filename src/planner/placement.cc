@@ -684,8 +684,8 @@ class WindowSweep
 {
   public:
     WindowSweep(const ClusterTopology &topo, WindowPolicy policy,
-                bool prune, std::uint32_t num_devices)
-        : topo_(topo), policy_(policy), prune_(prune),
+                std::uint32_t num_devices)
+        : topo_(topo), policy_(policy),
           affected_epoch_(num_devices, 0), pos_of_(num_devices, 0),
           pos_epoch_(num_devices, 0)
     {
@@ -730,7 +730,6 @@ class WindowSweep
 
     const ClusterTopology &topo_;
     const WindowPolicy policy_;
-    const bool prune_;
 
     // The entry being placed.
     EntryContext *ctx_ = nullptr;
@@ -1149,9 +1148,9 @@ WindowSweep::scoreBandRange(std::size_t b, std::size_t w_lo,
     const bool tp = ctx.cfg.tp > 1;
     const double *total = cand_total_.data();
 
-    if (prune_ && bs.minTotal > sel.capacity)
+    if (bs.minTotal > sel.capacity)
         return; // every window fails capacity
-    if (prune_ && pruned(bs, w_lo, w_hi, best.primary))
+    if (pruned(bs, w_lo, w_hi, best.primary))
         return;
 
     // Per-row sweep pointers: first resident band index >= w_lo;
@@ -1322,7 +1321,7 @@ DevicePlacement::placeWithPrefix(
     // sub-optimal communication costs"). Preferred: resume from the
     // first infeasible wave, replaying the feasible prefix verbatim
     // instead of re-scoring it.
-    if (options_.partialFallbackRestart && fail_wave > 0) {
+    if (fail_wave > 0) {
         PlacementResult partial;
         partial.usedMemoryFallback = true;
         partial.fallbackRestartWave = fail_wave;
@@ -1375,8 +1374,7 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
     const Selection sel{
         topo_.device().memoryBytes, options_.memoryWeight,
         topo_.device().memoryBytes * kMemorySlack, memory_first};
-    WindowSweep sweep(topo_, options_.windows, options_.bandPruning,
-                      num_devices);
+    WindowSweep sweep(topo_, options_.windows, num_devices);
     std::uint32_t seq_cursor = 0;
     std::vector<char> seq_nonres;
 

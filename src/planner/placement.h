@@ -15,11 +15,10 @@
  *    device store them once) and balanced; an entry that would
  *    exceed capacity triggers a restart of the placement with
  *    memory-first scoring — the constrained-depth backtracking of
- *    the paper collapsed into a two-phase search. By default the
- *    restart resumes from the first infeasible wave (committed
- *    earlier waves are replayed, not re-scored), keeping the
- *    fallback cheap at 512+ GPU scale; a full restart remains the
- *    last resort.
+ *    the paper collapsed into a two-phase search. The restart
+ *    resumes from the first infeasible wave (committed earlier
+ *    waves are replayed, not re-scored), keeping the fallback cheap
+ *    at 512+ GPU scale; a full restart remains the last resort.
  *
  * **Stages.** One placement pass (DevicePlacement::tryPlace) is a
  * short loop over named stages in placement.cc:
@@ -75,11 +74,11 @@
  * residency row a sparse ascending list of holder positions replaces
  * the rows × free flag matrix.
  *
- * **Admissible band pruning** (PlacementOptions::bandPruning): before
- * scoring a chunk of band windows, the sweep derives an exact lower
- * bound on every window's primary score from the band state —
- * minimum load along the band for the memory term, the cheapest link
- * present anywhere in the chunk's position range per inflow,
+ * **Admissible band pruning**: before scoring a chunk of band
+ * windows, the sweep derives an exact lower bound on every window's
+ * primary score from the band state — minimum load along the band
+ * for the memory term, the cheapest link present anywhere in the
+ * chunk's position range per inflow,
  * residency over the whole range for the affinity term, and
  * min(0, penalty) for the island penalty — through the same score
  * terms and selection rule as a window. Each bound term is ≤ its
@@ -89,8 +88,9 @@
  * bound is *strictly* above the best primary scored so far; the scan
  * replaces its best only on a strictly better (primary, secondary),
  * so no window of a pruned chunk could have won and the emitted plan
- * is byte-identical with pruning on or off (pinned by
- * planner_equivalence_test, which toggles the flag at 1024 GPUs).
+ * is byte-identical to an unpruned scan (pinned by
+ * planner_equivalence_test against its unpruned reference placement,
+ * up to 1024 GPUs).
  *
  * A Sequential strategy (each entry takes the next consecutive
  * device ids, no topology awareness — by design independent of the
@@ -136,29 +136,9 @@ struct PlacementOptions
      */
     WindowPolicy windows = WindowPolicy::ContiguousRuns;
 
-    /**
-     * Restart the memory-first fallback from the first infeasible
-     * wave (replaying already-committed waves) instead of from wave
-     * 0. Falls back to the historical full restart automatically if
-     * the partial restart still cannot fit.
-     */
-    bool partialFallbackRestart = true;
-
     /** Weight converting relative memory imbalance into seconds in
      *  the placement score (heuristic trade-off knob). */
     double memoryWeight = 1e-3;
-
-    /**
-     * Admissible pruning of the candidate sweep (see the file
-     * comment): skip a chunk of band windows when an exact lower
-     * bound on every window's primary score is strictly above an
-     * already-scored candidate's. Winner-preserving by construction,
-     * so plans are byte-identical with the flag on or off; it exists
-     * as the equivalence test's proof handle and as a perf escape
-     * hatch. Value-transparent — excluded from the planner options
-     * fingerprint, like the plan-cache settings.
-     */
-    bool bandPruning = true;
 };
 
 /**

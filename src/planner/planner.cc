@@ -35,11 +35,7 @@ mix(std::uint64_t h, double v)
 
 /**
  * Fingerprint of every option that can change planned bytes.
- * Deliberately excluded are `cache` (bookkeeping, not behavior),
- * `placement.bandPruning` (the admissible pruning is
- * winner-preserving by construction — see placement.h — so toggling
- * it cannot change a single planned byte, and fingerprinting it
- * would needlessly split otherwise-identical cache contexts) and
+ * Deliberately excluded are `cache` (bookkeeping, not behavior) and
  * the estimator noise/seed fields — replan() bypasses the cache
  * entirely when noise is on, and with noise off the seed is unread.
  */
@@ -53,8 +49,6 @@ optionsFingerprint(const PlannerOptions &o)
     h = mix(h, static_cast<std::uint64_t>(o.scheduler.extendResources));
     h = mix(h, static_cast<std::uint64_t>(o.placement.strategy));
     h = mix(h, static_cast<std::uint64_t>(o.placement.windows));
-    h = mix(h,
-            static_cast<std::uint64_t>(o.placement.partialFallbackRestart));
     h = mix(h, o.placement.memoryWeight);
     h = mix(h, static_cast<std::uint64_t>(o.memory.zeroShardOptimizer));
     h = mix(h, static_cast<std::uint64_t>(o.memory.zeroShardParams));

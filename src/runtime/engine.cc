@@ -59,8 +59,8 @@ struct PlanExecution
               PhaseTimer timer(phases.paramGroups);
               return ParameterGroupPool::build(holders, &hw.topology());
           }()),
-          dispatcher(sim, hw, graph, plan, options, trans),
-          syncer(sim, hw.collectives(), pool, options)
+          dispatcher(sim, hw, graph, plan, trans),
+          syncer(sim, hw.collectives(), pool, options.collective)
     {
     }
 

@@ -8,15 +8,13 @@
  * barriers: the engine builds transmissions and one parameter-holder
  * index per plan (which feeds both the device-group pool and the
  * memory ledger), then hands the placed plan to a WaveDispatcher
- * that registers wave events on the discrete-event queue.
- * EngineOptions::dispatch selects the admission order —
- * StrictBarrier (default) reproduces lockstep wave-by-wave execution
- * bit for bit, Overlap releases each device group as soon as its own
- * readiness predecessors finish so transmissions and exposed sync
- * overlap compute where dependencies allow. A SyncExecutor runs
- * group-wise parameter synchronization after the backward phase,
- * with the all-reduce algorithm EngineOptions::collective selects
- * (hardware/collective.h). Every busy
+ * that registers wave events on the discrete-event queue. Each wave
+ * is admitted as soon as its own readiness predecessors finish, so
+ * transmissions and parameter sync overlap compute where
+ * dependencies allow. A SyncExecutor runs group-wise parameter
+ * synchronization as each group's devices finish their backward
+ * work, with the all-reduce algorithm EngineOptions::collective
+ * selects (hardware/collective.h). Every busy
  * interval lands in the timeline, from which iteration time, the
  * Fig. 10 breakdown, and all utilization figures derive.
  *
@@ -153,17 +151,6 @@ struct RecoveryOptions
     double retryBackoff = 2.0;
 };
 
-/** Admission order of the event-driven wave dispatcher. */
-enum class DispatchPolicyKind : std::uint8_t
-{
-    /** Lockstep: a wave starts once every wave before it in phase
-     *  order completed (legacy barrier semantics, bit for bit). */
-    StrictBarrier,
-    /** Dependency-driven: a wave starts once its own readiness
-     *  predecessors completed. */
-    Overlap,
-};
-
 /** Fixed overhead charged at each wave boundary (host-side dispatch
  *  of the next wave's kernels). */
 inline constexpr double kWaveBarrier = 5 * kMicro;
@@ -175,9 +162,6 @@ inline constexpr double kWaveBarrier = 5 * kMicro;
  */
 struct EngineOptions
 {
-    /** Admission order of the event-driven dispatcher. */
-    DispatchPolicyKind dispatch = DispatchPolicyKind::StrictBarrier;
-
     /**
      * All-reduce algorithm of group-wise parameter sync, handed to
      * CollectiveModel per group. FlatRing (default) keeps the legacy

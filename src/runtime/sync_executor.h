@@ -1,29 +1,25 @@
 /**
  * @file
  * Parameter-synchronization unit of the event-driven runtime (§3.6
- * step 4). After the backward phase, every parameter device group
- * all-reduces its gradients; groups on disjoint devices overlap
- * each other. Under StrictBarrier dispatch all groups wait for
- * the global backward end (legacy semantics, bit-reproducible);
- * under Overlap dispatch each group starts as soon as its own
- * devices finish their backward work, so sync hides under the
- * compute of slower groups.
+ * step 4). Every parameter device group all-reduces its gradients as
+ * soon as its own devices finish their backward work, so sync hides
+ * under the compute of slower groups; groups on disjoint devices
+ * overlap each other.
  *
  * Each group's all-reduce is scheduled through the collective
  * algorithm selected in EngineOptions::collective. The flat ring is
- * one reservation of the whole group (legacy, bit-reproducible);
- * the hierarchical algorithm dispatches its phases as *separate*
- * simulator reservations — intra-island reduce-scatter steps of
- * disjoint islands overlap each other, the cross-island leader ring
- * is the only reservation spanning islands, and the closing
- * intra-island all-gathers overlap again — so non-leader devices
- * are free for other work during the inter-island phase.
+ * one reservation of the whole group; the hierarchical algorithm
+ * dispatches its phases as *separate* simulator reservations —
+ * intra-island reduce-scatter steps of disjoint islands overlap each
+ * other, the cross-island leader ring is the only reservation
+ * spanning islands, and the closing intra-island all-gathers overlap
+ * again — so non-leader devices are free for other work during the
+ * inter-island phase.
  *
  * Exposed-cost accounting: the bucketed all-reduce model hides
  * kSyncOverlapFraction of the backward span, down to the
- * unoverlappable kMinSyncFraction tail (hardware/collective.h). Under the strict barrier the
- * historical formula is kept bit for bit. Under Overlap dispatch
- * the event schedule itself already hid part of the slowest group's
+ * unoverlappable kMinSyncFraction tail (hardware/collective.h). The
+ * event schedule itself already hid part of the slowest group's
  * collective (groups start at their own devices' free time), so the
  * bucketed credit is charged only against what the schedule did NOT
  * hide, and the unoverlappable floor is a fraction of the slowest
@@ -34,7 +30,6 @@
 #define SPINDLE_RUNTIME_SYNC_EXECUTOR_H
 
 #include "hardware/collective.h"
-#include "runtime/engine.h"
 #include "runtime/param_groups.h"
 #include "sim/simulator.h"
 
@@ -61,8 +56,7 @@ class SyncExecutor
 {
   public:
     SyncExecutor(Simulator &sim, const CollectiveModel &coll,
-                 const ParameterGroupPool &pool,
-                 const EngineOptions &options);
+                 const ParameterGroupPool &pool, CollectiveKind kind);
 
     /**
      * Run the sync tail.
@@ -76,7 +70,7 @@ class SyncExecutor
     Simulator &sim_;
     const CollectiveModel &coll_;
     const ParameterGroupPool &pool_;
-    const EngineOptions &options_;
+    const CollectiveKind kind_;
 };
 
 } // namespace spindle

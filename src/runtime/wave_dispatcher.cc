@@ -9,10 +9,8 @@ namespace spindle {
 WaveDispatcher::WaveDispatcher(Simulator &sim, const HardwareModel &hw,
                                const MetaGraph &graph,
                                const ExecutionPlan &plan,
-                               const EngineOptions &options,
                                TransmissionExecutor &trans)
-    : sim_(sim), hw_(hw), graph_(graph), plan_(plan), options_(options),
-      trans_(trans)
+    : sim_(sim), hw_(hw), graph_(graph), plan_(plan), trans_(trans)
 {
     if (hasWaveReadiness(plan_.waves)) {
         preds_.reserve(plan_.waves.size());
@@ -21,11 +19,6 @@ WaveDispatcher::WaveDispatcher(Simulator &sim, const HardwareModel &hw,
     } else {
         preds_ = computeWaveReadiness(graph_, plan_.waves);
     }
-
-    for (const Wave &w : plan_.waves)
-        streams_[w.stream].push_back(&w);
-    for (const auto &[stream_id, waves] : streams_)
-        stream_ids_.push_back(stream_id);
 }
 
 void
@@ -36,19 +29,8 @@ WaveDispatcher::start(double earliest, DoneFn on_done)
     start_time_ = earliest;
     on_done_ = std::move(on_done);
     stats_ = DispatchStats{};
-    send_acc_.clear();
     exposed_waits_.clear();
-    runPhase(/*forward=*/true);
-}
-
-void
-WaveDispatcher::runPhase(bool forward)
-{
-    phase_max_end_ = start_time_;
-    if (options_.dispatch == DispatchPolicyKind::StrictBarrier)
-        startStrictStream(forward, 0);
-    else
-        startEventPhase(forward);
+    startPhase(/*forward=*/true);
 }
 
 void
@@ -56,24 +38,18 @@ WaveDispatcher::phaseDone(bool forward)
 {
     if (forward) {
         stats_.fwdEnd = phase_max_end_;
-        runPhase(/*forward=*/false);
+        startPhase(/*forward=*/false);
         return;
     }
     stats_.bwdEnd = std::max(stats_.fwdEnd, phase_max_end_);
-    if (options_.dispatch == DispatchPolicyKind::StrictBarrier) {
-        for (const auto &[stream_id, acc] : send_acc_)
-            stats_.exposedSendRecv =
-                std::max(stats_.exposedSendRecv, acc);
-    } else {
-        // Union length of the flow-wait intervals: concurrent waves
-        // waiting at the same time count once.
-        std::sort(exposed_waits_.begin(), exposed_waits_.end());
-        double covered_to = start_time_;
-        for (const auto &[from, to] : exposed_waits_) {
-            stats_.exposedSendRecv +=
-                std::max(0.0, to - std::max(from, covered_to));
-            covered_to = std::max(covered_to, to);
-        }
+    // Union length of the flow-wait intervals: concurrent waves
+    // waiting at the same time count once.
+    std::sort(exposed_waits_.begin(), exposed_waits_.end());
+    double covered_to = start_time_;
+    for (const auto &[from, to] : exposed_waits_) {
+        stats_.exposedSendRecv +=
+            std::max(0.0, to - std::max(from, covered_to));
+        covered_to = std::max(covered_to, to);
     }
     on_done_(stats_);
 }
@@ -102,81 +78,18 @@ WaveDispatcher::executeEntries(const Wave &w, bool forward,
     return wave_end;
 }
 
-// ---------------------------------------------------------------------
-// Strict-barrier lockstep path.
-
 void
-WaveDispatcher::startStrictStream(bool forward, std::size_t s)
+WaveDispatcher::startPhase(bool forward)
 {
-    if (s == stream_ids_.size()) {
-        phaseDone(forward);
-        return;
-    }
-    // The stream resumes where its devices became free.
-    const auto &waves = streams_[stream_ids_[s]];
-    strict_clock_ = start_time_;
-    for (const Wave *w : waves)
-        for (const WaveEntry &e : w->entries)
-            strict_clock_ =
-                std::max(strict_clock_, sim_.groupFree(e.devices));
-    strict_next_ = 0;
-    sim_.notifyAt(strict_clock_,
-                  [this, forward, s] { strictDispatch(forward, s); });
-}
-
-void
-WaveDispatcher::strictDispatch(bool forward, std::size_t s)
-{
-    const auto &waves = streams_[stream_ids_[s]];
-    if (strict_next_ >= waves.size()) {
-        startStrictStream(forward, s + 1);
-        return;
-    }
-    const Wave &w = forward
-        ? *waves[strict_next_]
-        : *waves[waves.size() - 1 - strict_next_];
-    ++strict_next_;
-    processStrict(w, forward, stream_ids_[s]);
-    // Each wave event schedules its successor at the wave's
-    // completion; semantic times come from the stream clock and
-    // device availability inside occupy(), so dispatch times are
-    // only clamped to the queue's monotone clock.
-    sim_.notifyAt(strict_clock_,
-                  [this, forward, s] { strictDispatch(forward, s); });
-}
-
-void
-WaveDispatcher::processStrict(const Wave &w, bool forward,
-                              std::int32_t stream_id)
-{
-    // Boundary transmissions feeding this wave's phase execute at
-    // the barrier: fully exposed to the stream.
-    double t_start = strict_clock_;
-    for (const TransmissionOp *t : trans_.flowsInto(w.index, forward)) {
-        const double end = trans_.execute(*t, strict_clock_);
-        t_start = std::max(t_start, end);
-    }
-    send_acc_[stream_id] += t_start - strict_clock_;
-
-    const double wave_end = executeEntries(w, forward, t_start);
-    phase_max_end_ = std::max(phase_max_end_, wave_end);
-    strict_clock_ = wave_end + kWaveBarrier;
-}
-
-// ---------------------------------------------------------------------
-// Dependency-driven event path.
-
-void
-WaveDispatcher::startEventPhase(bool forward)
-{
+    phase_max_end_ = start_time_;
     const std::size_t n = plan_.waves.size();
     // Phase adjacency: the forward phase dispatches on the plan's
     // readiness edges; the backward phase reverses them (a wave's
     // backward waits for the backward of its consumers).
-    phase_preds_.assign(n, {});
     if (forward) {
         phase_preds_ = preds_;
     } else {
+        phase_preds_.assign(n, {});
         for (std::size_t i = 0; i < n; ++i)
             for (std::int32_t p : preds_[i])
                 phase_preds_[static_cast<std::size_t>(p)].push_back(
@@ -211,14 +124,14 @@ WaveDispatcher::tryAdmit(bool forward)
             t_ready = std::max(t_ready,
                                wave_end_[static_cast<std::size_t>(p)]);
         sim_.notifyAt(t_ready, [this, forward, i, t_ready] {
-            processEventWave(forward, i, t_ready);
+            processWave(forward, i, t_ready);
         });
     }
 }
 
 void
-WaveDispatcher::processEventWave(bool forward, std::size_t i,
-                                 double t_ready)
+WaveDispatcher::processWave(bool forward, std::size_t i,
+                            double t_ready)
 {
     const Wave &w = plan_.waves[i];
 

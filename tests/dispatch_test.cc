@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the event-driven execution core: the strict-barrier
- * policy must reproduce the pre-refactor lockstep engine bit for
- * bit, both policies must be deterministic, the overlap policy must
- * expose less communication where dependencies allow, and dynamic
- * task arrivals must inject through the event queue.
+ * Tests for the event-driven execution core: dispatch must be
+ * deterministic, must never be slower or expose more send/recv than
+ * the lockstep wave-by-wave engine it replaced (kept below as a
+ * test-only bound), and dynamic task arrivals must inject through the
+ * event queue.
  */
 
 #include <gtest/gtest.h>
@@ -25,8 +25,9 @@ using testutil::smallCluster;
 /**
  * Faithful reimplementation of the pre-event-core engine iteration
  * loop (lockstep wave barriers, per-stream clocks, transmissions at
- * the wave boundary, sync after the global backward end). The
- * strict-barrier policy must reproduce this bit for bit.
+ * the wave boundary, sync after the global backward end). The event
+ * dispatch admits a wave as soon as its own predecessors finish, so
+ * it may only match or beat this loop.
  */
 IterationResult
 legacyLockstepRun(const HardwareModel &hw, const MetaGraph &graph,
@@ -155,6 +156,25 @@ expectIdenticalTimelines(const Timeline &a, const Timeline &b)
     }
 }
 
+/**
+ * The lockstep bound: the engine's iteration and exposed send/recv
+ * never exceed the lockstep loop's on the same plan, and both
+ * simulate the same work.
+ */
+void
+expectBoundedByLockstep(const HardwareModel &hw, const MetaGraph &graph,
+                        const ExecutionPlan &plan)
+{
+    IterationResult lockstep = legacyLockstepRun(hw, graph, plan);
+    IterationResult now = Engine(hw).run(graph, plan);
+    EXPECT_LE(now.iterationSeconds, lockstep.iterationSeconds);
+    EXPECT_LE(now.breakdown.sendRecv, lockstep.breakdown.sendRecv);
+    EXPECT_EQ(now.timeline.records().size(),
+              lockstep.timeline.records().size());
+    EXPECT_NEAR(now.timeline.totalFlops(), lockstep.timeline.totalFlops(),
+                1e-6 * lockstep.timeline.totalFlops());
+}
+
 struct DispatchFixture : public ::testing::Test
 {
     DispatchFixture()
@@ -162,14 +182,6 @@ struct DispatchFixture : public ::testing::Test
           topo(smallCluster(2)), hw(topo), planner(hw),
           out(planner.plan(meta))
     {
-    }
-
-    Engine
-    engineWith(DispatchPolicyKind kind) const
-    {
-        EngineOptions options;
-        options.dispatch = kind;
-        return Engine(hw, MemoryParams{}, options);
     }
 
     ComputationGraph graph;
@@ -180,76 +192,69 @@ struct DispatchFixture : public ::testing::Test
     PlannerOutput out;
 };
 
-TEST_F(DispatchFixture, StrictBarrierMatchesLegacyLockstepBitForBit)
+TEST_F(DispatchFixture, BoundedByLegacyLockstepOnSeedWorkloads)
 {
-    IterationResult legacy = legacyLockstepRun(hw, meta, out.plan);
-    IterationResult now = Engine(hw).run(meta, out.plan);
-
-    EXPECT_EQ(legacy.iterationSeconds, now.iterationSeconds);
-    EXPECT_EQ(legacy.breakdown.fwdBwd, now.breakdown.fwdBwd);
-    EXPECT_EQ(legacy.breakdown.sync, now.breakdown.sync);
-    EXPECT_EQ(legacy.breakdown.sendRecv, now.breakdown.sendRecv);
-    expectIdenticalTimelines(legacy.timeline, now.timeline);
+    expectBoundedByLockstep(hw, meta, out.plan);
+    for (ComputationGraph g : {buildMultitaskClip({.numTasks = 4}),
+                               buildOfasys({.numTasks = 4})}) {
+        MetaGraph m = contractGraph(g);
+        expectBoundedByLockstep(hw, m, ExecutionPlanner(hw).plan(m).plan);
+    }
 }
 
-TEST_F(DispatchFixture, StrictBarrierMatchesLegacyOnMultiStreamPlans)
+TEST_F(DispatchFixture, BoundedByLegacyLockstepOnMultiStreamPlans)
 {
-    // The Optimus baseline emits a multi-stream plan; stream
-    // handling must also be bit-reproducible.
+    // The Optimus baseline emits a multi-stream plan, which the
+    // lockstep loop runs stream after stream.
     SpindleOptimusSystem optimus(hw);
     ExecutionPlan plan = optimus.buildPlan(meta);
     plan.annotateReadiness(meta);
     plan.validate(meta);
-
-    IterationResult legacy = legacyLockstepRun(hw, meta, plan);
-    IterationResult now = Engine(hw).run(meta, plan);
-    EXPECT_EQ(legacy.iterationSeconds, now.iterationSeconds);
-    expectIdenticalTimelines(legacy.timeline, now.timeline);
+    expectBoundedByLockstep(hw, meta, plan);
 }
 
-TEST_F(DispatchFixture, BothPoliciesAreDeterministic)
+TEST(DispatchBound, BoundedByLegacyLockstepOnFig8Points)
 {
-    for (DispatchPolicyKind kind : {DispatchPolicyKind::StrictBarrier,
-                                    DispatchPolicyKind::Overlap}) {
-        Engine engine = engineWith(kind);
-        IterationResult a = engine.run(meta, out.plan);
-        IterationResult b = engine.run(meta, out.plan);
-        EXPECT_EQ(a.iterationSeconds, b.iterationSeconds);
-        expectIdenticalTimelines(a.timeline, b.timeline);
+    // The Fig. 8 CLIP and OFASys points at 8-32 GPUs, Spindle's plans.
+    std::vector<std::pair<std::string, ComputationGraph>> workloads;
+    for (std::uint32_t tasks : {4u, 7u, 10u})
+        workloads.emplace_back(strCat("Multitask-CLIP/", tasks, "T"),
+                               buildMultitaskClip({.numTasks = tasks}));
+    for (std::uint32_t tasks : {4u, 7u})
+        workloads.emplace_back(strCat("OFASys/", tasks, "T"),
+                               buildOfasys({.numTasks = tasks}));
+    for (const auto &[name, g] : workloads) {
+        MetaGraph m = contractGraph(g);
+        for (std::uint32_t nodes : {1u, 2u, 4u}) {
+            SCOPED_TRACE(strCat(name, " @ ", nodes * 8, " GPUs"));
+            ClusterTopology topo = smallCluster(nodes);
+            HardwareModel hw(topo);
+            expectBoundedByLockstep(hw, m, ExecutionPlanner(hw).plan(m).plan);
+        }
     }
 }
 
-TEST_F(DispatchFixture, OverlapExposesNoMoreCommThanStrict)
+TEST_F(DispatchFixture, DispatchIsDeterministic)
 {
-    IterationResult strict =
-        engineWith(DispatchPolicyKind::StrictBarrier).run(meta, out.plan);
-    IterationResult overlap =
-        engineWith(DispatchPolicyKind::Overlap).run(meta, out.plan);
-    EXPECT_LE(overlap.breakdown.sendRecv + overlap.breakdown.sync,
-              strict.breakdown.sendRecv + strict.breakdown.sync);
-    EXPECT_LE(overlap.iterationSeconds, strict.iterationSeconds);
-    // Same work is simulated either way.
-    EXPECT_EQ(overlap.timeline.records().size(),
-              strict.timeline.records().size());
-    EXPECT_NEAR(overlap.timeline.totalFlops(),
-                strict.timeline.totalFlops(),
-                1e-6 * strict.timeline.totalFlops());
+    Engine engine(hw);
+    IterationResult a = engine.run(meta, out.plan);
+    IterationResult b = engine.run(meta, out.plan);
+    EXPECT_EQ(a.iterationSeconds, b.iterationSeconds);
+    expectIdenticalTimelines(a.timeline, b.timeline);
 }
 
-TEST_F(DispatchFixture, OverlapStrictlyReducesExposedCommOnSeedWorkload)
+TEST_F(DispatchFixture, StrictlyReducesExposedCommOnSeedWorkload)
 {
-    // Fig. 10 acceptance: with the overlap policy, exposed
-    // send/recv + sync is strictly lower than under fwd/bwd-
-    // serialized (strict-barrier) execution on a seed workload.
+    // Fig. 10 acceptance: exposed send/recv + sync is strictly lower
+    // than under lockstep (fwd/bwd-serialized) execution on a seed
+    // workload.
     ComputationGraph clip = buildMultitaskClip({.numTasks = 10});
     MetaGraph m = contractGraph(clip);
     PlannerOutput o = ExecutionPlanner(hw).plan(m);
-    IterationResult strict =
-        engineWith(DispatchPolicyKind::StrictBarrier).run(m, o.plan);
-    IterationResult overlap =
-        engineWith(DispatchPolicyKind::Overlap).run(m, o.plan);
-    EXPECT_LT(overlap.breakdown.sendRecv + overlap.breakdown.sync,
-              strict.breakdown.sendRecv + strict.breakdown.sync);
+    IterationResult lockstep = legacyLockstepRun(hw, m, o.plan);
+    IterationResult now = Engine(hw).run(m, o.plan);
+    EXPECT_LT(now.breakdown.sendRecv + now.breakdown.sync,
+              lockstep.breakdown.sendRecv + lockstep.breakdown.sync);
 }
 
 TEST_F(DispatchFixture, ReadinessEdgesCoverDataAndDeviceOrder)
@@ -309,34 +314,31 @@ TEST_F(DispatchFixture, DynamicArrivalAfterBaseCompletes)
 
 TEST_F(DispatchFixture, MidIterationArrivalThroughEventQueue)
 {
-    for (DispatchPolicyKind kind : {DispatchPolicyKind::StrictBarrier,
-                                    DispatchPolicyKind::Overlap}) {
-        Engine engine = engineWith(kind);
-        IterationResult base = engine.run(meta, out.plan);
+    Engine engine(hw);
+    IterationResult base = engine.run(meta, out.plan);
 
-        // A second task joins at 30% of the base iteration — no
-        // replan, injected through a scheduled event.
-        const double t_arr = 0.3 * base.iterationSeconds;
-        std::vector<double> ends;
-        IterationResult combined = engine.runDynamic(
-            meta, out.plan, {{t_arr, &meta, &out.plan}}, &ends);
+    // A second task joins at 30% of the base iteration — no
+    // replan, injected through a scheduled event.
+    const double t_arr = 0.3 * base.iterationSeconds;
+    std::vector<double> ends;
+    IterationResult combined = engine.runDynamic(
+        meta, out.plan, {{t_arr, &meta, &out.plan}}, &ends);
 
-        ASSERT_EQ(ends.size(), 1u);
-        EXPECT_GE(ends[0], t_arr);
-        EXPECT_GE(combined.iterationSeconds, base.iterationSeconds);
-        EXPECT_EQ(combined.timeline.records().size(),
-                  2 * base.timeline.records().size());
-        // Contention can only delay the base iteration's end.
-        EXPECT_GE(combined.timeline.makespan(),
-                  base.timeline.makespan());
+    ASSERT_EQ(ends.size(), 1u);
+    EXPECT_GE(ends[0], t_arr);
+    EXPECT_GE(combined.iterationSeconds, base.iterationSeconds);
+    EXPECT_EQ(combined.timeline.records().size(),
+              2 * base.timeline.records().size());
+    // Contention can only delay the base iteration's end.
+    EXPECT_GE(combined.timeline.makespan(),
+              base.timeline.makespan());
 
-        // Injection is deterministic.
-        std::vector<double> ends2;
-        IterationResult again = engine.runDynamic(
-            meta, out.plan, {{t_arr, &meta, &out.plan}}, &ends2);
-        EXPECT_EQ(ends, ends2);
-        expectIdenticalTimelines(combined.timeline, again.timeline);
-    }
+    // Injection is deterministic.
+    std::vector<double> ends2;
+    IterationResult again = engine.runDynamic(
+        meta, out.plan, {{t_arr, &meta, &out.plan}}, &ends2);
+    EXPECT_EQ(ends, ends2);
+    expectIdenticalTimelines(combined.timeline, again.timeline);
 }
 
 TEST_F(DispatchFixture, OutOfOrderArrivalsMatchSortedArrivals)
@@ -345,33 +347,30 @@ TEST_F(DispatchFixture, OutOfOrderArrivalsMatchSortedArrivals)
     // stably sorts by arrival time, so a permutation of the list
     // must produce the identical simulation — with per-arrival
     // completion times still reported in the caller's input order.
-    for (DispatchPolicyKind kind : {DispatchPolicyKind::StrictBarrier,
-                                    DispatchPolicyKind::Overlap}) {
-        Engine engine = engineWith(kind);
-        IterationResult base = engine.run(meta, out.plan);
-        const double t1 = 0.2 * base.iterationSeconds;
-        const double t2 = 0.5 * base.iterationSeconds;
+    Engine engine(hw);
+    IterationResult base = engine.run(meta, out.plan);
+    const double t1 = 0.2 * base.iterationSeconds;
+    const double t2 = 0.5 * base.iterationSeconds;
 
-        std::vector<double> sorted_ends;
-        IterationResult sorted = engine.runDynamic(
-            meta, out.plan,
-            {{t1, &meta, &out.plan}, {t2, &meta, &out.plan}},
-            &sorted_ends);
+    std::vector<double> sorted_ends;
+    IterationResult sorted = engine.runDynamic(
+        meta, out.plan,
+        {{t1, &meta, &out.plan}, {t2, &meta, &out.plan}},
+        &sorted_ends);
 
-        std::vector<double> reversed_ends;
-        IterationResult reversed = engine.runDynamic(
-            meta, out.plan,
-            {{t2, &meta, &out.plan}, {t1, &meta, &out.plan}},
-            &reversed_ends);
+    std::vector<double> reversed_ends;
+    IterationResult reversed = engine.runDynamic(
+        meta, out.plan,
+        {{t2, &meta, &out.plan}, {t1, &meta, &out.plan}},
+        &reversed_ends);
 
-        ASSERT_EQ(sorted_ends.size(), 2u);
-        ASSERT_EQ(reversed_ends.size(), 2u);
-        // Same simulation, input-order reporting.
-        EXPECT_EQ(sorted_ends[0], reversed_ends[1]);
-        EXPECT_EQ(sorted_ends[1], reversed_ends[0]);
-        EXPECT_EQ(sorted.iterationSeconds, reversed.iterationSeconds);
-        expectIdenticalTimelines(sorted.timeline, reversed.timeline);
-    }
+    ASSERT_EQ(sorted_ends.size(), 2u);
+    ASSERT_EQ(reversed_ends.size(), 2u);
+    // Same simulation, input-order reporting.
+    EXPECT_EQ(sorted_ends[0], reversed_ends[1]);
+    EXPECT_EQ(sorted_ends[1], reversed_ends[0]);
+    EXPECT_EQ(sorted.iterationSeconds, reversed.iterationSeconds);
+    expectIdenticalTimelines(sorted.timeline, reversed.timeline);
 }
 
 TEST_F(DispatchFixture, ArrivalOnDifferentClusterIsRejected)

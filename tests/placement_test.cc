@@ -11,6 +11,7 @@
 #include <bit>
 
 #include "planner/planner.h"
+#include "reference_planner.h"
 #include "test_util.h"
 
 namespace spindle {
@@ -27,6 +28,20 @@ planWith(const MetaGraph &meta, const HardwareModel &hw,
     options.placement.strategy = strategy;
     ExecutionPlanner planner(hw, options);
     return planner.plan(meta);
+}
+
+/** The reference's full memory-first restart (from wave 0) on the
+ *  waves of @p plan, which it places in place. */
+PlacementResult
+referenceFullRestart(const HardwareModel &hw, const MetaGraph &meta,
+                     ExecutionPlan &plan)
+{
+    PlacementResult full;
+    full.usedMemoryFallback = true;
+    EXPECT_TRUE(reference::tryPlace(hw.topology(), hw,
+                                    MemoryModel(MemoryParams{}), {}, meta,
+                                    plan, /*first_memory_wave=*/0, full));
+    return full;
 }
 
 TEST(Placement, EveryEntryPlacedWithDeclaredSize)
@@ -196,8 +211,9 @@ TEST(Placement, MemoryFirstFallbackFlagAndValidity)
 TEST(Placement, PartialFallbackRestartMatchesFullOnSeedLadder)
 {
     // On the seed fallback scenario the first infeasible wave is
-    // wave 0, so the partial restart degenerates to the historical
-    // full restart; the two must produce byte-identical placements.
+    // wave 0, so the partial restart degenerates to the full restart;
+    // the placement must equal the reference's full restart byte for
+    // byte.
     ComputationGraph g = buildMultitaskClip({.numTasks = 4});
     MetaGraph meta = contractGraph(g);
 
@@ -217,36 +233,24 @@ TEST(Placement, PartialFallbackRestartMatchesFullOnSeedLadder)
         cfg.device.memoryBytes = peak * frac / kMemorySlack;
         ClusterTopology tight(cfg);
         HardwareModel hw(tight);
+        MetaGraph fresh = contractGraph(g);
+        PlannerOutput a = ExecutionPlanner(hw).plan(fresh);
+        if (!a.placement.usedMemoryFallback)
+            continue;
+        EXPECT_EQ(a.placement.fallbackRestartWave, 0u);
 
-        PlannerOptions partial_opt, full_opt;
-        partial_opt.placement.partialFallbackRestart = true;
-        full_opt.placement.partialFallbackRestart = false;
-        MetaGraph fresh_a = contractGraph(g);
-        MetaGraph fresh_b = contractGraph(g);
-        PlannerOutput a = ExecutionPlanner(hw, partial_opt).plan(fresh_a);
-        PlannerOutput b = ExecutionPlanner(hw, full_opt).plan(fresh_b);
-
-        EXPECT_EQ(a.placement.usedMemoryFallback,
-                  b.placement.usedMemoryFallback);
-        ASSERT_EQ(a.plan.waves.size(), b.plan.waves.size());
-        for (std::size_t i = 0; i < a.plan.waves.size(); ++i) {
-            ASSERT_EQ(a.plan.waves[i].entries.size(),
-                      b.plan.waves[i].entries.size());
+        ExecutionPlan full_plan = a.plan;
+        const PlacementResult b = referenceFullRestart(hw, fresh, full_plan);
+        for (std::size_t i = 0; i < a.plan.waves.size(); ++i)
             for (std::size_t j = 0; j < a.plan.waves[i].entries.size();
                  ++j)
                 EXPECT_EQ(a.plan.waves[i].entries[j].devices,
-                          b.plan.waves[i].entries[j].devices);
-        }
-        ASSERT_EQ(a.placement.peakBytes.size(),
-                  b.placement.peakBytes.size());
-        for (std::size_t d = 0; d < a.placement.peakBytes.size(); ++d)
-            EXPECT_DOUBLE_EQ(a.placement.peakBytes[d],
-                             b.placement.peakBytes[d]);
-        if (a.placement.usedMemoryFallback) {
-            EXPECT_EQ(a.placement.fallbackRestartWave, 0u);
-            exercised = true;
-            break;
-        }
+                          full_plan.waves[i].entries[j].devices);
+        ASSERT_EQ(a.placement.peakBytes.size(), b.peakBytes.size());
+        for (std::size_t d = 0; d < b.peakBytes.size(); ++d)
+            EXPECT_DOUBLE_EQ(a.placement.peakBytes[d], b.peakBytes[d]);
+        exercised = true;
+        break;
     }
     EXPECT_TRUE(exercised)
         << "pressure ladder never forced the memory-first pass";
@@ -256,8 +260,8 @@ TEST(Placement, PartialFallbackRestartFromLaterWave)
 {
     // QWen-VAL under mild pressure first becomes infeasible several
     // waves in: the partial restart must resume there, keep the
-    // comm-optimal prefix (estimated comm no worse than the full
-    // restart's), and still fit the shrunken capacity.
+    // comm-optimal prefix (estimated comm no worse than the
+    // reference's full restart), and still fit the shrunken capacity.
     ComputationGraph g = buildQwenVal({});
     MetaGraph meta = contractGraph(g);
 
@@ -276,27 +280,22 @@ TEST(Placement, PartialFallbackRestartFromLaterWave)
     ClusterTopology tight(cfg);
     HardwareModel hw(tight);
 
-    PlannerOptions partial_opt, full_opt;
-    partial_opt.placement.partialFallbackRestart = true;
-    full_opt.placement.partialFallbackRestart = false;
-    MetaGraph fresh_a = contractGraph(g);
-    MetaGraph fresh_b = contractGraph(g);
-    PlannerOutput a = ExecutionPlanner(hw, partial_opt).plan(fresh_a);
-    PlannerOutput b = ExecutionPlanner(hw, full_opt).plan(fresh_b);
-
+    MetaGraph fresh = contractGraph(g);
+    PlannerOutput a = ExecutionPlanner(hw).plan(fresh);
     ASSERT_TRUE(a.placement.usedMemoryFallback);
-    ASSERT_TRUE(b.placement.usedMemoryFallback);
     EXPECT_GT(a.placement.fallbackRestartWave, 0u);
-    EXPECT_EQ(b.placement.fallbackRestartWave, 0u);
+    ExecutionPlan full_plan = a.plan;
+    const PlacementResult b = referenceFullRestart(hw, fresh, full_plan);
 
     // Both fit; the partial restart's kept prefix may only improve
     // the comm estimate.
+    const double capacity = cfg.device.memoryBytes * (1 + 1e-9);
     for (double bytes : a.placement.peakBytes)
-        EXPECT_LE(bytes, cfg.device.memoryBytes * (1 + 1e-9));
-    EXPECT_LE(a.placement.estimatedCommSeconds,
-              b.placement.estimatedCommSeconds);
-    MetaGraph fresh_v = contractGraph(g);
-    a.plan.validate(fresh_v);
+        EXPECT_LE(bytes, capacity);
+    for (double bytes : b.peakBytes)
+        EXPECT_LE(bytes, capacity);
+    EXPECT_LE(a.placement.estimatedCommSeconds, b.estimatedCommSeconds);
+    a.plan.validate(fresh);
 }
 
 TEST(Placement, MemoryFallback512GpuStress)

@@ -1,20 +1,20 @@
 /**
  * @file
  * Golden-reference runtime equivalence harness for the collective
- * subsystem (the PR-1/PR-2 planner methodology applied to the
- * runtime): the legacy flat-ring execution is frozen in-test, and
- * the engine with CollectiveKind::FlatRing must reproduce it bit
- * for bit — full timelines, iteration ends and exposed sync, under
- * both the StrictBarrier and Overlap dispatch policies, on all seed
- * workloads. The Hierarchical/Auto algorithms must then be strictly
- * better where the topology rewards them: lower exposed sync on
- * mixed-size island topologies, and bit-identical degeneration when
- * every sync group sits inside one island.
+ * subsystem (the planner methodology applied to the runtime): the
+ * flat-ring sync tail is replayed in-test on the engine's own
+ * compute ledger, and the engine with CollectiveKind::FlatRing must
+ * reproduce it bit for bit — sync records, iteration ends and the
+ * exposed-sync bounds — on all seed workloads. The Hierarchical/Auto
+ * algorithms must then be strictly better where the topology
+ * rewards them: lower exposed sync on mixed-size island topologies,
+ * and bit-identical degeneration when every sync group sits inside
+ * one island.
  *
- * Also pins the corrected overlap-mode bucketed-overlap charge
- * (regression: the credit used to be charged against the whole
- * all-reduce even when kMinSyncFraction clamping fired, undercharging
- * the clamped exposed sync).
+ * Also pins the corrected bucketed-overlap charge (regression: the
+ * credit used to be charged against the whole all-reduce even when
+ * kMinSyncFraction clamping fired, undercharging the clamped exposed
+ * sync).
  */
 
 #include <gtest/gtest.h>
@@ -52,122 +52,6 @@ expectIdenticalTimelines(const Timeline &a, const Timeline &b)
     }
 }
 
-/**
- * FROZEN pre-collective-layer reference, strict-barrier path: the
- * lockstep wave loop with per-stream clocks, boundary transmissions,
- * and the single flat-ring occupation per parameter group followed
- * by the historical exposed-sync clamp. Kept verbatim as the golden
- * oracle — do not "modernize" it along with the engine.
- */
-IterationResult
-frozenStrictFlatRun(const HardwareModel &hw, const MetaGraph &graph,
-                    const ExecutionPlan &plan)
-{
-    IterationResult result;
-    if (plan.waves.empty())
-        return result;
-
-    const CollectiveModel &coll = hw.collectives();
-    std::vector<TransmissionOp> trans =
-        buildTransmissions(graph, plan, coll);
-    std::map<std::int32_t, std::vector<const TransmissionOp *>> by_dst;
-    std::map<std::int32_t, std::vector<const TransmissionOp *>> by_src;
-    for (const TransmissionOp &t : trans) {
-        by_dst[t.dstWave].push_back(&t);
-        by_src[t.srcWave].push_back(&t);
-    }
-    ParameterGroupPool pool = ParameterGroupPool::build(graph, plan);
-
-    std::map<std::int32_t, std::vector<const Wave *>> streams;
-    for (const Wave &w : plan.waves)
-        streams[w.stream].push_back(&w);
-
-    Simulator sim(plan.numDevices);
-    std::map<std::int32_t, double> send_acc;
-
-    auto run_phase = [&](bool forward) {
-        for (auto &[stream_id, waves] : streams) {
-            double clock = 0;
-            for (const Wave *w : waves)
-                for (const WaveEntry &e : w->entries)
-                    clock = std::max(clock, sim.groupFree(e.devices));
-
-            for (std::size_t next = 0; next < waves.size(); ++next) {
-                const Wave &w = forward
-                    ? *waves[next]
-                    : *waves[waves.size() - 1 - next];
-                double t_start = clock;
-                const auto &flows =
-                    forward ? by_dst[w.index] : by_src[w.index];
-                for (const TransmissionOp *t : flows) {
-                    DeviceSet devs =
-                        unionOf(t->srcDevices, t->dstDevices);
-                    double end = sim.occupy(devs, clock, t->seconds,
-                                            ExecKind::Transmission, 0,
-                                            t->dstMeta, "send_recv");
-                    t_start = std::max(t_start, end);
-                }
-                send_acc[stream_id] += t_start - clock;
-
-                double wave_end = t_start;
-                for (const WaveEntry &e : w.entries) {
-                    const MetaOp &m = graph.metaOp(e.metaOp);
-                    const OperatorDesc desc = memberDesc(m);
-                    const ParallelConfig cfg = hw.bestConfig(desc, e.n);
-                    const double per_op = forward
-                        ? hw.opTimeFwd(desc, cfg)
-                        : hw.opTimeBwd(desc, cfg);
-                    const double dur =
-                        per_op * static_cast<double>(e.numOps);
-                    const double flops =
-                        m.flopsFwdPerOp *
-                        (forward ? 1.0 : hw.params().bwdFlopsFactor) *
-                        static_cast<double>(e.numOps);
-                    double end = sim.occupy(e.devices, t_start, dur,
-                                            ExecKind::Compute, flops,
-                                            e.metaOp,
-                                            forward ? "fwd" : "bwd");
-                    wave_end = std::max(wave_end, end);
-                }
-                clock = wave_end + kWaveBarrier;
-            }
-        }
-    };
-
-    run_phase(/*forward=*/true);
-    const double t_bwd = sim.timeline().makespan();
-    run_phase(/*forward=*/false);
-
-    const double t_sync = sim.timeline().makespan();
-    const double bwd_span = t_sync - t_bwd;
-    double sync_end = t_sync;
-    for (const ParamGroup &g : pool.groups()) {
-        if (g.devices.size() < 2)
-            continue;
-        const double dur = coll.allReduceTime(g.bytes, g.devices,
-                                               CollectiveKind::FlatRing);
-        double end = sim.occupy(g.devices, t_sync, dur, ExecKind::Sync,
-                                0, -1, "param_sync");
-        sync_end = std::max(sync_end, end);
-    }
-    const double sync_raw = sync_end - t_sync;
-    const double sync_eff =
-        std::clamp(sync_raw - kSyncOverlapFraction * bwd_span,
-                   kMinSyncFraction * sync_raw, sync_raw);
-
-    result.iterationSeconds = t_sync + sync_eff;
-    result.breakdown.sync = sync_eff;
-    double send = 0;
-    for (const auto &[stream_id, acc] : send_acc)
-        send = std::max(send, acc);
-    result.breakdown.sendRecv = send;
-    result.breakdown.fwdBwd = result.iterationSeconds -
-                              result.breakdown.sync -
-                              result.breakdown.sendRecv;
-    result.timeline = sim.timeline();
-    return result;
-}
-
 /** The seed workloads the golden harness sweeps. */
 std::vector<std::pair<std::string, ComputationGraph>>
 seedWorkloads()
@@ -179,34 +63,8 @@ seedWorkloads()
     return out;
 }
 
-TEST(RuntimeEquivalence, FlatRingStrictBarrierMatchesFrozenReference)
-{
-    for (ClusterConfig cfg : {testutil::contiguousIslandConfig(2, 8),
-                              testutil::stripedIslandConfig(2, 8)}) {
-        ClusterTopology topo(std::move(cfg));
-        HardwareModel hw(topo);
-        for (const auto &[name, graph] : seedWorkloads()) {
-            SCOPED_TRACE(name);
-            MetaGraph meta = contractGraph(graph);
-            PlannerOutput out = ExecutionPlanner(hw).plan(meta);
-
-            EngineOptions options;
-            options.collective = CollectiveKind::FlatRing;
-            IterationResult frozen = frozenStrictFlatRun(hw, meta, out.plan);
-            IterationResult now =
-                Engine(hw, MemoryParams{}, options).run(meta, out.plan);
-
-            EXPECT_EQ(frozen.iterationSeconds, now.iterationSeconds);
-            EXPECT_EQ(frozen.breakdown.fwdBwd, now.breakdown.fwdBwd);
-            EXPECT_EQ(frozen.breakdown.sync, now.breakdown.sync);
-            EXPECT_EQ(frozen.breakdown.sendRecv, now.breakdown.sendRecv);
-            expectIdenticalTimelines(frozen.timeline, now.timeline);
-        }
-    }
-}
-
 /**
- * FROZEN overlap-policy sync-tail reference: replays the flat-ring
+ * FROZEN sync-tail reference: replays the flat-ring
  * group occupation (pool order, each group released at its own
  * devices' free time) on the availability ledger reconstructed from
  * the engine's own compute/transmission records, then applies the
@@ -215,10 +73,10 @@ TEST(RuntimeEquivalence, FlatRingStrictBarrierMatchesFrozenReference)
  * exposed sync — must match bit for bit.
  */
 void
-expectOverlapSyncTailMatchesReference(const HardwareModel &hw,
-                                      const MetaGraph &graph,
-                                      const ExecutionPlan &plan,
-                                      const IterationResult &run)
+expectSyncTailMatchesReference(const HardwareModel &hw,
+                               const MetaGraph &graph,
+                               const ExecutionPlan &plan,
+                               const IterationResult &run)
 {
     // Split the timeline: all sync records follow the fwd/bwd phase.
     std::vector<const ExecRecord *> sync_records;
@@ -267,9 +125,9 @@ expectOverlapSyncTailMatchesReference(const HardwareModel &hw,
     EXPECT_EQ(next, sync_records.size())
         << "engine scheduled extra sync records";
 
-    // Charge bounds of the frozen overlap-mode accounting. The
-    // backward span (fwd_end) is not observable from the timeline
-    // alone, so the exact credit is pinned separately in
+    // Charge bounds of the frozen accounting. The backward span
+    // (fwd_end) is not observable from the timeline alone, so the
+    // exact credit is pinned separately in
     // OverlapChargePinsClampedExposedSync; here the identity
     // iterationSeconds = bwd_end + exposedSync and the charge's
     // floor/ceiling must hold bit-consistently.
@@ -281,7 +139,7 @@ expectOverlapSyncTailMatchesReference(const HardwareModel &hw,
                   1e-15);
 }
 
-TEST(RuntimeEquivalence, FlatRingOverlapSyncTailMatchesFrozenReference)
+TEST(RuntimeEquivalence, FlatRingSyncTailMatchesFrozenReference)
 {
     ClusterTopology topo = smallCluster(2);
     HardwareModel hw(topo);
@@ -291,11 +149,10 @@ TEST(RuntimeEquivalence, FlatRingOverlapSyncTailMatchesFrozenReference)
         PlannerOutput out = ExecutionPlanner(hw).plan(meta);
 
         EngineOptions options;
-        options.dispatch = DispatchPolicyKind::Overlap;
         options.collective = CollectiveKind::FlatRing;
         Engine engine(hw, MemoryParams{}, options);
         IterationResult run = engine.run(meta, out.plan);
-        expectOverlapSyncTailMatchesReference(hw, meta, out.plan, run);
+        expectSyncTailMatchesReference(hw, meta, out.plan, run);
 
         // Determinism of the whole timeline, sync tail included.
         IterationResult again = engine.run(meta, out.plan);
@@ -316,23 +173,18 @@ TEST(RuntimeEquivalence, HierarchicalDegeneratesOnSingleIslandClusters)
         MetaGraph meta = contractGraph(graph);
         PlannerOutput out = ExecutionPlanner(hw).plan(meta);
 
-        for (DispatchPolicyKind dispatch :
-             {DispatchPolicyKind::StrictBarrier,
-              DispatchPolicyKind::Overlap}) {
-            EngineOptions flat_opt;
-            flat_opt.dispatch = dispatch;
-            flat_opt.collective = CollectiveKind::FlatRing;
-            EngineOptions hier_opt = flat_opt;
-            hier_opt.collective = CollectiveKind::Hierarchical;
+        EngineOptions flat_opt;
+        flat_opt.collective = CollectiveKind::FlatRing;
+        EngineOptions hier_opt;
+        hier_opt.collective = CollectiveKind::Hierarchical;
 
-            IterationResult flat =
-                Engine(hw, MemoryParams{}, flat_opt).run(meta, out.plan);
-            IterationResult hier =
-                Engine(hw, MemoryParams{}, hier_opt).run(meta, out.plan);
-            EXPECT_EQ(flat.iterationSeconds, hier.iterationSeconds);
-            EXPECT_EQ(flat.breakdown.sync, hier.breakdown.sync);
-            expectIdenticalTimelines(flat.timeline, hier.timeline);
-        }
+        IterationResult flat =
+            Engine(hw, MemoryParams{}, flat_opt).run(meta, out.plan);
+        IterationResult hier =
+            Engine(hw, MemoryParams{}, hier_opt).run(meta, out.plan);
+        EXPECT_EQ(flat.iterationSeconds, hier.iterationSeconds);
+        EXPECT_EQ(flat.breakdown.sync, hier.breakdown.sync);
+        expectIdenticalTimelines(flat.timeline, hier.timeline);
     }
 }
 
@@ -575,8 +427,8 @@ TEST(RuntimeEquivalence, SyncPhaseLabelsReachTheTimelineInStageOrder)
 
 TEST(RuntimeEquivalence, OverlapChargePinsClampedExposedSync)
 {
-    // Regression (charge-order fix): under the overlap policy the
-    // bucketed-overlap credit used to be charged against the whole
+    // Regression (charge-order fix): the bucketed-overlap credit
+    // used to be charged against the whole
     // all-reduce even when kMinSyncFraction clamping fired, pinning
     // the clamped exposed sync to kMinSyncFraction * residual tail
     // instead of kMinSyncFraction * the slowest whole all-reduce.
@@ -587,7 +439,6 @@ TEST(RuntimeEquivalence, OverlapChargePinsClampedExposedSync)
     PlannerOutput out = ExecutionPlanner(hw).plan(meta);
 
     EngineOptions options;
-    options.dispatch = DispatchPolicyKind::Overlap;
     options.collective = CollectiveKind::FlatRing;
     Engine engine(hw, MemoryParams{}, options);
     IterationResult run = engine.run(meta, out.plan);

@@ -190,11 +190,9 @@ TEST_F(RuntimeFixture, EnginePhasesPartitionTheRunWallClock)
     }
 }
 
-TEST_F(RuntimeFixture, OverlapPolicyBreakdownIsConsistent)
+TEST_F(RuntimeFixture, BreakdownIsConsistent)
 {
-    EngineOptions options;
-    options.dispatch = DispatchPolicyKind::Overlap;
-    Engine engine(hw, MemoryParams{}, options);
+    Engine engine(hw);
     IterationResult r = engine.run(meta, out.plan);
     EXPECT_GT(r.iterationSeconds, 0);
     EXPECT_GT(r.breakdown.fwdBwd, 0);
