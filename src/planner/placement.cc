@@ -201,7 +201,7 @@ struct BandState
     /**
      * Sparse residency: per residency row, the ascending band
      * indices whose position holds the row's key (intersection of
-     * the band with the row's holder-position list). The sweep
+     * the band with the row's resident positions). The sweep
      * advances one pointer per row as the window slides — amortized
      * O(1) per window — and the pruning bound binary-searches a
      * chunk's whole range in one probe per row.
@@ -347,15 +347,13 @@ struct EntryContext
     std::vector<SliceParam> sig;         ///< slice param signature
     /**
      * The distinct sig keys, each with its max share, in
-     * first-occurrence sig order: the key list of the commit, of the
-     * holder upkeep and of the affected set. A slice can repeat a
-     * shared key; committing each distinct key once with the
-     * strict-max share leaves the map byte-identical (same
+     * first-occurrence sig order: the key list of the commit. A slice
+     * can repeat a shared key; committing each distinct key once with
+     * the strict-max share leaves the map byte-identical (same
      * distinct-insertion sequence, so the same bucket layout
      * deviceTotal() walks, and strict-max folding is order-independent
      * selection). Zero-byte keys are included on purpose: they still
-     * sit in the device maps, so a device holding one is "affected" —
-     * its probe loop takes the hit branch.
+     * sit in the class maps, where a probe hits them.
      */
     std::vector<std::pair<std::int64_t, double>> commit_keys;
     /** Inter-wave data sources, (bytes, source set), in the order the
@@ -540,90 +538,96 @@ entryOrder(const MetaGraph &graph, const Wave &wave,
     return order;
 }
 
-/** Mutable state of one placement attempt. */
+/**
+ * Mutable state of one placement attempt. Devices that received the
+ * same commits in the same order store identical memory state, so the
+ * state is kept per *device class*: every device names its class, and
+ * a commit splits a class only when the window holds part of it.
+ */
 struct Attempt
 {
-    /**
-     * Per-device stored parameter state, deduplicated by key.
-     * deviceTotal() walks it in bucket order, and that accumulation
-     * order is pinned by the byte-identity contract.
-     */
-    std::vector<std::unordered_map<std::int64_t, double>> params;
-
-    /**
-     * Reverse index: parameter key -> devices holding it. Lists are
-     * unsorted and append-only; a device is appended exactly once,
-     * when the key first lands on it, so each list is exactly the
-     * key's holder set. The sweep unions an entry's key lists into
-     * the "affected" device set — the only devices whose candidate
-     * total can differ from the shared all-miss base.
-     */
-    std::unordered_map<std::int64_t, std::vector<DeviceId>> holders;
-
-    /** Per-device accumulated activation bytes. */
-    std::vector<double> activations;
+    /** The stored memory state every member device of a class shares. */
+    struct Class
+    {
+        /**
+         * Stored parameter shares, deduplicated by key. The total
+         * walks it in bucket order, and that accumulation order is
+         * pinned by the byte-identity contract: a split copy-constructs
+         * the map, which keeps the node order and bucket count, so
+         * every member sums in the order its own map would have had.
+         */
+        std::unordered_map<std::int64_t, double> params;
+        double activations = 0; ///< accumulated activation bytes
+        double total = 0;       ///< activations, then params in walk order
+        std::uint32_t members = 0;
+    };
+    std::vector<Class> classes;
+    std::vector<std::uint32_t> classOf; ///< per device: its class
 
     /** Most recent device set of each MetaOp (last placed slice). */
     std::map<MetaOpId, DeviceSet> lastSlice;
 
-    /**
-     * deviceTotal() cache. A device's total changes only when an
-     * entry commits to it, so the map walk runs at most once per
-     * commit instead of once per candidate window; it is the exact
-     * walk, so cached reads are bit-identical.
-     */
-    std::vector<double> total_cache;
-    std::vector<char> total_dirty;
-
     explicit Attempt(std::uint32_t num_devices)
-        : params(num_devices), activations(num_devices, 0.0),
-          total_cache(num_devices, 0.0), total_dirty(num_devices, 1)
+        : classes(1), classOf(num_devices, 0)
     {
+        classes[0].members = num_devices;
     }
 
     /** The share device @p d stores for @p key; nullptr when absent. */
     const double *
     held(DeviceId d, std::int64_t key) const
     {
-        const auto it = params[d].find(key);
-        return it == params[d].end() ? nullptr : &it->second;
+        const auto &params = classes[classOf[d]].params;
+        const auto it = params.find(key);
+        return it == params.end() ? nullptr : &it->second;
     }
 
-    double
-    deviceTotal(DeviceId d)
-    {
-        if (total_dirty[d]) {
-            double total = activations[d];
-            for (const auto &[key, bytes] : params[d])
-                total += bytes;
-            total_cache[d] = total;
-            total_dirty[d] = 0;
-        }
-        return total_cache[d];
-    }
+    double deviceTotal(DeviceId d) const { return classes[classOf[d]].total; }
 
     void commit(const EntryContext &ctx, const DeviceSet &window);
+
+  private:
+    /** Commit scratch per class: window devices, then their new class. */
+    std::vector<std::uint32_t> hits_, dest_;
 };
 
 /**
  * Stage 5, commit: fold the entry of @p ctx into the attempt state on
  * @p window — the one path for scored and replayed entries alike. A
- * key joins the holder list of exactly the window devices it lands
- * on fresh, in window order.
+ * class the window holds whole is updated in place; the window's
+ * members of any other class move to a copy of it, which is updated
+ * once for all of them.
  */
 void
 Attempt::commit(const EntryContext &ctx, const DeviceSet &window)
 {
+    hits_.resize(classes.size());
+    dest_.resize(classes.size());
+    for (DeviceId d : window)
+        ++hits_[classOf[d]];
     for (DeviceId d : window) {
-        activations[d] += ctx.act_share;
-        for (const auto &[key, share] : ctx.commit_keys) {
-            const auto [it, inserted] = params[d].try_emplace(key, share);
-            if (inserted)
-                holders[key].push_back(d);
-            else if (share > it->second)
-                it->second = share;
+        std::uint32_t &c = classOf[d];
+        if (hits_[c] > 0) { // the class's first window device
+            dest_[c] = c;
+            if (hits_[c] < classes[c].members) {
+                dest_[c] = static_cast<std::uint32_t>(classes.size());
+                classes.push_back(classes[c]);
+                classes[c].members -= hits_[c];
+                classes.back().members = hits_[c];
+            }
+            Class &cls = classes[dest_[c]];
+            cls.activations += ctx.act_share;
+            for (const auto &[key, share] : ctx.commit_keys) {
+                const auto [it, inserted] = cls.params.try_emplace(key, share);
+                if (!inserted && share > it->second)
+                    it->second = share;
+            }
+            cls.total = cls.activations;
+            for (const auto &[key, bytes] : cls.params)
+                cls.total += bytes;
+            hits_[c] = 0;
         }
-        total_dirty[d] = 1;
+        c = dest_[c];
     }
     lastSlice[ctx.meta_op] = window;
 }
@@ -683,22 +687,20 @@ sequentialWindow(const EntryContext &ctx, const Attempt &state,
 class WindowSweep
 {
   public:
-    WindowSweep(const ClusterTopology &topo, WindowPolicy policy,
-                std::uint32_t num_devices)
-        : topo_(topo), policy_(policy),
-          affected_epoch_(num_devices, 0), pos_of_(num_devices, 0),
-          pos_epoch_(num_devices, 0)
+    WindowSweep(const ClusterTopology &topo, WindowPolicy policy)
+        : topo_(topo), policy_(policy)
     {
     }
 
     /** The winning window of the entry of @p ctx over @p free under
      *  @p sel, and its comm score; false when no window fits. */
-    bool choose(EntryContext &ctx, Attempt &state, const DeviceSet &free,
-                const Selection &sel, DeviceSet &window, double &comm);
+    bool choose(EntryContext &ctx, const Attempt &state,
+                const DeviceSet &free, const Selection &sel,
+                DeviceSet &window, double &comm);
 
   private:
-    void positionPass(Attempt &state);
-    void position(Attempt &state, std::size_t pos, double sig_base);
+    void positionPass(const Attempt &state);
+    void position(const Attempt &state, std::size_t pos);
     void buildBands();
     void buildBandShared(std::size_t b);
     void buildBandRow(std::size_t b, std::size_t row);
@@ -746,7 +748,7 @@ class WindowSweep
     std::vector<InflowCtx> inflow_ctx_; ///< per-inflow link ranks
     /** Per residency row: ascending free-list positions holding it. */
     std::vector<std::vector<std::uint32_t>> row_pos_;
-    std::vector<std::uint32_t> pos_row_off_, row_at_; ///< row_pos_ transposed
+    std::vector<std::uint32_t> pos_class_; ///< per free pos: device class
     std::vector<BandState> band_states_; ///< per-band prefix state
     CandidateWindows cand_windows_;      ///< generateWindows() output
     // Sweep scratch: the sliding-maximum deque, residency row
@@ -755,23 +757,22 @@ class WindowSweep
     std::vector<std::size_t> row_ptr_;
     std::vector<char> nonres_;
 
-    // Affected-device epoch stamps: device d holds at least one of the
-    // current entry's keys iff affected_epoch_[d] == entry_epoch_.
-    // Stamping instead of clearing keeps the per-entry cost at the
-    // size of the holder lists, not the device count.
-    std::vector<std::uint64_t> affected_epoch_;
-    std::uint64_t entry_epoch_ = 0;
-
-    // Free-list position of each device this entry (valid iff
-    // pos_epoch_[d] == entry_epoch_ — the stamp doubles as the
-    // free-membership test), filled by the position pass. Turns the
-    // holder-list -> row-position intersection into O(1) lookups.
-    std::vector<std::uint32_t> pos_of_;
-    std::vector<std::uint64_t> pos_epoch_;
+    /** Per device class, its probe this entry: the would-be total of
+     *  a member and the residency rows it holds, as the range
+     *  [rowsBegin, rowsEnd) of class_rows_. Explicit windows read a
+     *  position's rows through pos_class_. */
+    struct ClassProbe
+    {
+        double total = 0;
+        std::uint32_t rowsBegin = 0, rowsEnd = 0;
+        bool probed = false;
+    };
+    std::vector<ClassProbe> class_probe_;
+    std::vector<std::uint32_t> class_rows_;
 };
 
 bool
-WindowSweep::choose(EntryContext &ctx, Attempt &state,
+WindowSweep::choose(EntryContext &ctx, const Attempt &state,
                     const DeviceSet &free, const Selection &sel,
                     DeviceSet &window, double &comm)
 {
@@ -799,11 +800,11 @@ WindowSweep::choose(EntryContext &ctx, Attempt &state,
 
 /**
  * Stage 2, position pass: entry-wide per-inflow link ranks, then per
- * free position the device's would-be total, island and rank-counter
- * addends, then the sparse residency of every row.
+ * free position the device's would-be total, residency rows, island
+ * and rank-counter addends.
  */
 void
-WindowSweep::positionPass(Attempt &state)
+WindowSweep::positionPass(const Attempt &state)
 {
     const EntryContext &ctx = *ctx_;
     const DeviceSet &free = *free_;
@@ -835,84 +836,57 @@ WindowSweep::positionPass(Attempt &state)
     if (cand_total_.size() < F) {
         cand_total_.resize(F);
         pos_island_.resize(F);
+        pos_class_.resize(F);
     }
-
-    // The would-be per-device load splits into one shared all-miss
-    // base and sparse overrides: a device holding none of the slice's
-    // keys misses every probe, so its delta is act_share plus every
-    // share — accumulated here once, in the exact order the probe
-    // loop performs, so the base is bit-identical to the probes it
-    // replaces. Only the *affected* devices (union of the keys'
-    // holder lists) can deviate and take the probe loop.
-    double sig_base = ctx.act_share;
-    for (const SliceParam &sp : ctx.sig)
-        sig_base += sp.share;
-    ++entry_epoch_;
-    for (const auto &kv : ctx.commit_keys) {
-        const auto hit = state.holders.find(kv.first);
-        if (hit == state.holders.end())
-            continue;
-        for (DeviceId d : hit->second)
-            affected_epoch_[d] = entry_epoch_;
-    }
-    for (std::size_t pos = 0; pos < F; ++pos)
-        position(state, pos, sig_base);
 
     // Sparse residency: per row, the ascending free-list positions
-    // whose device already holds the row's key — exactly the
-    // still-free holders, so the lists stay tiny relative to F and
-    // bands intersect them instead of scanning a rows x F flag matrix.
+    // whose device already holds the row's key, so bands intersect
+    // them instead of scanning a rows x F flag matrix. Positions
+    // arrive in ascending order.
     if (row_pos_.size() < rows_)
         row_pos_.resize(rows_);
-    for (std::size_t r = 0; r < rows_; ++r) {
+    for (std::size_t r = 0; r < rows_; ++r)
         row_pos_[r].clear();
-        const auto hit = state.holders.find(ctx.row_key[r]);
-        if (hit == state.holders.end())
-            continue;
-        for (DeviceId d : hit->second)
-            if (pos_epoch_[d] == entry_epoch_)
-                row_pos_[r].push_back(pos_of_[d]);
-        std::sort(row_pos_[r].begin(), row_pos_[r].end());
-    }
-    // The same transposed, for explicit windows: the rows free
-    // position p holds are row_at_[pos_row_off_[p] .. pos_row_off_[p+1]).
-    if (!cand_windows_.extras.empty()) {
-        pos_row_off_.assign(F + 2, 0);
-        for (std::size_t r = 0; r < rows_; ++r)
-            for (std::uint32_t p : row_pos_[r])
-                ++pos_row_off_[p + 2];
-        for (std::size_t i = 2; i < F + 2; ++i)
-            pos_row_off_[i] += pos_row_off_[i - 1];
-        row_at_.resize(pos_row_off_[F + 1]);
-        for (std::size_t r = 0; r < rows_; ++r)
-            for (std::uint32_t p : row_pos_[r])
-                row_at_[pos_row_off_[p + 1]++] =
-                    static_cast<std::uint32_t>(r);
-    }
+    class_probe_.assign(state.classes.size(), ClassProbe{});
+    class_rows_.clear();
+    for (std::size_t pos = 0; pos < F; ++pos)
+        position(state, pos);
 }
 
-/** One free position of the position pass (see positionPass). */
+/**
+ * One free position of the position pass (see positionPass). Members
+ * of one class store the same state, so the first free member probes
+ * the class and every other member reads that probe.
+ */
 void
-WindowSweep::position(Attempt &state, std::size_t pos, double sig_base)
+WindowSweep::position(const Attempt &state, std::size_t pos)
 {
     const EntryContext &ctx = *ctx_;
     const DeviceId d = (*free_)[pos];
-    pos_of_[d] = static_cast<std::uint32_t>(pos);
-    pos_epoch_[d] = entry_epoch_;
-    double add;
-    if (affected_epoch_[d] != entry_epoch_) {
-        add = sig_base;
-    } else {
-        add = ctx.act_share;
+    const std::uint32_t c = state.classOf[d];
+    pos_class_[pos] = c;
+    ClassProbe &cp = class_probe_[c];
+    if (!cp.probed) {
+        const Attempt::Class &cls = state.classes[c];
+        double add = ctx.act_share;
         for (const SliceParam &sp : ctx.sig) {
-            const double *held = state.held(d, sp.key);
-            if (held == nullptr)
+            const auto it = cls.params.find(sp.key);
+            if (it == cls.params.end())
                 add += sp.share;
-            else if (sp.share > *held)
-                add += sp.share - *held;
+            else if (sp.share > it->second)
+                add += sp.share - it->second;
         }
+        cp.total = cls.total + add;
+        cp.rowsBegin = static_cast<std::uint32_t>(class_rows_.size());
+        for (std::size_t r = 0; r < rows_; ++r)
+            if (cls.params.contains(ctx.row_key[r]))
+                class_rows_.push_back(static_cast<std::uint32_t>(r));
+        cp.rowsEnd = static_cast<std::uint32_t>(class_rows_.size());
+        cp.probed = true;
     }
-    cand_total_[pos] = state.deviceTotal(d) + add;
+    cand_total_[pos] = cp.total;
+    for (std::uint32_t i = cp.rowsBegin; i < cp.rowsEnd; ++i)
+        row_pos_[class_rows_[i]].push_back(static_cast<std::uint32_t>(pos));
     const std::uint32_t isl = topo_.islandOf(d);
     pos_island_[pos] = isl;
     // One counter word is the common case: sum in a register.
@@ -1035,7 +1009,7 @@ WindowSweep::buildBandShared(std::size_t b)
 
 /** Resident band indices of one row along one band: intersect the
  *  band (ascending positions, see window_generator.h) with the
- *  row's holder-position list. O(holders · log B) instead of O(B). */
+ *  row's resident positions. O(resident · log B) instead of O(B). */
 void
 WindowSweep::buildBandRow(std::size_t b, std::size_t row)
 {
@@ -1236,10 +1210,11 @@ WindowSweep::scoreExtra(std::size_t ei, Candidate &best)
     }
     if (rows_ > 0) {
         nonres_.assign(rows_, 1);
-        for (std::uint32_t p : win_pos)
-            for (std::size_t i = pos_row_off_[p]; i < pos_row_off_[p + 1];
-                 ++i)
-                nonres_[row_at_[i]] = 0;
+        for (std::uint32_t p : win_pos) {
+            const ClassProbe &cp = class_probe_[pos_class_[p]];
+            for (std::uint32_t i = cp.rowsBegin; i < cp.rowsEnd; ++i)
+                nonres_[class_rows_[i]] = 0;
+        }
     }
     bool spans = false;
     if (ctx.cfg.tp > 1) {
@@ -1374,7 +1349,7 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
     const Selection sel{
         topo_.device().memoryBytes, options_.memoryWeight,
         topo_.device().memoryBytes * kMemorySlack, memory_first};
-    WindowSweep sweep(topo_, options_.windows, num_devices);
+    WindowSweep sweep(topo_, options_.windows);
     std::uint32_t seq_cursor = 0;
     std::vector<char> seq_nonres;
 

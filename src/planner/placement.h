@@ -29,16 +29,19 @@
  *     island penalty and the residency rows. It also owns the score
  *     terms (parameter affinity, island penalty), each written once.
  *  2. *Position pass*: per-inflow link ranks, then per free position
- *     the device's would-be load, island and rank-counter addends,
- *     then each residency row's holder positions.
+ *     the device's would-be load and residency rows — probed once per
+ *     device class, at its first free position — island and
+ *     rank-counter addends.
  *  3. *Band build*: per-band prefix state (island changes, minimum
  *     load, link-rank prefix counts, the window equal to a source).
  *  4. *Chunked sweep with pruning*: band windows, chunk by chunk,
  *     then explicit extras are scored under one selection rule
  *     (Selection: comm plus weighted memory pressure, or memory first
  *     in the fallback) and reduced to the winner.
- *  5. *Commit* (Attempt::commit): per-device parameter maps,
- *     reverse-index upkeep and the MetaOp's last slice.
+ *  5. *Commit* (Attempt::commit): a device class the window holds
+ *     whole is updated in place; the window's members of any other
+ *     class move to a copy of it, which is then updated. Records the
+ *     MetaOp's last slice.
  * The Sequential strategy replaces stages 2–4 by its one window.
  * Replaying a logged prefix builds the same entry setup and calls the
  * same commit, then adds the logged comm; place() is placeWithPrefix
@@ -60,19 +63,28 @@
  * CollectiveModel::flowTime, the best of the same per-device links,
  * which prices the committed flows' inter-island attribution.
  *
- * **Incremental per-entry setup (4096-GPU scaling).** The attempt
- * state keeps, besides the per-device parameter maps, a reverse index
- * from parameter key to the devices holding it. An entry's would-be
- * per-device load then splits into one shared "all-miss" base —
- * activation share plus every signature share, accumulated once in
- * the exact order the probe loop would have — and sparse overrides
- * for the *affected* devices (the union of the holder lists of the
- * entry's keys), the only devices where a probe can hit. Commits
- * dirty only the chosen window's devices, so affected sets stay tiny
- * and the position pass is O(free) + O(affected · |sig|) instead of
- * O(free · |sig|). Parameter residency follows the same scheme: per
- * residency row a sparse ascending list of holder positions replaces
- * the rows × free flag matrix.
+ * **Device classes (4096-GPU scaling).** Devices that received the
+ * same commits in the same order store identical parameter maps and
+ * activation sums, so the attempt keeps that state once per *class*
+ * (map, activation sum, cached total, member count) and one class id
+ * per device. A plan ends with few classes (12 of 2048 devices on
+ * QWen-VAL 70B over mixed islands, 79 of 4096 on CLIP-10), so a
+ * commit touches a few maps instead of one per window device, and
+ * the position pass probes an entry's keys once per class instead of
+ * once per free device. Residency rows come from the same probe:
+ * every free member of a class pushes its position onto the rows the
+ * class holds, in ascending position order (for bands), and an
+ * explicit window reads the rows from its members' class probes.
+ *
+ * **Why a split keeps byte identity.** A device's total sums its
+ * shares in its map's bucket order, and that order shows in the bits
+ * of peakBytes. A split *copy-constructs* the map: the copy keeps the
+ * node order, bucket count and rehash state, so the split devices'
+ * later insertions land exactly where their own per-device maps would
+ * have put them, and every device sums in its own map's order.
+ * Re-inserting the entries into a fresh map would reorder them
+ * (pinned by planner_equivalence_test's
+ * SplitDevicesKeepTheirSummationOrder).
  *
  * **Admissible band pruning**: before scoring a chunk of band
  * windows, the sweep derives an exact lower bound on every window's

@@ -1078,15 +1078,16 @@ TEST(PlannerEquivalence, ReplanMemoryFirstFallback)
 // ===================================================================
 
 /**
- * Worst case for the incremental per-entry candidate state: tasks 2k
- * share one parameter stack, tasks 2k+1 another, and every task adds
- * a private tower, so wavefront interleaving makes consecutive
- * placement entries alternate between overlapping and fully disjoint
- * sig-key sets. An entry whose keys overlap a previously committed
- * one must see exactly the dirtied devices (the holder lists); an
- * entry with disjoint keys must see none. A stale affected set,
- * flat-mirror entry, or epoch stamp surfaces as a byte mismatch
- * against the frozen reference's brute-force rescan.
+ * Worst case for placement's device classes: tasks 2k share one
+ * parameter stack, tasks 2k+1 another, and every task adds a private
+ * tower, so wavefront interleaving makes consecutive placement
+ * entries alternate between overlapping and fully disjoint sig-key
+ * sets, and windows keep cutting across classes that earlier entries
+ * formed. Each entry's probe of a class must see exactly the keys its
+ * members hold, and a commit must move exactly the window's members
+ * of each class. A class updated for devices outside the window, or
+ * a probe read from another class, surfaces as a byte mismatch
+ * against the frozen reference's per-device maps.
  */
 ComputationGraph
 sigAlternationWorkload()
@@ -1130,6 +1131,85 @@ TEST(PlannerEquivalence, DirtyTrackingSigAlternation)
     // across islands.
     expectEquivalent(g, 2);
     expectEquivalentOn(g, stripedCluster(4, 4));
+}
+
+/**
+ * A device's stored total sums its parameter shares in the bucket
+ * order of its map, and that order shows in the bits. MetaOp 0 is a
+ * chain of one large and four tiny parameter sets, the tiny ones
+ * ~2^-53 of the large one: each alone rounds away against it, but
+ * their sum does not, so adding them before or after the large share
+ * gives different bits. MetaOp 1 (3 devices) follows MetaOp 0
+ * (6 of 8 devices), so it must land on part of MetaOp 0's devices.
+ * Those devices then hold MetaOp 0's keys inserted in MetaOp 0's
+ * order, and must sum in that order, not in one rebuilt from another
+ * device's map.
+ */
+TEST(PlannerEquivalence, SplitDevicesKeepTheirSummationOrder)
+{
+    constexpr double kLarge = 0x1p34;
+    constexpr double kTiny = 0x1.8p-20; // share: ~0.4 ulp of the large one
+    ComputationGraph g;
+    const auto add_op = [&g](OpType type, double param_bytes) {
+        OperatorDesc d;
+        d.type = type;
+        d.input = {12, 64, 256};
+        d.flopsFwd = 1e9;
+        d.paramBytes = param_bytes;
+        d.activationBytes = 1.0;
+        return g.addOperator(std::move(d));
+    };
+    OpId prev = add_op(OpType::Vision, kLarge);
+    for (int i = 0; i < 4; ++i) {
+        const OpId op = add_op(OpType::Vision, kTiny);
+        g.addEdge(prev, op);
+        prev = op;
+    }
+    g.addEdge(prev, add_op(OpType::LM, 1e6));
+    g.finalize();
+    const MetaGraph meta = contractGraph(g);
+    ASSERT_EQ(meta.numMetaOps(), 2u);
+    ASSERT_EQ(meta.metaOp(0).ops.size(), 5u);
+
+    // The fixture is order-sensitive: tiny shares first, then the
+    // large one, differs from the large one first.
+    double tiny_first = 0, large_first = kLarge;
+    for (int i = 0; i < 4; ++i) {
+        tiny_first += kTiny;
+        large_first += kTiny;
+    }
+    ASSERT_FALSE(sameBits(tiny_first + kLarge, large_first));
+
+    ExecutionPlan plan;
+    plan.numDevices = 8;
+    for (const auto &[m, n] : {std::pair{0, 6u}, std::pair{1, 3u}}) {
+        Wave w;
+        w.index = static_cast<std::int32_t>(plan.waves.size());
+        WaveEntry e;
+        e.metaOp = m;
+        e.n = n;
+        e.numOps = meta.metaOp(m).numOps();
+        w.entries.push_back(std::move(e));
+        plan.waves.push_back(std::move(w));
+    }
+
+    ClusterTopology topo = testutil::smallCluster(1);
+    HardwareModel hw(topo);
+    const MemoryModel mem;
+    ExecutionPlan ref_plan = plan;
+    const PlacementResult ref =
+        reference::place(topo, hw, mem, {}, meta, ref_plan);
+    const PlacementResult opt =
+        DevicePlacement(topo, hw, mem).place(meta, plan);
+    expectPlansIdentical(ref_plan, plan);
+    expectPlacementsIdentical(ref, opt);
+
+    // MetaOp 1 split MetaOp 0's devices.
+    const DeviceSet &first = plan.waves[0].entries[0].devices;
+    const DeviceSet &second = plan.waves[1].entries[0].devices;
+    EXPECT_TRUE(std::any_of(second.begin(), second.end(), [&](DeviceId d) {
+        return std::binary_search(first.begin(), first.end(), d);
+    }));
 }
 
 TEST(PlannerEquivalence, Sampled1024GpuMatchesReference)
