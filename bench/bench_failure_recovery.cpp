@@ -25,7 +25,6 @@
 
 #include <cstdlib>
 #include <iostream>
-#include <thread>
 
 #include "bench_util.h"
 
@@ -175,16 +174,15 @@ runFlapStorm(BenchJsonWriter &json, Table &table)
 
     json.record(
         "flap-storm/gpus=256",
-        {{"gpus", static_cast<double>(topo.numDevices())},
-         {"events", static_cast<double>(rec.episodes)},
-         {"recovery_mean_seconds", recovery_mean},
-         {"cold_mean_seconds", cold_mean},
-         {"speedup", speedup},
-         {"full_hits", static_cast<double>(full_hits)},
-         {"mean_downtime_seconds",
-          rec.totalDowntimeSeconds / rec.episodes},
-         {"hw_threads",
-          static_cast<double>(std::thread::hardware_concurrency())}});
+        withThreadFields(
+            {{"gpus", static_cast<double>(topo.numDevices())},
+             {"events", static_cast<double>(rec.episodes)},
+             {"recovery_mean_seconds", recovery_mean},
+             {"cold_mean_seconds", cold_mean},
+             {"speedup", speedup},
+             {"full_hits", static_cast<double>(full_hits)},
+             {"mean_downtime_seconds",
+              rec.totalDowntimeSeconds / rec.episodes}}));
     table.addRow({"flap/256", strCat(rec.episodes),
                   Table::fmt(toMs(recovery_mean), 3),
                   Table::fmt(toMs(cold_mean), 3),

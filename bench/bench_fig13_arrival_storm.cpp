@@ -19,7 +19,6 @@
 
 #include <cstdlib>
 #include <iostream>
-#include <thread>
 
 #include "bench_util.h"
 
@@ -140,19 +139,18 @@ runStorm(std::uint32_t nodes, std::uint32_t events,
         strCat("CLIP-storm/gpus=", topo.numDevices());
     json.record(
         name,
-        {{"gpus", static_cast<double>(topo.numDevices())},
-         {"events", static_cast<double>(events)},
-         {"replan_mean_seconds", replan_mean},
-         {"scratch_mean_seconds", scratch_mean},
-         {"speedup", speedup},
-         {"full_hits", static_cast<double>(full_hits)},
-         {"reused_levels", static_cast<double>(reused_levels)},
-         {"curve_hits", static_cast<double>(curve_hits)},
-         {"curve_misses", static_cast<double>(curve_misses)},
-         {"alloc_hits", static_cast<double>(alloc_hits)},
-         {"alloc_misses", static_cast<double>(alloc_misses)},
-         {"hw_threads", static_cast<double>(
-                            std::thread::hardware_concurrency())}});
+        withThreadFields(
+            {{"gpus", static_cast<double>(topo.numDevices())},
+             {"events", static_cast<double>(events)},
+             {"replan_mean_seconds", replan_mean},
+             {"scratch_mean_seconds", scratch_mean},
+             {"speedup", speedup},
+             {"full_hits", static_cast<double>(full_hits)},
+             {"reused_levels", static_cast<double>(reused_levels)},
+             {"curve_hits", static_cast<double>(curve_hits)},
+             {"curve_misses", static_cast<double>(curve_misses)},
+             {"alloc_hits", static_cast<double>(alloc_hits)},
+             {"alloc_misses", static_cast<double>(alloc_misses)}}));
     table.addRow({strCat(topo.numDevices()), strCat(events),
                   Table::fmt(toMs(replan_mean), 3),
                   Table::fmt(toMs(scratch_mean), 3),

@@ -27,7 +27,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
-#include <thread>
 
 #include "bench_util.h"
 #include "service/plan_service.h"
@@ -174,15 +173,14 @@ main()
             r.seconds > 0 ? serial_seconds / r.seconds : 0.0;
         json.record(
             strCat("PlanService/gpus=64/workers=", workers),
-            {{"workers", static_cast<double>(workers)},
-             {"requests", static_cast<double>(r.requests)},
-             {"seconds", r.seconds},
-             {"rps", rps},
-             {"full_hit_rate", r.fullHitRate},
-             {"mismatches", static_cast<double>(r.mismatches)},
-             {"speedup_vs_serial", speedup},
-             {"hw_threads", static_cast<double>(
-                                std::thread::hardware_concurrency())}});
+            withThreadFields(
+                {{"workers", static_cast<double>(workers)},
+                 {"requests", static_cast<double>(r.requests)},
+                 {"seconds", r.seconds},
+                 {"rps", rps},
+                 {"full_hit_rate", r.fullHitRate},
+                 {"mismatches", static_cast<double>(r.mismatches)},
+                 {"speedup_vs_serial", speedup}}));
         table.addRow({strCat(workers), strCat(r.requests),
                       Table::fmt(r.seconds, 3), Table::fmt(rps, 1),
                       Table::fmt(r.fullHitRate, 3), strCat(r.mismatches),

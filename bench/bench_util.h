@@ -8,6 +8,9 @@
 #ifndef SPINDLE_BENCH_BENCH_UTIL_H
 #define SPINDLE_BENCH_BENCH_UTIL_H
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -15,6 +18,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -190,6 +194,61 @@ class BenchJsonWriter
         std::string, std::vector<std::pair<std::string, BenchField>>>>
         records_;
 };
+
+/**
+ * Threads that run in parallel on this runner, calibrated by spinning:
+ * the median over three repetitions of threads x (one spin's time) /
+ * (time of @p threads concurrent spins). On a runner whose CPU quota
+ * is below its reported hardware threads this reads the quota, not
+ * the count (perfbench calibrates the same way).
+ */
+inline double
+calibrateEffectiveThreads(unsigned threads)
+{
+    constexpr std::uint64_t kIters = 30'000'000;
+    const auto time_spins = [](unsigned n) {
+        std::atomic<std::uint64_t> sink{0};
+        const auto t0 = std::chrono::steady_clock::now();
+        std::vector<std::thread> pool;
+        for (unsigned t = 0; t < n; ++t)
+            pool.emplace_back([&sink] {
+                std::uint64_t x = 0x9e3779b97f4a7c15ull;
+                for (std::uint64_t i = 0; i < kIters; ++i) {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                }
+                sink += x;
+            });
+        for (std::thread &t : pool)
+            t.join();
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+            .count();
+    };
+    std::vector<double> ratios;
+    for (int rep = 0; rep < 3; ++rep)
+        ratios.push_back(threads * time_spins(1) / time_spins(threads));
+    std::sort(ratios.begin(), ratios.end());
+    return ratios[1];
+}
+
+/**
+ * @p fields plus the runner's thread facts: `hw_threads`, the count
+ * the OS reports, and `effective_threads`, the spin-calibrated count
+ * (calibrated once per process). Thread-keyed perf gates read the
+ * latter, so a quota-limited runner skips them instead of flapping.
+ */
+inline std::vector<std::pair<std::string, BenchField>>
+withThreadFields(std::vector<std::pair<std::string, BenchField>> fields)
+{
+    static const unsigned hw =
+        std::max(1u, std::thread::hardware_concurrency());
+    static const double effective = calibrateEffectiveThreads(hw);
+    fields.emplace_back("hw_threads", static_cast<double>(hw));
+    fields.emplace_back("effective_threads", effective);
+    return fields;
+}
 
 /** The paper's cluster: nodes of 8 A800s, NVLink + 400Gb/s IB. */
 inline ClusterTopology

@@ -39,7 +39,10 @@ apply to it (see gates()):
   min_speedup with workers
                     the 1-worker storm's seconds over this record's
                     reach the floor, on runners with a hardware thread
-                    per worker (at least MIN_HW_THREADS_FOR_SPEEDUP)
+                    per worker (at least MIN_HW_THREADS_FOR_SPEEDUP),
+                    counted as the run's spin-calibrated
+                    effective_threads rounded to the nearest integer,
+                    so a CPU quota below the reported count skips
 
 A record that selects a mandatory gate must be in the current run;
 other records are informational and only warn when missing. A
@@ -215,18 +218,19 @@ def service(cur, base, _current):
     return text, problems
 
 
-@reads("seconds", "hw_threads")
+@reads("seconds", "effective_threads")
 def throughput(cur, base, current):
     """The 1-worker storm's seconds over this record's reach the floor,
-    given a hardware thread per worker."""
+    given an effective thread per worker."""
     serial_name = cur["name"].split("/workers=")[0] + "/workers=1"
     serial_s = current.get(serial_name, {}).get("seconds")
     if serial_s is None:
         return "", [f"serial record {serial_name} seconds missing from "
                     f"current run"]
     needed = max(int(base["workers"]), MIN_HW_THREADS_FOR_SPEEDUP)
-    if int(cur["hw_threads"]) < needed:
-        return (f"skip: runner has {int(cur['hw_threads'])} hardware "
+    threads = round(cur["effective_threads"])
+    if threads < needed:
+        return (f"skip: runner has {threads} effective hardware "
                 f"threads (< {needed})"), []
     s, floor = ratio(serial_s, cur["seconds"]), base["min_speedup"]
     text = f"speedup={s:.2f}x  floor={floor:.1f}x"

@@ -49,7 +49,8 @@ def passing_current(artifact, baseline):
         if artifact in ("replan", "recovery"):
             rec["full_hits"] = 10
         if artifact == "service":
-            rec.update(mismatches=0, full_hit_rate=0.9, hw_threads=8)
+            rec.update(mismatches=0, full_hit_rate=0.9, hw_threads=8,
+                       effective_threads=7.8)
             rec["seconds"] = 0.010 if rec["workers"] == 1 else 0.004
     return current
 
@@ -232,11 +233,18 @@ CASES = [
      setf("full_hit_rate", 0.5), None, 1, {WORKERS8}, None),
     ("service", "throughput below floor", WORKERS8,
      setf("seconds", 0.008), None, 1, {WORKERS8}, None),
-    ("service", "hw_threads missing", WORKERS8, drop("hw_threads"), None,
-     1, {WORKERS8}, None),
+    ("service", "effective_threads missing", WORKERS8,
+     drop("effective_threads"), None, 1, {WORKERS8}, None),
     ("service", "small runner skips throughput", WORKERS8,
-     chain(setf("seconds", 0.008), setf("hw_threads", 2)), None, 0,
-     set(), "hardware threads"),
+     chain(setf("seconds", 0.008), setf("effective_threads", 2.0)), None,
+     0, set(), "hardware threads"),
+    ("service", "quota-limited runner skips throughput", WORKERS8,
+     chain(setf("seconds", 0.008), setf("hw_threads", 8),
+           setf("effective_threads", 3.9)), None, 0, set(),
+     "4 effective hardware threads (< 8)"),
+    ("service", "full runner is gated", WORKERS8,
+     chain(setf("seconds", 0.008), setf("hw_threads", 8),
+           setf("effective_threads", 7.8)), None, 1, {WORKERS8}, None),
     ("service", "field missing", WORKERS8, drop("mismatches"), None, 1,
      {WORKERS8}, None),
     ("service", "serial record missing", SERIAL, remove, None, 1,

@@ -1,8 +1,6 @@
 #include "cost/estimator.h"
 
 #include <algorithm>
-#include <cmath>
-#include <random>
 
 #include "common/logging.h"
 #include "common/math_util.h"
@@ -13,7 +11,6 @@ ScalabilityEstimator::ScalabilityEstimator(const HardwareModel &hw,
                                            EstimatorOptions options)
     : hw_(hw), options_(options)
 {
-    fatalIf(options_.noiseStdFrac < 0, "Estimator: negative noise");
 }
 
 std::vector<std::uint32_t>
@@ -45,23 +42,6 @@ ScalabilityEstimator::profilePoints(const MetaOp &m,
     return points;
 }
 
-double
-ScalabilityEstimator::probe(const MetaOp &m, std::uint32_t n) const
-{
-    double t = hw_.metaOpTime(m, n);
-    if (options_.noiseStdFrac > 0) {
-        // Deterministic per-(MetaOp, n) noise stream so repeated
-        // estimation is reproducible.
-        std::seed_seq seq{options_.seed,
-                          static_cast<std::uint64_t>(m.id),
-                          static_cast<std::uint64_t>(n)};
-        std::mt19937_64 rng(seq);
-        std::normal_distribution<double> dist(0.0, options_.noiseStdFrac);
-        t *= std::max(0.05, 1.0 + dist(rng));
-    }
-    return t;
-}
-
 ScalingCurve
 ScalabilityEstimator::estimate(const MetaOp &m,
                                std::uint32_t max_devices) const
@@ -75,7 +55,7 @@ ScalabilityEstimator::estimate(const MetaOp &m,
     times.reserve(points.size());
     for (std::uint32_t n : points) {
         ns.push_back(static_cast<double>(n));
-        times.push_back(probe(m, n));
+        times.push_back(hw_.metaOpTime(m, n));
     }
 
     PiecewiseAlphaBeta fitted =

@@ -6,8 +6,9 @@
  *
  * In the paper the profiling source is the physical cluster; here it
  * is the analytical HardwareModel oracle (see DESIGN.md §1 for why
- * the substitution preserves behaviour). Optional multiplicative
- * measurement noise exercises fit robustness deterministically.
+ * the substitution preserves behaviour). Profiling is exact: a
+ * curve is a pure function of the MetaOp's workload shape and the
+ * cluster, which is what lets the plan cache serve curves by shape.
  */
 
 #ifndef SPINDLE_COST_ESTIMATOR_H
@@ -29,12 +30,6 @@ struct EstimatorOptions
      * samples (the homogeneous baseline of Appendix A).
      */
     bool piecewise = true;
-
-    /** Std-dev of multiplicative measurement noise (0 = exact). */
-    double noiseStdFrac = 0.0;
-
-    /** Seed for the deterministic noise stream. */
-    std::uint64_t seed = 0x5eed;
 };
 
 /**
@@ -72,8 +67,6 @@ class ScalabilityEstimator
     const EstimatorOptions &options() const { return options_; }
 
   private:
-    double probe(const MetaOp &m, std::uint32_t n) const;
-
     const HardwareModel &hw_;
     EstimatorOptions options_;
 };

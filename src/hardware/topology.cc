@@ -1,9 +1,9 @@
 #include "hardware/topology.h"
 
 #include <algorithm>
-#include <bit>
 #include <numeric>
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace spindle {
@@ -53,25 +53,11 @@ resolveLink(const LinkParams &link, const LinkParams &fallback,
     return link;
 }
 
-/** Order-sensitive 64-bit hash combiner (FNV-1a over words). */
-std::uint64_t
-mix(std::uint64_t h, std::uint64_t v)
-{
-    h ^= v;
-    return h * 0x100000001b3ull;
-}
-
-std::uint64_t
-mix(std::uint64_t h, double v)
-{
-    return mix(h, std::bit_cast<std::uint64_t>(v));
-}
-
 std::uint64_t
 mix(std::uint64_t h, const LinkParams &link)
 {
-    h = mix(mix(h, link.bandwidth), link.latency);
-    return mix(h, static_cast<std::uint64_t>(link.rails));
+    h = spindle::mix(spindle::mix(h, link.bandwidth), link.latency);
+    return spindle::mix(h, static_cast<std::uint64_t>(link.rails));
 }
 
 } // namespace
@@ -199,7 +185,7 @@ ClusterTopology::validateAndBuild()
     // covered: device spec, memberships, resolved links, and the
     // three config defaults (placement's penalty terms and the
     // uniform-fabric shortcuts of the oracles read those directly).
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = kFnvOffset;
     h = mix(h, static_cast<std::uint64_t>(num_devices_));
     h = mix(h, config_.device.peakFlops);
     h = mix(h, config_.device.memoryBytes);

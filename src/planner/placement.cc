@@ -389,16 +389,13 @@ EntryContext::build(const MetaGraph &graph, const WaveEntry &e,
     // Slice parameter signature: per member operator, its dedup key,
     // the parameter + optimizer share charged to each device, and
     // its raw bytes.
-    const MemoryParams &mp = mem.params();
     sig.clear();
     sig.reserve(static_cast<std::size_t>(e.numOps));
     for (std::int64_t i = 0; i < e.numOps; ++i) {
         const OperatorDesc &op = graph.base().op(m.ops[e.opBegin + i]);
-        const double shard = op.paramBytes / cfg.tp /
-                             (mp.zeroShardParams ? cfg.dp : 1.0);
-        const double opt = op.paramBytes / cfg.tp * kOptimizerFactor /
-                           (mp.zeroShardOptimizer ? cfg.dp : 1.0);
-        sig.push_back({paramDedupKey(op), shard + opt, op.paramBytes});
+        sig.push_back({paramDedupKey(op),
+                       mem.paramStateBoundBytes(op.paramBytes, cfg),
+                       op.paramBytes});
     }
 
     // One first-occurrence pass: the distinct keys with their max
@@ -746,8 +743,10 @@ class WindowSweep
      *  (see InflowCtx), row_words_ words per position. */
     std::vector<std::uint64_t> pos_bump_;
     std::vector<InflowCtx> inflow_ctx_; ///< per-inflow link ranks
-    /** Per residency row: ascending free-list positions holding it. */
+    /** Per residency row: ascending free-list positions holding it
+     *  (filled only when fill_row_pos_: some band holds n positions). */
     std::vector<std::vector<std::uint32_t>> row_pos_;
+    bool fill_row_pos_ = false;
     std::vector<std::uint32_t> pos_class_; ///< per free pos: device class
     std::vector<BandState> band_states_; ///< per-band prefix state
     CandidateWindows cand_windows_;      ///< generateWindows() output
@@ -842,11 +841,17 @@ WindowSweep::positionPass(const Attempt &state)
     // Sparse residency: per row, the ascending free-list positions
     // whose device already holds the row's key, so bands intersect
     // them instead of scanning a rows x F flag matrix. Positions
-    // arrive in ascending order.
-    if (row_pos_.size() < rows_)
-        row_pos_.resize(rows_);
-    for (std::size_t r = 0; r < rows_; ++r)
-        row_pos_[r].clear();
+    // arrive in ascending order. Only band builds read them, so they
+    // are skipped when no band holds a length-n window.
+    fill_row_pos_ = std::any_of(
+        cand_windows_.bands.begin(), cand_windows_.bands.end(),
+        [n = ctx.n](const auto &band) { return band.size() >= n; });
+    if (fill_row_pos_) {
+        if (row_pos_.size() < rows_)
+            row_pos_.resize(rows_);
+        for (std::size_t r = 0; r < rows_; ++r)
+            row_pos_[r].clear();
+    }
     class_probe_.assign(state.classes.size(), ClassProbe{});
     class_rows_.clear();
     for (std::size_t pos = 0; pos < F; ++pos)
@@ -885,8 +890,10 @@ WindowSweep::position(const Attempt &state, std::size_t pos)
         cp.probed = true;
     }
     cand_total_[pos] = cp.total;
-    for (std::uint32_t i = cp.rowsBegin; i < cp.rowsEnd; ++i)
-        row_pos_[class_rows_[i]].push_back(static_cast<std::uint32_t>(pos));
+    if (fill_row_pos_)
+        for (std::uint32_t i = cp.rowsBegin; i < cp.rowsEnd; ++i)
+            row_pos_[class_rows_[i]].push_back(
+                static_cast<std::uint32_t>(pos));
     const std::uint32_t isl = topo_.islandOf(d);
     pos_island_[pos] = isl;
     // One counter word is the common case: sum in a register.

@@ -1,31 +1,16 @@
 #include "planner/plan_cache.h"
 
-#include <bit>
-
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace spindle {
 
 namespace {
 
-/** Order-sensitive 64-bit hash combiner (FNV-1a over words). */
-std::uint64_t
-mix(std::uint64_t h, std::uint64_t v)
-{
-    h ^= v;
-    return h * 0x100000001b3ull;
-}
-
-std::uint64_t
-mix(std::uint64_t h, double v)
-{
-    return mix(h, std::bit_cast<std::uint64_t>(v));
-}
-
 std::uint64_t
 hashSignature(const GraphSignature &sig)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = kFnvOffset;
     h = mix(h, static_cast<std::uint64_t>(sig.levels.size()));
     for (const LevelSignature &level : sig.levels) {
         h = mix(h, static_cast<std::uint64_t>(level.metaOps.size()));
@@ -194,58 +179,53 @@ PlanCache::storePlan(std::uint64_t ctx, CachedPlan plan)
     }
 }
 
-std::optional<ScalingCurve>
-PlanCache::findCurve(std::uint64_t ctx, const CurveKey &key) const
+template <typename Key, typename Value>
+std::optional<Value>
+PlanCache::probeTier(std::uint64_t ctx, const Key &key,
+                     const Value *value) const
 {
     Stripe &s = stripeOf(ctx);
     std::lock_guard<std::mutex> lk(s.mu);
     auto it = s.contexts.find(ctx);
-    if (it == s.contexts.end())
-        return std::nullopt;
-    for (const auto &[cached_key, curve] : it->second.curves)
+    if (it == s.contexts.end()) {
+        if (value == nullptr)
+            return std::nullopt;
+        it = s.contexts.try_emplace(ctx).first;
+    }
+    auto &entries = tier(it->second, key);
+    for (const auto &[cached_key, cached] : entries)
         if (cached_key == key)
-            return curve;
+            return value == nullptr ? std::optional<Value>(cached)
+                                    : std::nullopt;
+    if (value != nullptr)
+        entries.emplace_back(key, *value);
     return std::nullopt;
 }
 
-void
-PlanCache::storeCurve(std::uint64_t ctx, const CurveKey &key,
-                      const ScalingCurve &curve)
+std::optional<ScalingCurve>
+PlanCache::find(std::uint64_t ctx, const CurveKey &key) const
 {
-    Stripe &s = stripeOf(ctx);
-    std::lock_guard<std::mutex> lk(s.mu);
-    Context &context = s.contexts[ctx];
-    for (const auto &[cached_key, cached] : context.curves)
-        if (cached_key == key)
-            return; // racing miss already stored identical bytes
-    context.curves.emplace_back(key, curve);
+    return probeTier<CurveKey, ScalingCurve>(ctx, key, nullptr);
+}
+
+void
+PlanCache::store(std::uint64_t ctx, const CurveKey &key,
+                 const ScalingCurve &curve)
+{
+    probeTier(ctx, key, &curve);
 }
 
 std::optional<LevelAllocation>
-PlanCache::findLevelAlloc(std::uint64_t ctx, const LevelKey &key) const
+PlanCache::find(std::uint64_t ctx, const LevelKey &key) const
 {
-    Stripe &s = stripeOf(ctx);
-    std::lock_guard<std::mutex> lk(s.mu);
-    auto it = s.contexts.find(ctx);
-    if (it == s.contexts.end())
-        return std::nullopt;
-    for (const auto &[cached_key, alloc] : it->second.levels)
-        if (cached_key == key)
-            return alloc;
-    return std::nullopt;
+    return probeTier<LevelKey, LevelAllocation>(ctx, key, nullptr);
 }
 
 void
-PlanCache::storeLevelAlloc(std::uint64_t ctx, const LevelKey &key,
-                           const LevelAllocation &alloc)
+PlanCache::store(std::uint64_t ctx, const LevelKey &key,
+                 const LevelAllocation &alloc)
 {
-    Stripe &s = stripeOf(ctx);
-    std::lock_guard<std::mutex> lk(s.mu);
-    Context &context = s.contexts[ctx];
-    for (const auto &[cached_key, cached] : context.levels)
-        if (cached_key == key)
-            return;
-    context.levels.emplace_back(key, alloc);
+    probeTier(ctx, key, &alloc);
 }
 
 PlanCache::Stats

@@ -235,17 +235,17 @@ class PlanCache
     void storePlan(std::uint64_t ctx, CachedPlan plan);
 
     /** Copy of the cached curve for @p key, if any. */
-    std::optional<ScalingCurve> findCurve(std::uint64_t ctx,
-                                          const CurveKey &key) const;
-    void storeCurve(std::uint64_t ctx, const CurveKey &key,
-                    const ScalingCurve &curve);
+    std::optional<ScalingCurve> find(std::uint64_t ctx,
+                                     const CurveKey &key) const;
+    void store(std::uint64_t ctx, const CurveKey &key,
+               const ScalingCurve &curve);
 
     /** Hit values are stored positionally: callers must remap the
      *  contained MetaOp ids onto their own graph's level ids. */
-    std::optional<LevelAllocation>
-    findLevelAlloc(std::uint64_t ctx, const LevelKey &key) const;
-    void storeLevelAlloc(std::uint64_t ctx, const LevelKey &key,
-                         const LevelAllocation &alloc);
+    std::optional<LevelAllocation> find(std::uint64_t ctx,
+                                        const LevelKey &key) const;
+    void store(std::uint64_t ctx, const LevelKey &key,
+               const LevelAllocation &alloc);
 
     /** Consistent snapshot of the cumulative counters. */
     Stats stats() const;
@@ -274,6 +274,20 @@ class PlanCache
     static constexpr std::size_t kStripes = 16;
 
     Stripe &stripeOf(std::uint64_t ctx) const;
+
+    /** The tier of @p c holding values keyed by the key's type. */
+    static auto &tier(Context &c, const CurveKey &) { return c.curves; }
+    static auto &tier(Context &c, const LevelKey &) { return c.levels; }
+
+    /**
+     * Locked linear probe of @p key's tier in context @p ctx. With
+     * @p value null: a copy of the cached value, if any. Otherwise
+     * store *@p value unless the key is cached already (a racing
+     * miss stored identical bytes) and return nothing.
+     */
+    template <typename Key, typename Value>
+    std::optional<Value> probeTier(std::uint64_t ctx, const Key &key,
+                                   const Value *value) const;
 
     mutable std::array<Stripe, kStripes> stripes_;
     std::size_t max_plans_;

@@ -1,10 +1,9 @@
 #include "planner/planner.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
-#include <optional>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "runtime/memory_model.h"
 
@@ -20,29 +19,14 @@ secondsBetween(clock_type::time_point a, clock_type::time_point b)
     return std::chrono::duration<double>(b - a).count();
 }
 
-std::uint64_t
-mix(std::uint64_t h, std::uint64_t v)
-{
-    h ^= v;
-    return h * 0x100000001b3ull;
-}
-
-std::uint64_t
-mix(std::uint64_t h, double v)
-{
-    return mix(h, std::bit_cast<std::uint64_t>(v));
-}
-
 /**
- * Fingerprint of every option that can change planned bytes.
- * Deliberately excluded are `cache` (bookkeeping, not behavior) and
- * the estimator noise/seed fields — replan() bypasses the cache
- * entirely when noise is on, and with noise off the seed is unread.
+ * Fingerprint of every option that can change planned bytes. Only
+ * `cache` is excluded: it is bookkeeping, not behavior.
  */
 std::uint64_t
 optionsFingerprint(const PlannerOptions &o)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = kFnvOffset;
     h = mix(h, static_cast<std::uint64_t>(o.estimator.piecewise));
     h = mix(h, o.allocator.bisectionRelTol);
     h = mix(h, static_cast<std::uint64_t>(o.allocator.maxBisectionIters));
@@ -60,7 +44,7 @@ optionsFingerprint(const PlannerOptions &o)
 std::uint64_t
 paramsFingerprint(const HardwareParams &p)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = kFnvOffset;
     h = mix(h, p.bwdFlopsFactor);
     h = mix(h, p.kernelLaunch);
     h = mix(h, p.halfEffFlops);
@@ -83,22 +67,17 @@ curveKeyOf(const MetaOp &m, std::uint32_t max_devices)
 
 /**
  * One memoized pipeline stage over @p count independent items. Each
- * item's result is served from @p memo (@p find) — a hit, including
- * an item whose key an earlier item of this graph just stored — or
- * computed (@p compute) and stored. Without a memo every item is
- * computed and no key is built.
+ * item's result is served from @p memo's tier for its key type — a
+ * hit, including an item whose key an earlier item of this graph
+ * just stored — or computed (@p compute) and stored. Without a memo
+ * every item is computed and no key is built.
  */
-template <typename Value, typename Key, typename KeyOf, typename Compute>
-std::vector<Value>
+template <typename KeyOf, typename Compute>
+auto
 memoizedStage(PlanCache *memo, std::uint64_t ctx, std::size_t count,
-              KeyOf key_of,
-              std::optional<Value> (PlanCache::*find)(std::uint64_t,
-                                                      const Key &) const,
-              void (PlanCache::*store)(std::uint64_t, const Key &,
-                                       const Value &),
-              Compute compute, std::uint64_t &hits)
+              KeyOf key_of, Compute compute, std::uint64_t &hits)
 {
-    std::vector<Value> out;
+    std::vector<decltype(compute(std::size_t{}))> out;
     out.reserve(count);
     hits = 0;
     for (std::size_t i = 0; i < count; ++i) {
@@ -106,14 +85,14 @@ memoizedStage(PlanCache *memo, std::uint64_t ctx, std::size_t count,
             out.push_back(compute(i));
             continue;
         }
-        const Key key = key_of(i);
-        if (std::optional<Value> hit = (memo->*find)(ctx, key)) {
+        const auto key = key_of(i);
+        if (auto hit = memo->find(ctx, key)) {
             out.push_back(std::move(*hit));
             ++hits;
             continue;
         }
         out.push_back(compute(i));
-        (memo->*store)(ctx, key, out.back());
+        memo->store(ctx, key, out.back());
     }
     return out;
 }
@@ -191,10 +170,7 @@ ExecutionPlanner::plan(const MetaGraph &graph) const
 PlannerOutput
 ExecutionPlanner::replan(const MetaGraph &graph) const
 {
-    // Value transparency needs noise-free estimation: noise draws are
-    // seeded per MetaOp id, invisible to positional signatures.
-    const bool noisy = options_.estimator.noiseStdFrac > 0;
-    return pipeline(graph, noisy ? nullptr : &planCache());
+    return pipeline(graph, &planCache());
 }
 
 PlannerOutput
@@ -220,7 +196,6 @@ ExecutionPlanner::pipeline(const MetaGraph &graph, PlanCache *memo) const
     GraphSignature sig;
     PlanCache::PlanPtr cached;
     if (memo != nullptr) {
-        stats.attempted = true;
         stats.totalLevels = static_cast<std::uint32_t>(graph.numLevels());
         sig = signatureOf(graph);
         cached = memo->findPlan(ctx, sig);
@@ -242,15 +217,13 @@ ExecutionPlanner::pipeline(const MetaGraph &graph, PlanCache *memo) const
     if (cached == nullptr) {
         // §3.2: profile the oracle and fit one independent curve per
         // MetaOp. A curve is a pure function of the MetaOp's workload
-        // shape and the cluster (the noisy variant seeds its stream
-        // per (MetaOp, n)), so curves are served from the curve memo
-        // by that shape.
+        // shape and the cluster, so curves are served from the curve
+        // memo by that shape.
         ScalabilityEstimator estimator(hw_, options_.estimator);
         const std::vector<MetaOp> &ops = graph.metaOps();
-        out.curves = memoizedStage<ScalingCurve, PlanCache::CurveKey>(
+        out.curves = memoizedStage(
             memo, ctx, ops.size(),
             [&](std::size_t i) { return curveKeyOf(ops[i], n); },
-            &PlanCache::findCurve, &PlanCache::storeCurve,
             [&](std::size_t i) { return estimator.estimate(ops[i], n); },
             stats.curveHits);
         lap(out.phaseSeconds.estimation);
@@ -262,22 +235,20 @@ ExecutionPlanner::pipeline(const MetaGraph &graph, PlanCache *memo) const
         // is stored positionally and rebound to this graph's ids.
         ResourceAllocator allocator(graph, out.curves, n,
                                     options_.allocator);
-        std::vector<LevelAllocation> allocations =
-            memoizedStage<LevelAllocation, PlanCache::LevelKey>(
-                memo, ctx, graph.numLevels(),
-                [&](std::size_t k) {
-                    PlanCache::LevelKey key;
-                    for (MetaOpId id : graph.level(k)) {
-                        const MetaOp &m = graph.metaOp(id);
-                        key.ops.emplace_back(curveKeyOf(m, n), m.numOps());
-                    }
-                    return key;
-                },
-                &PlanCache::findLevelAlloc, &PlanCache::storeLevelAlloc,
-                [&](std::size_t k) {
-                    return allocator.allocateLevel(graph.level(k));
-                },
-                stats.allocHits);
+        std::vector<LevelAllocation> allocations = memoizedStage(
+            memo, ctx, graph.numLevels(),
+            [&](std::size_t k) {
+                PlanCache::LevelKey key;
+                for (MetaOpId id : graph.level(k)) {
+                    const MetaOp &m = graph.metaOp(id);
+                    key.ops.emplace_back(curveKeyOf(m, n), m.numOps());
+                }
+                return key;
+            },
+            [&](std::size_t k) {
+                return allocator.allocateLevel(graph.level(k));
+            },
+            stats.allocHits);
         if (memo != nullptr) {
             for (std::size_t k = 0; k < allocations.size(); ++k) {
                 const std::vector<MetaOpId> &ids = graph.level(k);
@@ -371,9 +342,9 @@ ExecutionPlanner::pipeline(const MetaGraph &graph, PlanCache *memo) const
         }
     }
 
-    // Finalize: (re-)derive readiness now that entries are placed —
-    // it gains the per device-group predecessor edges event dispatch
-    // relies on — and validate against the paper's structural
+    // Finalize: derive readiness now that entries are placed — with
+    // the per device-group predecessor edges event dispatch relies
+    // on — and validate against the paper's structural
     // invariants. On a full hit this re-checks the remap on the new
     // graph, keeping the byte-identity claim falsifiable every time.
     out.plan.annotateReadiness(graph);

@@ -7,9 +7,11 @@
  * consumes.
  *
  * One staged pipeline runs those stages once each, then finalizes
- * the plan (readiness annotation + validation). It takes an optional
- * memo — a PlanCache — and that pointer is the only difference
- * between the two entry points:
+ * the plan: readiness edges are derived once, on the placed plan,
+ * and the result is validated. Every stage is a pure function of the
+ * workload's values and the (topology, hardware params, options)
+ * context. The pipeline takes an optional memo — a PlanCache — and
+ * that pointer is the only difference between the two entry points:
  *  - plan() runs the pipeline without a memo: every stage computes
  *    from scratch, and no signature, memo key or commit log is
  *    built. It is the byte-identity reference.
@@ -109,9 +111,6 @@ plannerPhaseName(std::size_t index)
 /** What one replan() call reused. All-zero for plan(). */
 struct ReplanStats
 {
-    /** replan() took the cache path (false: fell back to plan()). */
-    bool attempted = false;
-
     /** Whole plan served from the cache (ids remapped, no pipeline
      *  stage ran). */
     bool fullHit = false;
@@ -178,9 +177,7 @@ class ExecutionPlanner
      * Incremental replan for dynamic arrivals/departures: plan
      * @p graph, reusing every cached result its value signature
      * licenses (see the file comment). Byte-identical to plan() on
-     * the same graph. Falls back to plan() outright when estimator
-     * noise is enabled (noise draws are seeded per MetaOp id, which
-     * value signatures deliberately ignore).
+     * the same graph.
      */
     PlannerOutput replan(const MetaGraph &graph) const;
 

@@ -238,10 +238,6 @@ WavefrontScheduler::scheduleAll(
     double t = 0;
     for (const LevelAllocation &alloc : allocs)
         t = scheduleLevel(alloc, t, waves);
-    // Emit the readiness edges the event-driven runtime dispatches
-    // on (data producers + program order; per device-group edges are
-    // added when placement re-annotates the placed plan).
-    annotateWaveReadiness(graph_, waves);
     return waves;
 }
 

@@ -51,7 +51,11 @@ class WavefrontScheduler
     double scheduleLevel(const LevelAllocation &alloc, double t_start,
                          std::vector<Wave> &waves) const;
 
-    /** Schedule all levels in order ("Merging MetaLevels"). */
+    /**
+     * Schedule all levels in order ("Merging MetaLevels"). The waves
+     * carry no readiness edges: the planner derives them once, on
+     * the placed plan (ExecutionPlan::annotateReadiness).
+     */
     std::vector<Wave>
     scheduleAll(const std::vector<LevelAllocation> &allocs) const;
 

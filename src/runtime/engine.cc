@@ -130,36 +130,6 @@ Engine::Engine(const HardwareModel &hw, MemoryParams mem_params,
                EngineOptions options)
     : hw_(hw), mem_(mem_params), options_(options)
 {
-    RecoveryOptions &rec = options_.recovery;
-    if (rec.detectionSeconds < 0) {
-        warn(strCat("Engine: recovery.detectionSeconds = ",
-                    rec.detectionSeconds,
-                    " is negative; clamping to 0"));
-        rec.detectionSeconds = 0;
-    }
-    if (rec.restartSeconds < 0) {
-        warn(strCat("Engine: recovery.restartSeconds = ",
-                    rec.restartSeconds, " is negative; clamping to 0"));
-        rec.restartSeconds = 0;
-    }
-    if (rec.maxReplanAttempts == 0) {
-        warn("Engine: recovery.maxReplanAttempts = 0 — recovery needs "
-             "at least one attempt; raising to 1");
-        rec.maxReplanAttempts = 1;
-    }
-    if (rec.maxReplanAttempts > 2) {
-        warn(strCat("Engine: recovery.maxReplanAttempts = ",
-                    rec.maxReplanAttempts,
-                    " exceeds the two-rung replan cascade; clamping "
-                    "to 2"));
-        rec.maxReplanAttempts = 2;
-    }
-    if (rec.retryBackoff < 1) {
-        warn(strCat("Engine: recovery.retryBackoff = ", rec.retryBackoff,
-                    " is below 1 (backoff must not shrink delays); "
-                    "clamping to 1"));
-        rec.retryBackoff = 1;
-    }
 }
 
 IterationResult

@@ -27,9 +27,8 @@
  * lost work accounted (clipped timeline, aborted reservations), and
  * arrivals placed on dead devices are refused with a structured
  * ArrivalError instead of a panic. The RecoveryCoordinator
- * (runtime/recovery.h) drives replanning on the survivors;
- * EngineOptions::recovery carries the detection/restart/retry
- * knobs.
+ * (runtime/recovery.h) drives replanning on the survivors and
+ * charges the detection and restart constants it declares.
  */
 
 #ifndef SPINDLE_RUNTIME_ENGINE_H
@@ -112,45 +111,6 @@ struct IterationResult
     EnginePhaseSeconds phaseSeconds;
 };
 
-/**
- * Failure-recovery tunables: what a fault costs beyond the lost
- * work, and how hard the recovery path tries before accepting a
- * degraded plan. Consumed by RecoveryCoordinator (runtime/recovery.h)
- * and validated by the Engine constructor (out-of-range values warn
- * and clamp).
- */
-struct RecoveryOptions
-{
-    /**
-     * Seconds between a device dying and the runtime noticing
-     * (heartbeat / NCCL timeout). Charged once per failure episode.
-     * Negative values are clamped to 0 with a warning.
-     */
-    double detectionSeconds = 0.5;
-
-    /**
-     * Seconds to tear down and relaunch the affected processes
-     * before the replanned iteration starts. Charged per replan
-     * attempt, scaled by retryBackoff^attempt. Negative values are
-     * clamped to 0 with a warning.
-     */
-    double restartSeconds = 2.0;
-
-    /**
-     * Attempts in the replan cascade (prefix-reusing replan ->
-     * memory-first replan) before the final candidate is accepted.
-     * The cascade has two rungs: zero is clamped to 1 and values
-     * above 2 to 2, each with a warning.
-     */
-    std::uint32_t maxReplanAttempts = 2;
-
-    /**
-     * Multiplier on restartSeconds per extra attempt (exponential
-     * backoff). Values below 1 are clamped to 1 with a warning.
-     */
-    double retryBackoff = 2.0;
-};
-
 /** Fixed overhead charged at each wave boundary (host-side dispatch
  *  of the next wave's kernels). */
 inline constexpr double kWaveBarrier = 5 * kMicro;
@@ -174,9 +134,6 @@ struct EngineOptions
      * LinkParams); Auto picks the cheapest algorithm per group.
      */
     CollectiveKind collective = CollectiveKind::FlatRing;
-
-    /** Failure-recovery knobs (see RecoveryOptions). */
-    RecoveryOptions recovery;
 };
 
 /** One task (graph + placed plan) arriving mid-iteration. */

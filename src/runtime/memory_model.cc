@@ -9,13 +9,21 @@ MemoryModel::paramStateBytesPerDevice(const MetaOp &m, std::int64_t l,
                                       ParallelConfig cfg) const
 {
     panicIf(l < 0, "paramStateBytesPerDevice: negative slice");
+    return static_cast<double>(l) *
+           paramStateBoundBytes(m.paramBytesPerOp, cfg);
+}
+
+double
+MemoryModel::paramStateBoundBytes(double param_bytes,
+                                  ParallelConfig cfg) const
+{
     const double tp = cfg.tp;
     const double dp = cfg.dp;
-    const double param_shard = m.paramBytesPerOp / tp /
-                               (params_.zeroShardParams ? dp : 1.0);
-    const double opt_shard = m.paramBytesPerOp / tp * kOptimizerFactor /
-                             (params_.zeroShardOptimizer ? dp : 1.0);
-    return static_cast<double>(l) * (param_shard + opt_shard);
+    const double shard =
+        param_bytes / tp / (params_.zeroShardParams ? dp : 1.0);
+    const double opt = param_bytes / tp * kOptimizerFactor /
+                       (params_.zeroShardOptimizer ? dp : 1.0);
+    return shard + opt;
 }
 
 double

@@ -20,10 +20,11 @@
  *   gradient-sync group (§3.6 step 3), the union of the devices of
  *   every entry hosting it.
  * - Placement commits entries before the final groups exist, so it
- *   charges paramStateBytesPerDevice()'s regime per operator
- *   (placement.cc's slice signature): optimizer state sharded over
- *   the entry's own cfg.dp only. An entry's group holds at least its
- *   own n = dp x tp devices, so that charge is an upper bound on the
+ *   charges paramStateBoundBytes() per operator (placement.cc's slice
+ *   signature), the share paramStateBytesPerDevice() sums: optimizer
+ *   state divided by the entry's own cfg.dp, where the engine divides
+ *   it by the whole group. An entry's group holds at least its own
+ *   n = dp x tp devices, so that charge is an upper bound on the
  *   engine's, and the capacity check placement applies never admits
  *   a plan the engine finds over the same limit. The tests
  *   PlacementMemoryBound.* pin the bound exactly (placement peak >=
@@ -67,10 +68,23 @@ class MemoryModel
 
     /**
      * Parameter + optimizer bytes per device for hosting @p l member
-     * operators of @p m under @p cfg. Persistent for the iteration.
+     * operators of @p m under @p cfg: @p l times
+     * paramStateBoundBytes() of one operator's parameters.
+     * Persistent for the iteration.
      */
     double paramStateBytesPerDevice(const MetaOp &m, std::int64_t l,
                                     ParallelConfig cfg) const;
+
+    /**
+     * Placement's parameter + optimizer charge per device for a
+     * parameter set of @p param_bytes hosted under @p cfg: the
+     * parameter shard divides by the TP degree (and the DP degree
+     * under ZeRO-3); optimizer state divides by the TP degree and,
+     * under ZeRO-1, by cfg.dp — a bound on paramStateShareBytes(),
+     * which shards it over the whole group (see the file comment).
+     */
+    double paramStateBoundBytes(double param_bytes,
+                                ParallelConfig cfg) const;
 
     /**
      * Activation bytes per device stashed by executing @p l member

@@ -12,11 +12,10 @@ namespace spindle {
 RecoveryCoordinator::RecoveryCoordinator(const HardwareModel &hw,
                                          const MetaGraph &graph,
                                          PlannerOptions planner_options,
-                                         MemoryParams mem_params,
                                          EngineOptions engine_options)
     : base_hw_(hw), graph_(graph),
       planner_options_(std::move(planner_options)),
-      mem_params_(mem_params), engine_options_(engine_options)
+      engine_options_(engine_options)
 {
     if (planner_options_.cache) {
         cache_ = planner_options_.cache;
@@ -66,8 +65,7 @@ RecoveryCoordinator::shapeFor(const DeviceSet &dead, bool ensure_plan)
         it = shapes_
                  .emplace(dead, std::make_unique<ShapeState>(
                                     std::move(deg), base_hw_.params(),
-                                    popts, mem_params_,
-                                    engine_options_))
+                                    popts, engine_options_))
                  .first;
     }
     ShapeState &st = *it->second;
@@ -195,7 +193,6 @@ RecoveryCoordinator::run(const FaultPlan &faults,
         dead = unionOf(dead, episode);
 
         ShapeState &ns = shapeFor(dead, /*ensure_plan=*/false);
-        const RecoveryOptions &rec = ns.engine.options().recovery;
 
         RecoveryOutcome ep;
         ep.iteration = it;
@@ -205,20 +202,19 @@ RecoveryCoordinator::run(const FaultPlan &faults,
         ep.survivingDevices = ns.topo.numDevices();
         ep.lostWorkSeconds = fr.lostWorkSeconds;
         ep.iterationSecondsBefore = before;
-        ep.detectionSeconds = rec.detectionSeconds;
+        ep.detectionSeconds = kDetectionSeconds;
 
-        // Bounded retry cascade: prefix-reusing replan() ->
-        // memory-first plan(). A cold plan() would re-plan the exact
-        // bytes replan() just produced (the two are byte-identical),
-        // so it is no rung. First candidate that fits device memory
-        // wins; an exhausted cascade accepts the final candidate
-        // with a warning (degraded training beats none).
+        // Two-rung cascade: prefix-reusing replan() -> memory-first
+        // plan(). A cold plan() would re-plan the exact bytes replan()
+        // just produced (the two are byte-identical), so it is no
+        // rung. First candidate that fits device memory wins; an
+        // exhausted cascade accepts the final candidate with a
+        // warning (degraded training beats none).
         PlannerOutput candidate;
         bool accepted = false;
-        for (std::uint32_t a = 0; a < rec.maxReplanAttempts && !accepted;
-             ++a) {
+        for (std::uint32_t a = 0; a < 2 && !accepted; ++a) {
             ep.restartSeconds +=
-                rec.restartSeconds * std::pow(rec.retryBackoff, a);
+                kRestartSeconds * std::pow(kRetryBackoff, a);
             if (a == 0) {
                 candidate = ns.planner.replan(graph_);
             } else {

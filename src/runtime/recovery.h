@@ -12,13 +12,13 @@
  *    plan, using the plan's fault-free makespan;
  *  - when a fault halts an iteration (Engine::runWithFaults), it
  *    derives the surviving island graph with
- *    ClusterTopology::withoutDevices(), charges the configured
- *    detection + restart penalties, and replans the workload through
- *    a bounded retry cascade: prefix-reusing replan() first, a
+ *    ClusterTopology::withoutDevices(), charges the detection and
+ *    restart penalties declared below, and replans the workload
+ *    through a two-rung cascade: prefix-reusing replan() first, a
  *    memory-first plan() (placement memory weight boosted) second —
  *    accepting the first candidate that fits device memory, or the
- *    final candidate with a warning when the cascade exhausts
- *    (graceful degradation beats stopping training);
+ *    second with a warning when neither fits (graceful degradation
+ *    beats stopping training);
  *  - all shapes share one PlanCache: contexts are keyed by topology
  *    fingerprint, so a recurring degraded shape (flapping device,
  *    symmetric failure) is served as a cache full hit instead of a
@@ -48,6 +48,22 @@
 
 namespace spindle {
 
+/**
+ * Seconds between a device dying and the runtime noticing (heartbeat
+ * / NCCL timeout). Charged once per failure episode.
+ */
+inline constexpr double kDetectionSeconds = 0.5;
+
+/**
+ * Seconds to tear down and relaunch the affected processes before a
+ * replanned iteration starts. Charged per cascade rung, rung a
+ * (from 0) scaled by kRetryBackoff^a.
+ */
+inline constexpr double kRestartSeconds = 2.0;
+
+/** Exponential backoff of the restart charge per further rung. */
+inline constexpr double kRetryBackoff = 2.0;
+
 /** Accounting of one failure episode (one aborted iteration). */
 struct RecoveryOutcome
 {
@@ -76,7 +92,7 @@ struct RecoveryOutcome
      *  accepted despite oversubscribing device memory. */
     bool fit = true;
 
-    double detectionSeconds = 0; ///< configured detection charge
+    double detectionSeconds = 0; ///< kDetectionSeconds
     double restartSeconds = 0;   ///< restart charges incl. backoff
     double replanSeconds = 0;    ///< measured planner wall-clock
 
@@ -169,13 +185,13 @@ class RecoveryCoordinator
      * @p hw is the healthy-cluster oracle (its topology is the base
      * id space every FaultEvent refers to; its HardwareParams carry
      * over to degraded oracles). Planner options apply to every
-     * shape's planner; `planner_options.cache` may share an external
-     * cache, otherwise the coordinator's own cache is shared across
-     * shapes.
+     * shape's planner, and every shape's engine charges memory under
+     * `planner_options.memory`, so planner and engine read one memory
+     * regime; `planner_options.cache` may share an external cache,
+     * otherwise the coordinator's own cache is shared across shapes.
      */
     RecoveryCoordinator(const HardwareModel &hw, const MetaGraph &graph,
                         PlannerOptions planner_options = {},
-                        MemoryParams mem_params = {},
                         EngineOptions engine_options = {});
 
     /** Run @p iterations iterations under @p faults. */
@@ -196,11 +212,10 @@ class RecoveryCoordinator
     struct ShapeState
     {
         ShapeState(DegradedTopology deg, const HardwareParams &hw_params,
-                   const PlannerOptions &popts,
-                   const MemoryParams &mem, const EngineOptions &eopts)
+                   const PlannerOptions &popts, const EngineOptions &eopts)
             : degraded(std::move(deg)), topo(degraded.config),
               hw(topo, hw_params), planner(hw, popts),
-              engine(hw, mem, eopts)
+              engine(hw, popts.memory, eopts)
         {
         }
 
@@ -227,7 +242,6 @@ class RecoveryCoordinator
     const HardwareModel &base_hw_;
     const MetaGraph &graph_;
     PlannerOptions planner_options_;
-    MemoryParams mem_params_;
     EngineOptions engine_options_;
 
     std::unique_ptr<PlanCache> owned_cache_;

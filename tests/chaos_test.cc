@@ -264,14 +264,10 @@ TEST(Chaos, RecoveryStatsAddUp)
     ClusterTopology topo = smallCluster(2);
     HardwareModel hw(topo);
 
-    EngineOptions eopts;
-    eopts.recovery.detectionSeconds = 0.25;
-    eopts.recovery.restartSeconds = 1.0;
-
     FaultPlan faults;
     faults.events.push_back({0, 0.4, FaultKind::DeviceFail, 5});
 
-    RecoveryCoordinator coord(hw, meta, {}, {}, eopts);
+    RecoveryCoordinator coord(hw, meta);
     const FaultedRunResult r = coord.run(faults, 2);
     ASSERT_EQ(r.recovery.episodes, 1u);
     const RecoveryOutcome &ep = r.recovery.outcomes[0];
@@ -279,10 +275,10 @@ TEST(Chaos, RecoveryStatsAddUp)
     EXPECT_EQ(ep.failedDevices, DeviceSet{5});
     EXPECT_EQ(ep.cumulativeDead, DeviceSet{5});
     EXPECT_EQ(ep.survivingDevices, 15u);
-    EXPECT_DOUBLE_EQ(ep.detectionSeconds, 0.25);
+    EXPECT_DOUBLE_EQ(ep.detectionSeconds, kDetectionSeconds);
     // First attempt fit: exactly one restart charge, no backoff.
     EXPECT_EQ(ep.attempts, 1u);
-    EXPECT_DOUBLE_EQ(ep.restartSeconds, 1.0);
+    EXPECT_DOUBLE_EQ(ep.restartSeconds, kRestartSeconds);
     EXPECT_FALSE(ep.usedMemoryFallback);
     EXPECT_TRUE(ep.fit);
     EXPECT_GT(ep.replanSeconds, 0);
@@ -319,15 +315,12 @@ TEST(Chaos, CascadeExhaustsAfterReplanAndMemoryFirstRungs)
 
     PlannerOptions popts;
     popts.placement.strategy = PlacementStrategy::Sequential;
-    EngineOptions eopts;
-    eopts.recovery.restartSeconds = 1.0;
-    eopts.recovery.retryBackoff = 3.0;
 
     FaultPlan faults;
     for (DeviceId d = 0; d < 4; ++d)
         faults.events.push_back({0, 0.4, FaultKind::DeviceFail, d});
 
-    RecoveryCoordinator coord(hw, meta, popts, {}, eopts);
+    RecoveryCoordinator coord(hw, meta, popts);
     const FaultedRunResult r = coord.run(faults, 1);
     ASSERT_EQ(r.recovery.episodes, 1u);
     const RecoveryOutcome &ep = r.recovery.outcomes[0];
@@ -337,7 +330,11 @@ TEST(Chaos, CascadeExhaustsAfterReplanAndMemoryFirstRungs)
     EXPECT_EQ(r.recovery.degradedAccepts, 1u);
     EXPECT_EQ(r.recovery.memoryFallbacks, 1u);
     // r * (1 + b): one restart per rung, the second backed off once.
-    EXPECT_DOUBLE_EQ(ep.restartSeconds, 1.0 * (1 + 3.0));
+    EXPECT_DOUBLE_EQ(ep.restartSeconds,
+                     kRestartSeconds * (1 + kRetryBackoff));
+    EXPECT_DOUBLE_EQ(ep.downtimeSeconds, kDetectionSeconds +
+                                             ep.restartSeconds +
+                                             ep.replanSeconds);
 }
 
 TEST(Chaos, ChaosInjectorIsDeterministicPerSeed)

@@ -175,21 +175,6 @@ TEST(Estimator, GridCoversAllValidAllocations)
     EXPECT_EQ(curve.validNs(), hw.validAllocations(m, 16));
 }
 
-TEST(Estimator, NoiseIsDeterministicPerSeed)
-{
-    ComputationGraph g = fig3Workload();
-    MetaGraph meta = contractGraph(g);
-    ClusterTopology topo = smallCluster(2);
-    HardwareModel hw(topo);
-    EstimatorOptions opts;
-    opts.noiseStdFrac = 0.05;
-    ScalabilityEstimator a(hw, opts), b(hw, opts);
-    ScalingCurve ca = a.estimate(meta.metaOp(0), 16);
-    ScalingCurve cb = b.estimate(meta.metaOp(0), 16);
-    for (std::uint32_t n : ca.validNs())
-        EXPECT_DOUBLE_EQ(ca.timeAt(n), cb.timeAt(n));
-}
-
 TEST(Estimator, EstimateAllIndexedByMetaOpId)
 {
     ComputationGraph g = fig3Workload();

@@ -395,41 +395,6 @@ TEST_F(DispatchFixture, ArrivalsWithEmptyBasePlanAreRejected)
         "empty base plan");
 }
 
-TEST(EngineOptionsClamp, WarnsAndClampsRecoveryKnobs)
-{
-    ClusterTopology topo = smallCluster(1);
-    HardwareModel hw(topo);
-
-    EngineOptions bad;
-    bad.recovery.detectionSeconds = -0.5; // clamped to 0
-    bad.recovery.restartSeconds = -2.0;   // clamped to 0
-    bad.recovery.maxReplanAttempts = 0;   // raised to 1
-    bad.recovery.retryBackoff = 0.5;      // raised to 1
-    Engine clamped(hw, MemoryParams{}, bad);
-    EXPECT_EQ(clamped.options().recovery.detectionSeconds, 0.0);
-    EXPECT_EQ(clamped.options().recovery.restartSeconds, 0.0);
-    EXPECT_EQ(clamped.options().recovery.maxReplanAttempts, 1u);
-    EXPECT_EQ(clamped.options().recovery.retryBackoff, 1.0);
-
-    // The replan cascade has two rungs; a larger budget is capped.
-    EngineOptions deep;
-    deep.recovery.maxReplanAttempts = 5; // clamped to 2
-    Engine capped(hw, MemoryParams{}, deep);
-    EXPECT_EQ(capped.options().recovery.maxReplanAttempts, 2u);
-
-    // In-range values pass through untouched.
-    EngineOptions good;
-    good.recovery.detectionSeconds = 0.1;
-    good.recovery.restartSeconds = 3.0;
-    good.recovery.maxReplanAttempts = 2;
-    good.recovery.retryBackoff = 1.5;
-    Engine kept(hw, MemoryParams{}, good);
-    EXPECT_EQ(kept.options().recovery.detectionSeconds, 0.1);
-    EXPECT_EQ(kept.options().recovery.restartSeconds, 3.0);
-    EXPECT_EQ(kept.options().recovery.maxReplanAttempts, 2u);
-    EXPECT_EQ(kept.options().recovery.retryBackoff, 1.5);
-}
-
 // ===================================================================
 // Fault injection through the dispatcher
 // ===================================================================

@@ -259,13 +259,6 @@ TEST(PlannerEquivalence, OnDeviceCopySlowestOrdering)
                      cluster);
 }
 
-TEST(PlannerEquivalence, NoisyEstimator)
-{
-    PlannerOptions options;
-    options.estimator.noiseStdFrac = 0.05;
-    expectEquivalent(buildMultitaskClip({.numTasks = 4}), 2, options);
-}
-
 // ===================================================================
 // Island-graph topologies (explicit islands, permuted numbering,
 // heterogeneous sizes, per-pair overrides)
@@ -847,13 +840,11 @@ expectReplanMatchesPlan(const ComputationGraph &graph,
     PlannerOutput ref = planner.plan(meta);
 
     PlannerOutput cold = planner.replan(meta);
-    EXPECT_TRUE(cold.replan.attempted);
     EXPECT_FALSE(cold.replan.fullHit);
     expectPlansIdentical(ref.plan, cold.plan);
     expectPlacementsIdentical(ref.placement, cold.placement);
 
     PlannerOutput warm = planner.replan(meta);
-    EXPECT_TRUE(warm.replan.attempted);
     EXPECT_TRUE(warm.replan.fullHit);
     EXPECT_EQ(warm.replan.reusedLevels, warm.replan.totalLevels);
     expectPlansIdentical(ref.plan, warm.plan);
@@ -904,29 +895,6 @@ TEST(PlannerEquivalence, ReplanSequentialPlacementStrategy)
                                    2, options);
 }
 
-TEST(PlannerEquivalence, ReplanWithNoiseFallsBackToPlan)
-{
-    // Noise draws are invisible to positional signatures, so cached
-    // results are not value-transparent; replan() must refuse the
-    // incremental path and defer to plan().
-    ClusterConfig cfg;
-    cfg.numNodes = 2;
-    cfg.gpusPerNode = 8;
-    ClusterTopology topo(cfg);
-    HardwareModel hw(topo);
-    ComputationGraph g = buildMultitaskClip({.numTasks = 4});
-    MetaGraph meta = contractGraph(g);
-
-    PlannerOptions options;
-    options.estimator.noiseStdFrac = 0.05;
-    ExecutionPlanner planner(hw, options);
-    PlannerOutput ref = planner.plan(meta);
-    PlannerOutput out = planner.replan(meta);
-    EXPECT_FALSE(out.replan.attempted);
-    expectPlansIdentical(ref.plan, out.plan);
-    expectPlacementsIdentical(ref.placement, out.placement);
-}
-
 /** One task, three chained transformer stacks: A -> B -> tail. */
 ComputationGraph
 chainWorkload(std::int64_t tail_hidden)
@@ -969,11 +937,9 @@ TEST(PlannerEquivalence, ReplanReusesUntouchedLevelPrefix)
     PlannerOutput ref = planner.plan(m2);
 
     PlannerOutput seed = planner.replan(m1);
-    EXPECT_TRUE(seed.replan.attempted);
     EXPECT_FALSE(seed.replan.fullHit);
 
     PlannerOutput inc = planner.replan(m2);
-    EXPECT_TRUE(inc.replan.attempted);
     EXPECT_FALSE(inc.replan.fullHit);
     EXPECT_EQ(inc.replan.totalLevels, 3u);
     EXPECT_EQ(inc.replan.reusedLevels, 2u);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <functional>
 #include <thread>
 
 #include "planner/planner.h"
@@ -321,6 +322,57 @@ TEST(Planner, PlanCacheSharedAcrossPlanners)
     expectSameBytes(second.plan(meta), hit);
 }
 
+TEST(Planner, EveryFingerprintedOptionSeparatesCacheContexts)
+{
+    // Each field the options fingerprint mixes into the cache context
+    // can change planned bytes. A planner differing from the default
+    // in any one of them shares the default planner's cache, but must
+    // not full-hit the plan the default planner stored.
+    using Edit = std::function<void(PlannerOptions &)>;
+    const std::vector<std::pair<const char *, Edit>> variants = {
+        {"estimator.piecewise",
+         [](PlannerOptions &o) { o.estimator.piecewise = false; }},
+        {"allocator.bisectionRelTol",
+         [](PlannerOptions &o) { o.allocator.bisectionRelTol *= 10; }},
+        {"allocator.maxBisectionIters",
+         [](PlannerOptions &o) { o.allocator.maxBisectionIters /= 2; }},
+        {"scheduler.extendResources",
+         [](PlannerOptions &o) { o.scheduler.extendResources = false; }},
+        {"placement.strategy",
+         [](PlannerOptions &o) {
+             o.placement.strategy = PlacementStrategy::Sequential;
+         }},
+        {"placement.windows",
+         [](PlannerOptions &o) {
+             o.placement.windows = WindowPolicy::IslandAware;
+         }},
+        {"placement.memoryWeight",
+         [](PlannerOptions &o) { o.placement.memoryWeight *= 2; }},
+        {"memory.zeroShardOptimizer",
+         [](PlannerOptions &o) { o.memory.zeroShardOptimizer = false; }},
+        {"memory.zeroShardParams",
+         [](PlannerOptions &o) { o.memory.zeroShardParams = true; }},
+    };
+
+    ComputationGraph g = fig3Workload();
+    MetaGraph meta = contractGraph(g);
+    ClusterTopology topo = smallCluster(2);
+    HardwareModel hw(topo);
+    PlanCache cache;
+    PlannerOptions defaults;
+    defaults.cache = &cache;
+    const ExecutionPlanner reference(hw, defaults);
+    ASSERT_FALSE(reference.replan(meta).replan.fullHit);
+    ASSERT_TRUE(reference.replan(meta).replan.fullHit);
+
+    for (const auto &[field, edit] : variants) {
+        PlannerOptions options = defaults;
+        edit(options);
+        const PlannerOutput out = ExecutionPlanner(hw, options).replan(meta);
+        EXPECT_FALSE(out.replan.fullHit) << field;
+    }
+}
+
 TEST(Planner, AllocationMemoServesEvictedPlan)
 {
     // The curve and allocation memos outlive the bounded plan tier:
@@ -344,7 +396,6 @@ TEST(Planner, AllocationMemoServesEvictedPlan)
     EXPECT_EQ(cache.stats().evictions, 1u);
 
     const PlannerOutput again = planner.replan(a);
-    EXPECT_TRUE(again.replan.attempted);
     EXPECT_FALSE(again.replan.fullHit);
     EXPECT_EQ(again.replan.allocHits, a.numLevels());
     EXPECT_EQ(again.replan.allocMisses, 0u);

@@ -10,6 +10,7 @@
 #include <algorithm>
 
 #include "cost/estimator.h"
+#include "planner/planner.h"
 #include "planner/resource_allocator.h"
 #include "planner/wavefront_scheduler.h"
 #include "test_util.h"
@@ -181,10 +182,13 @@ TEST_F(SchedulerFixture, LevelsDoNotInterleave)
 
 TEST_F(SchedulerFixture, EmitsReadinessEdges)
 {
-    // scheduleAll() annotates the readiness edges the event-driven
-    // runtime dispatches on: same-stream program order at minimum
-    // (all waves share stream 0 here), plus data producers.
-    ExecutionPlan plan = makePlan();
+    // Readiness is derived once, when the planner finalizes the
+    // placed plan: scheduleAll() leaves it empty, and the finalized
+    // plan carries the edges the event-driven runtime dispatches on —
+    // same-stream program order at minimum (all waves share stream 0
+    // here), plus data producers and device-group predecessors.
+    EXPECT_FALSE(makePlan().hasReadiness());
+    const ExecutionPlan plan = ExecutionPlanner(hw).plan(meta).plan;
     ASSERT_FALSE(plan.waves.empty());
     for (std::size_t i = 1; i < plan.waves.size(); ++i) {
         const auto &preds = plan.waves[i].predecessors;
