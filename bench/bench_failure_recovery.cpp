@@ -82,7 +82,6 @@ runChaos(BenchJsonWriter &json, Table &table)
         {{"gpus", static_cast<double>(topo.numDevices())},
          {"iterations", static_cast<double>(copts.iterations)},
          {"episodes", static_cast<double>(rec.episodes)},
-         {"attempts", static_cast<double>(rec.totalAttempts)},
          {"full_hits", static_cast<double>(full_hits)},
          {"rejoined_devices", static_cast<double>(rec.rejoinedDevices)},
          {"mean_downtime_seconds", rec.totalDowntimeSeconds / episodes},

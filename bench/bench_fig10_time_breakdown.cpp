@@ -64,7 +64,7 @@ main()
 
             SequentialSystem ds(hw, SequentialMode::DeepSpeed);
             SpindleSystem sp(hw);
-            SpindleSystem sp_star = makeSpindleWithoutPlacement(hw);
+            SpindleWithoutPlacement sp_star(hw);
 
             SystemResult r_ds = ds.runIteration(meta);
             SystemResult r_sp = sp.runIteration(meta);

@@ -4,7 +4,6 @@
 #include <map>
 
 #include "common/logging.h"
-#include "planner/placement.h"
 #include "planner/resource_allocator.h"
 #include "planner/wavefront_scheduler.h"
 
@@ -45,11 +44,7 @@ DistMMMTSystem::buildPlan(const MetaGraph &graph) const
     }
 
     // DistMM does not model placement locality; consecutive devices.
-    MemoryModel mem;
-    PlacementOptions popt;
-    popt.strategy = PlacementStrategy::Sequential;
-    DevicePlacement placement(hw_.topology(), hw_, mem, popt);
-    placement.place(graph, plan);
+    assignConsecutiveDevices(plan);
     return plan;
 }
 

@@ -10,14 +10,6 @@ SpindleSystem::SpindleSystem(const HardwareModel &hw,
 {
 }
 
-std::string
-SpindleSystem::name() const
-{
-    if (options_.placement.strategy == PlacementStrategy::Sequential)
-        return "Spindle w/o DP";
-    return "Spindle";
-}
-
 ExecutionPlan
 SpindleSystem::buildPlan(const MetaGraph &graph) const
 {
@@ -46,12 +38,14 @@ SpindleSystem::buildPlan(const MetaGraph &graph) const
     return planner_->replan(graph).plan;
 }
 
-SpindleSystem
-makeSpindleWithoutPlacement(const HardwareModel &hw)
+ExecutionPlan
+SpindleWithoutPlacement::buildPlan(const MetaGraph &graph) const
 {
-    PlannerOptions options;
-    options.placement.strategy = PlacementStrategy::Sequential;
-    return SpindleSystem(hw, options);
+    ExecutionPlan plan = SpindleSystem::buildPlan(graph);
+    assignConsecutiveDevices(plan);
+    // Readiness edges follow device groups: re-derive them.
+    plan.annotateReadiness(graph);
+    return plan;
 }
 
 } // namespace spindle

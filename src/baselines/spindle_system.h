@@ -33,14 +33,12 @@ class SpindleSystem : public System
     explicit SpindleSystem(const HardwareModel &hw,
                            PlannerOptions options = {});
 
-    std::string name() const override;
+    std::string name() const override { return "Spindle"; }
 
     ExecutionPlan buildPlan(const MetaGraph &graph) const override;
 
     /** The planner's regime: plans are run as they were placed. */
     MemoryParams memoryParams() const override { return options_.memory; }
-
-    const PlannerOptions &plannerOptions() const { return options_; }
 
   private:
     PlannerOptions options_;
@@ -53,10 +51,22 @@ class SpindleSystem : public System
     mutable std::atomic<bool> building_{false};
 };
 
-/** Convenience: Spindle with the Fig. 10 sequential-placement
- *  ablation enabled ("Sp*: Spindle w/o DP" = without the device
- *  placement strategies of §3.5). */
-SpindleSystem makeSpindleWithoutPlacement(const HardwareModel &hw);
+/**
+ * The Fig. 10 ablation "Sp*: Spindle w/o DP": Spindle's waves with the
+ * device placement of §3.5 replaced by assignConsecutiveDevices().
+ */
+class SpindleWithoutPlacement : public SpindleSystem
+{
+  public:
+    explicit SpindleWithoutPlacement(const HardwareModel &hw)
+        : SpindleSystem(hw)
+    {
+    }
+
+    std::string name() const override { return "Spindle w/o DP"; }
+
+    ExecutionPlan buildPlan(const MetaGraph &graph) const override;
+};
 
 } // namespace spindle
 

@@ -53,4 +53,21 @@ System::largestValid(const MetaOp &m, std::uint32_t cap) const
     return valid.back();
 }
 
+void
+assignConsecutiveDevices(ExecutionPlan &plan)
+{
+    std::uint32_t cursor = 0;
+    for (Wave &wave : plan.waves) {
+        for (WaveEntry &e : wave.entries) {
+            e.devices.clear();
+            for (std::uint32_t k = 0; k < e.n; ++k)
+                e.devices.push_back((cursor + k) % plan.numDevices);
+            // Wrapping collapses no ids: validate() bounds n by
+            // numDevices.
+            canonicalize(e.devices);
+            cursor = (cursor + e.n) % plan.numDevices;
+        }
+    }
+}
+
 } // namespace spindle

@@ -89,7 +89,6 @@ class System
     {
         engine_options_ = options;
     }
-    const EngineOptions &engineOptions() const { return engine_options_; }
 
     const HardwareModel &hardware() const { return hw_; }
 
@@ -100,6 +99,16 @@ class System
     const HardwareModel &hw_;
     EngineOptions engine_options_;
 };
+
+/**
+ * Placement without topology or memory awareness, for the systems
+ * that skip §3.5 (DistMM-MT, the Fig. 10 "Spindle w/o DP" ablation):
+ * wave by wave, in entry order, each entry takes the next n device
+ * ids after a cursor that wraps at plan.numDevices and runs on across
+ * waves. By design the result ignores the island structure, so it is
+ * the same under any renumbering of the cluster.
+ */
+void assignConsecutiveDevices(ExecutionPlan &plan);
 
 } // namespace spindle
 

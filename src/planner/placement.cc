@@ -267,8 +267,8 @@ interIslandShardFraction(const ClusterTopology &topo,
  * Stage 1, entry setup: everything the later stages read of one wave
  * entry, built once per entry — scored or replayed alike — into
  * buffers reused across entries. It also owns the window-independent
- * score terms, so each is written once for the Sequential window,
- * band windows, explicit extras and the pruning bound.
+ * score terms, so each is written once for band windows, explicit
+ * extras and the pruning bound.
  */
 struct EntryContext
 {
@@ -471,7 +471,6 @@ EntryContext::build(const MetaGraph &graph, const WaveEntry &e,
 struct Selection
 {
     double memoryBytes = 0;
-    double memoryWeight = 0;
     double capacity = 0;
     bool memoryFirst = false;
 
@@ -488,7 +487,7 @@ struct Selection
             c.primary = peak_frac;
             c.secondary = comm;
         } else {
-            c.primary = comm + memoryWeight * peak_frac;
+            c.primary = comm + kMemoryWeight * peak_frac;
             c.secondary = peak_frac;
         }
         return c;
@@ -498,18 +497,15 @@ struct Selection
 /**
  * Entry placement order within a wave: highest communication volume
  * first (or largest memory first in the fallback pass), ties by
- * index; wave order for the Sequential strategy (@p ranked unset).
- * Sort keys are precomputed, not re-derived per comparison.
+ * index. Sort keys are precomputed, not re-derived per comparison.
  */
 std::vector<std::size_t>
 entryOrder(const MetaGraph &graph, const Wave &wave,
-           const HardwareModel &hw, const MemoryModel &mem, bool ranked,
+           const HardwareModel &hw, const MemoryModel &mem,
            bool memory_first)
 {
     std::vector<std::size_t> order(wave.entries.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
-    if (!ranked)
-        return order;
     std::vector<double> sort_key(wave.entries.size());
     for (std::size_t i = 0; i < wave.entries.size(); ++i) {
         const WaveEntry &e = wave.entries[i];
@@ -630,46 +626,9 @@ Attempt::commit(const EntryContext &ctx, const DeviceSet &window)
 }
 
 /**
- * The Sequential ablation's window (Fig. 10): the next n consecutive
- * device ids after @p cursor, wrapping. No awareness and — by design
- * — no dependence on the island structure, so the baseline keeps its
- * semantics under any renumbering of the cluster. Its single
- * candidate is scored with the shared comm terms; the memory capacity
- * check never rejects in this ablation.
- */
-DeviceSet
-sequentialWindow(const EntryContext &ctx, const Attempt &state,
-                 const CollectiveModel &coll, std::uint32_t num_devices,
-                 std::uint32_t &cursor, std::vector<char> &nonres,
-                 double &comm)
-{
-    DeviceSet win;
-    for (std::uint32_t k = 0; k < ctx.n; ++k)
-        win.push_back((cursor + k) % num_devices);
-    canonicalize(win);
-    // Wrapping can collapse duplicates only if n > num_devices, which
-    // validate() forbids.
-    cursor = (cursor + ctx.n) % num_devices;
-
-    double flows = 0;
-    for (const auto &[bytes, src] : ctx.inflows)
-        flows += coll.flowTime(bytes, *src, win);
-    nonres.assign(ctx.row_key.size(), 1);
-    for (std::size_t r = 0; r < ctx.row_key.size(); ++r)
-        for (DeviceId d : win)
-            if (state.held(d, ctx.row_key[r]) != nullptr) {
-                nonres[r] = 0;
-                break;
-            }
-    comm = ctx.comm(flows, nonres,
-                    ctx.cfg.tp > 1 && !ctx.topo.withinOneIsland(win));
-    return win;
-}
-
-/**
- * Stages 2-4 of the Spindle strategy: the candidate-window search of
- * one entry. Candidate windows come from generateWindows() under the
- * configured WindowPolicy: bands (every length-n contiguous
+ * Stages 2-4: the candidate-window search of one entry. Candidate
+ * windows come from generateWindows() under the configured
+ * WindowPolicy: bands (every length-n contiguous
  * subsequence of an ordered position sequence) and explicit extras.
  * Every window score derives from per-device quantities computed
  * once per entry (stage 2); the band sweeps combine them with
@@ -1332,8 +1291,6 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
 {
     const std::uint32_t num_devices = plan.numDevices;
     const CollectiveModel &coll = hw_.collectives();
-    const bool sequential =
-        options_.strategy == PlacementStrategy::Sequential;
     Attempt state(num_devices);
     EntryContext ctx(topo_, hw_, mem_);
 
@@ -1353,20 +1310,18 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
         result.interIslandCommSeconds += rec.interIsland;
     }
 
-    const Selection sel{
-        topo_.device().memoryBytes, options_.memoryWeight,
-        topo_.device().memoryBytes * kMemorySlack, memory_first};
+    const Selection sel{topo_.device().memoryBytes,
+                        topo_.device().memoryBytes * kMemorySlack,
+                        memory_first};
     WindowSweep sweep(topo_, options_.windows);
-    std::uint32_t seq_cursor = 0;
-    std::vector<char> seq_nonres;
 
     for (std::size_t wi = resume_wave; wi < plan.waves.size(); ++wi) {
         Wave &wave = plan.waves[wi];
         DeviceSet free = topo_.allDevices();
         free.resize(std::min<std::size_t>(free.size(), num_devices));
 
-        for (std::size_t idx : entryOrder(graph, wave, hw_, mem_,
-                                          !sequential, memory_first)) {
+        for (std::size_t idx :
+             entryOrder(graph, wave, hw_, mem_, memory_first)) {
             WaveEntry &e = wave.entries[idx];
             ctx.build(graph, e, state.lastSlice);
             panicIf(free.size() < e.n,
@@ -1374,16 +1329,12 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
 
             DeviceSet win;
             double comm = 0;
-            if (sequential) {
-                win = sequentialWindow(ctx, state, coll, num_devices,
-                                       seq_cursor, seq_nonres, comm);
-            } else if (!sweep.choose(ctx, state, free, sel, win, comm)) {
+            if (!sweep.choose(ctx, state, free, sel, win, comm)) {
                 if (fail_wave != nullptr)
                     *fail_wave = wi;
                 return false; // nothing fits: trigger fallback
-            } else {
-                removeFromFree(free, win);
             }
+            removeFromFree(free, win);
 
             // Attribution reads the inflow sets, so it precedes the
             // commit, which replaces this MetaOp's last slice.

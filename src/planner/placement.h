@@ -42,7 +42,6 @@
  *     whole is updated in place; the window's members of any other
  *     class move to a copy of it, which is then updated. Records the
  *     MetaOp's last slice.
- * The Sequential strategy replaces stages 2–4 by its one window.
  * Replaying a logged prefix builds the same entry setup and calls the
  * same commit, then adds the logged comm; place() is placeWithPrefix
  * with an empty prefix, so the fallback cascade exists once.
@@ -103,11 +102,6 @@
  * is byte-identical to an unpruned scan (pinned by
  * planner_equivalence_test against its unpruned reference placement,
  * up to 1024 GPUs).
- *
- * A Sequential strategy (each entry takes the next consecutive
- * device ids, no topology awareness — by design independent of the
- * island structure and of any renumbering — and no capacity check)
- * is provided for the Fig. 10 ablation.
  */
 
 #ifndef SPINDLE_PLANNER_PLACEMENT_H
@@ -121,13 +115,6 @@
 
 namespace spindle {
 
-/** Placement strategy selector. */
-enum class PlacementStrategy : std::uint8_t
-{
-    Spindle,    ///< locality- and memory-aware greedy (§3.5)
-    Sequential, ///< consecutive-devices baseline (Fig. 10 ablation)
-};
-
 /**
  * Usable fraction of device HBM before placement rejects an entry:
  * the headroom left for what the memory model does not charge
@@ -135,22 +122,20 @@ enum class PlacementStrategy : std::uint8_t
  */
 inline constexpr double kMemorySlack = 0.92;
 
+/** Weight converting relative memory imbalance into seconds in the
+ *  placement score (heuristic trade-off). */
+inline constexpr double kMemoryWeight = 1e-3;
+
 /** Placement tunables. */
 struct PlacementOptions
 {
-    PlacementStrategy strategy = PlacementStrategy::Spindle;
-
     /**
-     * Candidate-window generation policy for the Spindle strategy.
+     * Candidate-window generation policy.
      * ContiguousRuns is the historical default; IslandAware emits
      * per-island runs plus deliberate cross-island unions and is the
      * right choice on heterogeneous or permuted-numbering clusters.
      */
     WindowPolicy windows = WindowPolicy::ContiguousRuns;
-
-    /** Weight converting relative memory imbalance into seconds in
-     *  the placement score (heuristic trade-off knob). */
-    double memoryWeight = 1e-3;
 };
 
 /**

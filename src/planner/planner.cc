@@ -31,9 +31,7 @@ optionsFingerprint(const PlannerOptions &o)
     h = mix(h, o.allocator.bisectionRelTol);
     h = mix(h, static_cast<std::uint64_t>(o.allocator.maxBisectionIters));
     h = mix(h, static_cast<std::uint64_t>(o.scheduler.extendResources));
-    h = mix(h, static_cast<std::uint64_t>(o.placement.strategy));
     h = mix(h, static_cast<std::uint64_t>(o.placement.windows));
-    h = mix(h, o.placement.memoryWeight);
     h = mix(h, static_cast<std::uint64_t>(o.memory.zeroShardOptimizer));
     h = mix(h, static_cast<std::uint64_t>(o.memory.zeroShardParams));
     return h;
@@ -287,10 +285,7 @@ ExecutionPlanner::pipeline(const MetaGraph &graph, PlanCache *memo) const
         // §3.5: map wave entries onto devices. With a memo, the
         // committed prefix of the cached plan sharing the longest
         // level prefix with this workload is replayed, so only the
-        // waves of perturbed levels are scored. Prefix reuse relies on
-        // the Spindle strategy's state being wave-local; Sequential
-        // threads a device cursor through every wave, so it re-places
-        // from scratch.
+        // waves of perturbed levels are scored.
         MemoryModel mem(options_.memory);
         DevicePlacement placement(hw_.topology(), hw_, mem,
                                   options_.placement);
@@ -298,8 +293,7 @@ ExecutionPlanner::pipeline(const MetaGraph &graph, PlanCache *memo) const
         std::vector<PlacementCommit> prefix;
         std::size_t donor_levels = 0;
         PlanCache::PlanPtr donor;
-        if (memo != nullptr &&
-            options_.placement.strategy == PlacementStrategy::Spindle)
+        if (memo != nullptr)
             donor = memo->bestPrefixDonor(ctx, sig, &donor_levels);
         if (donor != nullptr && donor_levels > 0) {
             while (resume_wave < out.plan.waves.size() &&

@@ -1,7 +1,6 @@
 #include "runtime/recovery.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <utility>
 
@@ -87,19 +86,6 @@ RecoveryCoordinator::faultFreeSeconds(ShapeState &st)
         st.faultFreeSeconds =
             st.engine.run(graph_, st.planned.plan).iterationSeconds;
     return st.faultFreeSeconds;
-}
-
-bool
-RecoveryCoordinator::fitsMemory(const ShapeState &st,
-                                const PlannerOutput &out) const
-{
-    const std::vector<double> peak = peakMemoryPerDevice(
-        graph_, out.plan, st.hw, st.engine.memory());
-    const double hbm = st.topo.device().memoryBytes;
-    for (double p : peak)
-        if (p > hbm)
-            return false;
-    return true;
 }
 
 FaultedRunResult
@@ -204,43 +190,21 @@ RecoveryCoordinator::run(const FaultPlan &faults,
         ep.iterationSecondsBefore = before;
         ep.detectionSeconds = kDetectionSeconds;
 
-        // Two-rung cascade: prefix-reusing replan() -> memory-first
-        // plan(). A cold plan() would re-plan the exact bytes replan()
-        // just produced (the two are byte-identical), so it is no
-        // rung. First candidate that fits device memory wins; an
-        // exhausted cascade accepts the final candidate with a
-        // warning (degraded training beats none).
-        PlannerOutput candidate;
-        bool accepted = false;
-        for (std::uint32_t a = 0; a < 2 && !accepted; ++a) {
-            ep.restartSeconds +=
-                kRestartSeconds * std::pow(kRetryBackoff, a);
-            if (a == 0) {
-                candidate = ns.planner.replan(graph_);
-            } else {
-                ep.usedMemoryFallback = true;
-                PlannerOptions mopts = planner_options_;
-                mopts.cache = nullptr;
-                mopts.placement.memoryWeight *= 1000;
-                const ExecutionPlanner memory_first(ns.hw, mopts);
-                candidate = memory_first.plan(graph_);
-            }
-            ep.replanSeconds += candidate.planningSeconds;
-            ep.attempts = a + 1;
-            accepted = fitsMemory(ns, candidate);
-        }
-        if (!accepted) {
-            ep.fit = false;
-            ++stats_.degradedAccepts;
-            warn(strCat("recovery: no replan attempt fit device "
-                        "memory on ",
-                        ns.topo.numDevices(),
-                        " surviving devices after ", ep.attempts,
-                        " attempts; accepting the degraded plan"));
-        }
-        ns.planned = std::move(candidate);
+        ep.restartSeconds = kRestartSeconds;
+        ns.planned = ns.planner.replan(graph_);
         ns.hasPlan = true;
         ns.faultFreeSeconds = -1;
+        ep.replanSeconds = ns.planned.planningSeconds;
+        // Placement's charge bounds the engine's and placement admits
+        // no load above kMemorySlack x HBM (runtime/memory_model.h),
+        // so a plan the planner returns fits device memory.
+        const std::vector<double> peak = peakMemoryPerDevice(
+            graph_, ns.planned.plan, ns.hw, ns.engine.memory());
+        panicIf(*std::max_element(peak.begin(), peak.end()) >
+                    ns.topo.device().memoryBytes,
+                "recovery: replanned plan oversubscribes device memory, "
+                "breaking placement's bound on the engine's charge "
+                "(runtime/memory_model.h)");
 
         const IterationResult rr =
             ns.engine.run(graph_, ns.planned.plan);
@@ -250,8 +214,6 @@ RecoveryCoordinator::run(const FaultPlan &faults,
         ep.replan = ns.planned.replan;
 
         stats_.episodes += 1;
-        stats_.totalAttempts += ep.attempts;
-        stats_.memoryFallbacks += ep.usedMemoryFallback ? 1 : 0;
         stats_.totalDetectionSeconds += ep.detectionSeconds;
         stats_.totalRestartSeconds += ep.restartSeconds;
         stats_.totalReplanSeconds += ep.replanSeconds;

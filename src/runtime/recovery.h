@@ -14,11 +14,10 @@
  *    derives the surviving island graph with
  *    ClusterTopology::withoutDevices(), charges the detection and
  *    restart penalties declared below, and replans the workload
- *    through a two-rung cascade: prefix-reusing replan() first, a
- *    memory-first plan() (placement memory weight boosted) second —
- *    accepting the first candidate that fits device memory, or the
- *    second with a warning when neither fits (graceful degradation
- *    beats stopping training);
+ *    once with the prefix-reusing replan(). The plan always fits
+ *    device memory: placement's charge bounds the engine's
+ *    (runtime/memory_model.h) and placement admits no device load
+ *    above kMemorySlack x HBM, so no fallback is needed;
  *  - all shapes share one PlanCache: contexts are keyed by topology
  *    fingerprint, so a recurring degraded shape (flapping device,
  *    symmetric failure) is served as a cache full hit instead of a
@@ -31,7 +30,7 @@
  * Failed work accounting: an aborted iteration's partial progress is
  * lost — the iteration restarts from scratch on the survivors — so
  * wall-clock totals charge the failed fraction, the downtime
- * (detection + restart backoff + measured replan time), and the full
+ * (detection + restart + measured replan time), and the full
  * replanned iteration.
  */
 
@@ -56,13 +55,9 @@ inline constexpr double kDetectionSeconds = 0.5;
 
 /**
  * Seconds to tear down and relaunch the affected processes before a
- * replanned iteration starts. Charged per cascade rung, rung a
- * (from 0) scaled by kRetryBackoff^a.
+ * replanned iteration starts. Charged once per failure episode.
  */
 inline constexpr double kRestartSeconds = 2.0;
-
-/** Exponential backoff of the restart charge per further rung. */
-inline constexpr double kRetryBackoff = 2.0;
 
 /** Accounting of one failure episode (one aborted iteration). */
 struct RecoveryOutcome
@@ -82,18 +77,8 @@ struct RecoveryOutcome
     /** Devices the replanned iteration runs on. */
     std::uint32_t survivingDevices = 0;
 
-    /** Replan attempts consumed (1 = first replan() fit). */
-    std::uint32_t attempts = 0;
-
-    /** Cascade reached the memory-first rung. */
-    bool usedMemoryFallback = false;
-
-    /** False iff the cascade exhausted and the final candidate was
-     *  accepted despite oversubscribing device memory. */
-    bool fit = true;
-
     double detectionSeconds = 0; ///< kDetectionSeconds
-    double restartSeconds = 0;   ///< restart charges incl. backoff
+    double restartSeconds = 0;   ///< kRestartSeconds
     double replanSeconds = 0;    ///< measured planner wall-clock
 
     /** detection + restart + replan: training stalled this long. */
@@ -108,8 +93,7 @@ struct RecoveryOutcome
     /** Makespan of the replanned iteration (throughput after). */
     double iterationSecondsAfter = 0;
 
-    /** Cache reuse of the accepted attempt (all-zero off the
-     *  replan() rung). */
+    /** Cache reuse of the replan. */
     ReplanStats replan;
 
     /** Iterations/s after the failure relative to before (<= 1 when
@@ -127,10 +111,7 @@ struct RecoveryOutcome
 struct RecoveryStats
 {
     std::uint32_t episodes = 0;
-    std::uint32_t totalAttempts = 0;
-    std::uint32_t memoryFallbacks = 0;  ///< episodes on the last rung
-    std::uint32_t degradedAccepts = 0;  ///< cascade exhausted, accepted anyway
-    std::uint32_t rejoinedDevices = 0;  ///< boundary rejoin events applied
+    std::uint32_t rejoinedDevices = 0; ///< boundary rejoin events applied
 
     double totalDetectionSeconds = 0;
     double totalRestartSeconds = 0;
@@ -171,8 +152,8 @@ class RecoveryCoordinator
 {
   public:
     /**
-     * Observes each accepted recovery: the episode accounting, the
-     * accepted planner output (new-id space), the surviving topology
+     * Observes each recovery: the episode accounting, the replanned
+     * planner output (new-id space), the surviving topology
      * it targets, and the id mapping back to the base cluster. The
      * chaos suite uses this to validate plans and pin byte-identity
      * against a from-scratch plan().
@@ -234,7 +215,6 @@ class RecoveryCoordinator
 
     ShapeState &shapeFor(const DeviceSet &dead, bool ensure_plan);
     double faultFreeSeconds(ShapeState &st);
-    bool fitsMemory(const ShapeState &st, const PlannerOutput &out) const;
 
     /** Base-topology devices a fault event kills. */
     DeviceSet eventDevices(const FaultEvent &ev) const;

@@ -190,10 +190,75 @@ TEST_F(BaselineFixture, AllSystemsRunAndReportPositiveTimes)
 
 TEST_F(BaselineFixture, SpindleWithoutPlacementIsNamedDistinctly)
 {
-    SpindleSystem ablation = makeSpindleWithoutPlacement(hw);
+    SpindleWithoutPlacement ablation(hw);
     EXPECT_EQ(ablation.name(), "Spindle w/o DP");
     SpindleSystem full(hw);
     EXPECT_EQ(full.name(), "Spindle");
+}
+
+TEST(AssignConsecutiveDevices, CursorWrapsAndRunsAcrossWaves)
+{
+    // 8 devices, entries of 3, 3 | 3: the cursor runs on from wave 0
+    // into wave 1 and wraps there, so a cursor restarted per wave
+    // would give wave 1 {0,1,2}.
+    ExecutionPlan plan;
+    plan.numDevices = 8;
+    plan.waves.resize(2);
+    plan.waves[0].entries.resize(2);
+    plan.waves[1].entries.resize(1);
+    for (Wave &w : plan.waves)
+        for (WaveEntry &e : w.entries) {
+            e.n = 3;
+            e.devices = {7}; // replaced, not appended to
+        }
+    assignConsecutiveDevices(plan);
+    EXPECT_EQ(plan.waves[0].entries[0].devices, (DeviceSet{0, 1, 2}));
+    EXPECT_EQ(plan.waves[0].entries[1].devices, (DeviceSet{3, 4, 5}));
+    EXPECT_EQ(plan.waves[1].entries[0].devices, (DeviceSet{0, 6, 7}));
+}
+
+TEST_F(BaselineFixture, SpindleWithoutPlacementKeepsSpindlesWaves)
+{
+    // The ablation changes the devices only: its plan is Spindle's
+    // with assignConsecutiveDevices() applied and readiness re-derived.
+    const ExecutionPlan spindle = SpindleSystem(hw).buildPlan(meta);
+    ExecutionPlan want = spindle;
+    assignConsecutiveDevices(want);
+    want.annotateReadiness(meta);
+    const ExecutionPlan got = SpindleWithoutPlacement(hw).buildPlan(meta);
+    got.validate(meta);
+
+    EXPECT_EQ(got.numDevices, want.numDevices);
+    EXPECT_EQ(got.estimatedSpan, want.estimatedSpan);
+    EXPECT_EQ(got.theoreticalOptimum, want.theoreticalOptimum);
+    EXPECT_EQ(got.allocations.size(), want.allocations.size());
+    ASSERT_EQ(got.waves.size(), want.waves.size());
+    std::size_t moved = 0;
+    for (std::size_t w = 0; w < got.waves.size(); ++w) {
+        SCOPED_TRACE(strCat("wave ", w));
+        const Wave &a = got.waves[w];
+        const Wave &b = want.waves[w];
+        EXPECT_EQ(a.index, b.index);
+        EXPECT_EQ(a.level, b.level);
+        EXPECT_EQ(a.stream, b.stream);
+        EXPECT_EQ(a.predecessors, b.predecessors);
+        EXPECT_EQ(a.start, b.start);
+        EXPECT_EQ(a.duration, b.duration);
+        ASSERT_EQ(a.entries.size(), b.entries.size());
+        for (std::size_t i = 0; i < a.entries.size(); ++i) {
+            EXPECT_EQ(a.entries[i].metaOp, b.entries[i].metaOp);
+            EXPECT_EQ(a.entries[i].n, b.entries[i].n);
+            EXPECT_EQ(a.entries[i].opBegin, b.entries[i].opBegin);
+            EXPECT_EQ(a.entries[i].numOps, b.entries[i].numOps);
+            EXPECT_EQ(a.entries[i].duration, b.entries[i].duration);
+            EXPECT_EQ(a.entries[i].devices, b.entries[i].devices);
+            moved += a.entries[i].devices !=
+                     spindle.waves[w].entries[i].devices;
+        }
+    }
+    // Spindle's placement is not consecutive on this workload, so the
+    // check above compared reassigned devices, not Spindle's own.
+    EXPECT_GT(moved, 0u);
 }
 
 TEST_F(BaselineFixture, TheoreticalOptimumOnlyFromSpindle)

@@ -116,7 +116,7 @@ TEST(Integration, PlacementAblationInflatesTransmission)
     HardwareModel hw(topo);
     MetaGraph meta = contractGraph(g);
     SpindleSystem spindle(hw);
-    SpindleSystem ablation = makeSpindleWithoutPlacement(hw);
+    SpindleWithoutPlacement ablation(hw);
     SystemResult with_dp = spindle.runIteration(meta);
     SystemResult without = ablation.runIteration(meta);
     EXPECT_GT(without.breakdown.sendRecv,

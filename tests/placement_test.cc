@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for device placement (§3.5): island affinity, memory
- * balance with parameter deduplication, the memory-first fallback,
- * and the sequential ablation strategy.
+ * balance with parameter deduplication and the memory-first
+ * fallback.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "baselines/system.h"
 #include "planner/planner.h"
 #include "reference_planner.h"
 #include "test_util.h"
@@ -21,13 +22,9 @@ using testutil::fig3Workload;
 using testutil::smallCluster;
 
 PlannerOutput
-planWith(const MetaGraph &meta, const HardwareModel &hw,
-         PlacementStrategy strategy)
+planWith(const MetaGraph &meta, const HardwareModel &hw)
 {
-    PlannerOptions options;
-    options.placement.strategy = strategy;
-    ExecutionPlanner planner(hw, options);
-    return planner.plan(meta);
+    return ExecutionPlanner(hw).plan(meta);
 }
 
 /** The reference's full memory-first restart (from wave 0) on the
@@ -50,7 +47,7 @@ TEST(Placement, EveryEntryPlacedWithDeclaredSize)
     MetaGraph meta = contractGraph(g);
     ClusterTopology topo = smallCluster(2);
     HardwareModel hw(topo);
-    PlannerOutput out = planWith(meta, hw, PlacementStrategy::Spindle);
+    PlannerOutput out = planWith(meta, hw);
     for (const Wave &w : out.plan.waves) {
         for (const WaveEntry &e : w.entries) {
             EXPECT_EQ(e.devices.size(), e.n);
@@ -65,7 +62,7 @@ TEST(Placement, WaveEntriesOccupyDisjointDevices)
     MetaGraph meta = contractGraph(g);
     ClusterTopology topo = smallCluster(2);
     HardwareModel hw(topo);
-    PlannerOutput out = planWith(meta, hw, PlacementStrategy::Spindle);
+    PlannerOutput out = planWith(meta, hw);
     out.plan.validate(meta); // includes the disjointness check
 }
 
@@ -75,7 +72,7 @@ TEST(Placement, ReportsPeakMemoryPerDevice)
     MetaGraph meta = contractGraph(g);
     ClusterTopology topo = smallCluster(2);
     HardwareModel hw(topo);
-    PlannerOutput out = planWith(meta, hw, PlacementStrategy::Spindle);
+    PlannerOutput out = planWith(meta, hw);
     ASSERT_EQ(out.placement.peakBytes.size(), topo.numDevices());
     double total = 0;
     for (double b : out.placement.peakBytes) {
@@ -89,20 +86,21 @@ TEST(Placement, ReportsPeakMemoryPerDevice)
 TEST(Placement, SpindleCommCheaperThanSequential)
 {
     // The Fig. 10 ablation: locality-aware placement cuts inter-wave
-    // transmission versus consecutive-devices placement.
+    // transmission versus the baselines' consecutive-devices
+    // assignment of the same waves.
     ComputationGraph g = fig3Workload();
     MetaGraph meta = contractGraph(g);
     ClusterTopology topo = smallCluster(2);
     HardwareModel hw(topo);
-    PlannerOutput sp = planWith(meta, hw, PlacementStrategy::Spindle);
-    PlannerOutput seq =
-        planWith(meta, hw, PlacementStrategy::Sequential);
+    PlannerOutput sp = planWith(meta, hw);
+    ExecutionPlan seq = sp.plan;
+    assignConsecutiveDevices(seq);
 
     CollectiveModel coll(topo);
     double sp_bytes = totalTransmissionBytes(
         buildTransmissions(meta, sp.plan, coll));
-    double seq_bytes = totalTransmissionBytes(
-        buildTransmissions(meta, seq.plan, coll));
+    double seq_bytes =
+        totalTransmissionBytes(buildTransmissions(meta, seq, coll));
     EXPECT_LT(sp_bytes, seq_bytes);
 }
 
@@ -112,7 +110,7 @@ TEST(Placement, MemoryBalancedAcrossDevices)
     MetaGraph meta = contractGraph(g);
     ClusterTopology topo = smallCluster(2);
     HardwareModel hw(topo);
-    PlannerOutput out = planWith(meta, hw, PlacementStrategy::Spindle);
+    PlannerOutput out = planWith(meta, hw);
     double mx = 0, mn = 1e30;
     for (double b : out.placement.peakBytes) {
         mx = std::max(mx, b);
@@ -135,8 +133,7 @@ TEST(Placement, MemoryFirstFallbackOnTightMemory)
     // Find a capacity between "comfortable" and "impossible".
     ClusterTopology roomy(cfg);
     HardwareModel hw_roomy(roomy);
-    PlannerOutput baseline =
-        planWith(meta, hw_roomy, PlacementStrategy::Spindle);
+    PlannerOutput baseline = planWith(meta, hw_roomy);
     double peak = 0;
     for (double b : baseline.placement.peakBytes)
         peak = std::max(peak, b);
@@ -144,8 +141,7 @@ TEST(Placement, MemoryFirstFallbackOnTightMemory)
     cfg.device.memoryBytes = peak * 1.05;
     ClusterTopology tight(cfg);
     HardwareModel hw_tight(tight);
-    PlannerOutput out =
-        planWith(meta, hw_tight, PlacementStrategy::Spindle);
+    PlannerOutput out = planWith(meta, hw_tight);
     for (double b : out.placement.peakBytes)
         EXPECT_LE(b, cfg.device.memoryBytes * (1 + 1e-9));
 }
@@ -163,8 +159,7 @@ TEST(Placement, MemoryFirstFallbackFlagAndValidity)
     cfg.gpusPerNode = 8;
     ClusterTopology roomy(cfg);
     HardwareModel hw_roomy(roomy);
-    PlannerOutput baseline =
-        planWith(meta, hw_roomy, PlacementStrategy::Spindle);
+    PlannerOutput baseline = planWith(meta, hw_roomy);
     double peak = 0;
     for (double b : baseline.placement.peakBytes)
         peak = std::max(peak, b);
@@ -180,7 +175,7 @@ TEST(Placement, MemoryFirstFallbackFlagAndValidity)
         ClusterTopology tight(cfg);
         HardwareModel hw(tight);
         MetaGraph fresh = contractGraph(g);
-        out = planWith(fresh, hw, PlacementStrategy::Spindle);
+        out = planWith(fresh, hw);
         if (out.placement.usedMemoryFallback) {
             fell_back = true;
             capacity_bytes = cfg.device.memoryBytes;
@@ -222,8 +217,7 @@ TEST(Placement, PartialFallbackRestartMatchesFullOnSeedLadder)
     cfg.gpusPerNode = 8;
     ClusterTopology roomy(cfg);
     HardwareModel hw_roomy(roomy);
-    PlannerOutput baseline =
-        planWith(meta, hw_roomy, PlacementStrategy::Spindle);
+    PlannerOutput baseline = planWith(meta, hw_roomy);
     double peak = 0;
     for (double b : baseline.placement.peakBytes)
         peak = std::max(peak, b);
@@ -270,8 +264,7 @@ TEST(Placement, PartialFallbackRestartFromLaterWave)
     cfg.gpusPerNode = 8;
     ClusterTopology roomy(cfg);
     HardwareModel hw_roomy(roomy);
-    PlannerOutput baseline =
-        planWith(meta, hw_roomy, PlacementStrategy::Spindle);
+    PlannerOutput baseline = planWith(meta, hw_roomy);
     double peak = 0;
     for (double b : baseline.placement.peakBytes)
         peak = std::max(peak, b);
@@ -384,18 +377,6 @@ TEST(Placement, CandidateWindowPoolRecyclesCapacity)
     EXPECT_EQ(band.capacity() + extra.capacity(), pooled_cap);
 }
 
-TEST(Placement, SequentialStrategyIgnoresMemoryBalance)
-{
-    ComputationGraph g = fig3Workload();
-    MetaGraph meta = contractGraph(g);
-    ClusterTopology topo = smallCluster(2);
-    HardwareModel hw(topo);
-    PlannerOutput out =
-        planWith(meta, hw, PlacementStrategy::Sequential);
-    out.plan.validate(meta);
-    EXPECT_FALSE(out.placement.usedMemoryFallback);
-}
-
 bool
 sameBits(double a, double b)
 {
@@ -506,46 +487,6 @@ TEST(Placement, PrefixReplayMatchesPlaceAtEveryWave)
     expectPrefixReplayMatchesPlace(
         buildQwenVal({.size = QwenValConfig::Size::B9}), islands,
         WindowPolicy::IslandAware);
-}
-
-TEST(Placement, SequentialIgnoresCapacityUnderPressure)
-{
-    // The Sequential ablation scores its one window but never rejects
-    // it: with HBM below its own roomy peak it must neither fall back
-    // nor move, and its per-device peaks stay those of the roomy plan.
-    ComputationGraph g = buildMultitaskClip({.numTasks = 4});
-    MetaGraph meta = contractGraph(g);
-    ClusterConfig cfg;
-    cfg.numNodes = 2;
-    cfg.gpusPerNode = 8;
-    ClusterTopology roomy(cfg);
-    HardwareModel hw_roomy(roomy);
-    PlannerOptions options;
-    options.placement.strategy = PlacementStrategy::Sequential;
-    const ExecutionPlan waves =
-        ExecutionPlanner(hw_roomy, options).plan(meta).plan;
-    MemoryModel mem(options.memory);
-
-    ExecutionPlan roomy_plan = waves;
-    const PlacementResult want =
-        DevicePlacement(roomy, hw_roomy, mem, options.placement)
-            .place(meta, roomy_plan);
-    const double peak =
-        *std::max_element(want.peakBytes.begin(), want.peakBytes.end());
-
-    cfg.device.memoryBytes = peak * 0.5;
-    ClusterTopology tight(cfg);
-    HardwareModel hw_tight(tight);
-    ExecutionPlan tight_plan = waves;
-    const PlacementResult got =
-        DevicePlacement(tight, hw_tight, mem, options.placement)
-            .place(meta, tight_plan);
-
-    EXPECT_FALSE(got.usedMemoryFallback);
-    expectSameDevices(roomy_plan, tight_plan);
-    expectSamePeaks(want, got);
-    EXPECT_GT(*std::max_element(got.peakBytes.begin(), got.peakBytes.end()),
-              cfg.device.memoryBytes);
 }
 
 TEST(MemoryModel, ShardingArithmetic)

@@ -191,14 +191,6 @@ TEST(PlannerEquivalence, QwenVal9BLargerCluster)
 // Alternate planner configurations
 // ===================================================================
 
-TEST(PlannerEquivalence, SequentialPlacementStrategy)
-{
-    PlannerOptions options;
-    options.placement.strategy = PlacementStrategy::Sequential;
-    expectEquivalent(fig3Workload(), 2, options);
-    expectEquivalent(buildMultitaskClip({.numTasks = 4}), 2, options);
-}
-
 TEST(PlannerEquivalence, NoResourceExtension)
 {
     PlannerOptions options;
@@ -853,13 +845,12 @@ expectReplanMatchesPlan(const ComputationGraph &graph,
 
 void
 expectReplanMatchesPlanOnNodes(const ComputationGraph &graph,
-                               std::uint32_t num_nodes,
-                               PlannerOptions options = {})
+                               std::uint32_t num_nodes)
 {
     ClusterConfig cluster;
     cluster.numNodes = num_nodes;
     cluster.gpusPerNode = 8;
-    expectReplanMatchesPlan(graph, std::move(cluster), options);
+    expectReplanMatchesPlan(graph, std::move(cluster));
 }
 
 TEST(PlannerEquivalence, ReplanSeedWorkloads)
@@ -882,17 +873,6 @@ TEST(PlannerEquivalence, ReplanIslandTopologies)
     options.placement.windows = WindowPolicy::IslandAware;
     expectReplanMatchesPlan(buildMultitaskClip({.numTasks = 7}),
                             heteroCluster({12, 4, 12, 4}), options);
-}
-
-TEST(PlannerEquivalence, ReplanSequentialPlacementStrategy)
-{
-    // Sequential placement never donates a prefix (its device cursor
-    // is not replayed), but full-hit reuse and the cold recompute
-    // must still match plan() bit for bit.
-    PlannerOptions options;
-    options.placement.strategy = PlacementStrategy::Sequential;
-    expectReplanMatchesPlanOnNodes(buildMultitaskClip({.numTasks = 4}),
-                                   2, options);
 }
 
 /** One task, three chained transformer stacks: A -> B -> tail. */

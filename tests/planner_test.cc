@@ -338,16 +338,10 @@ TEST(Planner, EveryFingerprintedOptionSeparatesCacheContexts)
          [](PlannerOptions &o) { o.allocator.maxBisectionIters /= 2; }},
         {"scheduler.extendResources",
          [](PlannerOptions &o) { o.scheduler.extendResources = false; }},
-        {"placement.strategy",
-         [](PlannerOptions &o) {
-             o.placement.strategy = PlacementStrategy::Sequential;
-         }},
         {"placement.windows",
          [](PlannerOptions &o) {
              o.placement.windows = WindowPolicy::IslandAware;
          }},
-        {"placement.memoryWeight",
-         [](PlannerOptions &o) { o.placement.memoryWeight *= 2; }},
         {"memory.zeroShardOptimizer",
          [](PlannerOptions &o) { o.memory.zeroShardOptimizer = false; }},
         {"memory.zeroShardParams",

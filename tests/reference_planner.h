@@ -259,8 +259,6 @@ tryPlace(const ClusterTopology &topo, const HardwareModel &hw,
         return shard + opt;
     };
 
-    std::uint32_t seq_cursor = 0;
-
     for (std::size_t wi = 0; wi < plan.waves.size(); ++wi) {
         Wave &wave = plan.waves[wi];
         const bool memory_first = wi >= first_memory_wave;
@@ -285,22 +283,20 @@ tryPlace(const ClusterTopology &topo, const HardwareModel &hw,
             ParallelConfig cfg = hw.bestConfig(memberDesc(m), e.n);
             return mem.sliceBytesPerDevice(m, e.numOps, cfg);
         };
-        if (options.strategy == PlacementStrategy::Spindle) {
-            std::sort(order.begin(), order.end(),
-                      [&](std::size_t a, std::size_t b) {
-                          double va, vb;
-                          if (memory_first) {
-                              va = entry_memory(wave.entries[a]);
-                              vb = entry_memory(wave.entries[b]);
-                          } else {
-                              va = entry_volume(wave.entries[a]);
-                              vb = entry_volume(wave.entries[b]);
-                          }
-                          if (va != vb)
-                              return va > vb;
-                          return a < b;
-                      });
-        }
+        std::sort(order.begin(), order.end(),
+                  [&](std::size_t a, std::size_t b) {
+                      double va, vb;
+                      if (memory_first) {
+                          va = entry_memory(wave.entries[a]);
+                          vb = entry_memory(wave.entries[b]);
+                      } else {
+                          va = entry_volume(wave.entries[a]);
+                          vb = entry_volume(wave.entries[b]);
+                      }
+                      if (va != vb)
+                          return va > vb;
+                      return a < b;
+                  });
 
         for (std::size_t idx : order) {
             WaveEntry &e = wave.entries[idx];
@@ -312,14 +308,7 @@ tryPlace(const ClusterTopology &topo, const HardwareModel &hw,
             panicIf(free.size() < e.n,
                     "tryPlace: scheduler exceeded wave capacity");
             std::vector<DeviceSet> windows;
-            if (options.strategy == PlacementStrategy::Sequential) {
-                DeviceSet win;
-                for (std::uint32_t k = 0; k < e.n; ++k)
-                    win.push_back((seq_cursor + k) % num_devices);
-                canonicalize(win);
-                seq_cursor = (seq_cursor + e.n) % num_devices;
-                windows.push_back(std::move(win));
-            } else if (options.windows == WindowPolicy::IslandAware) {
+            if (options.windows == WindowPolicy::IslandAware) {
                 // Every length-n run of each band, then each extra,
                 // in emission order: the sweep keeps the first of
                 // equally scored windows.
@@ -365,8 +354,7 @@ tryPlace(const ClusterTopology &topo, const HardwareModel &hw,
                             add += share - it->second;
                     }
                     const double total = state.deviceTotal(d) + add;
-                    if (options.strategy == PlacementStrategy::Spindle &&
-                        total > capacity) {
+                    if (total > capacity) {
                         feasible = false;
                         break;
                     }
@@ -423,8 +411,7 @@ tryPlace(const ClusterTopology &topo, const HardwareModel &hw,
                             (slow - fast);
                 }
 
-                const double mem_score =
-                    options.memoryWeight * peak_frac;
+                const double mem_score = kMemoryWeight * peak_frac;
                 double primary, secondary;
                 if (memory_first) {
                     primary = peak_frac;
@@ -465,13 +452,10 @@ tryPlace(const ClusterTopology &topo, const HardwareModel &hw,
             e.devices = win;
             state.lastSlice[e.metaOp] = win;
             result.estimatedCommSeconds += best_comm;
-            if (options.strategy != PlacementStrategy::Sequential) {
-                DeviceSet remaining;
-                std::set_difference(free.begin(), free.end(),
-                                    win.begin(), win.end(),
-                                    std::back_inserter(remaining));
-                free = std::move(remaining);
-            }
+            DeviceSet remaining;
+            std::set_difference(free.begin(), free.end(), win.begin(),
+                                win.end(), std::back_inserter(remaining));
+            free = std::move(remaining);
         }
     }
 

@@ -4,14 +4,15 @@
  * not the device numbering — is what placement behaviour may depend
  * on. Relabeling device ids by an island-structure-preserving
  * permutation must yield plans that are the permutation image of the
- * original plans (island-aware windows), and the Sequential baseline
- * must not notice islands at all.
+ * original plans (island-aware windows), and the consecutive-devices
+ * baseline must not notice islands at all.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "baselines/spindle_system.h"
 #include "planner/planner.h"
 #include "test_util.h"
 
@@ -142,19 +143,22 @@ TEST(Renumbering, IslandAwareMemoryFirstPassIsEquivariant)
 
 TEST(Renumbering, SequentialBaselineIgnoresIslands)
 {
-    // The Sequential ablation allocates consecutive device *ids* by
+    // The Fig. 10 ablation allocates consecutive device *ids* by
     // design; its plans must be bit-identical across any relabeling
     // of the island structure.
-    PlannerOptions options;
-    options.placement.strategy = PlacementStrategy::Sequential;
     ComputationGraph g = testutil::fig3Workload();
-    PlannerOutput a = planOn(contiguousConfig(), g, options);
-    PlannerOutput b = planOn(stripedConfig(), g, options);
-    expectSameStructure(a.plan, b.plan);
-    for (std::size_t i = 0; i < a.plan.waves.size(); ++i)
-        for (std::size_t j = 0; j < a.plan.waves[i].entries.size(); ++j)
-            EXPECT_EQ(a.plan.waves[i].entries[j].devices,
-                      b.plan.waves[i].entries[j].devices);
+    MetaGraph meta = contractGraph(g);
+    ClusterTopology ta(contiguousConfig());
+    ClusterTopology tb(stripedConfig());
+    HardwareModel ha(ta);
+    HardwareModel hb(tb);
+    const ExecutionPlan a = SpindleWithoutPlacement(ha).buildPlan(meta);
+    const ExecutionPlan b = SpindleWithoutPlacement(hb).buildPlan(meta);
+    expectSameStructure(a, b);
+    for (std::size_t i = 0; i < a.waves.size(); ++i)
+        for (std::size_t j = 0; j < a.waves[i].entries.size(); ++j)
+            EXPECT_EQ(a.waves[i].entries[j].devices,
+                      b.waves[i].entries[j].devices);
 }
 
 TEST(Renumbering, ContiguousRunsEquivalentUpToPermutationOnBlocks)
